@@ -32,7 +32,7 @@ pool = ObjectIdPool()
 post = grammar.templates["POST /groups"]
 created = client.send(render_with_list(post, ParamValueList(post.template_id, ()), pool).request)
 group_id = str(json.loads(created.body)["id"])
-pool.add("group", group_id, post.template_id)
+pool.add("group", group_id)
 print(f"producer POST /groups -> {created.status}, captured group id {group_id}")
 
 get = grammar.templates["GET /groups/{id}"]

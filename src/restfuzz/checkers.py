@@ -10,13 +10,13 @@ the access flags a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .client import HttpClient
 from .collection import CollectionStore, ParamValuePair
-from .execution import ExecutedSequence, ExecutedStep, Observer
+from .execution import ExecutedSequence, ExecutedStep, Observer, send_step
 from .grammar import CompiledGrammar, RequestTemplate
 from .rendering import (
     MissingProducerId,
@@ -47,13 +47,6 @@ class Violation:
     deleted_resource: tuple[str, str] | None = None  # (resource type, id)
 
 
-def _record(store: CollectionStore | None, step_template: str,
-            rendered: dict[str, str], defaults: dict[str, str],
-            record: ResponseRecord) -> None:
-    if store is not None:
-        store.record_request_outcome(step_template, rendered, defaults, record.klass)
-
-
 def datadriven_check(
     executed: ExecutedSequence,
     grammar: CompiledGrammar,
@@ -78,10 +71,7 @@ def datadriven_check(
     pair = candidates[int(rng.integers(len(candidates)))]
 
     for step in executed.steps[:-1]:
-        record = client.send(step.request)
-        if observe is not None:
-            observe(step.template_id, record)
-        _record(store, step.template_id, step.rendered_params, step.defaults, record)
+        send_step(step, step.position, client, store, observe)
 
     query = dict(last.request.query)
     body = dict(last.request.body)
@@ -91,26 +81,20 @@ def datadriven_check(
         body[pair.param_name] = pair.value
     injected = ReadyRequest(last.request.method, last.request.path, query, body,
                             dict(last.request.headers))
-    record = client.send(injected)
-    if observe is not None:
-        observe(last.template_id, record)
     # The injected parameter has no default on this template, so the
     # standard recording path never stores it as a pair.
-    _record(store, last.template_id, last.rendered_params, last.defaults, record)
+    sent = send_step(replace(last, request=injected), last.position, client,
+                     store, observe)
 
-    if record.klass is ResponseClass.ERROR_5XX:
+    if sent.response.klass is ResponseClass.ERROR_5XX:
         # Replay data pairs the original prefix (whose responses a reset
         # target reproduces once ids are rebound) with the injected request.
-        steps = executed.steps[:-1] + [
-            ExecutedStep(last.position, last.template_id, injected,
-                         last.rendered_params, last.defaults,
-                         last.consumer_bindings, record)
-        ]
+        steps = (*executed.steps[:-1], sent)
         return Violation(
             KIND_INCORRECT_PARAM_USAGE,
-            tuple(steps),
+            steps,
             offending_index=len(steps) - 1,
-            response=record,
+            response=sent.response,
             injected_pair=pair,
         )
     return None
@@ -118,23 +102,6 @@ def datadriven_check(
 
 def _render_defaults(template: RequestTemplate, pool: ObjectIdPool) -> RenderedStep:
     return render_with_list(template, ParamValueList(template.template_id, ()), pool)
-
-
-def _send_step(
-    rendered: RenderedStep,
-    position: int,
-    client: HttpClient,
-    store: CollectionStore | None,
-    observe: Observer | None,
-) -> ExecutedStep:
-    record = client.send(rendered.request)
-    if observe is not None:
-        observe(rendered.template_id, record)
-    _record(store, rendered.template_id, rendered.rendered_params,
-            rendered.defaults, record)
-    return ExecutedStep(position, rendered.template_id, rendered.request,
-                        rendered.rendered_params, rendered.defaults,
-                        rendered.consumer_bindings, record)
 
 
 def use_after_free_check(
@@ -167,8 +134,8 @@ def use_after_free_check(
         eligible = True
         pool = ObjectIdPool()
         try:
-            create = _send_step(_render_defaults(producers[0], pool), 0,
-                                client, store, observe)
+            create = send_step(_render_defaults(producers[0], pool), 0,
+                               client, store, observe)
         except MissingProducerId:
             continue
         if create.response.klass is not ResponseClass.PASS_2XX:
@@ -177,12 +144,12 @@ def use_after_free_check(
         if not produced:
             continue
         for rtype, value in produced:
-            pool.add(rtype, value, producers[0].template_id)
+            pool.add(rtype, value)
         deleted_id = produced[0][1]
 
         try:
-            delete = _send_step(_render_defaults(deleters[0], pool), 1,
-                                client, store, observe)
+            delete = send_step(_render_defaults(deleters[0], pool), 1,
+                               client, store, observe)
         except MissingProducerId:
             continue
         if delete.response.klass is not ResponseClass.PASS_2XX:
@@ -191,8 +158,8 @@ def use_after_free_check(
 
         for accessor in sorted(accessors, key=lambda t: t.template_id):
             try:
-                access = _send_step(_render_defaults(accessor, pool), 2,
-                                    client, store, observe)
+                access = send_step(_render_defaults(accessor, pool), 2,
+                                   client, store, observe)
             except MissingProducerId:
                 continue
             if access.response.klass is not ResponseClass.REJECT_4XX:

@@ -6,7 +6,9 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .client import HttpClient, TargetUnreachable
 from .grammar import parse_spec_file
@@ -53,24 +55,45 @@ def _build_parser() -> argparse.ArgumentParser:
     server.add_argument("--port", type=int, required=True)
     server.add_argument("--bugs", default="",
                         help="comma-separated bug ids, e.g. b-uaf,b-undef")
-    server.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    if args.report_dir:
-        report_dir = Path(args.report_dir)
-        report_dir.mkdir(parents=True, exist_ok=True)
-        handler = logging.FileHandler(report_dir / "training.log")
-        handler.setFormatter(logging.Formatter("%(asctime)s %(message)s"))
-        training_logger = logging.getLogger("restfuzz.training")
-        training_logger.addHandler(handler)
-        training_logger.setLevel(logging.INFO)
+@contextmanager
+def _training_log(report_dir: str | None) -> Iterator[None]:
+    """Write training-round lines to ``<report_dir>/training.log`` for one run.
 
+    Undone on exit, so a later run in the same process neither writes here
+    nor pays for the per-epoch accuracy pass that INFO logging turns on.
+    """
+    if not report_dir:
+        yield
+        return
+    path = Path(report_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    handler = logging.FileHandler(path / "training.log")
+    handler.setFormatter(logging.Formatter("%(asctime)s %(message)s"))
+    training_logger = logging.getLogger("restfuzz.training")
+    level = training_logger.level
+    training_logger.addHandler(handler)
+    training_logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        training_logger.removeHandler(handler)
+        handler.close()
+        training_logger.setLevel(level)
+
+
+def _cmd_fuzz(args: argparse.Namespace) -> int:
+    # The level sits on the handler too: records propagated from the
+    # training logger skip the root logger's level and meet only this one.
+    stderr = logging.StreamHandler()
+    stderr.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    logging.basicConfig(
+        level=stderr.level,
+        format="%(levelname)s %(name)s: %(message)s",
+        handlers=[stderr],
+    )
     if args.duration is None and args.max_requests is None:
         print("fuzz needs a budget: --duration and/or --max-requests",
               file=sys.stderr)
@@ -94,7 +117,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         dump_weights=args.dump_weights,
     )
     try:
-        metrics = fuzz_loop(config, grammar)
+        with _training_log(args.report_dir):
+            metrics = fuzz_loop(config, grammar)
     except TargetUnreachable as exc:
         print(f"target unreachable: {exc}", file=sys.stderr)
         return 1
@@ -121,7 +145,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    bugs = BugConfig.parse(args.bugs, seed=args.seed)
+    bugs = BugConfig.parse(args.bugs)
     handle = serve(args.port, bugs)
     print(f"mock target listening on {handle.base_url} "
           f"(bugs: {', '.join(sorted(bugs.armed)) or 'none'})")

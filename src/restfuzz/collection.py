@@ -32,8 +32,6 @@ class PairObservation:
     template_id: str
     pair: ParamValuePair
     response_class: ResponseClass
-    observed_at: int
-    hits: int = 1
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ class CollectionStore:
         self._grammar = grammar
         self._persist = persist
         self.iteration = 0
-        # Insertion-ordered; key -> PairObservation with hit counter.
+        # Insertion-ordered; one entry per distinct observation.
         self._pairs: dict[tuple[str, ParamValuePair, ResponseClass], PairObservation] = {}
         self._events: list[_RequestEvent] = []
         self._seeds: dict[tuple[str, ...], SeedSequenceTemplate] = {}
@@ -102,11 +100,8 @@ class CollectionStore:
         )
         for pair in pairs:
             key = (template_id, pair, response_class)
-            seen = self._pairs.get(key)
-            if seen is None:
-                self._pairs[key] = PairObservation(
-                    template_id, pair, response_class, self.iteration
-                )
+            if key not in self._pairs:
+                self._pairs[key] = PairObservation(template_id, pair, response_class)
                 self._write_line(
                     kind="pair",
                     iteration=self.iteration,
@@ -114,11 +109,6 @@ class CollectionStore:
                     param=pair.param_name,
                     value=pair.value,
                     response_class=response_class.value,
-                )
-            else:
-                self._pairs[key] = PairObservation(
-                    seen.template_id, seen.pair, seen.response_class,
-                    seen.observed_at, seen.hits + 1,
                 )
 
     def admit_sequence(

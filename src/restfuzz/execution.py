@@ -1,4 +1,4 @@
-"""Drive one rendered sequence against the target and keep the evidence."""
+"""Send one request and record it; drive a rendered sequence against the target."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from .rendering import (
     MissingProducerId,
     ParamValueList,
     ReadyRequest,
+    RenderedStep,
     RenderMode,
     render_sequence,
 )
@@ -49,6 +50,28 @@ class ExecutedSequence:
         return len(self.steps)
 
 
+def send_step(
+    step: RenderedStep | ExecutedStep,
+    position: int,
+    client: HttpClient,
+    store: CollectionStore | None = None,
+    observe: Observer | None = None,
+) -> ExecutedStep:
+    """Send one request, report it to ``observe`` and record its outcome.
+
+    The one path every request of the main loop and the checkers takes.
+    """
+    record = client.send(step.request)
+    if observe is not None:
+        observe(step.template_id, record)
+    if store is not None:
+        store.record_request_outcome(
+            step.template_id, step.rendered_params, step.defaults, record.klass
+        )
+    return ExecutedStep(position, step.template_id, step.request, step.rendered_params,
+                        step.defaults, step.consumer_bindings, record)
+
+
 def execute_candidate(
     candidate_ids: Sequence[str],
     grammar: CompiledGrammar,
@@ -71,28 +94,13 @@ def execute_candidate(
     record: ResponseRecord | None = None
     try:
         while True:
-            step = generator.send(record) if record is not None else next(generator)
+            rendered = generator.send(record) if record is not None else next(generator)
             if should_stop is not None and should_stop():
                 executed.abort_reason = "budget exhausted"
                 return executed
-            record = client.send(step.request)
-            if observe is not None:
-                observe(step.template_id, record)
-            if store is not None:
-                store.record_request_outcome(
-                    step.template_id, step.rendered_params, step.defaults, record.klass
-                )
-            executed.steps.append(
-                ExecutedStep(
-                    len(executed.steps),
-                    step.template_id,
-                    step.request,
-                    step.rendered_params,
-                    step.defaults,
-                    step.consumer_bindings,
-                    record,
-                )
-            )
+            step = send_step(rendered, len(executed.steps), client, store, observe)
+            executed.steps.append(step)
+            record = step.response
     except StopIteration:
         executed.completed = True
     except MissingProducerId as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 METHODS = ("GET", "POST", "PUT", "DELETE")
 LOCATIONS = ("path", "query", "body")
@@ -245,10 +246,10 @@ def parse_spec_file(path) -> CompiledGrammar:
         return parse_spec(fh.read())
 
 
-def grammar_document(grammar: CompiledGrammar) -> dict:
-    """Rebuild the JSON document form; ``parse_spec`` round-trips it."""
+def grammar_document(templates: Iterable[RequestTemplate]) -> dict:
+    """The JSON document form of ``templates``; ``parse_spec`` round-trips it."""
     paths: dict[str, dict] = {}
-    for template in grammar.templates.values():
+    for template in templates:
         entry: dict = {"parameters": []}
         for spec in template.params:
             raw: dict = {
@@ -273,7 +274,7 @@ def grammar_document(grammar: CompiledGrammar) -> dict:
 
 
 def serialize_spec(grammar: CompiledGrammar) -> bytes:
-    return json.dumps(grammar_document(grammar), indent=2).encode("utf-8")
+    return json.dumps(grammar_document(grammar.templates.values()), indent=2).encode("utf-8")
 
 
 def satisfiable_templates(grammar: CompiledGrammar, available: set[str] | frozenset[str]) -> list[str]:

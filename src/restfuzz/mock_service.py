@@ -8,8 +8,8 @@ can be armed; with all of them disarmed every input maps to a conformant
 
 Test hooks: ``POST /__reset`` restores pristine state, ``GET /__coverage``
 returns per-branch hit counters.  The matching fuzzing grammar ships as
-package data (``mock_target.grammar.json``) and is generated from the same
-endpoint schema the validator runs on.
+package data (``mock_target.grammar.json``); it is the endpoint schema the
+validator runs on, serialized by :func:`restfuzz.grammar.grammar_document`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
 from urllib.parse import parse_qsl, urlsplit
+
+from .grammar import ParamSpec, RequestTemplate, grammar_document
 
 BUG_UAF = "b-uaf"
 BUG_UNDEF = "b-undef"
@@ -38,7 +40,6 @@ _UNDEF_TRIGGER_PARAM = "initialize_with_readme"
 @dataclass(frozen=True)
 class BugConfig:
     armed: frozenset[str] = frozenset()
-    seed: int = 0  # reserved knob; current bug behaviors are deterministic
 
     def __post_init__(self):
         unknown = self.armed - set(ALL_BUGS)
@@ -46,9 +47,9 @@ class BugConfig:
             raise ValueError(f"unknown bug ids: {sorted(unknown)}")
 
     @staticmethod
-    def parse(spec: str, seed: int = 0) -> "BugConfig":
+    def parse(spec: str) -> "BugConfig":
         names = frozenset(part.strip() for part in spec.split(",") if part.strip())
-        return BugConfig(names, seed)
+        return BugConfig(names)
 
     def has(self, bug: str) -> bool:
         return bug in self.armed
@@ -170,29 +171,20 @@ ENDPOINTS: tuple[MockEndpoint, ...] = _resource_endpoints(
 
 def mock_grammar_document() -> dict:
     """The fuzzing grammar matching this service, in the compiler's format."""
-    paths: dict[str, dict] = {}
-    for endpoint in ENDPOINTS:
-        entry: dict = {"parameters": []}
-        for param in endpoint.params:
-            raw: dict = {
-                "name": param.name,
-                "in": param.where,
-                "type": param.value_type,
-                "required": param.required,
-            }
-            if param.consumes:
-                raw["x-consumes"] = param.consumes
-            else:
-                raw["x-dictionary"] = list(param.dictionary)
-                raw["x-default"] = param.default
-            entry["parameters"].append(raw)
-        if endpoint.produces:
-            entry["x-produces"] = {
-                "type": endpoint.produces[0],
-                "pointer": endpoint.produces[1],
-            }
-        paths.setdefault(endpoint.path, {})[endpoint.method] = entry
-    return {"paths": paths}
+    return grammar_document(
+        RequestTemplate(
+            endpoint.template_id,
+            endpoint.method,
+            endpoint.path,
+            tuple(
+                ParamSpec(param.name, param.where, param.value_type, param.required,
+                          param.dictionary, param.default, param.consumes)
+                for param in endpoint.params
+            ),
+            endpoint.produces,
+        )
+        for endpoint in ENDPOINTS
+    )
 
 
 def mock_grammar_bytes() -> bytes:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -126,7 +127,7 @@ class Fuzzer:
 
         # BFS state for the classic selection strategy.
         self._frontier: list[SequenceTemplate] = [EMPTY_SEQUENCE]
-        self._round_queue: list[SequenceTemplate] = []
+        self._round_queue: deque[SequenceTemplate] = deque()
         self._next_frontier: list[SequenceTemplate] = []
 
     # -- budget ----------------------------------------------------------
@@ -195,13 +196,13 @@ class Fuzzer:
     def _next_candidate_bfs(self) -> SequenceTemplate | None:
         while not self._round_queue:
             if self._frontier:
-                self._round_queue = [
+                self._round_queue = deque(
                     candidate
                     for seed in self._frontier
                     for candidate in extend(
                         seed, self.grammar, self.config.max_sequence_length
                     )
-                ]
+                )
                 self._frontier = []
                 self._next_frontier = []
                 if self._round_queue:
@@ -213,10 +214,10 @@ class Fuzzer:
             )
             if not restart:
                 return None
-            self._round_queue = restart
+            self._round_queue = deque(restart)
             self._next_frontier = []
             break
-        return self._round_queue.pop(0)
+        return self._round_queue.popleft()
 
     def _bfs_note_result(self, candidate: SequenceTemplate, executed: ExecutedSequence) -> None:
         outcome = (

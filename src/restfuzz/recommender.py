@@ -366,13 +366,15 @@ class Recommender:
 
 
 class TrainerWorker:
-    """Background thread running training rounds off the fuzz loop."""
+    """Background thread running training rounds off the fuzz loop.
+
+    A round that raises is logged and the worker keeps serving, so a bad
+    round never silently ends training for the rest of the run.
+    """
 
     def __init__(self, recommender: Recommender):
         self._recommender = recommender
         self._queue: queue.Queue = queue.Queue(maxsize=1)
-        self._results: list[TrainResult] = []
-        self._lock = threading.Lock()
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
 
@@ -382,10 +384,10 @@ class TrainerWorker:
             if job is None:
                 return
             corpus, label = job
-            result = self._recommender.train_and_publish(corpus, label=label)
-            if result is not None:
-                with self._lock:
-                    self._results.append(result)
+            try:
+                self._recommender.train_and_publish(corpus, label=label)
+            except Exception:
+                logger.exception("training round %s failed", label)
 
     def submit(self, corpus: Corpus, label: str = "") -> bool:
         """Hand a corpus snapshot to the worker; False when it is busy."""
@@ -395,10 +397,11 @@ class TrainerWorker:
         except queue.Full:
             return False
 
-    def results(self) -> list[TrainResult]:
-        with self._lock:
-            return list(self._results)
-
     def stop(self, timeout: float = 30.0) -> None:
-        self._queue.put(None)
-        self._thread.join(timeout=timeout)
+        """Ask the worker to finish; returns within about ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
+        try:
+            self._queue.put(None, timeout=timeout)
+        except queue.Full:
+            return  # still busy with a queued round; the daemon thread is abandoned
+        self._thread.join(timeout=max(deadline - time.monotonic(), 0.0))

@@ -81,20 +81,14 @@ class ObjectIdPool:
     """Object ids captured from producer responses; lives for one sequence."""
 
     def __init__(self):
-        self._ids: dict[str, list[tuple[str, str]]] = {}
+        self._ids: dict[str, list[str]] = {}
 
-    def add(self, resource_type: str, value: str, producer_id: str) -> None:
-        self._ids.setdefault(resource_type, []).append((value, producer_id))
+    def add(self, resource_type: str, value: str) -> None:
+        self._ids.setdefault(resource_type, []).append(value)
 
     def latest(self, resource_type: str) -> str | None:
         entries = self._ids.get(resource_type)
-        return entries[-1][0] if entries else None
-
-    def types(self) -> frozenset[str]:
-        return frozenset(self._ids)
-
-    def clear(self) -> None:
-        self._ids.clear()
+        return entries[-1] if entries else None
 
 
 def resolve_consumer(param: ParamSpec, pool: ObjectIdPool) -> str:
@@ -188,27 +182,30 @@ def choose_list(
     return lists[int(rng.integers(len(lists)))]
 
 
-def extract_producer_ids(template: RequestTemplate, body: str) -> list[tuple[str, str]]:
-    """Read the produced object id from a 2xx response body.
+def read_produced_id(body: str, pointer: str) -> str | None:
+    """The id at ``pointer`` in a JSON response body, as a string.
 
-    Tolerant: a missing field or unparsable body yields no ids rather than
-    an error.
+    Tolerant: an unparsable body, a missing field or a value that is not a
+    string or an integer yields ``None`` rather than an error.
     """
+    try:
+        node = json.loads(body) if body else None
+    except json.JSONDecodeError:
+        return None
+    for key in pointer.lstrip("/").split("/"):
+        if not isinstance(node, dict) or key not in node:
+            return None
+        node = node[key]
+    return str(node) if isinstance(node, (str, int)) else None
+
+
+def extract_producer_ids(template: RequestTemplate, body: str) -> list[tuple[str, str]]:
+    """Read the produced object id from a 2xx response body."""
     if not template.produces:
         return []
     resource_type, pointer = template.produces
-    try:
-        doc = json.loads(body) if body else None
-    except json.JSONDecodeError:
-        return []
-    node = doc
-    for key in pointer.lstrip("/").split("/"):
-        if not isinstance(node, dict) or key not in node:
-            return []
-        node = node[key]
-    if isinstance(node, (str, int)):
-        return [(resource_type, str(node))]
-    return []
+    value = read_produced_id(body, pointer)
+    return [] if value is None else [(resource_type, value)]
 
 
 def render_sequence(
@@ -267,4 +264,4 @@ def render_sequence(
             raise RuntimeError("render_sequence must be sent the response record")
         if response.klass is ResponseClass.PASS_2XX and template.produces:
             for resource_type, value in extract_producer_ids(template, response.body):
-                pool.add(resource_type, value, template_id)
+                pool.add(resource_type, value)

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 from .client import HttpClient
 from .execution import ExecutedStep
 from .grammar import CompiledGrammar
-from .rendering import ReadyRequest
+from .rendering import ReadyRequest, read_produced_id
 from .responses import ResponseClass, ResponseRecord
 
 KIND_RESPONSE_5XX = "response5xx"
@@ -223,18 +223,9 @@ def run_replay(
 
         produces = line.get("produces")
         if produces and record.klass is ResponseClass.PASS_2XX:
-            try:
-                doc = json.loads(record.body) if record.body else None
-            except json.JSONDecodeError:
-                doc = None
-            node = doc
-            for key in produces["pointer"].lstrip("/").split("/"):
-                if not isinstance(node, dict) or key not in node:
-                    node = None
-                    break
-                node = node[key]
-            if isinstance(node, (str, int)):
-                latest[produces["type"]] = str(node)
+            value = read_produced_id(record.body, produces["pointer"])
+            if value is not None:
+                latest[produces["type"]] = value
     return results
 
 

@@ -74,7 +74,7 @@ def execute_defaults(template_ids, grammar, client):
         )
         if record.klass is ResponseClass.PASS_2XX and template.produces:
             body = json.loads(record.body)
-            pool.add(template.produces[0], str(body["id"]), template_id)
+            pool.add(template.produces[0], str(body["id"]))
     return ExecutedSequence(tuple(template_ids), steps, completed=True)
 
 

@@ -45,11 +45,11 @@ class TestRecordRequestOutcome:
         assert len(observations) == 2
         assert {obs.response_class for obs in observations} == {ResponseClass.ERROR_5XX}
 
-    def test_duplicate_pairs_keep_a_hit_counter(self, store):
+    def test_duplicate_pairs_are_stored_once(self, store):
         record_get(store, wp="false")
         record_get(store, wp="false")
         (obs,) = store.pair_observations()
-        assert obs.hits == 2
+        assert obs.pair == ParamValuePair("with_projects", "false")
 
     def test_transport_records_nothing(self, store):
         record_get(store, wp="false", klass=ResponseClass.TRANSPORT)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -156,3 +157,38 @@ class TestReplayFidelity:
                     assert actual.klass.value == expected, record.bucket_id
         finally:
             handle.stop()
+
+
+# sha256 over (method, path, query, body, status) of every request of a
+# seed-0, 1500-request run with both checkers against the fully armed mock.
+# Any change to which bytes go out, or in what order, changes the digest.
+GOLDEN_STREAMS = {
+    "baseline": "8607ef70647bf8cdfbb99c904d452801d5304cf9bff5157373736cbd28a5f711",
+    "seq-only": "5bf21fb56d46ac64858d5e6bfe61f6a0385c692bc1678695c908ae8f37b49fda",
+}
+
+
+class TestRequestStream:
+    @pytest.mark.parametrize("mode", sorted(GOLDEN_STREAMS))
+    def test_stream_matches_golden_digest(self, grammar, mode, monkeypatch):
+        digest = hashlib.sha256()
+        real_send = HttpClient.send
+
+        def send(client, request):
+            record = real_send(client, request)
+            line = [request.method, request.path, request.query, request.body,
+                    record.status]
+            digest.update(json.dumps(line).encode() + b"\n")
+            return record
+
+        monkeypatch.setattr(HttpClient, "send", send)
+        handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
+        try:
+            config = quick_config(
+                handle.base_url, mode=mode, requests=1500, seed=0,
+                enable_uaf_checker=True, enable_datadriven_checker=True,
+            )
+            fuzz_loop(config, grammar)
+        finally:
+            handle.stop()
+        assert digest.hexdigest() == GOLDEN_STREAMS[mode]

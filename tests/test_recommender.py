@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -216,6 +219,14 @@ class TestRecommenderPublish:
         assert recommender.snapshot() is not before
 
 
+def stop_within(worker, timeout, limit):
+    """Call ``worker.stop(timeout)`` on a side thread; fail if it outlives ``limit``."""
+    stopper = threading.Thread(target=worker.stop, args=(timeout,), daemon=True)
+    stopper.start()
+    stopper.join(limit)
+    assert not stopper.is_alive(), "TrainerWorker.stop() did not return"
+
+
 class TestTrainerWorker:
     def test_background_round_publishes(self, rng):
         grammar = parse_spec(build_spec(groups_paths()))
@@ -229,8 +240,51 @@ class TestTrainerWorker:
         worker.stop()
         assert recommender.rounds == 1
         assert GET_ID in recommender.snapshot()
-        (result,) = worker.results()
-        assert result.wall_time > 0
+
+    def test_failed_round_is_logged_and_the_worker_keeps_serving(self, caplog):
+        class FailingRecommender:
+            def __init__(self):
+                self.calls = 0
+                self.called = threading.Event()
+
+            def train_and_publish(self, corpus, label=""):
+                self.calls += 1
+                self.called.set()
+                raise RuntimeError("boom")
+
+        recommender = FailingRecommender()
+        worker = TrainerWorker(recommender)
+        assert worker.submit([], label="round=1")
+        assert recommender.called.wait(5.0)
+        deadline = time.monotonic() + 5.0
+        while not worker.submit([], label="round=2"):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        stop_within(worker, timeout=5.0, limit=5.5)
+        assert recommender.calls == 2
+        failures = [r for r in caplog.records if "failed" in r.getMessage()]
+        assert [r.getMessage() for r in failures] == [
+            "training round round=1 failed", "training round round=2 failed",
+        ]
+        assert all(r.exc_info is not None for r in failures)
+
+    def test_stop_is_bounded_while_a_round_hangs(self):
+        release = threading.Event()
+        started_round = threading.Event()
+
+        class StuckRecommender:
+            def train_and_publish(self, corpus, label=""):
+                started_round.set()
+                release.wait(30.0)
+
+        worker = TrainerWorker(StuckRecommender())
+        try:
+            assert worker.submit([])
+            assert started_round.wait(5.0)
+            assert worker.submit([])  # queued behind the stuck round
+            stop_within(worker, timeout=0.2, limit=1.0)
+        finally:
+            release.set()
 
     def test_empty_corpus_round_is_skipped(self, two_template_grammar, rng):
         recommender = Recommender(two_template_grammar, ModelConfig(), rng)

@@ -33,7 +33,7 @@ def get_template(two_template_grammar):
 @pytest.fixture
 def pool_with_group():
     pool = ObjectIdPool()
-    pool.add("group", "7", POST)
+    pool.add("group", "7")
     return pool
 
 
@@ -148,8 +148,8 @@ class TestResolveConsumer:
     def test_most_recent_id_wins(self, two_template_grammar):
         param = two_template_grammar.templates[GET_ID].param("id")
         pool = ObjectIdPool()
-        pool.add("group", "7", POST)
-        pool.add("group", "9", POST)
+        pool.add("group", "7")
+        pool.add("group", "9")
         assert resolve_consumer(param, pool) == "9"
 
     def test_single_id(self, two_template_grammar, pool_with_group):
