@@ -11,7 +11,7 @@ the loop; :mod:`restfuzz.mock_service` is the desk-scale target with
 seeded bugs.
 """
 
-from .collection import CollectionStore, ParamValuePair, SeedSequenceTemplate
+from .collection import CollectionStore, ParamValuePair
 from .grammar import (
     CompiledGrammar,
     DefaultNotInDictionary,
@@ -52,7 +52,6 @@ __all__ = [
     "ResponseClass",
     "ResponseRecord",
     "RunMetrics",
-    "SeedSequenceTemplate",
     "SequenceTemplate",
     "TrainerWorker",
     "UnresolvableConsumer",

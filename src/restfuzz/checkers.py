@@ -1,11 +1,12 @@
 """Security rule checkers run after each executed sequence.
 
-The data-driven checker re-sends an executed sequence byte-identically,
-except that the last request additionally carries one randomly chosen
-param-value pair the template does not define; a 5xx answer flags an
-incorrect-parameter-usage error.  The use-after-free checker issues
-create, delete, then access on the deleted object; any non-4xx answer to
-the access flags a violation.
+The data-driven checker replays an executed sequence, consumer ids rebound
+to the objects the replayed producers return, with one randomly chosen
+param-value pair the last template does not define added to the last
+request; a 5xx answer flags an incorrect-parameter-usage error.  The
+use-after-free checker issues create, delete, then access on the deleted
+object; a 2xx or 5xx answer to the access flags a violation.  Checker
+requests are reported to ``observe`` but never recorded as training data.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .rendering import (
     MissingProducerId,
     ObjectIdPool,
     ParamValueList,
-    ReadyRequest,
     RenderedStep,
     extract_producer_ids,
     render_with_list,
 )
+from .reporting import replay_line, run_replay
 from .responses import ResponseClass, ResponseRecord
 
 KIND_INCORRECT_PARAM_USAGE = "incorrect_param_usage"
@@ -58,9 +59,9 @@ def datadriven_check(
     """Replay the sequence with one undefined pair added to the last request.
 
     No-op when the store holds no pair the last template leaves undefined.
-    Every byte other than the injected parameter matches the original
-    rendering; the pair goes into the query string for GET/DELETE and into
-    the body for POST/PUT.
+    The sequence goes out through :func:`run_replay`, so consumer ids are
+    rebound to the objects the replayed producers return; the pair goes
+    into the query string for GET/DELETE and into the body for POST/PUT.
     """
     if not executed.steps or not executed.completed:
         return None
@@ -70,34 +71,28 @@ def datadriven_check(
         return None
     pair = candidates[int(rng.integers(len(candidates)))]
 
-    for step in executed.steps[:-1]:
-        send_step(step, step.position, client, store, observe)
+    lines = [replay_line(step, grammar) for step in executed.steps]
+    location = "query" if last.request.method in ("GET", "DELETE") else "body"
+    lines[-1][location][pair.param_name] = pair.value
+    results = run_replay(lines, client, observe)
 
-    query = dict(last.request.query)
-    body = dict(last.request.body)
-    if last.request.method in ("GET", "DELETE"):
-        query[pair.param_name] = pair.value
-    else:
-        body[pair.param_name] = pair.value
-    injected = ReadyRequest(last.request.method, last.request.path, query, body,
-                            dict(last.request.headers))
-    # The injected parameter has no default on this template, so the
-    # standard recording path never stores it as a pair.
-    sent = send_step(replace(last, request=injected), last.position, client,
-                     store, observe)
-
-    if sent.response.klass is ResponseClass.ERROR_5XX:
-        # Replay data pairs the original prefix (whose responses a reset
-        # target reproduces once ids are rebound) with the injected request.
-        steps = (*executed.steps[:-1], sent)
-        return Violation(
-            KIND_INCORRECT_PARAM_USAGE,
-            steps,
-            offending_index=len(steps) - 1,
-            response=sent.response,
-            injected_pair=pair,
-        )
-    return None
+    response = results[-1][1]
+    if response.klass is not ResponseClass.ERROR_5XX:
+        return None
+    # The replay file then expects the classes this replay saw.
+    steps = [
+        replace(step, response=record)
+        for step, (_, record) in zip(executed.steps, results)
+    ]
+    injected = replace(last.request, **{location: lines[-1][location]})
+    steps[-1] = replace(steps[-1], request=injected)
+    return Violation(
+        KIND_INCORRECT_PARAM_USAGE,
+        tuple(steps),
+        offending_index=len(steps) - 1,
+        response=response,
+        injected_pair=pair,
+    )
 
 
 def _render_defaults(template: RequestTemplate, pool: ObjectIdPool) -> RenderedStep:
@@ -107,15 +102,15 @@ def _render_defaults(template: RequestTemplate, pool: ObjectIdPool) -> RenderedS
 def use_after_free_check(
     grammar: CompiledGrammar,
     client: HttpClient,
-    store: CollectionStore | None = None,
     observe: Observer | None = None,
 ) -> Violation | None:
-    """Create, delete, then access each deleted resource; non-4xx flags it.
+    """Create, delete, then access each deleted resource; 2xx or 5xx flags it.
 
     Probes every resource type that has a POST producer, a DELETE consumer
-    and at least one GET consumer.  Setup requests render with default
-    values.  Raises :class:`SetupFailed` when no type got past its create
-    and delete steps.
+    and at least one GET consumer.  Every request renders with default
+    values; a 4xx or transport failure on the access is no violation.
+    Raises :class:`SetupFailed` when no type got past its create and delete
+    steps.
     """
     any_setup_ok = False
     eligible = False
@@ -135,7 +130,7 @@ def use_after_free_check(
         pool = ObjectIdPool()
         try:
             create = send_step(_render_defaults(producers[0], pool), 0,
-                               client, store, observe)
+                               client, observe=observe)
         except MissingProducerId:
             continue
         if create.response.klass is not ResponseClass.PASS_2XX:
@@ -149,7 +144,7 @@ def use_after_free_check(
 
         try:
             delete = send_step(_render_defaults(deleters[0], pool), 1,
-                               client, store, observe)
+                               client, observe=observe)
         except MissingProducerId:
             continue
         if delete.response.klass is not ResponseClass.PASS_2XX:
@@ -159,10 +154,10 @@ def use_after_free_check(
         for accessor in sorted(accessors, key=lambda t: t.template_id):
             try:
                 access = send_step(_render_defaults(accessor, pool), 2,
-                                   client, store, observe)
+                                   client, observe=observe)
             except MissingProducerId:
                 continue
-            if access.response.klass is not ResponseClass.REJECT_4XX:
+            if access.response.klass in (ResponseClass.PASS_2XX, ResponseClass.ERROR_5XX):
                 return Violation(
                     KIND_USE_AFTER_FREE,
                     (create, delete, access),

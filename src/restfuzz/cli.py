@@ -6,9 +6,9 @@ import argparse
 import json
 import logging
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Iterator
+from typing import ContextManager, Iterator
 
 from .client import HttpClient, TargetUnreachable
 from .grammar import parse_spec_file
@@ -59,41 +59,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _training_log(report_dir: str | None) -> Iterator[None]:
+def _attached(logger: logging.Logger, handler: logging.Handler, level: int) -> Iterator[None]:
+    """Attach ``handler`` to ``logger`` at ``level`` for one run, then undo both."""
+    previous = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        handler.close()
+        logger.setLevel(previous)
+
+
+def _training_log(report_dir: str | None) -> ContextManager[None]:
     """Write training-round lines to ``<report_dir>/training.log`` for one run.
 
-    Undone on exit, so a later run in the same process neither writes here
-    nor pays for the per-epoch accuracy pass that INFO logging turns on.
+    INFO on the training logger turns on the per-epoch accuracy pass, so it
+    is set only while a log file is open.
     """
     if not report_dir:
-        yield
-        return
+        return nullcontext()
     path = Path(report_dir)
     path.mkdir(parents=True, exist_ok=True)
     handler = logging.FileHandler(path / "training.log")
     handler.setFormatter(logging.Formatter("%(asctime)s %(message)s"))
-    training_logger = logging.getLogger("restfuzz.training")
-    level = training_logger.level
-    training_logger.addHandler(handler)
-    training_logger.setLevel(logging.INFO)
-    try:
-        yield
-    finally:
-        training_logger.removeHandler(handler)
-        handler.close()
-        training_logger.setLevel(level)
+    return _attached(logging.getLogger("restfuzz.training"), handler, logging.INFO)
+
+
+def _stderr_log(verbose: bool) -> ContextManager[None]:
+    """Log to stderr for one run: INFO and up with ``--verbose``, else WARNING."""
+    level = logging.INFO if verbose else logging.WARNING
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    # The level sits on the handler too: records propagated from the
+    # training logger skip the root logger's level and meet only this one.
+    handler.setLevel(level)
+    return _attached(logging.getLogger(), handler, level)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    # The level sits on the handler too: records propagated from the
-    # training logger skip the root logger's level and meet only this one.
-    stderr = logging.StreamHandler()
-    stderr.setLevel(logging.INFO if args.verbose else logging.WARNING)
-    logging.basicConfig(
-        level=stderr.level,
-        format="%(levelname)s %(name)s: %(message)s",
-        handlers=[stderr],
-    )
     if args.duration is None and args.max_requests is None:
         print("fuzz needs a budget: --duration and/or --max-requests",
               file=sys.stderr)
@@ -117,7 +122,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         dump_weights=args.dump_weights,
     )
     try:
-        with _training_log(args.report_dir):
+        with _stderr_log(args.verbose), _training_log(args.report_dir):
             metrics = fuzz_loop(config, grammar)
     except TargetUnreachable as exc:
         print(f"target unreachable: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from typing import IO, Mapping, Sequence
 
 from .grammar import CompiledGrammar
 from .responses import ResponseClass
+from .sequences import SequenceTemplate
 
 _RECORDED_CLASSES = (ResponseClass.PASS_2XX, ResponseClass.ERROR_5XX)
 
@@ -32,16 +33,6 @@ class PairObservation:
     template_id: str
     pair: ParamValuePair
     response_class: ResponseClass
-
-
-@dataclass(frozen=True)
-class SeedSequenceTemplate:
-    template_ids: tuple[str, ...]
-    admission_iteration: int
-
-    @property
-    def length(self) -> int:
-        return len(self.template_ids)
 
 
 @dataclass(frozen=True)
@@ -68,7 +59,7 @@ class CollectionStore:
         # Insertion-ordered; one entry per distinct observation.
         self._pairs: dict[tuple[str, ParamValuePair, ResponseClass], PairObservation] = {}
         self._events: list[_RequestEvent] = []
-        self._seeds: dict[tuple[str, ...], SeedSequenceTemplate] = {}
+        self._seeds: dict[tuple[str, ...], SequenceTemplate] = {}
 
     # -- recording ---------------------------------------------------------
 
@@ -131,13 +122,13 @@ class CollectionStore:
             return False
         key = tuple(template_ids)
         if key not in self._seeds:
-            self._seeds[key] = SeedSequenceTemplate(key, self.iteration)
+            self._seeds[key] = SequenceTemplate(key)
             self._write_line(kind="seed", iteration=self.iteration, templates=list(key))
         return True
 
     # -- queries -----------------------------------------------------------
 
-    def seed_templates(self) -> list[SeedSequenceTemplate]:
+    def seed_templates(self) -> list[SequenceTemplate]:
         return list(self._seeds.values())
 
     def training_corpus(self, since: int) -> list[tuple[str, list[ParamValuePair]]]:

@@ -59,7 +59,8 @@ def send_step(
 ) -> ExecutedStep:
     """Send one request, report it to ``observe`` and record its outcome.
 
-    The one path every request of the main loop and the checkers takes.
+    The path every request of the main loop and the use-after-free probe
+    takes; replayed sequences go through :func:`reporting.run_replay`.
     """
     record = client.send(step.request)
     if observe is not None:

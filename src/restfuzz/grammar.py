@@ -79,9 +79,6 @@ class RequestTemplate:
     def consumed_types(self) -> frozenset[str]:
         return frozenset(spec.consumes for spec in self.params if spec.consumes)
 
-    def params_at(self, location: str) -> tuple[ParamSpec, ...]:
-        return tuple(spec for spec in self.params if spec.location == location)
-
     def defaults(self) -> dict[str, str]:
         """Default value per non-consumer parameter, in template order."""
         return {

@@ -64,10 +64,6 @@ class ModelParams:
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(block)) for block in self.blocks().values())
 
-    def copy(self) -> "ModelParams":
-        arrays = {name: getattr(self, name).copy() for name in GRAD_BLOCKS}
-        return ModelParams(version=self.version, **arrays)
-
 
 def init_params(
     vocab_size: int,

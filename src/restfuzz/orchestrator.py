@@ -182,10 +182,7 @@ class Fuzzer:
     # -- candidate selection ----------------------------------------------
 
     def _next_candidate_weighted(self) -> SequenceTemplate | None:
-        seeds = [
-            SequenceTemplate(seed.template_ids)
-            for seed in self.store.seed_templates()
-        ]
+        seeds = self.store.seed_templates()
         seed = select_seed(seeds, self._rng_select) if seeds else EMPTY_SEQUENCE
         candidates = extend(seed, self.grammar, self.config.max_sequence_length)
         if candidates:
@@ -317,9 +314,7 @@ class Fuzzer:
                     )
             if self.config.enable_uaf_checker and not self._exhausted():
                 try:
-                    violation = use_after_free_check(
-                        self.grammar, client, self.store, observe
-                    )
+                    violation = use_after_free_check(self.grammar, client, observe)
                 except SetupFailed as exc:
                     logger.debug("use-after-free setup failed: %s", exc)
                     violation = None

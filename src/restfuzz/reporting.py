@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .client import HttpClient
-from .execution import ExecutedStep
+from .execution import ExecutedStep, Observer
 from .grammar import CompiledGrammar
 from .rendering import ReadyRequest, read_produced_id
 from .responses import ResponseClass, ResponseRecord
@@ -187,13 +187,14 @@ def load_replay(path: Path | str) -> list[dict]:
 
 
 def run_replay(
-    lines: Sequence[dict], client: HttpClient
+    lines: Sequence[dict], client: HttpClient, observe: Observer | None = None
 ) -> list[tuple[str | None, ResponseRecord]]:
     """Re-send a stored sequence, re-resolving consumer ids along the way.
 
-    Returns one (expected class, actual response) tuple per request.  When
-    the target state matches the original run the rebound ids equal the
-    recorded ones and the requests go out byte-identical.
+    Returns one (expected class, actual response) tuple per request and
+    reports each response to ``observe``.  When the target state matches
+    the original run the rebound ids equal the recorded ones and the
+    requests go out byte-identical.  Nothing is recorded as training data.
     """
     latest: dict[str, str] = {}
     results: list[tuple[str | None, ResponseRecord]] = []
@@ -219,6 +220,8 @@ def run_replay(
             line["method"], path, query, body, dict(line.get("headers", {}))
         )
         record = client.send(request)
+        if observe is not None:
+            observe(line["template_id"], record)
         results.append((line.get("expected_class"), record))
 
         produces = line.get("produces")

@@ -43,7 +43,3 @@ class ResponseRecord:
     @staticmethod
     def transport(detail: str = "") -> "ResponseRecord":
         return ResponseRecord(None, ResponseClass.TRANSPORT, detail, 0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.klass is ResponseClass.PASS_2XX

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from restfuzz import orchestrator
 from restfuzz.checkers import (
     KIND_INCORRECT_PARAM_USAGE,
     KIND_USE_AFTER_FREE,
@@ -12,8 +13,8 @@ from restfuzz.checkers import (
     use_after_free_check,
 )
 from restfuzz.client import HttpClient
-from restfuzz.collection import CollectionStore
-from restfuzz.execution import ExecutedSequence, ExecutedStep
+from restfuzz.collection import CollectionStore, ParamValuePair
+from restfuzz.execution import ExecutedSequence, send_step
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import (
     ALL_BUGS,
@@ -21,8 +22,14 @@ from restfuzz.mock_service import (
     mock_grammar_bytes,
     serve,
 )
-from restfuzz.rendering import ObjectIdPool, ParamValueList, render_with_list
-from restfuzz.responses import ResponseClass
+from restfuzz.orchestrator import FuzzConfig, fuzz_loop
+from restfuzz.rendering import (
+    ObjectIdPool,
+    ParamValueList,
+    extract_producer_ids,
+    render_with_list,
+)
+from restfuzz.responses import ResponseClass, ResponseRecord
 
 
 @pytest.fixture(scope="module")
@@ -57,25 +64,45 @@ def reset(request):
             request.getfixturevalue(name).send(ReadyRequest("POST", "/__reset"))
 
 
+def execute_recorded(steps, grammar, client, store):
+    """Run (template id, overrides) steps through the main loop's send path."""
+    pool = ObjectIdPool()
+    executed = []
+    for position, (template_id, overrides) in enumerate(steps):
+        template = grammar.templates[template_id]
+        plist = ParamValueList(
+            template_id, tuple(ParamValuePair(*item) for item in overrides.items())
+        )
+        step = send_step(render_with_list(template, plist, pool), position, client, store)
+        executed.append(step)
+        if step.response.klass is ResponseClass.PASS_2XX:
+            for resource_type, value in extract_producer_ids(template, step.response.body):
+                pool.add(resource_type, value)
+    return ExecutedSequence(tuple(t for t, _ in steps), executed, completed=True)
+
+
 def execute_defaults(template_ids, grammar, client):
     """Run a sequence rendered entirely with default values."""
-    pool = ObjectIdPool()
-    steps = []
-    for position, template_id in enumerate(template_ids):
-        template = grammar.templates[template_id]
-        rendered = render_with_list(
-            template, ParamValueList(template_id, ()), pool
-        )
-        record = client.send(rendered.request)
-        steps.append(
-            ExecutedStep(position, template_id, rendered.request,
-                         rendered.rendered_params, rendered.defaults,
-                         rendered.consumer_bindings, record)
-        )
-        if record.klass is ResponseClass.PASS_2XX and template.produces:
-            body = json.loads(record.body)
-            pool.add(template.produces[0], str(body["id"]))
-    return ExecutedSequence(tuple(template_ids), steps, completed=True)
+    return execute_recorded([(t, {}) for t in template_ids], grammar, client, None)
+
+
+class RecordingClient:
+    """Passes requests through to a real client and keeps what was sent."""
+
+    def __init__(self, client):
+        self._client = client
+        self.sent = []
+
+    def send(self, request):
+        record = self._client.send(request)
+        self.sent.append((request, record))
+        return record
+
+
+NON_DEFAULT_GROUP = [
+    ("POST /groups", {"name": "qa-team", "path": "ops", "initialize_with_readme": "true"}),
+    ("PUT /groups/{id}", {"description": "beta"}),
+]
 
 
 def store_with_undef_pair(grammar):
@@ -152,6 +179,34 @@ class TestDataDrivenChecker:
         )
         assert observed == ["GET /groups"]
 
+    def test_replay_adds_no_training_data(self, grammar, disarmed, rng):
+        store = CollectionStore(grammar)
+        executed = execute_recorded(NON_DEFAULT_GROUP, grammar, disarmed, store)
+        assert executed.response_classes == [ResponseClass.PASS_2XX] * 2
+        corpus = store.training_corpus(since=-1)
+        pairs = store.pair_observations()
+        assert corpus and store.undefined_pairs_for("PUT /groups/{id}")
+
+        sent = []
+        datadriven_check(executed, grammar, store, rng, disarmed,
+                         observe=lambda tid, record: sent.append(tid))
+        assert sent == ["POST /groups", "PUT /groups/{id}"]
+        assert store.training_corpus(since=-1) == corpus
+        assert store.pair_observations() == pairs
+
+    def test_injected_request_targets_the_replayed_object(self, grammar, disarmed, rng):
+        store = CollectionStore(grammar)
+        executed = execute_recorded(NON_DEFAULT_GROUP, grammar, disarmed, store)
+        original_id = json.loads(executed.steps[0].response.body)["id"]
+
+        client = RecordingClient(disarmed)
+        datadriven_check(executed, grammar, store, rng, client)
+        (create, created), (injected, _) = client.sent
+        replayed_id = json.loads(created.body)["id"]
+        assert create.body == executed.steps[0].request.body
+        assert replayed_id != original_id
+        assert injected.path == f"/groups/{replayed_id}"
+
 
 class TestUseAfterFreeChecker:
     def test_armed_bug_detected(self, grammar, armed):
@@ -182,8 +237,41 @@ class TestUseAfterFreeChecker:
         with pytest.raises(SetupFailed):
             use_after_free_check(broken, disarmed)
 
-    def test_checker_traffic_flows_through_standard_recording(self, grammar, disarmed):
-        store = CollectionStore(grammar)
-        use_after_free_check(grammar, disarmed, store=store)
-        # default-valued setup requests carry no non-default mutations
-        assert store.pair_observations() == []
+    def test_transport_failure_is_no_verdict(self, grammar, disarmed):
+        class DroppingClient:
+            def send(self, request):
+                if request.method == "GET" and request.path.endswith("/attributes"):
+                    return ResponseRecord.transport("connection reset")
+                return disarmed.send(request)
+
+        assert use_after_free_check(grammar, DroppingClient()) is None
+
+
+class TestCheckerTraffic:
+    def test_only_main_loop_requests_reach_the_store(self, grammar, monkeypatch):
+        main_loop_sends = []
+        recorded = []
+        execute_candidate = orchestrator.execute_candidate
+        record_request_outcome = CollectionStore.record_request_outcome
+
+        def counting_execute(*args, **kwargs):
+            executed = execute_candidate(*args, **kwargs)
+            main_loop_sends.append(executed.sent)
+            return executed
+
+        def counting_record(store, *args):
+            recorded.append(args[0])
+            return record_request_outcome(store, *args)
+
+        monkeypatch.setattr(orchestrator, "execute_candidate", counting_execute)
+        monkeypatch.setattr(CollectionStore, "record_request_outcome", counting_record)
+        handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
+        try:
+            config = FuzzConfig(
+                target=handle.base_url, mode="seq-only", max_requests=600, seed=0,
+                enable_uaf_checker=True, enable_datadriven_checker=True,
+            )
+            metrics = fuzz_loop(config, grammar)
+        finally:
+            handle.stop()
+        assert len(recorded) == sum(main_loop_sends) < metrics.requests_sent

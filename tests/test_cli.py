@@ -53,6 +53,17 @@ class TestTrainingLog:
         assert training_logger.handlers == handlers
         assert training_logger.level == level
 
+    def test_verbose_run_after_plain_run_logs_to_stderr(self, target, tmp_path, capsys):
+        root = logging.getLogger()
+        handlers, level = list(root.handlers), root.level
+
+        assert cli.main(fuzz_argv(target.base_url, tmp_path / "plain")) == 0
+        assert "epoch=" not in capsys.readouterr().err
+        assert cli.main(fuzz_argv(target.base_url, tmp_path / "verbose", "--verbose")) == 0
+        assert "epoch=" in capsys.readouterr().err
+        assert root.handlers == handlers
+        assert root.level == level
+
     @pytest.mark.parametrize("verbose", [False, True])
     def test_epoch_lines_reach_stderr_only_when_verbose(self, target, tmp_path, verbose):
         argv = fuzz_argv(target.base_url, tmp_path, *(["--verbose"] if verbose else []))

@@ -163,32 +163,50 @@ class TestReplayFidelity:
 # seed-0, 1500-request run with both checkers against the fully armed mock.
 # Any change to which bytes go out, or in what order, changes the digest.
 GOLDEN_STREAMS = {
-    "baseline": "8607ef70647bf8cdfbb99c904d452801d5304cf9bff5157373736cbd28a5f711",
-    "seq-only": "5bf21fb56d46ac64858d5e6bfe61f6a0385c692bc1678695c908ae8f37b49fda",
+    "baseline": "69ef32b18ff1c59fadad04ca5c6b99d9d6b2954cc653a73e4c9dd796652623f4",
+    "seq-only": "95695e694bd5f3e5c99f7939b246ab318ca588797ab301588fed91fb0440272e",
 }
+
+# The same digest for runs that leave the data-driven checker off: they pin
+# the main loop and the use-after-free probe.
+DATADRIVEN_OFF_STREAMS = {
+    ("baseline", False): "9133511cdcdc851b80a4ee4356f1c033b42c230e5eb48eba1033c216a346f955",
+    ("seq-only", False): "30520ecce36e42dbeb7514b33417e93b8a134605f0c422b1a96c228f13d789d2",
+    ("baseline", True): "5171feb4462934e1366cedf11d0859d2e3ca1d28a1459b16be5afa9a8d5cfc93",
+}
+
+
+def stream_digest(grammar, monkeypatch, mode, uaf, datadriven):
+    digest = hashlib.sha256()
+    real_send = HttpClient.send
+
+    def send(client, request):
+        record = real_send(client, request)
+        line = [request.method, request.path, request.query, request.body,
+                record.status]
+        digest.update(json.dumps(line).encode() + b"\n")
+        return record
+
+    monkeypatch.setattr(HttpClient, "send", send)
+    handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
+    try:
+        config = quick_config(
+            handle.base_url, mode=mode, requests=1500, seed=0,
+            enable_uaf_checker=uaf, enable_datadriven_checker=datadriven,
+        )
+        fuzz_loop(config, grammar)
+    finally:
+        handle.stop()
+    return digest.hexdigest()
 
 
 class TestRequestStream:
     @pytest.mark.parametrize("mode", sorted(GOLDEN_STREAMS))
     def test_stream_matches_golden_digest(self, grammar, mode, monkeypatch):
-        digest = hashlib.sha256()
-        real_send = HttpClient.send
+        digest = stream_digest(grammar, monkeypatch, mode, uaf=True, datadriven=True)
+        assert digest == GOLDEN_STREAMS[mode]
 
-        def send(client, request):
-            record = real_send(client, request)
-            line = [request.method, request.path, request.query, request.body,
-                    record.status]
-            digest.update(json.dumps(line).encode() + b"\n")
-            return record
-
-        monkeypatch.setattr(HttpClient, "send", send)
-        handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
-        try:
-            config = quick_config(
-                handle.base_url, mode=mode, requests=1500, seed=0,
-                enable_uaf_checker=True, enable_datadriven_checker=True,
-            )
-            fuzz_loop(config, grammar)
-        finally:
-            handle.stop()
-        assert digest.hexdigest() == GOLDEN_STREAMS[mode]
+    @pytest.mark.parametrize(("mode", "uaf"), sorted(DATADRIVEN_OFF_STREAMS))
+    def test_stream_without_datadriven_checker(self, grammar, mode, uaf, monkeypatch):
+        digest = stream_digest(grammar, monkeypatch, mode, uaf=uaf, datadriven=False)
+        assert digest == DATADRIVEN_OFF_STREAMS[mode, uaf]

@@ -15,6 +15,7 @@ from restfuzz.reporting import (
     RunMetrics,
     body_signature,
     pass_rate,
+    run_replay,
     unique_request_templates,
 )
 from restfuzz.responses import ResponseClass, ResponseRecord
@@ -208,3 +209,75 @@ class TestPassRateMonotonicity:
             assert plus_error > base
         else:
             assert plus_pass == plus_error == 1.0
+
+
+def producer_line(new_id, status=201):
+    """A group create; the fake target answers it with ``status`` and ``new_id``."""
+    return {
+        "template_id": "POST /groups", "method": "POST", "path_template": "/groups",
+        "path_params": {}, "query": {},
+        "body": {"new_id": str(new_id), "status": str(status)},
+        "headers": {}, "rebind": {}, "produces": {"type": "group", "pointer": "/id"},
+        "expected_class": "2xx",
+    }
+
+
+def consumer_line(recorded_id="7"):
+    return {
+        "template_id": "GET /groups/{id}", "method": "GET",
+        "path_template": "/groups/{id}", "path_params": {"id": recorded_id},
+        "query": {"with_projects": "true"}, "body": {}, "headers": {},
+        "rebind": {"id": "group"}, "produces": None, "expected_class": "2xx",
+    }
+
+
+class EchoTarget:
+    """A fake client: creates answer with the status and id their body names."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, request):
+        self.sent.append(request)
+        if request.method == "POST":
+            body = json.dumps({"id": int(request.body["new_id"])})
+            return ResponseRecord.from_status(int(request.body["status"]), body)
+        return ResponseRecord.from_status(200, "{}")
+
+
+class TestRunReplay:
+    def test_consumers_rebind_to_live_producer_ids(self):
+        target = EchoTarget()
+        observed = []
+        lines = [consumer_line(), producer_line(40), consumer_line(),
+                 producer_line(41, status=400), consumer_line()]
+        results = run_replay(lines, target,
+                             lambda tid, record: observed.append((tid, record)))
+        assert [r.path for r in target.sent if r.method == "GET"] == [
+            "/groups/7", "/groups/40", "/groups/40",
+        ]
+        assert target.sent[1].query == {}
+        assert target.sent[2].query == {"with_projects": "true"}
+        assert observed == [(line["template_id"], record)
+                            for line, (_, record) in zip(lines, results)]
+        assert [expected for expected, _ in results] == ["2xx"] * 5
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("create"), st.integers(1, 10**6), st.sampled_from([201, 400, 500])),
+        st.tuples(st.just("read"), st.just(0), st.just(0)),
+    ), max_size=12))
+    def test_each_consumer_gets_the_latest_2xx_id(self, ops):
+        lines, expected, latest = [], [], "7"
+        for kind, new_id, status in ops:
+            if kind == "create":
+                lines.append(producer_line(new_id, status))
+                if status == 201:
+                    latest = str(new_id)
+            else:
+                lines.append(consumer_line())
+                expected.append(f"/groups/{latest}")
+        target = EchoTarget()
+        results = run_replay(lines, target)
+        assert len(results) == len(lines) == len(target.sent)
+        assert [r.path for r in target.sent if r.method == "GET"] == expected
