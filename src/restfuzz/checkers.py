@@ -12,6 +12,7 @@ requests are reported to ``observe`` but never recorded as training data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -103,6 +104,7 @@ def use_after_free_check(
     grammar: CompiledGrammar,
     client: HttpClient,
     observe: Observer | None = None,
+    should_stop: Callable[[], bool] | None = None,
 ) -> Violation | None:
     """Create, delete, then access each deleted resource; 2xx or 5xx flags it.
 
@@ -110,8 +112,10 @@ def use_after_free_check(
     and at least one GET consumer.  Every request renders with default
     values; a 4xx or transport failure on the access is no violation.
     Raises :class:`SetupFailed` when no type got past its create and delete
-    steps.
+    steps.  ``should_stop`` is asked before every request; once it answers
+    true the probe ends with no verdict.
     """
+    stopped = should_stop or (lambda: False)
     any_setup_ok = False
     eligible = False
     for resource_type in sorted(grammar.resource_types):
@@ -128,6 +132,8 @@ def use_after_free_check(
             continue
         eligible = True
         pool = ObjectIdPool()
+        if stopped():
+            return None
         try:
             create = send_step(_render_defaults(producers[0], pool), 0,
                                client, observe=observe)
@@ -142,6 +148,8 @@ def use_after_free_check(
             pool.add(rtype, value)
         deleted_id = produced[0][1]
 
+        if stopped():
+            return None
         try:
             delete = send_step(_render_defaults(deleters[0], pool), 1,
                                client, observe=observe)
@@ -152,6 +160,8 @@ def use_after_free_check(
         any_setup_ok = True
 
         for accessor in sorted(accessors, key=lambda t: t.template_id):
+            if stopped():
+                return None
             try:
                 access = send_step(_render_defaults(accessor, pool), 2,
                                    client, observe=observe)

@@ -75,8 +75,8 @@ def _attached(logger: logging.Logger, handler: logging.Handler, level: int) -> I
 def _training_log(report_dir: str | None) -> ContextManager[None]:
     """Write training-round lines to ``<report_dir>/training.log`` for one run.
 
-    INFO on the training logger turns on the per-epoch accuracy pass, so it
-    is set only while a log file is open.
+    The training logger is at INFO only while the file is open; the level
+    picks which lines are written, not what training computes.
     """
     if not report_dir:
         return nullcontext()

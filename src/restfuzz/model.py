@@ -172,18 +172,37 @@ def _attend(params: ModelParams, states: np.ndarray, query: np.ndarray):
     return alpha, context
 
 
+def _head(params: ModelParams, hs: np.ndarray, t: int):
+    """Attention weights, output-layer input and next-token distribution
+    after input position ``t``, from GRU states ``hs`` (B, T+1, h)."""
+    query = hs[:, t + 1]
+    alpha, context = _attend(params, hs[:, 1 : t + 2], query)
+    concat = np.concatenate([context, query], axis=1)
+    probs = _softmax(concat @ params.w_out + params.b_out, axis=1)
+    return alpha, concat, probs
+
+
 def forward(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
     """Probability distribution over the next token after ``prefix``."""
     tokens = np.asarray(prefix, dtype=np.intp).reshape(1, -1)
     if tokens.size == 0:
         raise ValueError("prefix must be non-empty")
-    xs = params.emb[tokens]
-    hs, _, _, _ = _run_gru(params, xs)
-    states = hs[:, 1:]
-    query = hs[:, -1]
-    _, context = _attend(params, states, query)
-    logits = np.concatenate([context, query], axis=1) @ params.w_out + params.b_out
-    return _softmax(logits, axis=1)[0]
+    hs, _, _, _ = _run_gru(params, params.emb[tokens])
+    return _head(params, hs, tokens.shape[1] - 1)[2][0]
+
+
+def predict(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """Most likely next token after every position of a same-length batch.
+
+    ``inputs`` is (B, T); the result is (B, T), entry ``[b, t]`` predicting
+    the token that follows ``inputs[b, : t + 1]``.
+    """
+    inputs = np.asarray(inputs, dtype=np.intp)
+    hs, _, _, _ = _run_gru(params, params.emb[inputs])
+    return np.stack(
+        [np.argmax(_head(params, hs, t)[2], axis=1) for t in range(inputs.shape[1])],
+        axis=1,
+    )
 
 
 def batch_loss(params: ModelParams, tokens: np.ndarray) -> tuple[float, int]:
@@ -216,11 +235,7 @@ def _loss_core(params: ModelParams, tokens: np.ndarray, want_grads: bool):
     loss = 0.0
     position_cache = []
     for t in range(steps):
-        states = hs[:, 1 : t + 2]
-        query = hs[:, t + 1]
-        alpha, context = _attend(params, states, query)
-        concat = np.concatenate([context, query], axis=1)
-        probs = _softmax(concat @ params.w_out + params.b_out, axis=1)
+        alpha, concat, probs = _head(params, hs, t)
         loss -= float(np.sum(np.log(probs[rows, targets[:, t]] + 1e-300)))
         if want_grads:
             position_cache.append((alpha, concat, probs))

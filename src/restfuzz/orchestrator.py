@@ -145,6 +145,13 @@ class Fuzzer:
             return True
         return False
 
+    def _fits(self, requests: int) -> bool:
+        """True when ``requests`` more requests stay inside the budget."""
+        if self._exhausted():
+            return False
+        limit = self.config.max_requests
+        return limit is None or self.metrics.requests_sent + requests <= limit
+
     # -- training --------------------------------------------------------
 
     def _train_due(self) -> bool:
@@ -302,7 +309,8 @@ class Fuzzer:
                         self.metrics.iterations,
                     )
 
-            if self.config.enable_datadriven_checker and not self._exhausted():
+            # The replay re-sends every executed step, so it runs only whole.
+            if self.config.enable_datadriven_checker and self._fits(len(executed.steps)):
                 violation = datadriven_check(
                     executed, self.grammar, self.store,
                     self._rng_checker, client, observe,
@@ -314,7 +322,9 @@ class Fuzzer:
                     )
             if self.config.enable_uaf_checker and not self._exhausted():
                 try:
-                    violation = use_after_free_check(self.grammar, client, observe)
+                    violation = use_after_free_check(
+                        self.grammar, client, observe, should_stop=self._exhausted
+                    )
                 except SetupFailed as exc:
                     logger.debug("use-after-free setup failed: %s", exc)
                     violation = None

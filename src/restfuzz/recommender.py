@@ -14,6 +14,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -133,7 +134,6 @@ class TrainResult:
     vocab: Vocabulary
     val_accuracy: float | None
     epoch_losses: list[float]
-    wall_time: float
     max_len: int
     n_train: int
     n_val: int
@@ -151,20 +151,15 @@ def _length_batches(examples: list[list[int]], order: np.ndarray, batch_size: in
 
 
 def _accuracy(params: model.ModelParams, examples: list[list[int]]) -> float | None:
+    """Top-1 next-token accuracy over every position, one pass per length."""
     if not examples:
         return None
     hits = 0
     total = 0
-    by_length: dict[int, list[list[int]]] = {}
-    for example in examples:
-        by_length.setdefault(len(example), []).append(example)
-    for group in by_length.values():
-        tokens = np.asarray(group, dtype=np.intp)
-        for t in range(tokens.shape[1] - 1):
-            for row in range(tokens.shape[0]):
-                probs = model.forward(params, tokens[row, : t + 1])
-                hits += int(np.argmax(probs) == tokens[row, t + 1])
-                total += 1
+    for tokens in _length_batches(examples, np.arange(len(examples)), len(examples)):
+        predicted = model.predict(params, tokens[:, :-1])
+        hits += int(np.count_nonzero(predicted == tokens[:, 1:]))
+        total += predicted.size
     return hits / total
 
 
@@ -176,8 +171,9 @@ def train(
 ) -> TrainResult:
     """Train fresh weights on the corpus; returns weights plus statistics.
 
-    Mini-batch gradient descent on next-token cross-entropy.  Every call
-    re-initializes from scratch: no weight reuse between rounds.
+    Mini-batch gradient descent on next-token cross-entropy, with the
+    validation accuracy measured after every epoch and logged at INFO.
+    Every call re-initializes from scratch: no weight reuse between rounds.
     """
     if not corpus:
         raise EmptyCorpus("no training examples")
@@ -200,6 +196,7 @@ def train(
         vocab.size, config.embed_dim, config.hidden_dim, rng, config.init_scale
     )
     epoch_losses: list[float] = []
+    val_accuracy: float | None = None
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_set))
         total_loss = 0.0
@@ -211,23 +208,20 @@ def train(
             total_predictions += n_predictions
         mean_loss = total_loss / max(total_predictions, 1)
         epoch_losses.append(mean_loss)
-        if logger.isEnabledFor(logging.INFO):
-            accuracy = _accuracy(params, val_set)
-            logger.info(
-                "%s epoch=%d loss=%.4f val_acc=%s wall=%.2fs",
-                label or "train", epoch + 1, mean_loss,
-                "n/a" if accuracy is None else f"{accuracy:.3f}",
-                time.perf_counter() - started,
-            )
+        val_accuracy = _accuracy(params, val_set)
+        logger.info(
+            "%s epoch=%d loss=%.4f val_acc=%s wall=%.2fs",
+            label or "train", epoch + 1, mean_loss,
+            "n/a" if val_accuracy is None else f"{val_accuracy:.3f}",
+            time.perf_counter() - started,
+        )
 
-    val_accuracy = _accuracy(params, val_set)
     params.version += 1
     return TrainResult(
         params=params,
         vocab=vocab,
         val_accuracy=val_accuracy,
         epoch_losses=epoch_losses,
-        wall_time=time.perf_counter() - started,
         max_len=max_len,
         n_train=len(train_set),
         n_val=len(val_set),
@@ -342,8 +336,6 @@ class Recommender:
             return None
         result.params.version = self.rounds + 1
         if self._dump_dir is not None:
-            from pathlib import Path
-
             model.save_params(
                 result.params,
                 Path(self._dump_dir) / f"round_{result.params.version:03d}",

@@ -208,6 +208,18 @@ class TestDataDrivenChecker:
         assert injected.path == f"/groups/{replayed_id}"
 
 
+def grammar_with_bad_names():
+    """The mock grammar with defaults that fail the target's validation."""
+    doc = json.loads(mock_grammar_bytes())
+    for operations in doc["paths"].values():
+        for entry in operations.values():
+            for param in entry["parameters"]:
+                if param["name"] == "name":
+                    param["x-dictionary"] = ["Bad Name!"]
+                    param["x-default"] = "Bad Name!"
+    return parse_spec(json.dumps(doc).encode())
+
+
 class TestUseAfterFreeChecker:
     def test_armed_bug_detected(self, grammar, armed):
         violation = use_after_free_check(grammar, armed)
@@ -225,17 +237,24 @@ class TestUseAfterFreeChecker:
         assert use_after_free_check(grammar, disarmed) is None
 
     def test_failed_create_is_setup_failure(self, disarmed):
-        # defaults in this grammar variant fail the target's validation
-        doc = json.loads(mock_grammar_bytes())
-        for operations in doc["paths"].values():
-            for entry in operations.values():
-                for param in entry["parameters"]:
-                    if param["name"] == "name":
-                        param["x-dictionary"] = ["Bad Name!"]
-                        param["x-default"] = "Bad Name!"
-        broken = parse_spec(json.dumps(doc).encode())
         with pytest.raises(SetupFailed):
-            use_after_free_check(broken, disarmed)
+            use_after_free_check(grammar_with_bad_names(), disarmed)
+
+    def test_probe_cut_short_is_no_verdict(self, grammar, armed):
+        client = RecordingClient(armed)
+        violation = use_after_free_check(
+            grammar, client, should_stop=lambda: len(client.sent) >= 2
+        )
+        assert violation is None
+        assert [request.method for request, _ in client.sent] == ["POST", "DELETE"]
+
+    def test_probe_cut_short_raises_no_setup_failure(self, disarmed):
+        client = RecordingClient(disarmed)
+        violation = use_after_free_check(
+            grammar_with_bad_names(), client, should_stop=lambda: len(client.sent) >= 1
+        )
+        assert violation is None
+        assert len(client.sent) == 1
 
     def test_transport_failure_is_no_verdict(self, grammar, disarmed):
         class DroppingClient:

@@ -49,6 +49,18 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(tiny_params(rng), [])
 
+    def test_forward_is_the_head_at_the_last_position(self):
+        # generation and training share one head: forward on every prefix
+        # of a row equals the head over the whole row at that position
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            params = tiny_params(rng)
+            row = rng.integers(0, 6, size=(1, 6))
+            hs, _, _, _ = model._run_gru(params, params.emb[row])
+            for length in range(1, 7):
+                _, _, probs = model._head(params, hs, length - 1)
+                assert np.array_equal(model.forward(params, row[0, :length]), probs[0])
+
 
 class TestGradients:
     def test_all_blocks_match_finite_differences(self):

@@ -210,3 +210,22 @@ class TestRequestStream:
     def test_stream_without_datadriven_checker(self, grammar, mode, uaf, monkeypatch):
         digest = stream_digest(grammar, monkeypatch, mode, uaf=uaf, datadriven=False)
         assert digest == DATADRIVEN_OFF_STREAMS[mode, uaf]
+
+
+class TestRequestBudget:
+    @pytest.mark.parametrize(("mode", "seed", "budget"), [
+        ("seq-only", 0, 600),
+        ("baseline", 1, 4000),
+    ])
+    def test_checkers_stay_inside_the_budget(self, grammar, mode, seed, budget):
+        # both runs end mid-checker: a replay or a probe would overrun
+        handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
+        try:
+            config = FuzzConfig(
+                target=handle.base_url, mode=mode, max_requests=budget, seed=seed,
+                enable_uaf_checker=True, enable_datadriven_checker=True,
+            )
+            metrics = fuzz_loop(config, grammar)
+        finally:
+            handle.stop()
+        assert metrics.requests_sent == budget

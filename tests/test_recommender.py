@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import logging
+import re
 import threading
 import time
 
@@ -14,6 +16,7 @@ from restfuzz.recommender import (
     Recommender,
     TrainerWorker,
     UnknownTemplate,
+    _accuracy,
     build_vocab,
     generate_lists,
     split_corpus,
@@ -114,6 +117,44 @@ class TestTrain:
         result = train(corpus, ModelConfig(epochs=1, max_examples=10), rng)
         assert result.vocab.name_token("GET /fresh") is not None
         assert result.n_train + result.n_val == 10
+
+
+class TestAccuracy:
+    def test_matches_a_per_row_reference_on_mixed_lengths(self, rng):
+        params = model.init_params(9, 4, 5, rng, scale=0.5)
+        examples = [
+            [int(token) for token in rng.integers(0, 9, size=length)]
+            for length in rng.integers(2, 8, size=60)
+        ]
+        # the one-row-at-a-time pass over forward that predict replaced
+        hits = total = 0
+        for example in examples:
+            for t in range(len(example) - 1):
+                probs = model.forward(params, example[: t + 1])
+                hits += int(np.argmax(probs) == example[t + 1])
+                total += 1
+        assert _accuracy(params, examples) == hits / total
+
+
+class TestTrainLogging:
+    def run(self, caplog, level):
+        caplog.clear()
+        caplog.set_level(level, logger="restfuzz.training")
+        return train(chain_corpus(60), ModelConfig(epochs=4), np.random.default_rng(3))
+
+    def test_log_level_changes_no_result(self, caplog):
+        quiet = self.run(caplog, logging.WARNING)
+        assert not caplog.records
+        loud = self.run(caplog, logging.INFO)
+        assert loud.epoch_losses == quiet.epoch_losses
+        assert loud.val_accuracy == quiet.val_accuracy
+
+    def test_one_line_per_epoch_ending_with_the_final_accuracy(self, caplog):
+        result = self.run(caplog, logging.INFO)
+        lines = [r.getMessage() for r in caplog.records if "epoch=" in r.getMessage()]
+        assert len(lines) == 4
+        last = re.search(r"val_acc=(\S+)", lines[-1]).group(1)
+        assert last == f"{result.val_accuracy:.3f}"
 
 
 @pytest.fixture(scope="module")
