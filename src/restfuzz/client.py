@@ -1,9 +1,17 @@
-"""Persistent HTTP client used by the fuzz loop, checkers and replay."""
+"""Persistent HTTP/1.1 client used by the fuzz loop, checkers and replay.
+
+The client speaks the part of HTTP/1.1 a REST target needs, directly on a
+socket: one keep-alive connection to an ``http`` target, each request
+written with one ``sendall`` (the same bytes ``http.client`` would send),
+each reply parsed from a per-connection byte buffer.  Reply bodies are
+framed by ``Content-Length``, by chunked transfer coding or by the target
+closing the connection; 1xx interim replies are skipped.
+"""
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
 import socket
 import time
 from urllib.parse import urlencode, urlsplit
@@ -11,9 +19,20 @@ from urllib.parse import urlencode, urlsplit
 from .rendering import ReadyRequest
 from .responses import ResponseRecord
 
+_MAX_HEAD = 64 * 1024  # longest reply head (status line and headers) accepted
+_RECV_SIZE = 64 * 1024
+_BODY_METHODS = frozenset({"POST", "PUT", "PATCH"})  # sent with Content-Length: 0 when bodiless
+_BAD_TARGET = re.compile(r"[^\x21-\x7e]")  # controls, space, DEL, non-ASCII
+_CR_OR_LF = re.compile(r"[\r\n]")
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+
 
 class TargetUnreachable(Exception):
     """The target did not answer the startup probe."""
+
+
+class _BadReply(Exception):
+    """The reply breaks HTTP/1.1 framing or ends early."""
 
 
 class HttpClient:
@@ -22,7 +41,10 @@ class HttpClient:
     A write-side failure (stale keep-alive connection) is retried once on a
     fresh connection: the server never saw the request.  Failures after the
     request went out are reported as transport outcomes, never retried,
-    since the target may already have acted on the request.
+    since the target may already have acted on the request.  A request
+    that cannot be written as HTTP/1.1 (a space, control or non-ASCII
+    character in the request target, CR or LF in a header) is a transport
+    outcome with nothing sent.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0, auth_token: str | None = None):
@@ -33,60 +55,164 @@ class HttpClient:
         host, _, port = netloc.partition(":")
         self._host = host
         self._port = int(port) if port else 80
+        self._host_line = f"Host: {host}" if self._port == 80 else f"Host: {host}:{self._port}"
         self._timeout = timeout
         self._auth_token = auth_token
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
+        self._buf = bytearray()  # bytes received on this connection, not yet parsed
 
-    def _connect(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            conn = http.client.HTTPConnection(self._host, self._port, timeout=self._timeout)
-            conn.connect()
-            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._conn = conn
-        return self._conn
+    def _connect(self) -> socket.socket:
+        if self._sock is None:
+            sock = socket.create_connection((self._host, self._port), self._timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock = sock
+        return self._sock
 
     def _drop(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+        self._buf.clear()
 
     def send(self, request: ReadyRequest) -> ResponseRecord:
-        path = request.path
+        try:
+            data = self._encode(request)
+        except ValueError as exc:
+            return ResponseRecord.transport(f"send failed: {exc}")
+
+        started = time.perf_counter()
+        for attempt in (0, 1):
+            try:
+                self._connect().sendall(data)
+                break
+            except OSError as exc:
+                self._drop()
+                if attempt == 1:
+                    return ResponseRecord.transport(f"send failed: {exc}")
+        try:
+            status, payload = self._read_reply(request.method)
+        except (OSError, _BadReply) as exc:
+            self._drop()
+            return ResponseRecord.transport(f"read failed: {exc}")
+        latency = time.perf_counter() - started
+        return ResponseRecord.from_status(
+            status, payload.decode("utf-8", errors="replace"), latency
+        )
+
+    def _encode(self, request: ReadyRequest) -> bytes:
+        """Head and body in one buffer, as ``http.client`` writes them."""
+        target = request.path or "/"
         if request.query:
-            path = f"{path}?{urlencode(request.query)}"
+            target = f"{target}?{urlencode(request.query)}"
+        if _BAD_TARGET.search(target):
+            raise ValueError(f"invalid request target {target!r}")
         headers = dict(request.headers)
-        body = None
+        body = b""
         if request.body:
             body = json.dumps(request.body).encode()
             headers["Content-Type"] = "application/json"
         if self._auth_token and "Authorization" not in headers:
             headers["Authorization"] = f"Bearer {self._auth_token}"
 
-        started = time.perf_counter()
-        for attempt in (0, 1):
-            conn = None
+        lines = [f"{request.method} {target} HTTP/1.1", self._host_line,
+                 "Accept-Encoding: identity"]
+        if body or request.method in _BODY_METHODS:
+            lines.append(f"Content-Length: {len(body)}")
+        for name, value in headers.items():
+            line = f"{name}: {value}"
+            if _CR_OR_LF.search(line):
+                raise ValueError(f"CR or LF in header {name!r}")
+            lines.append(line)
+        lines += ("", "")
+        return "\r\n".join(lines).encode("latin-1") + body
+
+    # -- reply parsing -------------------------------------------------------
+
+    def _recv(self) -> bool:
+        """Append the target's next bytes to the buffer; False at end of stream."""
+        chunk = self._sock.recv(_RECV_SIZE)
+        self._buf += chunk
+        return bool(chunk)
+
+    def _fill(self, size: int) -> None:
+        while len(self._buf) < size:
+            if not self._recv():
+                raise _BadReply("connection closed mid-reply")
+
+    def _take(self, size: int) -> bytes:
+        taken = bytes(self._buf[:size])
+        del self._buf[:size]
+        return taken
+
+    def _line(self) -> bytes:
+        while (end := self._buf.find(b"\n")) < 0:
+            if len(self._buf) > _MAX_HEAD:
+                raise _BadReply("line over 64 KiB")
+            if not self._recv():
+                raise _BadReply("connection closed mid-reply")
+        return self._take(end + 1)
+
+    def _read_head(self) -> tuple[int, bytes, dict[bytes, bytes]]:
+        """Status, HTTP version and headers (names lower-cased) of one reply."""
+        while (end := _HEAD_END.search(self._buf)) is None and len(self._buf) <= _MAX_HEAD:
+            if not self._recv():
+                raise _BadReply("connection closed before the reply ended")
+        if end is None or end.end() > _MAX_HEAD:
+            raise _BadReply("reply head over 64 KiB")
+        status_line, *lines = self._take(end.end())[: end.start()].split(b"\n")
+        parts = status_line.split(None, 2)
+        if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+                or len(parts[1]) != 3 or not parts[1].isdigit() or int(parts[1]) < 100):
+            raise _BadReply(f"bad status line {status_line[:80]!r}")
+        fields = {}
+        for line in lines:
+            name, _, value = line.partition(b":")
+            fields[name.strip().lower()] = value.strip()
+        return int(parts[1]), parts[0], fields
+
+    def _read_reply(self, method: str) -> tuple[int, bytes]:
+        status, version, fields = self._read_head()
+        while status < 200:  # interim replies carry no body
+            status, version, fields = self._read_head()
+        connection = fields.get(b"connection", b"").lower()
+        if version == b"HTTP/1.0":
+            close = b"keep-alive" not in connection and b"keep-alive" not in fields
+        else:
+            close = b"close" in connection
+
+        if method == "HEAD" or status in (204, 304):
+            body = b""
+        elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+            body = self._read_chunked()
+        elif (length := _content_length(fields)) is not None:
+            self._fill(length)
+            body = self._take(length)
+        else:
+            while self._recv():
+                pass
+            body = self._take(len(self._buf))
+            close = True
+        if close or self._buf:
+            self._drop()  # the target closes, or sent more than the reply
+        return status, body
+
+    def _read_chunked(self) -> bytes:
+        body = bytearray()
+        while True:
+            line = self._line()
             try:
-                conn = self._connect()
-                conn.request(request.method, path, body=body, headers=headers)
-            except (ConnectionError, BrokenPipeError, socket.timeout,
-                    http.client.HTTPException, OSError) as exc:
-                self._drop()
-                if attempt == 0:
-                    continue
-                return ResponseRecord.transport(f"send failed: {exc}")
-            try:
-                response = conn.getresponse()
-                payload = response.read()
-            except (ConnectionError, socket.timeout, http.client.HTTPException, OSError) as exc:
-                self._drop()
-                return ResponseRecord.transport(f"read failed: {exc}")
-            latency = time.perf_counter() - started
-            return ResponseRecord.from_status(
-                response.status,
-                payload.decode("utf-8", errors="replace"),
-                latency,
-            )
-        raise AssertionError("unreachable")  # pragma: no cover
+                size = int(line.split(b";", 1)[0], 16)
+            except ValueError:
+                size = -1
+            if size < 0:
+                raise _BadReply(f"bad chunk size line {line[:80]!r}")
+            if size == 0:
+                break
+            self._fill(size + 2)  # the chunk and its CRLF
+            body += self._take(size + 2)[:size]
+        while self._line().strip():  # trailer fields, up to the blank line
+            pass
+        return bytes(body)
 
     def check_reachable(self) -> None:
         """Probe the target once; any HTTP status counts as reachable."""
@@ -105,3 +231,12 @@ class HttpClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _content_length(fields: dict[bytes, bytes]) -> int | None:
+    """The declared body length; None when absent or invalid (read to close)."""
+    try:
+        length = int(fields[b"content-length"])
+    except (KeyError, ValueError):
+        return None
+    return length if length >= 0 else None

@@ -398,6 +398,17 @@ def _route(method: str, segments: list[str]) -> tuple[MockEndpoint | None, dict[
     return None, {}, path_known
 
 
+def _json_object(raw: bytes) -> dict[str, str] | None:
+    """The request body as a JSON object; ``{}`` when empty, None when malformed."""
+    if not raw:
+        return {}
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError:
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -417,17 +428,6 @@ class _Handler(BaseHTTPRequestHandler):
         if body:
             self.wfile.write(body)
 
-    def _read_body(self) -> dict[str, str] | None:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError:
-            return None
-        return doc if isinstance(doc, dict) else None
-
     def _dispatch(self, method: str) -> None:
         # Requests execute one at a time regardless of how many connections
         # are open, so identical request streams see identical state.
@@ -435,6 +435,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._dispatch_locked(method)
 
     def _dispatch_locked(self, method: str) -> None:
+        # The body is read whatever the route, so a request the router turns
+        # away leaves no unread bytes on the keep-alive connection.
+        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.rfile.read(length) if length else b""
         state = self.server.state
         split = urlsplit(self.path)
         segments = [part for part in split.path.split("/") if part]
@@ -458,7 +462,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
 
         query = {key: value for key, value in parse_qsl(split.query, keep_blank_values=True)}
-        body = self._read_body()
+        body = _json_object(raw)
         if body is None:
             state.hit(endpoint.template_id, "malformed_body")
             self._respond(_bad("body must be a JSON object"))

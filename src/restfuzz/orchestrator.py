@@ -250,6 +250,7 @@ class Fuzzer:
         finally:
             if self._worker is not None:
                 self._worker.stop()
+                self.metrics.train_rounds_failed = self._worker.rounds_failed
             client.close()
             self.metrics.wall_time = time.monotonic() - self._started
             self.metrics.unique_errors = len(self.errors)

@@ -360,12 +360,14 @@ class Recommender:
 class TrainerWorker:
     """Background thread running training rounds off the fuzz loop.
 
-    A round that raises is logged and the worker keeps serving, so a bad
-    round never silently ends training for the rest of the run.
+    A round that raises is logged and counted in ``rounds_failed``, and the
+    worker keeps serving, so a bad round never silently ends training for
+    the rest of the run.
     """
 
     def __init__(self, recommender: Recommender):
         self._recommender = recommender
+        self.rounds_failed = 0
         self._queue: queue.Queue = queue.Queue(maxsize=1)
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
@@ -379,6 +381,7 @@ class TrainerWorker:
             try:
                 self._recommender.train_and_publish(corpus, label=label)
             except Exception:
+                self.rounds_failed += 1
                 logger.exception("training round %s failed", label)
 
     def submit(self, corpus: Corpus, label: str = "") -> bool:

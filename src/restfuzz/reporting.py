@@ -243,6 +243,7 @@ class RunMetrics:
     wall_time: float = 0.0
     unique_errors: int = 0
     train_rounds: int = 0
+    train_rounds_failed: int = 0
     counts_at_first_training: Counter | None = None
 
     @property
@@ -313,6 +314,7 @@ class RunMetrics:
             "iterations": self.iterations,
             "unique_errors": self.unique_errors,
             "train_rounds": self.train_rounds,
+            "train_rounds_failed": self.train_rounds_failed,
             "wall_time_seconds": self.wall_time,
         }
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import http.client
 import json
 
 import numpy as np
@@ -228,6 +229,28 @@ class TestDeterminism:
             ]
 
         assert stream() == stream()
+
+
+class TestKeepAlive:
+    @pytest.mark.parametrize("method, path, status", [
+        ("POST", "/no/such/route", 404),
+        ("PUT", "/groups", 405),
+        ("POST", "/__reset", 204),
+    ])
+    def test_body_sent_to_an_unrouted_request_is_consumed(self, method, path, status):
+        handle = serve(0, BugConfig())
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=5)
+        try:
+            conn.request(method, path, body=b'{"name": "dev-team"}')
+            first = conn.getresponse()
+            first.read()
+            assert first.status == status
+            conn.request("GET", "/groups")
+            second = conn.getresponse()
+            assert (second.status, json.loads(second.read())) == (200, [])
+        finally:
+            conn.close()
+            handle.stop()
 
 
 class TestGrammarShipsWithService:

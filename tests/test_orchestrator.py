@@ -103,6 +103,20 @@ class TestFuzzLoop:
         metrics = fuzz_loop(config, grammar)
         assert metrics.train_rounds >= 1
 
+    def test_failed_background_rounds_are_counted(self, grammar, target, tmp_path, monkeypatch):
+        def failing_round(self, corpus, label=""):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(orch.Recommender, "train_and_publish", failing_round)
+        config = quick_config(
+            target.base_url, requests=600, train_async=True, report_dir=tmp_path / "run",
+        )
+        metrics = fuzz_loop(config, grammar)
+        assert metrics.train_rounds == 0
+        assert metrics.train_rounds_failed >= 1
+        on_disk = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert on_disk["train_rounds_failed"] == metrics.train_rounds_failed
+
 
 class TestAblationIndependence:
     def test_disabling_the_model_leaves_selection_unchanged(

@@ -303,6 +303,7 @@ class TestTrainerWorker:
             time.sleep(0.01)
         stop_within(worker, timeout=5.0, limit=5.5)
         assert recommender.calls == 2
+        assert worker.rounds_failed == 2
         failures = [r for r in caplog.records if "failed" in r.getMessage()]
         assert [r.getMessage() for r in failures] == [
             "training round round=1 failed", "training round round=2 failed",
