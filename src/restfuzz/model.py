@@ -1,10 +1,15 @@
 """Next-token sequence model: embedding, GRU, attention, linear softmax.
 
 Implemented directly on numpy with hand-written backpropagation so the
-gradients can be checked against central finite differences.  The attention
-layer scores every hidden state against the final state through a learned
-alignment matrix (multiplicative attention); the context vector and the
-final state feed the output projection together.
+gradients can be checked against central finite differences.  The GRU
+keeps its three gates fused: one ``(d, 3h)`` input block and bias, one
+``(h, 2h)`` recurrent block for the update and reset gates and one
+``(h, h)`` block for the candidate state.  The attention layer scores every
+hidden state up to a position against the state at that position through a
+learned alignment matrix (multiplicative attention); the context vector
+and that state feed the output projection together.  Every position of a
+batch is handled in one pass: one causal-masked (B, T, T) score matrix,
+forward and backward, with a Python loop only over the GRU recurrence.
 
 Everything here is pure math over token-id sequences; vocabulary handling
 and training schedules live in :mod:`restfuzz.recommender`.
@@ -19,28 +24,16 @@ from typing import Sequence
 
 import numpy as np
 
-GRAD_BLOCKS = (
-    "emb",
-    "w_z", "u_z", "b_z",
-    "w_r", "u_r", "b_r",
-    "w_c", "u_c", "b_c",
-    "w_att",
-    "w_out", "b_out",
-)
+GRAD_BLOCKS = ("emb", "w_x", "b_x", "u_zr", "u_c", "w_att", "w_out", "b_out")
 
 
 @dataclass
 class ModelParams:
     emb: np.ndarray    # (V, d)
-    w_z: np.ndarray    # (d, h) update gate
-    u_z: np.ndarray    # (h, h)
-    b_z: np.ndarray    # (h,)
-    w_r: np.ndarray    # (d, h) reset gate
-    u_r: np.ndarray    # (h, h)
-    b_r: np.ndarray    # (h,)
-    w_c: np.ndarray    # (d, h) candidate state
-    u_c: np.ndarray    # (h, h)
-    b_c: np.ndarray    # (h,)
+    w_x: np.ndarray    # (d, 3h) input side of the update, reset, candidate gates
+    b_x: np.ndarray    # (3h,)
+    u_zr: np.ndarray   # (h, 2h) recurrent side of the update and reset gates
+    u_c: np.ndarray    # (h, h) recurrent side of the candidate state
     w_att: np.ndarray  # (h, h) alignment scoring
     w_out: np.ndarray  # (2h, V)
     b_out: np.ndarray  # (V,)
@@ -56,13 +49,10 @@ class ModelParams:
 
     @property
     def hidden_dim(self) -> int:
-        return self.u_z.shape[0]
+        return self.u_c.shape[0]
 
     def blocks(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in GRAD_BLOCKS}
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(block)) for block in self.blocks().values())
 
 
 def init_params(
@@ -72,22 +62,26 @@ def init_params(
     rng: np.random.Generator,
     scale: float = 0.08,
 ) -> ModelParams:
-    """Fresh small-uniform weights; every training run starts from scratch."""
+    """Fresh small-uniform weights; every training run starts from scratch.
+
+    Each gate's input and recurrent blocks are drawn in turn (update,
+    reset, candidate) and then stacked; the draw order fixes which initial
+    weights a seed gives.
+    """
     def u(*shape):
         return rng.uniform(-scale, scale, size=shape)
 
+    emb = u(vocab_size, embed_dim)
+    w_z, u_z = u(embed_dim, hidden_dim), u(hidden_dim, hidden_dim)
+    w_r, u_r = u(embed_dim, hidden_dim), u(hidden_dim, hidden_dim)
+    w_c, u_c = u(embed_dim, hidden_dim), u(hidden_dim, hidden_dim)
     return ModelParams(
-        emb=u(vocab_size, embed_dim),
-        w_z=u(embed_dim, hidden_dim), u_z=u(hidden_dim, hidden_dim), b_z=np.zeros(hidden_dim),
-        w_r=u(embed_dim, hidden_dim), u_r=u(hidden_dim, hidden_dim), b_r=np.zeros(hidden_dim),
-        w_c=u(embed_dim, hidden_dim), u_c=u(hidden_dim, hidden_dim), b_c=np.zeros(hidden_dim),
+        emb=emb,
+        w_x=np.hstack([w_z, w_r, w_c]), b_x=np.zeros(3 * hidden_dim),
+        u_zr=np.hstack([u_z, u_r]), u_c=u_c,
         w_att=u(hidden_dim, hidden_dim),
         w_out=u(2 * hidden_dim, vocab_size), b_out=np.zeros(vocab_size),
     )
-
-
-def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(block) for name, block in params.blocks().items()}
 
 
 def apply_gradients(params: ModelParams, grads: dict[str, np.ndarray], step: float) -> None:
@@ -139,46 +133,43 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis; ``-inf`` entries get probability 0."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _run_gru(params: ModelParams, xs: np.ndarray):
-    """GRU over (B, T, d) inputs; returns states and per-step gate caches."""
+    """GRU over (B, T, d) inputs; returns states (B, T+1, h) and the
+    per-step gate caches: update and reset gates (B, T, 2h), candidates."""
     batch, steps, _ = xs.shape
     hidden = params.hidden_dim
+    x_gates = xs @ params.w_x + params.b_x
     hs = np.zeros((batch, steps + 1, hidden))
-    zs = np.empty((batch, steps, hidden))
-    rs = np.empty((batch, steps, hidden))
+    zrs = np.empty((batch, steps, 2 * hidden))
     cs = np.empty((batch, steps, hidden))
     for t in range(steps):
-        x = xs[:, t]
         h_prev = hs[:, t]
-        z = _sigmoid(x @ params.w_z + h_prev @ params.u_z + params.b_z)
-        r = _sigmoid(x @ params.w_r + h_prev @ params.u_r + params.b_r)
-        c = np.tanh(x @ params.w_c + (r * h_prev) @ params.u_c + params.b_c)
+        zr = _sigmoid(x_gates[:, t, : 2 * hidden] + h_prev @ params.u_zr)
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        c = np.tanh(x_gates[:, t, 2 * hidden :] + (r * h_prev) @ params.u_c)
         hs[:, t + 1] = z * h_prev + (1.0 - z) * c
-        zs[:, t], rs[:, t], cs[:, t] = z, r, c
-    return hs, zs, rs, cs
+        zrs[:, t], cs[:, t] = zr, c
+    return hs, zrs, cs
 
 
-def _attend(params: ModelParams, states: np.ndarray, query: np.ndarray):
-    """Multiplicative attention of ``query`` over ``states`` (B, S, h)."""
-    scores = np.einsum("bsh,bh->bs", states @ params.w_att, query)
-    alpha = _softmax(scores, axis=1)
-    context = np.einsum("bs,bsh->bh", alpha, states)
-    return alpha, context
-
-
-def _head(params: ModelParams, hs: np.ndarray, t: int):
-    """Attention weights, output-layer input and next-token distribution
-    after input position ``t``, from GRU states ``hs`` (B, T+1, h)."""
-    query = hs[:, t + 1]
-    alpha, context = _attend(params, hs[:, 1 : t + 2], query)
-    concat = np.concatenate([context, query], axis=1)
-    probs = _softmax(concat @ params.w_out + params.b_out, axis=1)
+def _heads(params: ModelParams, hs: np.ndarray):
+    """Attention weights (B, T, T), output-layer inputs (B, T, 2h) and
+    next-token distributions (B, T, V) after every input position, from
+    GRU states ``hs`` (B, T+1, h).  Row ``t`` attends over states 1..t+1."""
+    states = hs[:, 1:]
+    steps = states.shape[1]
+    scores = states @ (states @ params.w_att).transpose(0, 2, 1)
+    causal = np.tri(steps, dtype=bool)
+    alpha = _softmax(np.where(causal, scores, -np.inf))
+    concat = np.concatenate([alpha @ states, states], axis=2)
+    probs = _softmax(concat @ params.w_out + params.b_out)
     return alpha, concat, probs
 
 
@@ -187,8 +178,8 @@ def forward(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
     tokens = np.asarray(prefix, dtype=np.intp).reshape(1, -1)
     if tokens.size == 0:
         raise ValueError("prefix must be non-empty")
-    hs, _, _, _ = _run_gru(params, params.emb[tokens])
-    return _head(params, hs, tokens.shape[1] - 1)[2][0]
+    hs, _, _ = _run_gru(params, params.emb[tokens])
+    return _heads(params, hs)[2][0, -1]
 
 
 def predict(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -198,117 +189,79 @@ def predict(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     the token that follows ``inputs[b, : t + 1]``.
     """
     inputs = np.asarray(inputs, dtype=np.intp)
-    hs, _, _, _ = _run_gru(params, params.emb[inputs])
-    return np.stack(
-        [np.argmax(_head(params, hs, t)[2], axis=1) for t in range(inputs.shape[1])],
-        axis=1,
-    )
-
-
-def batch_loss(params: ModelParams, tokens: np.ndarray) -> tuple[float, int]:
-    """Summed next-token cross-entropy over a same-length batch (B, T)."""
-    loss, _, n_predictions = _loss_core(params, tokens, want_grads=False)
-    return loss, n_predictions
+    hs, _, _ = _run_gru(params, params.emb[inputs])
+    return np.argmax(_heads(params, hs)[2], axis=2)
 
 
 def batch_loss_and_grads(
     params: ModelParams, tokens: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray], int]:
-    """Summed loss plus analytic gradients for a same-length batch (B, T)."""
-    return _loss_core(params, tokens, want_grads=True)
-
-
-def _loss_core(params: ModelParams, tokens: np.ndarray, want_grads: bool):
+    """Summed next-token cross-entropy over a same-length batch (B, T),
+    its analytic gradients and the number of predictions."""
     tokens = np.asarray(tokens, dtype=np.intp)
     if tokens.ndim != 2 or tokens.shape[1] < 2:
         raise ValueError("need a (batch, length>=2) token array")
-    batch, length = tokens.shape
-    steps = length - 1                      # the final token is only a target
-    inputs = tokens[:, :steps]
+    inputs = tokens[:, :-1]                 # the final token is only a target
     targets = tokens[:, 1:]
+    batch, steps = inputs.shape
     hidden = params.hidden_dim
-    rows = np.arange(batch)
+    picked = (np.arange(batch)[:, None], np.arange(steps), targets)
 
     xs = params.emb[inputs]
-    hs, zs, rs, cs = _run_gru(params, xs)
+    hs, zrs, cs = _run_gru(params, xs)
+    alpha, concat, probs = _heads(params, hs)
+    loss = -float(np.sum(np.log(probs[picked] + 1e-300)))
 
-    loss = 0.0
-    position_cache = []
-    for t in range(steps):
-        alpha, concat, probs = _head(params, hs, t)
-        loss -= float(np.sum(np.log(probs[rows, targets[:, t]] + 1e-300)))
-        if want_grads:
-            position_cache.append((alpha, concat, probs))
+    def flat(a: np.ndarray) -> np.ndarray:
+        return a.reshape(-1, a.shape[-1])
 
-    n_predictions = batch * steps
-    if not want_grads:
-        return loss, None, n_predictions
+    grads = {}
+    d_logits = probs.copy()
+    d_logits[picked] -= 1.0
+    grads["w_out"] = flat(concat).T @ flat(d_logits)
+    grads["b_out"] = flat(d_logits).sum(axis=0)
+    d_concat = d_logits @ params.w_out.T
+    d_context = d_concat[:, :, :hidden]
+    # Gradient flowing into each state from the attention/output side.
+    d_states = d_concat[:, :, hidden:].copy()
 
-    grads = zero_gradients(params)
-    # Gradient flowing into each hidden state from the attention/output side.
-    d_states = np.zeros((batch, steps + 1, hidden))
-    for t in range(steps):
-        alpha, concat, probs = position_cache[t]
-        states = hs[:, 1 : t + 2]
-        query = hs[:, t + 1]
+    states = hs[:, 1:]
+    keys = states @ params.w_att
+    # context_t = sum_s alpha[t, s] * state_s
+    d_alpha = d_context @ states.transpose(0, 2, 1)
+    d_states += alpha.transpose(0, 2, 1) @ d_context
+    # softmax over each row; masked entries have alpha = 0 and stay out
+    d_scores = alpha * (d_alpha - np.sum(alpha * d_alpha, axis=2, keepdims=True))
+    # scores[t, s] = state_t . (state_s @ w_att)
+    d_keys = d_scores.transpose(0, 2, 1) @ states
+    grads["w_att"] = flat(states).T @ flat(d_keys)
+    d_states += d_scores @ keys + d_keys @ params.w_att.T
 
-        d_logits = probs.copy()
-        d_logits[rows, targets[:, t]] -= 1.0
-        grads["w_out"] += concat.T @ d_logits
-        grads["b_out"] += d_logits.sum(axis=0)
-        d_concat = d_logits @ params.w_out.T
-        d_context = d_concat[:, :hidden]
-        d_query = d_concat[:, hidden:].copy()
-
-        # context = sum_s alpha_s * state_s
-        d_alpha = np.einsum("bh,bsh->bs", d_context, states)
-        d_state = alpha[:, :, None] * d_context[:, None, :]
-        # softmax over scores
-        d_scores = alpha * (d_alpha - np.sum(alpha * d_alpha, axis=1, keepdims=True))
-        # score_s = (state_s @ w_att) . query
-        grads["w_att"] += np.einsum("bs,bsh,bg->hg", d_scores, states, query)
-        d_state += d_scores[:, :, None] * (query @ params.w_att.T)[:, None, :]
-        d_query += np.einsum("bs,bsh->bh", d_scores, states @ params.w_att)
-
-        d_states[:, 1 : t + 2] += d_state
-        d_states[:, t + 1] += d_query
-
-    # Backprop through time over the GRU.
+    # Backprop through time over the GRU, collecting the gate pre-activation
+    # gradients; every weight gradient is one matmul after the loop.
+    d_gates = np.empty((batch, steps, 3 * hidden))
     d_carry = np.zeros((batch, hidden))
     for t in reversed(range(steps)):
-        dh = d_carry + d_states[:, t + 1]
-        z, r, c = zs[:, t], rs[:, t], cs[:, t]
+        dh = d_carry + d_states[:, t]
+        zr, c = zrs[:, t], cs[:, t]
+        z, r = zr[:, :hidden], zr[:, hidden:]
         h_prev = hs[:, t]
-        x = xs[:, t]
 
-        dz = dh * (h_prev - c)
-        dc = dh * (1.0 - z)
-        dh_prev = dh * z
-
-        da_c = dc * (1.0 - c * c)
-        grads["w_c"] += x.T @ da_c
-        grads["u_c"] += (r * h_prev).T @ da_c
-        grads["b_c"] += da_c.sum(axis=0)
-        dx = da_c @ params.w_c.T
+        da_c = dh * (1.0 - z) * (1.0 - c * c)
         d_rh = da_c @ params.u_c.T
-        dr = d_rh * h_prev
-        dh_prev += d_rh * r
+        da_zr = np.concatenate([dh * (h_prev - c), d_rh * h_prev], axis=1)
+        da_zr *= zr * (1.0 - zr)
+        d_gates[:, t, : 2 * hidden] = da_zr
+        d_gates[:, t, 2 * hidden :] = da_c
+        d_carry = dh * z + d_rh * r + da_zr @ params.u_zr.T
 
-        da_z = dz * z * (1.0 - z)
-        grads["w_z"] += x.T @ da_z
-        grads["u_z"] += h_prev.T @ da_z
-        grads["b_z"] += da_z.sum(axis=0)
-        dx += da_z @ params.w_z.T
-        dh_prev += da_z @ params.u_z.T
+    h_prevs = hs[:, :-1]
+    reset = zrs[:, :, hidden:]
+    grads["u_zr"] = flat(h_prevs).T @ flat(d_gates[:, :, : 2 * hidden])
+    grads["u_c"] = flat(reset * h_prevs).T @ flat(d_gates[:, :, 2 * hidden :])
+    grads["w_x"] = flat(xs).T @ flat(d_gates)
+    grads["b_x"] = flat(d_gates).sum(axis=0)
+    grads["emb"] = np.zeros_like(params.emb)
+    np.add.at(grads["emb"], inputs.ravel(), flat(d_gates) @ params.w_x.T)
 
-        da_r = dr * r * (1.0 - r)
-        grads["w_r"] += x.T @ da_r
-        grads["u_r"] += h_prev.T @ da_r
-        grads["b_r"] += da_r.sum(axis=0)
-        dx += da_r @ params.w_r.T
-        dh_prev += da_r @ params.u_r.T
-
-        np.add.at(grads["emb"], inputs[:, t], dx)
-        d_carry = dh_prev
-
-    return loss, grads, n_predictions
+    return loss, grads, batch * steps

@@ -216,7 +216,6 @@ def train(
             time.perf_counter() - started,
         )
 
-    params.version += 1
     return TrainResult(
         params=params,
         vocab=vocab,
@@ -263,7 +262,8 @@ def generate_lists(
             probs = model.forward(params, prefix)
             masked = probs[allowed]
             masked = masked / masked.sum()
-            token = allowed[int(np.searchsorted(np.cumsum(masked), rng.random()))]
+            index = int(np.searchsorted(np.cumsum(masked), rng.random()))
+            token = allowed[min(index, len(allowed) - 1)]  # cumsum may end below 1
             if token == TERMINATOR_ID:
                 break
             pair = vocab.pair_at(token)

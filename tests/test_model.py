@@ -19,9 +19,9 @@ def numeric_gradient(params, tokens, block_name, eps=1e-5):
         index = iterator.multi_index
         original = block[index]
         block[index] = original + eps
-        loss_plus, _ = model.batch_loss(params, tokens)
+        loss_plus = model.batch_loss_and_grads(params, tokens)[0]
         block[index] = original - eps
-        loss_minus, _ = model.batch_loss(params, tokens)
+        loss_minus = model.batch_loss_and_grads(params, tokens)[0]
         block[index] = original
         numeric[index] = (loss_plus - loss_minus) / (2 * eps)
     return numeric
@@ -51,15 +51,20 @@ class TestForward:
 
     def test_forward_is_the_head_at_the_last_position(self):
         # generation and training share one head: forward on every prefix
-        # of a row equals the head over the whole row at that position
+        # of a row equals the heads over the whole row at that position.
+        # Not bit-exact: the input products of all steps are one matmul,
+        # and its BLAS path depends on the row's length.
         rng = np.random.default_rng(4)
         for _ in range(20):
             params = tiny_params(rng)
             row = rng.integers(0, 6, size=(1, 6))
-            hs, _, _, _ = model._run_gru(params, params.emb[row])
+            hs, _, _ = model._run_gru(params, params.emb[row])
+            _, _, probs = model._heads(params, hs)
             for length in range(1, 7):
-                _, _, probs = model._head(params, hs, length - 1)
-                assert np.array_equal(model.forward(params, row[0, :length]), probs[0])
+                np.testing.assert_allclose(
+                    model.forward(params, row[0, :length]), probs[0, length - 1],
+                    rtol=0, atol=1e-15,
+                )
 
 
 class TestGradients:
@@ -121,7 +126,7 @@ class TestTrainingDynamics:
         for _ in range(50):
             _, grads, n = model.batch_loss_and_grads(params, tokens)
             model.apply_gradients(params, grads, 1.0 / n)
-        assert params.all_finite()
+        assert all(np.all(np.isfinite(block)) for block in params.blocks().values())
 
 
 class TestWeightDump:

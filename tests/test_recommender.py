@@ -110,6 +110,27 @@ class TestTrain:
                 getattr(a.params, name), getattr(b.params, name)
             )
 
+    def test_reproduces_pinned_losses_on_mixed_lengths(self):
+        # lengths 3-7 mix in every minibatch; the pinned values change with
+        # the model's math or the order training draws from the rng
+        corpus = [
+            (f"GET /mixed{i % 4}",
+             [ParamValuePair(f"p{i % 4}_{j}", f"v{(i + j) % 3}")
+              for j in range(1 + (7 * i) % 5)])
+            for i in range(240)
+        ]
+        result = train(
+            corpus, ModelConfig(epochs=4, max_examples=None),
+            np.random.default_rng(11),
+        )
+        np.testing.assert_allclose(
+            result.epoch_losses,
+            [3.7993211678397976, 3.6016357021358893,
+             3.6142086109384897, 3.5788662513490057],
+            rtol=1e-9, atol=0,
+        )
+        assert result.val_accuracy == pytest.approx(0.25668449197860965, rel=1e-9)
+
     def test_max_examples_window_keeps_most_recent(self, rng):
         corpus = chain_corpus(100, n_templates=2) + [
             ("GET /fresh", [ParamValuePair("x", "1")])
@@ -205,6 +226,25 @@ class TestGenerateLists:
             generate_lists(
                 trained.params, trained.vocab, "GET /nowhere", 5, rng, trained.max_len
             )
+
+    def test_draw_past_the_cumulative_sum_picks_the_last_allowed_token(
+        self, monkeypatch
+    ):
+        vocab = build_vocab(
+            [("GET /a", [ParamValuePair(name, "1") for name in ("x", "y", "z")])]
+        )
+        probs = np.array([0.82, 0.0, 0.63, 0.96, 0.37])  # end, name, x, y, z
+        draw = np.nextafter(1.0, 0.0)
+        allowed = probs[[0, 2, 3, 4]]
+        assert np.cumsum(allowed / allowed.sum())[-1] < draw  # rounded below 1
+        monkeypatch.setattr(model, "forward", lambda params, prefix: probs)
+
+        class HighDraw:
+            def random(self):
+                return draw
+
+        lists = generate_lists(None, vocab, "GET /a", 1, HighDraw(), max_len=1)
+        assert lists == [ParamValueList("GET /a", (ParamValuePair("z", "1"),))]
 
     def test_deterministic_given_seed(self, trained):
         a = generate_lists(
