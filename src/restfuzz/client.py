@@ -5,7 +5,9 @@ socket: one keep-alive connection to an ``http`` target, each request
 written with one ``sendall`` (the same bytes ``http.client`` would send),
 each reply parsed from a per-connection byte buffer.  Reply bodies are
 framed by ``Content-Length``, by chunked transfer coding or by the target
-closing the connection; 1xx interim replies are skipped.
+closing the connection; 1xx interim replies are skipped.  The message-head
+reader (:func:`read_head`) and the keep-alive rule (:func:`closes_after`)
+are shared with the mock target, which parses requests the same way.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import json
 import re
 import socket
 import time
+from collections.abc import Callable
 from urllib.parse import urlencode, urlsplit
 
 from .rendering import ReadyRequest
 from .responses import ResponseRecord
 
-_MAX_HEAD = 64 * 1024  # longest reply head (status line and headers) accepted
+_MAX_HEAD = 64 * 1024  # longest message head (first line and fields) accepted
 _RECV_SIZE = 64 * 1024
 _BODY_METHODS = frozenset({"POST", "PUT", "PATCH"})  # sent with Content-Length: 0 when bodiless
 _BAD_TARGET = re.compile(r"[^\x21-\x7e]")  # controls, space, DEL, non-ASCII
@@ -31,8 +34,41 @@ class TargetUnreachable(Exception):
     """The target did not answer the startup probe."""
 
 
-class _BadReply(Exception):
-    """The reply breaks HTTP/1.1 framing or ends early."""
+class FramingError(Exception):
+    """The bytes received break HTTP/1.1 framing or end early."""
+
+
+class HeadTooLarge(FramingError):
+    """A message head, or a line of a chunked body, runs past 64 KiB."""
+
+
+def read_head(buf: bytearray, recv: Callable[[], bool]) -> tuple[bytes, dict[bytes, bytes]]:
+    """Take one message head off the front of ``buf``.
+
+    Returns its first line and its fields, names lower-cased.  ``recv``
+    appends the peer's next bytes to ``buf`` and returns False at end of
+    stream.
+    """
+    while (end := _HEAD_END.search(buf)) is None and len(buf) <= _MAX_HEAD:
+        if not recv():
+            raise FramingError("connection closed before the head ended")
+    if end is None or end.end() > _MAX_HEAD:
+        raise HeadTooLarge("head over 64 KiB")
+    first, *lines = bytes(buf[: end.start()]).split(b"\n")
+    del buf[: end.end()]
+    fields = {}
+    for line in lines:
+        name, _, value = line.partition(b":")
+        fields[name.strip().lower()] = value.strip()
+    return first, fields
+
+
+def closes_after(version: bytes, fields: dict[bytes, bytes]) -> bool:
+    """Whether the connection ends after this message (HTTP/1.0 or ``Connection: close``)."""
+    connection = fields.get(b"connection", b"").lower()
+    if version == b"HTTP/1.0":
+        return b"keep-alive" not in connection and b"keep-alive" not in fields
+    return b"close" in connection
 
 
 class HttpClient:
@@ -91,7 +127,7 @@ class HttpClient:
                     return ResponseRecord.transport(f"send failed: {exc}")
         try:
             status, payload = self._read_reply(request.method)
-        except (OSError, _BadReply) as exc:
+        except (OSError, FramingError) as exc:
             self._drop()
             return ResponseRecord.transport(f"read failed: {exc}")
         latency = time.perf_counter() - started
@@ -137,7 +173,7 @@ class HttpClient:
     def _fill(self, size: int) -> None:
         while len(self._buf) < size:
             if not self._recv():
-                raise _BadReply("connection closed mid-reply")
+                raise FramingError("connection closed mid-reply")
 
     def _take(self, size: int) -> bytes:
         taken = bytes(self._buf[:size])
@@ -147,38 +183,25 @@ class HttpClient:
     def _line(self) -> bytes:
         while (end := self._buf.find(b"\n")) < 0:
             if len(self._buf) > _MAX_HEAD:
-                raise _BadReply("line over 64 KiB")
+                raise HeadTooLarge("line over 64 KiB")
             if not self._recv():
-                raise _BadReply("connection closed mid-reply")
+                raise FramingError("connection closed mid-reply")
         return self._take(end + 1)
 
     def _read_head(self) -> tuple[int, bytes, dict[bytes, bytes]]:
         """Status, HTTP version and headers (names lower-cased) of one reply."""
-        while (end := _HEAD_END.search(self._buf)) is None and len(self._buf) <= _MAX_HEAD:
-            if not self._recv():
-                raise _BadReply("connection closed before the reply ended")
-        if end is None or end.end() > _MAX_HEAD:
-            raise _BadReply("reply head over 64 KiB")
-        status_line, *lines = self._take(end.end())[: end.start()].split(b"\n")
+        status_line, fields = read_head(self._buf, self._recv)
         parts = status_line.split(None, 2)
         if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
                 or len(parts[1]) != 3 or not parts[1].isdigit() or int(parts[1]) < 100):
-            raise _BadReply(f"bad status line {status_line[:80]!r}")
-        fields = {}
-        for line in lines:
-            name, _, value = line.partition(b":")
-            fields[name.strip().lower()] = value.strip()
+            raise FramingError(f"bad status line {status_line[:80]!r}")
         return int(parts[1]), parts[0], fields
 
     def _read_reply(self, method: str) -> tuple[int, bytes]:
         status, version, fields = self._read_head()
         while status < 200:  # interim replies carry no body
             status, version, fields = self._read_head()
-        connection = fields.get(b"connection", b"").lower()
-        if version == b"HTTP/1.0":
-            close = b"keep-alive" not in connection and b"keep-alive" not in fields
-        else:
-            close = b"close" in connection
+        close = closes_after(version, fields)
 
         if method == "HEAD" or status in (204, 304):
             body = b""
@@ -205,7 +228,7 @@ class HttpClient:
             except ValueError:
                 size = -1
             if size < 0:
-                raise _BadReply(f"bad chunk size line {line[:80]!r}")
+                raise FramingError(f"bad chunk size line {line[:80]!r}")
             if size == 0:
                 break
             self._fill(size + 2)  # the chunk and its CRLF

@@ -1,10 +1,23 @@
 """Deterministic mock REST service with independently armable seeded bugs.
 
-A groups/projects resource model served over plain HTTP.  Requests execute
-strictly one at a time (concurrent connections queue on a dispatch lock),
-so identical request streams yield identical response streams.  Four bugs
-can be armed; with all of them disarmed every input maps to a conformant
-2xx or 4xx response, never a 5xx.
+A groups/projects resource model served over HTTP/1.1 on a plain TCP
+server, one thread per connection.  Each connection reads its requests
+(request line, lower-cased header fields, a body framed by
+``Content-Length``) from its own byte buffer with the head reader it shares
+with :mod:`restfuzz.client`, and writes each reply with one ``sendall``.
+Connections are kept alive unless the client asks to close (HTTP/1.0
+without keep-alive, or ``Connection: close``) and close after 30 idle
+seconds.  A request the mock cannot serve (a malformed request line, a
+head over 64 KiB, a method other than GET/POST/PUT/DELETE, a
+``Transfer-Encoding``, a ``Content-Length`` that is not a number) gets a
+400, 431 or 501 and a close.
+
+Requests execute strictly one at a time (concurrent connections queue on a
+dispatch lock), so identical request streams yield identical response
+streams.  A body is read before the lock is taken, so a client that stalls
+mid-request holds up no other connection.  Four bugs can be armed; with
+all of them disarmed every input maps to a conformant 2xx or 4xx
+response, never a 5xx.
 
 Test hooks: ``POST /__reset`` restores pristine state, ``GET /__coverage``
 returns per-branch hit counters.  The matching fuzzing grammar ships as
@@ -16,13 +29,16 @@ from __future__ import annotations
 
 import json
 import re
+import socket
+import socketserver
 import threading
 from dataclasses import dataclass
 from datetime import datetime
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from importlib import resources
 from urllib.parse import parse_qsl, urlsplit
 
+from .client import FramingError, HeadTooLarge, closes_after, read_head
 from .grammar import ParamSpec, RequestTemplate, grammar_document
 
 BUG_UAF = "b-uaf"
@@ -409,24 +425,78 @@ def _json_object(raw: bytes) -> dict[str, str] | None:
     return doc if isinstance(doc, dict) else None
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-    timeout = 30
+_METHODS = frozenset({"GET", "POST", "PUT", "DELETE"})
+_IDLE_TIMEOUT_S = 30
+_RECV_SIZE = 64 * 1024
+_REASONS = {status.value: status.phrase.encode() for status in HTTPStatus}
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """One client connection: reads requests off its buffer and answers them in order."""
 
     server: "MockServer"
 
-    def log_message(self, *args) -> None:  # silence default stderr noise
-        pass
+    def setup(self) -> None:
+        self.request.settimeout(_IDLE_TIMEOUT_S)
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._buf = bytearray()  # bytes received on this connection, not yet parsed
+
+    def handle(self) -> None:
+        try:
+            while (refusal := self._read_request()) is None:
+                self._dispatch(self.method)
+                if self.close_connection:
+                    return
+            self.close_connection = True
+            self._respond(refusal)
+        except (OSError, FramingError):
+            pass  # the client left, stalled or stopped mid-request: nobody to answer
+
+    def _recv(self) -> bool:
+        """Append the client's next bytes to the buffer; False at end of stream."""
+        chunk = self.request.recv(_RECV_SIZE)
+        self._buf += chunk
+        return bool(chunk)
+
+    def _read_request(self) -> _Reply | None:
+        """Read the next request into ``method``, ``path``, ``body`` and ``close_connection``.
+
+        Returns the reply refusing a request that cannot be served; the
+        connection closes after it.
+        """
+        try:
+            request_line, fields = read_head(self._buf, self._recv)
+        except HeadTooLarge:
+            return _Reply(431, {"message": "431 Request Header Fields Too Large"})
+        parts = request_line.split()
+        if len(parts) != 3 or not parts[2].startswith(b"HTTP/1."):
+            return _bad("malformed request line")
+        method = parts[0].decode("latin-1")
+        if method not in _METHODS:
+            return _Reply(501, {"message": "501 Not Implemented"})
+        if b"transfer-encoding" in fields:
+            return _Reply(501, {"message": "501 Not Implemented: Transfer-Encoding"})
+        declared = fields.get(b"content-length", b"0")
+        if not declared.isdigit():
+            return _bad("invalid Content-Length")
+        length = int(declared)
+        while len(self._buf) < length:
+            if not self._recv():
+                raise FramingError("connection closed mid-body")
+        self.body = bytes(self._buf[:length])
+        del self._buf[:length]
+        self.method = method
+        self.path = parts[1].decode("latin-1")
+        self.close_connection = closes_after(parts[2], fields)
+        return None
 
     def _respond(self, reply: _Reply) -> None:
         body = reply.body()
-        self.send_response(reply.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
+        self.request.sendall(
+            b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n%s"
+            % (reply.status, _REASONS[reply.status], len(body),
+               b"Connection: close\r\n" if self.close_connection else b"", body)
+        )
 
     def _dispatch(self, method: str) -> None:
         # Requests execute one at a time regardless of how many connections
@@ -435,10 +505,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._dispatch_locked(method)
 
     def _dispatch_locked(self, method: str) -> None:
-        # The body is read whatever the route, so a request the router turns
-        # away leaves no unread bytes on the keep-alive connection.
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
         state = self.server.state
         split = urlsplit(self.path)
         segments = [part for part in split.path.split("/") if part]
@@ -462,27 +528,16 @@ class _Handler(BaseHTTPRequestHandler):
             return
 
         query = {key: value for key, value in parse_qsl(split.query, keep_blank_values=True)}
-        body = _json_object(raw)
+        body = _json_object(self.body)
         if body is None:
             state.hit(endpoint.template_id, "malformed_body")
             self._respond(_bad("body must be a JSON object"))
             return
         self._respond(_execute(state, endpoint, path_values, query, body))
 
-    def do_GET(self):
-        self._dispatch("GET")
 
-    def do_POST(self):
-        self._dispatch("POST")
-
-    def do_PUT(self):
-        self._dispatch("PUT")
-
-    def do_DELETE(self):
-        self._dispatch("DELETE")
-
-
-class MockServer(ThreadingHTTPServer):
+class MockServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, address, state: _State):

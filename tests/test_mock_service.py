@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -251,6 +254,131 @@ class TestKeepAlive:
         finally:
             conn.close()
             handle.stop()
+
+
+@pytest.fixture(scope="module")
+def service():
+    handle = serve(0, BugConfig())
+    yield handle
+    handle.stop()
+
+
+def connect(handle, timeout: float = 3.0) -> socket.socket:
+    return socket.create_connection(("127.0.0.1", handle.port), timeout=timeout)
+
+
+def read_reply(reader) -> tuple[int, dict[str, str], bytes]:
+    """Status, header fields (names lower-cased) and body of one reply."""
+    status = int(reader.readline().split()[1])
+    fields = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode().partition(":")
+        fields[name.strip().lower()] = value.strip()
+    return status, fields, reader.read(int(fields["content-length"]))
+
+
+def exchange(handle, data: bytes) -> tuple[int, dict[str, str], bytes, bool]:
+    """Send raw bytes on a fresh connection; one reply, and whether the mock then closed."""
+    with connect(handle) as sock, sock.makefile("rb") as reader:
+        sock.sendall(data)
+        status, fields, body = read_reply(reader)
+        sock.settimeout(0.2)
+        try:
+            closed = reader.read(1) == b""
+        except TimeoutError:
+            closed = False
+    return status, fields, body, closed
+
+
+def still_serving(handle) -> bool:
+    status, _, _, _ = exchange(handle, b"GET /groups HTTP/1.1\r\nConnection: close\r\n\r\n")
+    return status == 200
+
+
+class TestWire:
+    """Raw bytes in, raw bytes out: the mock's own HTTP/1.1 framing."""
+
+    def test_pipelined_requests_get_replies_in_order(self, service):
+        body = b'{"name": "dev-team", "path": "eng"}'
+        with connect(service) as sock, sock.makefile("rb") as reader:
+            sock.sendall(b"POST /__reset HTTP/1.1\r\n\r\n"
+                         b"POST /groups HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                         b"GET /groups/1 HTTP/1.1\r\n\r\n" % (len(body), body))
+            replies = [read_reply(reader) for _ in range(3)]
+        assert [status for status, _, _ in replies] == [204, 201, 200]
+        assert json.loads(replies[1][2])["id"] == 1
+        assert json.loads(replies[2][2])["name"] == "dev-team"
+        assert all("connection" not in fields for _, fields, _ in replies)
+
+    def test_http_1_0_without_keep_alive_closes(self, service):
+        status, fields, _, closed = exchange(service, b"GET /groups HTTP/1.0\r\n\r\n")
+        assert (status, fields["connection"], closed) == (200, "close", True)
+
+    def test_connection_close_is_honoured_and_echoed(self, service):
+        status, fields, _, closed = exchange(
+            service, b"GET /groups HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert (status, fields["connection"], closed) == (200, "close", True)
+
+    def test_keep_alive_by_default(self, service):
+        status, fields, _, closed = exchange(service, b"GET /groups HTTP/1.1\r\n\r\n")
+        assert (status, "connection" in fields, closed) == (200, False, False)
+
+    @pytest.mark.parametrize("data, status", [
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"GET /groups HTTP/1.1\r\nX-Big: " + b"a" * (64 * 1024) + b"\r\n\r\n", 431),
+        (b"PATCH /groups/1 HTTP/1.1\r\n\r\n", 501),
+        (b"POST /groups HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 501),
+        (b"POST /groups HTTP/1.1\r\nContent-Length: -1\r\n\r\n{}", 400),
+        (b"POST /groups HTTP/1.1\r\nContent-Length: ten\r\n\r\n{}", 400),
+    ], ids=["malformed-request-line", "head-over-64-KiB", "unsupported-method",
+            "transfer-encoding", "content-length--1", "content-length-not-a-number"])
+    def test_unservable_request_is_refused_with_a_close(self, service, data, status):
+        answered, fields, _, closed = exchange(service, data)
+        assert (answered, fields["connection"], closed) == (status, "close", True)
+        assert still_serving(service)
+
+    def test_half_sent_body_holds_up_no_other_connection(self, service):
+        with connect(service) as stalled, stalled.makefile("rb") as reader:
+            # The GET's reply shows the stalled connection's handler has
+            # moved on to the POST, whose body never arrives in full.
+            stalled.sendall(b"GET /groups HTTP/1.1\r\n\r\n"
+                            b"POST /groups HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"n")
+            assert read_reply(reader)[0] == 200
+            started = time.perf_counter()
+            assert still_serving(service)
+            assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("data", [
+        b"GET /groups HTTP/1.1\r\nHost: x",
+        b"POST /groups HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"n",
+    ], ids=["mid-head", "mid-body"])
+    def test_client_leaving_mid_request_leaves_no_traceback(self, capfd, data):
+        handle = serve(0, BugConfig())
+        done = threading.Event()
+        shutdown_request = handle.server.shutdown_request
+
+        def finished(request):  # runs after any traceback the handler printed
+            shutdown_request(request)
+            done.set()
+
+        handle.server.shutdown_request = finished
+        try:
+            with connect(handle) as sock:
+                sock.sendall(data)
+            assert done.wait(5.0)
+        finally:
+            handle.stop()
+        assert capfd.readouterr().err == ""
+
+    def test_stop_returns_with_an_idle_keep_alive_connection_open(self):
+        handle = serve(0, BugConfig())
+        with connect(handle) as sock, sock.makefile("rb") as reader:
+            sock.sendall(b"GET /groups HTTP/1.1\r\n\r\n")
+            assert read_reply(reader)[0] == 200
+            stopper = threading.Thread(target=handle.stop)
+            stopper.start()
+            stopper.join(5.0)
+            assert not stopper.is_alive()
 
 
 class TestGrammarShipsWithService:
