@@ -32,7 +32,6 @@ for mode in ("baseline", "miner"):
         seed=1,
         train_interval=None,
         train_every_requests=800,
-        train_async=False,
         enable_uaf_checker=True,
         enable_datadriven_checker=(mode == "miner"),
     )

@@ -25,7 +25,7 @@ from .grammar import (
     serialize_spec,
 )
 from .orchestrator import MODES, FuzzConfig, Fuzzer, fuzz_loop
-from .recommender import ModelConfig, Recommender, TrainerWorker
+from .recommender import ModelConfig, Recommender
 from .rendering import ParamValueList, ReadyRequest, RenderMode
 from .reporting import RunMetrics, pass_rate, unique_request_templates
 from .responses import ResponseClass, ResponseRecord
@@ -53,7 +53,6 @@ __all__ = [
     "ResponseRecord",
     "RunMetrics",
     "SequenceTemplate",
-    "TrainerWorker",
     "UnresolvableConsumer",
     "extend",
     "fuzz_loop",

@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--train-every-requests", type=int, default=None,
                       help="trigger training every N requests instead of by time")
     fuzz.add_argument("--train-sync", action="store_true",
-                      help="train inline instead of on the background worker")
+                      help="accepted and ignored: training always runs inline")
     fuzz.add_argument("--enable-uaf-checker", action="store_true")
     fuzz.add_argument("--enable-datadriven-checker", action="store_true")
     fuzz.add_argument("--report-dir", default=None)
@@ -112,7 +112,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         seed=args.seed,
         train_interval=args.train_interval,
         train_every_requests=args.train_every_requests,
-        train_async=not args.train_sync,
         enable_uaf_checker=args.enable_uaf_checker,
         enable_datadriven_checker=args.enable_datadriven_checker,
         report_dir=args.report_dir,

@@ -46,11 +46,7 @@ class _RequestEvent:
 
 
 class CollectionStore:
-    """Single-writer store owned by the fuzz loop.
-
-    ``training_corpus`` may be called from the trainer thread; it snapshots
-    the event log before filtering, so readers never see partial state.
-    """
+    """Single-writer store owned by the fuzz loop."""
 
     def __init__(self, grammar: CompiledGrammar, persist: IO[str] | None = None):
         self._grammar = grammar
@@ -137,10 +133,9 @@ class CollectionStore:
         5xx observations are excluded: too rare to train on, though the
         checker still uses them.
         """
-        events = list(self._events)
         return [
             (event.template_id, list(event.pairs))
-            for event in events
+            for event in self._events
             if event.response_class is ResponseClass.PASS_2XX and event.iteration > since
         ]
 

@@ -574,6 +574,7 @@ def serve(port: int, bugs: BugConfig = BugConfig(), host: str = "127.0.0.1") -> 
         server = MockServer((host, port), _State(bugs))
     except OSError as exc:
         raise BindFailed(f"cannot bind {host}:{port}: {exc}") from exc
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # stop() waits until serve_forever next polls, so poll often.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     return ServiceHandle(server, thread)

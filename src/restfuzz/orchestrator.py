@@ -24,7 +24,7 @@ from .client import HttpClient
 from .collection import CollectionStore
 from .execution import ExecutedSequence, execute_candidate
 from .grammar import CompiledGrammar
-from .recommender import ModelConfig, Recommender, TrainerWorker
+from .recommender import ModelConfig, Recommender
 from .rendering import RenderMode
 from .reporting import (
     KIND_RESPONSE_5XX,
@@ -43,6 +43,8 @@ from .sequences import (
 )
 
 logger = logging.getLogger("restfuzz.fuzz")
+# Round failures go where the rounds log, so training.log shows them too.
+training_logger = logging.getLogger("restfuzz.training")
 
 # mode name -> (weighted seed selection?, render mode, trains a model?)
 MODES: dict[str, tuple[bool, RenderMode, bool]] = {
@@ -66,7 +68,6 @@ class FuzzConfig:
     seed: int = 0
     train_interval: float | None = 7200.0
     train_every_requests: int | None = None
-    train_async: bool = True
     enable_uaf_checker: bool = False
     enable_datadriven_checker: bool = False
     report_dir: Path | str | None = None
@@ -120,7 +121,6 @@ class Fuzzer:
             if self.uses_model
             else None
         )
-        self._worker: TrainerWorker | None = None
         self._trained_through_iteration = 0
         self._last_train_time: float | None = None
         self._last_train_requests = 0
@@ -175,13 +175,13 @@ class Fuzzer:
             return
         corpus = self.store.training_corpus(since=self._trained_through_iteration)
         label = f"round={self.recommender.rounds + 1}"
-        if self.config.train_async:
-            if self._worker is None:
-                self._worker = TrainerWorker(self.recommender)
-            if not self._worker.submit(corpus, label=label):
-                return  # trainer busy; retry with a wider window next time
-        else:
-            self.recommender.train_and_publish(corpus, label=label)
+        try:
+            if self.recommender.train_and_publish(corpus, label, self._exhausted):
+                self.metrics.note_first_training()
+        except Exception:
+            # A bad round must not end the run: log it, count it, go on.
+            self.metrics.train_rounds_failed += 1
+            training_logger.exception("training round %s failed", label)
         self._trained_through_iteration = self.store.iteration - 1
         self._last_train_time = time.monotonic()
         self._last_train_requests = self.metrics.requests_sent
@@ -248,9 +248,6 @@ class Fuzzer:
             self._last_train_time = time.monotonic()
             self._loop(client)
         finally:
-            if self._worker is not None:
-                self._worker.stop()
-                self.metrics.train_rounds_failed = self._worker.rounds_failed
             client.close()
             self.metrics.wall_time = time.monotonic() - self._started
             self.metrics.unique_errors = len(self.errors)
@@ -267,12 +264,6 @@ class Fuzzer:
             self.metrics.iterations += 1
             self.store.iteration = self.metrics.iterations
             self._maybe_train()
-            if (
-                self.recommender is not None
-                and self.metrics.counts_at_first_training is None
-                and self.recommender.rounds > 0
-            ):
-                self.metrics.note_first_training()
 
             candidate = (
                 self._next_candidate_weighted()

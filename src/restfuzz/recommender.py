@@ -2,20 +2,18 @@
 
 Each training round rebuilds the vocabulary from the corpus window and
 trains fresh weights from scratch, then samples param-value lists per
-request template.  Published lists accumulate across rounds in an
-atomically swapped snapshot that the rendering side reads without locking
-concerns.
+request template.  Rounds run inline on the fuzz loop's thread.  Published
+lists accumulate across rounds in a snapshot that each publish replaces,
+so a mapping the rendering side holds never changes under it.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,10 +27,15 @@ logger = logging.getLogger("restfuzz.training")
 TERMINATOR_ID = 0
 
 Corpus = list[tuple[str, list[ParamValuePair]]]
+StopCheck = Callable[[], bool]
 
 
 class EmptyCorpus(Exception):
     """No training data; the caller skips this training iteration."""
+
+
+class RoundCut(Exception):
+    """``should_stop`` answered true at an epoch boundary; the round is dropped."""
 
 
 class UnknownTemplate(Exception):
@@ -168,12 +171,15 @@ def train(
     config: ModelConfig,
     rng: np.random.Generator,
     label: str = "",
+    should_stop: StopCheck | None = None,
 ) -> TrainResult:
     """Train fresh weights on the corpus; returns weights plus statistics.
 
     Mini-batch gradient descent on next-token cross-entropy, with the
     validation accuracy measured after every epoch and logged at INFO.
     Every call re-initializes from scratch: no weight reuse between rounds.
+    ``should_stop`` is asked before each epoch; once it answers true the
+    round raises :class:`RoundCut`.
     """
     if not corpus:
         raise EmptyCorpus("no training examples")
@@ -198,6 +204,10 @@ def train(
     epoch_losses: list[float] = []
     val_accuracy: float | None = None
     for epoch in range(config.epochs):
+        if should_stop is not None and should_stop():
+            logger.warning("%s cut before epoch=%d of %d", label or "train",
+                           epoch + 1, config.epochs)
+            raise RoundCut(label)
         order = rng.permutation(len(train_set))
         total_loss = 0.0
         total_predictions = 0
@@ -291,16 +301,15 @@ class Recommender:
         self._config = config
         self._rng = rng
         self._dump_dir = dump_dir
-        self._lock = threading.Lock()
         self._snapshot: dict[str, tuple[ParamValueList, ...]] = {}
         self.rounds = 0
 
     def snapshot(self) -> dict[str, tuple[ParamValueList, ...]]:
-        """The current published mapping; contents are immutable."""
+        """The current published mapping; ``publish`` replaces it, never edits it."""
         return self._snapshot
 
     def publish(self, lists: Iterable[ParamValueList]) -> None:
-        """Merge new lists into the snapshot and swap it atomically.
+        """Merge new lists into a copy of the snapshot and replace it.
 
         Lists are validated against the grammar (no foreign pairs), deduped
         against what is already published, and capped per template with the
@@ -310,29 +319,31 @@ class Recommender:
         for plist in lists:
             plist.validate_against(self._grammar.templates[plist.template_id])
             incoming.setdefault(plist.template_id, []).append(plist)
-        with self._lock:
-            updated = dict(self._snapshot)
-            for template_id, new_lists in incoming.items():
-                merged = list(updated.get(template_id, ()))
-                known = {plist.pairs for plist in merged}
-                for plist in new_lists:
-                    if plist.pairs not in known:
-                        known.add(plist.pairs)
-                        merged.append(plist)
-                overflow = len(merged) - self._config.per_template_cap
-                if overflow > 0:
-                    merged = merged[overflow:]
-                updated[template_id] = tuple(merged)
-            self._snapshot = updated
+        updated = dict(self._snapshot)
+        for template_id, new_lists in incoming.items():
+            merged = list(updated.get(template_id, ()))
+            known = {plist.pairs for plist in merged}
+            for plist in new_lists:
+                if plist.pairs not in known:
+                    known.add(plist.pairs)
+                    merged.append(plist)
+            overflow = len(merged) - self._config.per_template_cap
+            if overflow > 0:
+                merged = merged[overflow:]
+            updated[template_id] = tuple(merged)
+        self._snapshot = updated
 
-    def train_and_publish(self, corpus: Corpus, label: str = "") -> TrainResult | None:
+    def train_and_publish(
+        self, corpus: Corpus, label: str = "", should_stop: StopCheck | None = None
+    ) -> TrainResult | None:
         """One full round: train, sample lists per template, publish.
 
-        Returns ``None`` on an empty corpus (the round is skipped).
+        Returns ``None`` and publishes nothing on an empty corpus or when
+        ``should_stop`` cuts the round.
         """
         try:
-            result = train(corpus, self._config, self._rng, label=label)
-        except EmptyCorpus:
+            result = train(corpus, self._config, self._rng, label, should_stop)
+        except (EmptyCorpus, RoundCut):
             return None
         result.params.version = self.rounds + 1
         if self._dump_dir is not None:
@@ -356,47 +367,3 @@ class Recommender:
         self.rounds += 1
         return result
 
-
-class TrainerWorker:
-    """Background thread running training rounds off the fuzz loop.
-
-    A round that raises is logged and counted in ``rounds_failed``, and the
-    worker keeps serving, so a bad round never silently ends training for
-    the rest of the run.
-    """
-
-    def __init__(self, recommender: Recommender):
-        self._recommender = recommender
-        self.rounds_failed = 0
-        self._queue: queue.Queue = queue.Queue(maxsize=1)
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return
-            corpus, label = job
-            try:
-                self._recommender.train_and_publish(corpus, label=label)
-            except Exception:
-                self.rounds_failed += 1
-                logger.exception("training round %s failed", label)
-
-    def submit(self, corpus: Corpus, label: str = "") -> bool:
-        """Hand a corpus snapshot to the worker; False when it is busy."""
-        try:
-            self._queue.put_nowait((corpus, label))
-            return True
-        except queue.Full:
-            return False
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Ask the worker to finish; returns within about ``timeout`` seconds."""
-        deadline = time.monotonic() + timeout
-        try:
-            self._queue.put(None, timeout=timeout)
-        except queue.Full:
-            return  # still busy with a queued round; the daemon thread is abandoned
-        self._thread.join(timeout=max(deadline - time.monotonic(), 0.0))

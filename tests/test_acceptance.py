@@ -249,7 +249,6 @@ def test_criterion_5_end_to_end_bug_discovery(bug_discovery):
             seed=0,
             train_interval=None,
             train_every_requests=2000,
-            train_async=False,
             enable_uaf_checker=True,
             enable_datadriven_checker=False,
         )
@@ -283,7 +282,6 @@ def test_criterion_6_ablation_analogues():
                         seed=seed,
                         train_interval=None,
                         train_every_requests=800,
-                        train_async=False,
                     )
                     metrics = Fuzzer(config, GRAMMAR).run()
                     results[mode] = (metrics, behavior_coverage(handle.base_url))
@@ -330,7 +328,6 @@ def test_criterion_7_checker_precision():
                 seed=13,
                 train_interval=None,
                 train_every_requests=20000,
-                train_async=False,
                 enable_uaf_checker=True,
                 enable_datadriven_checker=True,
             )

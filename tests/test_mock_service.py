@@ -380,6 +380,13 @@ class TestWire:
             stopper.join(5.0)
             assert not stopper.is_alive()
 
+    def test_stop_returns_within_a_tenth_of_a_second(self):
+        handle = serve(0, BugConfig())
+        assert still_serving(handle)
+        started = time.perf_counter()
+        handle.stop()
+        assert time.perf_counter() - started < 0.1
+
 
 class TestGrammarShipsWithService:
     def test_packaged_file_matches_schema(self):

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
+from restfuzz import model
 from restfuzz import orchestrator as orch
 from restfuzz.client import HttpClient, TargetUnreachable
 from restfuzz.grammar import parse_spec
@@ -42,7 +44,6 @@ def quick_config(base_url, mode="miner", requests=400, seed=3, **overrides):
         seed=seed,
         train_interval=None,
         train_every_requests=150,
-        train_async=False,
     )
     defaults.update(overrides)
     return FuzzConfig(**defaults)
@@ -95,27 +96,47 @@ class TestFuzzLoop:
         assert metrics.counts_at_first_training is not None
         assert metrics.pass_rate_after_first_training() is not None
 
-    def test_async_training_publishes_eventually(self, grammar, target):
-        config = quick_config(
-            target.base_url, requests=1200, train_async=True,
-            train_every_requests=200,
-        )
-        metrics = fuzz_loop(config, grammar)
-        assert metrics.train_rounds >= 1
-
-    def test_failed_background_rounds_are_counted(self, grammar, target, tmp_path, monkeypatch):
-        def failing_round(self, corpus, label=""):
+    def test_failed_rounds_are_counted_and_the_run_goes_on(
+        self, grammar, target, tmp_path, monkeypatch, caplog
+    ):
+        def failing_round(self, corpus, label="", should_stop=None):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(orch.Recommender, "train_and_publish", failing_round)
-        config = quick_config(
-            target.base_url, requests=600, train_async=True, report_dir=tmp_path / "run",
-        )
+        config = quick_config(target.base_url, requests=600, report_dir=tmp_path / "run")
         metrics = fuzz_loop(config, grammar)
+        assert metrics.requests_sent == 600
         assert metrics.train_rounds == 0
         assert metrics.train_rounds_failed >= 1
         on_disk = json.loads((tmp_path / "run" / "metrics.json").read_text())
         assert on_disk["train_rounds_failed"] == metrics.train_rounds_failed
+        failures = [r for r in caplog.records if r.getMessage().endswith(" failed")]
+        # No round completes, so every attempt is the one to publish round 1.
+        assert [r.getMessage() for r in failures] == (
+            ["training round round=1 failed"] * metrics.train_rounds_failed
+        )
+        assert all(r.exc_info is not None for r in failures)
+
+    def test_a_round_stops_at_the_duration_budget(self, grammar, target, monkeypatch):
+        calls = 0
+        real = model.batch_loss_and_grads
+
+        def slow(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            time.sleep(0.02)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "batch_loss_and_grads", slow)
+        config = quick_config(
+            target.base_url, requests=None, duration=1.0, train_every_requests=500,
+        )
+        started = time.monotonic()
+        metrics = fuzz_loop(config, grammar)
+        assert time.monotonic() - started < config.duration + 1.0
+        assert calls > 0, "no round started inside the budget"
+        assert metrics.train_rounds == 0
+        assert metrics.train_rounds_failed == 0
 
 
 class TestAblationIndependence:

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import logging
 import re
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from restfuzz.grammar import parse_spec
 from restfuzz.recommender import (
     ModelConfig,
     Recommender,
-    TrainerWorker,
     UnknownTemplate,
     _accuracy,
     build_vocab,
@@ -22,7 +19,7 @@ from restfuzz.recommender import (
     split_corpus,
     train,
 )
-from restfuzz.recommender import EmptyCorpus
+from restfuzz.recommender import EmptyCorpus, RoundCut
 from restfuzz.rendering import ForeignPair, ParamValueList
 
 from conftest import build_spec, groups_paths
@@ -89,6 +86,10 @@ class TestTrain:
     def test_empty_corpus_raises(self, rng):
         with pytest.raises(EmptyCorpus):
             train([], ModelConfig(), rng)
+
+    def test_should_stop_is_asked_before_the_first_epoch(self, rng):
+        with pytest.raises(RoundCut):
+            train(chain_corpus(20), ModelConfig(), rng, should_stop=lambda: True)
 
     def test_learns_deterministic_chains(self, rng):
         result = train(chain_corpus(400), ModelConfig(max_examples=None), rng)
@@ -300,78 +301,30 @@ class TestRecommenderPublish:
         assert recommender.snapshot() is not before
 
 
-def stop_within(worker, timeout, limit):
-    """Call ``worker.stop(timeout)`` on a side thread; fail if it outlives ``limit``."""
-    stopper = threading.Thread(target=worker.stop, args=(timeout,), daemon=True)
-    stopper.start()
-    stopper.join(limit)
-    assert not stopper.is_alive(), "TrainerWorker.stop() did not return"
-
-
-class TestTrainerWorker:
-    def test_background_round_publishes(self, rng):
-        grammar = parse_spec(build_spec(groups_paths()))
-        recommender = Recommender(grammar, ModelConfig(epochs=2), rng)
-        worker = TrainerWorker(recommender)
-        corpus = [
-            (GET_ID, [ParamValuePair("with_projects", "false")])
-            for _ in range(30)
-        ]
-        assert worker.submit(corpus)
-        worker.stop()
-        assert recommender.rounds == 1
-        assert GET_ID in recommender.snapshot()
-
-    def test_failed_round_is_logged_and_the_worker_keeps_serving(self, caplog):
-        class FailingRecommender:
-            def __init__(self):
-                self.calls = 0
-                self.called = threading.Event()
-
-            def train_and_publish(self, corpus, label=""):
-                self.calls += 1
-                self.called.set()
-                raise RuntimeError("boom")
-
-        recommender = FailingRecommender()
-        worker = TrainerWorker(recommender)
-        assert worker.submit([], label="round=1")
-        assert recommender.called.wait(5.0)
-        deadline = time.monotonic() + 5.0
-        while not worker.submit([], label="round=2"):
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-        stop_within(worker, timeout=5.0, limit=5.5)
-        assert recommender.calls == 2
-        assert worker.rounds_failed == 2
-        failures = [r for r in caplog.records if "failed" in r.getMessage()]
-        assert [r.getMessage() for r in failures] == [
-            "training round round=1 failed", "training round round=2 failed",
-        ]
-        assert all(r.exc_info is not None for r in failures)
-
-    def test_stop_is_bounded_while_a_round_hangs(self):
-        release = threading.Event()
-        started_round = threading.Event()
-
-        class StuckRecommender:
-            def train_and_publish(self, corpus, label=""):
-                started_round.set()
-                release.wait(30.0)
-
-        worker = TrainerWorker(StuckRecommender())
-        try:
-            assert worker.submit([])
-            assert started_round.wait(5.0)
-            assert worker.submit([])  # queued behind the stuck round
-            stop_within(worker, timeout=0.2, limit=1.0)
-        finally:
-            release.set()
-
+class TestRound:
     def test_empty_corpus_round_is_skipped(self, two_template_grammar, rng):
         recommender = Recommender(two_template_grammar, ModelConfig(), rng)
         assert recommender.train_and_publish([]) is None
         assert recommender.rounds == 0
+
+    def test_round_cut_at_an_epoch_boundary_publishes_nothing(
+        self, two_template_grammar, rng, caplog
+    ):
+        answers = iter([False, False, True])
+        recommender = Recommender(two_template_grammar, ModelConfig(epochs=5), rng)
+        corpus = [(GET_ID, [ParamValuePair("with_projects", "false")])] * 20
+        caplog.set_level(logging.INFO, logger="restfuzz.training")
+        result = recommender.train_and_publish(
+            corpus, label="round=1", should_stop=lambda: next(answers)
+        )
+        assert result is None
+        assert recommender.rounds == 0
+        assert recommender.snapshot() == {}
+        assert sum(r.levelno == logging.INFO for r in caplog.records) == 2  # epoch lines
+        cuts = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [r.getMessage() for r in cuts] == [
+            "round=1 cut before epoch=3 of 5"
+        ]
 
 
 class TestWeightDumpPerRound:
