@@ -27,6 +27,7 @@ _RECV_SIZE = 64 * 1024
 _BODY_METHODS = frozenset({"POST", "PUT", "PATCH"})  # sent with Content-Length: 0 when bodiless
 _BAD_TARGET = re.compile(r"[^\x21-\x7e]")  # controls, space, DEL, non-ASCII
 _CR_OR_LF = re.compile(r"[\r\n]")
+_UNRESERVED = re.compile(r"[A-Za-z0-9_.~-]*")  # what urlencode leaves unquoted
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
 
 
@@ -138,29 +139,41 @@ class HttpClient:
     def _encode(self, request: ReadyRequest) -> bytes:
         """Head and body in one buffer, as ``http.client`` writes them."""
         target = request.path or "/"
-        if request.query:
-            target = f"{target}?{urlencode(request.query)}"
+        query = request.query
+        if query:
+            if _UNRESERVED.fullmatch("".join(query) + "".join(query.values())):
+                # Nothing to quote: the bytes urlencode would give.
+                target += "?" + "&".join([f"{name}={value}" for name, value in query.items()])
+            else:
+                target += "?" + urlencode(query)
         if _BAD_TARGET.search(target):
             raise ValueError(f"invalid request target {target!r}")
-        headers = dict(request.headers)
-        body = b""
-        if request.body:
-            body = json.dumps(request.body).encode()
-            headers["Content-Type"] = "application/json"
-        if self._auth_token and "Authorization" not in headers:
-            headers["Authorization"] = f"Bearer {self._auth_token}"
+        body = json.dumps(request.body).encode() if request.body else b""
 
         lines = [f"{request.method} {target} HTTP/1.1", self._host_line,
                  "Accept-Encoding: identity"]
         if body or request.method in _BODY_METHODS:
             lines.append(f"Content-Length: {len(body)}")
+        lines += self._header_lines(request.headers, body)
+        lines += ("", "")
+        return "\r\n".join(lines).encode("latin-1") + body
+
+    def _header_lines(self, request_headers: dict[str, str], body: bytes) -> list[str]:
+        """The request's headers, then ``Content-Type`` and ``Authorization``."""
+        if not request_headers and not self._auth_token:
+            return ["Content-Type: application/json"] if body else []
+        headers = dict(request_headers)
+        if body:
+            headers["Content-Type"] = "application/json"
+        if self._auth_token and "Authorization" not in headers:
+            headers["Authorization"] = f"Bearer {self._auth_token}"
+        lines = []
         for name, value in headers.items():
             line = f"{name}: {value}"
             if _CR_OR_LF.search(line):
                 raise ValueError(f"CR or LF in header {name!r}")
             lines.append(line)
-        lines += ("", "")
-        return "\r\n".join(lines).encode("latin-1") + body
+        return lines
 
     # -- reply parsing -------------------------------------------------------
 

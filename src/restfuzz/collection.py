@@ -15,7 +15,7 @@ from typing import IO, Mapping, Sequence
 
 from .grammar import CompiledGrammar
 from .responses import ResponseClass
-from .sequences import SequenceTemplate
+from .sequences import SeedPool, SequenceTemplate
 
 _RECORDED_CLASSES = (ResponseClass.PASS_2XX, ResponseClass.ERROR_5XX)
 
@@ -55,7 +55,15 @@ class CollectionStore:
         # Insertion-ordered; one entry per distinct observation.
         self._pairs: dict[tuple[str, ParamValuePair, ResponseClass], PairObservation] = {}
         self._events: list[_RequestEvent] = []
-        self._seeds: dict[tuple[str, ...], SequenceTemplate] = {}
+        self._seed_keys: set[tuple[str, ...]] = set()
+        self._seeds = SeedPool()
+        # Query indexes, kept at record time, each in first-seen order.
+        self._pairs_by_template: dict[str, dict[ParamValuePair, None]] = {}
+        self._lists_by_template: dict[str, list[tuple[ParamValuePair, ...]]] = {}
+        self._distinct_pairs: set[ParamValuePair] = set()
+        self._undefined_by_template: dict[str, list[ParamValuePair]] = {
+            template_id: [] for template_id in grammar.templates
+        }
 
     # -- recording ---------------------------------------------------------
 
@@ -85,10 +93,16 @@ class CollectionStore:
         self._events.append(
             _RequestEvent(self.iteration, template_id, pairs, response_class)
         )
+        self._lists_by_template.setdefault(template_id, []).append(pairs)
         for pair in pairs:
             key = (template_id, pair, response_class)
             if key not in self._pairs:
+                # A pair new to the template, or new altogether, has a new key.
                 self._pairs[key] = PairObservation(template_id, pair, response_class)
+                self._pairs_by_template.setdefault(template_id, {})[pair] = None
+                if pair not in self._distinct_pairs:
+                    self._distinct_pairs.add(pair)
+                    self._index_undefined(pair)
                 self._write_line(
                     kind="pair",
                     iteration=self.iteration,
@@ -117,15 +131,17 @@ class CollectionStore:
         if any(klass not in _RECORDED_CLASSES for klass in response_classes):
             return False
         key = tuple(template_ids)
-        if key not in self._seeds:
-            self._seeds[key] = SequenceTemplate(key)
+        if key not in self._seed_keys:
+            self._seed_keys.add(key)
+            self._seeds.append(SequenceTemplate(key))
             self._write_line(kind="seed", iteration=self.iteration, templates=list(key))
         return True
 
     # -- queries -----------------------------------------------------------
 
-    def seed_templates(self) -> list[SequenceTemplate]:
-        return list(self._seeds.values())
+    def seed_templates(self) -> SeedPool:
+        """The admitted seeds in admission order (read-only to callers)."""
+        return self._seeds
 
     def training_corpus(self, since: int) -> list[tuple[str, list[ParamValuePair]]]:
         """Pair lists of 2xx requests observed after iteration ``since``.
@@ -141,36 +157,26 @@ class CollectionStore:
 
     def undefined_pairs_for(self, template_id: str) -> list[ParamValuePair]:
         """Stored pairs whose parameter the given template does not define."""
-        defined = self._grammar.templates[template_id].param_names
-        out: list[ParamValuePair] = []
-        seen: set[ParamValuePair] = set()
-        for observation in self._pairs.values():
-            pair = observation.pair
-            if pair.param_name not in defined and pair not in seen:
-                seen.add(pair)
-                out.append(pair)
-        return out
+        return list(self._undefined_by_template[template_id])
 
     def recorded_pairs_for(self, template_id: str) -> list[ParamValuePair]:
         """Deduplicated pairs observed on one template (2xx and 5xx)."""
-        out: list[ParamValuePair] = []
-        seen: set[ParamValuePair] = set()
-        for observation in self._pairs.values():
-            if observation.template_id != template_id:
-                continue
-            if observation.pair not in seen:
-                seen.add(observation.pair)
-                out.append(observation.pair)
-        return out
+        return list(self._pairs_by_template.get(template_id, ()))
 
     def recorded_lists_for(self, template_id: str) -> list[tuple[ParamValuePair, ...]]:
         """Whole per-request pair lists observed on one template."""
-        return [
-            event.pairs for event in self._events if event.template_id == template_id
-        ]
+        return list(self._lists_by_template.get(template_id, ()))
 
     def pair_observations(self) -> list[PairObservation]:
         return list(self._pairs.values())
+
+    # -- indexes -----------------------------------------------------------
+
+    def _index_undefined(self, pair: ParamValuePair) -> None:
+        """File a pair seen for the first time under every template lacking its parameter."""
+        for template_id, undefined in self._undefined_by_template.items():
+            if pair.param_name not in self._grammar.templates[template_id].param_names:
+                undefined.append(pair)
 
     # -- persistence -------------------------------------------------------
 

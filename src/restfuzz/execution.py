@@ -29,7 +29,7 @@ class ExecutedStep:
     template_id: str
     request: ReadyRequest
     rendered_params: dict[str, str]
-    defaults: dict[str, str]
+    defaults: Mapping[str, str]
     consumer_bindings: dict[str, str]
     response: ResponseRecord
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 METHODS = ("GET", "POST", "PUT", "DELETE")
 LOCATIONS = ("path", "query", "body")
@@ -57,13 +58,32 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class RequestTemplate:
-    """A parameterized request type: method, path skeleton and parameters."""
+    """A parameterized request type: method, path skeleton and parameters.
+
+    ``param_names``, ``consumed_types`` and the defaults are computed once,
+    at construction; the fuzz loop reads them on every request.
+    """
 
     template_id: str
     method: str
     path: str
     params: tuple[ParamSpec, ...]
     produces: tuple[str, str] | None = None  # (resource type, response-field pointer)
+    param_names: frozenset[str] = field(init=False, repr=False, compare=False)
+    consumed_types: frozenset[str] = field(init=False, repr=False, compare=False)
+    _defaults: Mapping[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Frozen, so the derived fields are set past __setattr__.
+        set_field = object.__setattr__
+        set_field(self, "param_names", frozenset(spec.name for spec in self.params))
+        set_field(self, "consumed_types",
+                  frozenset(spec.consumes for spec in self.params if spec.consumes))
+        set_field(self, "_defaults", MappingProxyType({
+            spec.name: spec.default
+            for spec in self.params
+            if not spec.is_consumer and spec.default is not None
+        }))
 
     def param(self, name: str) -> ParamSpec:
         for spec in self.params:
@@ -71,30 +91,27 @@ class RequestTemplate:
                 return spec
         raise KeyError(name)
 
-    @property
-    def param_names(self) -> frozenset[str]:
-        return frozenset(spec.name for spec in self.params)
+    def defaults(self) -> Mapping[str, str]:
+        """Default value per non-consumer parameter, in template order.
 
-    @property
-    def consumed_types(self) -> frozenset[str]:
-        return frozenset(spec.consumes for spec in self.params if spec.consumes)
-
-    def defaults(self) -> dict[str, str]:
-        """Default value per non-consumer parameter, in template order."""
-        return {
-            spec.name: spec.default
-            for spec in self.params
-            if not spec.is_consumer and spec.default is not None
-        }
+        One read-only mapping per template, shared by every caller.
+        """
+        return self._defaults
 
 
 @dataclass(frozen=True)
 class CompiledGrammar:
-    """Immutable compilation result, safe to share across threads."""
+    """Immutable compilation result, safe to share across threads.
+
+    The one mutable part is a memo of :meth:`satisfiable_ids`; two threads
+    filling the same entry store equal values.
+    """
 
     templates: dict[str, RequestTemplate]
     resource_types: frozenset[str]
     dependency_edges: frozenset[tuple[str, str, str]]
+    # available type set -> sorted satisfiable template ids, filled on demand
+    _satisfiable: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def template_ids(self) -> tuple[str, ...]:
@@ -111,6 +128,15 @@ class CompiledGrammar:
             t for t in self.templates.values()
             if resource_type in t.consumed_types
         )
+
+    def satisfiable_ids(self, available: frozenset[str]) -> tuple[str, ...]:
+        """:func:`satisfiable_templates` sorted by id, computed once per type set."""
+        ids = self._satisfiable.get(available)
+        if ids is None:
+            ids = self._satisfiable[available] = tuple(
+                sorted(satisfiable_templates(self, available))
+            )
+        return ids
 
 
 def _parse_param(template_id: str, raw: object, path_placeholders: set[str]) -> ParamSpec:

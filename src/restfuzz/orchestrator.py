@@ -122,9 +122,12 @@ class Fuzzer:
             else None
         )
         self._trained_through_iteration = 0
+        self._train_attempts = 0  # numbers every round in the logs, failed ones too
         self._last_train_time: float | None = None
         self._last_train_requests = 0
 
+        # Weighted strategy: each drawn seed's extensions, computed once.
+        self._extensions: dict[tuple[str, ...], list[SequenceTemplate]] = {}
         # BFS state for the classic selection strategy.
         self._frontier: list[SequenceTemplate] = [EMPTY_SEQUENCE]
         self._round_queue: deque[SequenceTemplate] = deque()
@@ -174,15 +177,18 @@ class Fuzzer:
         if self.recommender is None or not self._train_due():
             return
         corpus = self.store.training_corpus(since=self._trained_through_iteration)
-        label = f"round={self.recommender.rounds + 1}"
+        self._train_attempts += 1
+        label = f"round={self._train_attempts}"
         try:
             if self.recommender.train_and_publish(corpus, label, self._exhausted):
                 self.metrics.note_first_training()
+            # Only a round that returned has seen its window; a failed
+            # round's events stay in the next round's corpus.
+            self._trained_through_iteration = self.store.iteration - 1
         except Exception:
             # A bad round must not end the run: log it, count it, go on.
             self.metrics.train_rounds_failed += 1
             training_logger.exception("training round %s failed", label)
-        self._trained_through_iteration = self.store.iteration - 1
         self._last_train_time = time.monotonic()
         self._last_train_requests = self.metrics.requests_sent
 
@@ -191,7 +197,11 @@ class Fuzzer:
     def _next_candidate_weighted(self) -> SequenceTemplate | None:
         seeds = self.store.seed_templates()
         seed = select_seed(seeds, self._rng_select) if seeds else EMPTY_SEQUENCE
-        candidates = extend(seed, self.grammar, self.config.max_sequence_length)
+        candidates = self._extensions.get(seed.template_ids)
+        if candidates is None:
+            candidates = self._extensions[seed.template_ids] = extend(
+                seed, self.grammar, self.config.max_sequence_length
+            )
         if candidates:
             return candidates[int(self._rng_select.integers(len(candidates)))]
         # Seed sits at the length cap: re-execute it with fresh values.

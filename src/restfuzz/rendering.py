@@ -101,21 +101,6 @@ def resolve_consumer(param: ParamSpec, pool: ObjectIdPool) -> str:
     return value
 
 
-def _assemble(template: RequestTemplate, values: Mapping[str, str]) -> ReadyRequest:
-    path = template.path
-    query: dict[str, str] = {}
-    body: dict[str, str] = {}
-    for spec in template.params:
-        value = values[spec.name]
-        if spec.location == "path":
-            path = path.replace("{" + spec.name + "}", value)
-        elif spec.location == "query":
-            query[spec.name] = value
-        else:
-            body[spec.name] = value
-    return ReadyRequest(template.method, path, query, body, {})
-
-
 @dataclass(frozen=True)
 class RenderedStep:
     """A rendered request plus the bookkeeping the fuzz loop needs."""
@@ -123,7 +108,7 @@ class RenderedStep:
     template_id: str
     request: ReadyRequest
     rendered_params: dict[str, str]      # every parameter, template order
-    defaults: dict[str, str]             # non-consumer defaults, template order
+    defaults: Mapping[str, str]          # non-consumer defaults, template order
     consumer_bindings: dict[str, str]    # param name -> resource type
 
 
@@ -134,15 +119,25 @@ def _render(
 ) -> RenderedStep:
     values: dict[str, str] = {}
     bindings: dict[str, str] = {}
+    path = template.path
+    query: dict[str, str] = {}
+    body: dict[str, str] = {}
     for spec in template.params:
-        if spec.is_consumer:
-            values[spec.name] = resolve_consumer(spec, pool)
+        if spec.consumes is not None:
+            value = resolve_consumer(spec, pool)
             bindings[spec.name] = spec.consumes
         else:
-            values[spec.name] = choose_value(spec)
+            value = choose_value(spec)
+        values[spec.name] = value
+        if spec.location == "path":
+            path = path.replace("{" + spec.name + "}", value)
+        elif spec.location == "query":
+            query[spec.name] = value
+        else:
+            body[spec.name] = value
     return RenderedStep(
         template.template_id,
-        _assemble(template, values),
+        ReadyRequest(template.method, path, query, body, {}),
         values,
         template.defaults(),
         bindings,

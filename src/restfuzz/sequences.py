@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .grammar import CompiledGrammar, satisfiable_templates
+from .grammar import CompiledGrammar
 from .responses import ResponseClass
 
 DEFAULT_MAX_SEQUENCE_LENGTH = 10
@@ -60,13 +60,52 @@ def selection_weights(
         probs = [w / total for w in weights]
     return list(zip(seeds, weights, probs))
 
+
+class SeedPool(Sequence[SequenceTemplate]):
+    """Append-only seed list with a cached cumulative selection table.
+
+    The table (the cumulative sum of the :func:`selection_weights`
+    probabilities) is computed at the first draw after a change to the
+    pool, not on every draw; a draw picks the same seed as a draw over a
+    plain list of the same seeds.  The pool keeps every seed it is given,
+    duplicates too; deduplication is the caller's business.
+    """
+
+    def __init__(self, seeds: Iterable[SequenceTemplate] = ()):
+        self._seeds: list[SequenceTemplate] = list(seeds)
+        self._cumulative: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self._seeds)
+
+    def __getitem__(self, index):
+        return self._seeds[index]
+
+    def __iter__(self) -> Iterator[SequenceTemplate]:
+        return iter(self._seeds)
+
+    def append(self, seed: SequenceTemplate) -> None:
+        self._seeds.append(seed)
+        self._cumulative = None
+
+    def draw(self, rng: np.random.Generator) -> SequenceTemplate:
+        if self._cumulative is None:
+            self._cumulative = np.cumsum(
+                [prob for _, _, prob in selection_weights(self._seeds)]
+            )
+        draw = rng.random()
+        index = int(self._cumulative.searchsorted(draw, side="right"))
+        return self._seeds[min(index, len(self._seeds) - 1)]
+
+
 def select_seed(seeds: Sequence[SequenceTemplate], rng: np.random.Generator) -> SequenceTemplate:
-    """Draw one seed according to :func:`selection_weights`."""
-    weighted = selection_weights(seeds)
-    cumulative = np.cumsum([prob for _, _, prob in weighted])
-    draw = rng.random()
-    index = int(np.searchsorted(cumulative, draw, side="right"))
-    return weighted[min(index, len(weighted) - 1)][0]
+    """Draw one seed according to :func:`selection_weights`.
+
+    A :class:`SeedPool` draws from its cached table; any other sequence
+    goes through a throwaway pool.
+    """
+    pool = seeds if isinstance(seeds, SeedPool) else SeedPool(seeds)
+    return pool.draw(rng)
 
 
 def produced_types(seq: SequenceTemplate, grammar: CompiledGrammar) -> frozenset[str]:
@@ -94,7 +133,7 @@ def extend(
     available = produced_types(seed, grammar)
     return [
         seed.extended_with(template_id)
-        for template_id in sorted(satisfiable_templates(grammar, available))
+        for template_id in grammar.satisfiable_ids(available)
     ]
 
 

@@ -17,6 +17,8 @@ import time
 from urllib.parse import urlencode
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restfuzz.client import HttpClient
 from restfuzz.rendering import ReadyRequest
@@ -157,13 +159,14 @@ class TestRequestBytes:
     @pytest.mark.parametrize("auth_token", [None, "s3cret"])
     @pytest.mark.parametrize("request_", [
         ReadyRequest("GET", "/groups", query={"per_page": "5", "search": "a b&c"}),
+        ReadyRequest("GET", "/groups", query={"sort": "name_asc", "v": "1.2~x-y", "q": ""}),
         ReadyRequest("POST", "/groups", body={"name": "dev-team", "path": "eng"}),
         ReadyRequest("POST", "/groups"),
         ReadyRequest("PUT", "/groups/1"),
         ReadyRequest("DELETE", "/groups/1"),
         ReadyRequest("GET", "/groups/1", headers={"X-Trace": "7", "Accept": "*/*"}),
         ReadyRequest("GET", "/groups/1", headers={"Authorization": "Basic eA=="}),
-    ], ids=["get-query", "post-body", "post-empty", "put-empty", "delete",
+    ], ids=["get-query", "get-plain-query", "post-body", "post-empty", "put-empty", "delete",
             "extra-headers", "own-authorization"])
     def test_equal_to_http_client(self, target, request_, auth_token):
         target.script = [reply(ok()), reply(ok())]
@@ -185,6 +188,25 @@ class TestRequestBytes:
         assert client.send(ReadyRequest("GET", "/ok")).body == "[]"
         assert len(target.requests) == 1
         assert target.requests[0].startswith(b"GET /ok ")
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(query=st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=4))
+    def test_query_encodes_as_urlencode(self, query):
+        client = HttpClient("http://127.0.0.1:9")
+        try:
+            head = client._encode(ReadyRequest("GET", "/g", query=query))
+        except ValueError:
+            return  # an unsendable target; the cases above cover those
+        request_line = head.split(b"\r\n", 1)[0].decode("latin-1")
+        expected = "/g" + (f"?{urlencode(query)}" if query else "")
+        assert request_line == f"GET {expected} HTTP/1.1"
+
+    def test_auth_token_with_crlf_is_transport_with_nothing_sent(self, target):
+        target.script = [reply(ok(b"[]"))]
+        with HttpClient(target.url, timeout=TIMEOUT, auth_token="x\r\nX-Injected: 1") as client:
+            assert client.send(ReadyRequest("GET", "/groups")).klass is ResponseClass.TRANSPORT
+        assert target.requests == []
 
 
 class TestBodyFraming:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restfuzz.collection import CollectionStore, ParamValuePair
+from restfuzz.grammar import parse_spec
+from restfuzz.mock_service import mock_grammar_bytes
 from restfuzz.responses import ResponseClass
 
 
@@ -71,7 +75,7 @@ class TestAdmitSequence:
             [POST, GET_ID], [ResponseClass.PASS_2XX, ResponseClass.REJECT_4XX]
         )
         assert not admitted
-        assert store.seed_templates() == []
+        assert list(store.seed_templates()) == []
 
     def test_error_response_still_admits(self, store):
         assert store.admit_sequence([POST], [ResponseClass.ERROR_5XX])
@@ -173,3 +177,73 @@ class TestPersistence:
         pair_line = next(line for line in lines if line["kind"] == "pair")
         assert pair_line["param"] == "with_projects"
         assert pair_line["iteration"] == 3
+
+
+MOCK_GRAMMAR = parse_spec(mock_grammar_bytes())
+MOCK_IDS = sorted(MOCK_GRAMMAR.templates)
+
+_record = st.tuples(
+    st.just("record"),
+    st.sampled_from(MOCK_IDS),
+    st.lists(st.integers(0, 3), min_size=8, max_size=8),
+    st.sampled_from(list(ResponseClass)),
+)
+_admit = st.tuples(
+    st.just("admit"),
+    st.lists(st.tuples(st.sampled_from(MOCK_IDS), st.sampled_from(list(ResponseClass))),
+             max_size=4),
+)
+
+
+def _unique(pairs):
+    return list(dict.fromkeys(pairs))
+
+
+class TestIndexesMatchScans:
+    """Random record/admit sequences: every index equals a scan of the log."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(st.one_of(_record, _admit), max_size=60))
+    def test_indexes_equal_naive_scans(self, ops):
+        store = CollectionStore(MOCK_GRAMMAR)
+        admitted = []
+        for iteration, op in enumerate(ops, start=1):
+            store.iteration = iteration
+            if op[0] == "record":
+                _, template_id, picks, klass = op
+                template = MOCK_GRAMMAR.templates[template_id]
+                rendered = {
+                    spec.name: "7" if spec.is_consumer
+                    else spec.dictionary[picks[i % len(picks)] % len(spec.dictionary)]
+                    for i, spec in enumerate(template.params)
+                }
+                store.record_request_outcome(template_id, rendered, template.defaults(), klass)
+            else:
+                ids = [template_id for template_id, _ in op[1]]
+                classes = [klass for _, klass in op[1]]
+                if store.admit_sequence(ids, classes) and tuple(ids) not in admitted:
+                    admitted.append(tuple(ids))
+
+        observations = store.pair_observations()
+        events = store._events
+        assert [seed.template_ids for seed in store.seed_templates()] == admitted
+        for template_id in MOCK_IDS:
+            defined = MOCK_GRAMMAR.templates[template_id].param_names
+            assert store.undefined_pairs_for(template_id) == _unique(
+                obs.pair for obs in observations if obs.pair.param_name not in defined
+            )
+            assert store.recorded_pairs_for(template_id) == _unique(
+                obs.pair for obs in observations if obs.template_id == template_id
+            )
+            assert store.recorded_lists_for(template_id) == [
+                event.pairs for event in events if event.template_id == template_id
+            ]
+
+    def test_returned_lists_are_copies(self, store):
+        record_get(store, wp="false")
+        store.undefined_pairs_for(POST).clear()
+        store.recorded_pairs_for(GET_ID).clear()
+        store.recorded_lists_for(GET_ID).clear()
+        assert store.undefined_pairs_for(POST) == [ParamValuePair("with_projects", "false")]
+        assert store.recorded_pairs_for(GET_ID) == [ParamValuePair("with_projects", "false")]
+        assert len(store.recorded_lists_for(GET_ID)) == 1

@@ -15,6 +15,8 @@ from restfuzz.grammar import (
     serialize_spec,
 )
 
+from restfuzz.mock_service import mock_grammar_bytes
+
 from conftest import build_spec, groups_paths
 
 
@@ -88,6 +90,29 @@ class TestParseSpec:
         assert g.resource_types == frozenset({"group", "project"})
 
 
+class TestTemplateFacts:
+    def test_fields_derived_from_params(self, two_template_grammar):
+        get = two_template_grammar.templates["GET /groups/{id}"]
+        assert get.param_names == {"id", "with_custom_attributes", "with_projects"}
+        assert get.consumed_types == {"group"}
+        assert dict(get.defaults()) == {
+            "with_custom_attributes": "false", "with_projects": "true",
+        }
+        assert list(get.defaults()) == ["with_custom_attributes", "with_projects"]
+
+    def test_defaults_are_shared_and_read_only(self, two_template_grammar):
+        get = two_template_grammar.templates["GET /groups/{id}"]
+        assert get.defaults() is get.defaults()
+        with pytest.raises(TypeError):
+            get.defaults()["with_projects"] = "false"
+
+    def test_derived_fields_stay_out_of_equality(self, two_template_grammar):
+        get = two_template_grammar.templates["GET /groups/{id}"]
+        twin = parse_spec(build_spec(groups_paths())).templates["GET /groups/{id}"]
+        assert get == twin and hash(get) == hash(twin)
+        assert "consumed_types" not in repr(get)
+
+
 class TestSatisfiableTemplates:
     def test_no_resources_yields_only_independent_templates(self, two_template_grammar):
         assert satisfiable_templates(two_template_grammar, set()) == ["POST /groups"]
@@ -113,6 +138,14 @@ class TestSatisfiableTemplates:
                 assert template.consumed_types <= available
             else:
                 assert not template.consumed_types <= available
+
+    @given(available=st.frozensets(st.sampled_from(["group", "project", "user"])))
+    @settings(max_examples=30, deadline=None)
+    def test_satisfiable_ids_are_the_sorted_scan(self, available):
+        g = parse_spec(mock_grammar_bytes())
+        ids = g.satisfiable_ids(available)
+        assert ids == tuple(sorted(satisfiable_templates(g, available)))
+        assert g.satisfiable_ids(frozenset(available)) is ids  # computed once
 
     @given(
         a=st.frozensets(st.sampled_from(["group", "project", "user"]), max_size=3),

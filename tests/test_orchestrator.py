@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from restfuzz import model
+from restfuzz import grammar as grammar_module
+from restfuzz import model, sequences
 from restfuzz import orchestrator as orch
 from restfuzz.client import HttpClient, TargetUnreachable
 from restfuzz.grammar import parse_spec
@@ -111,11 +112,33 @@ class TestFuzzLoop:
         on_disk = json.loads((tmp_path / "run" / "metrics.json").read_text())
         assert on_disk["train_rounds_failed"] == metrics.train_rounds_failed
         failures = [r for r in caplog.records if r.getMessage().endswith(" failed")]
-        # No round completes, so every attempt is the one to publish round 1.
-        assert [r.getMessage() for r in failures] == (
-            ["training round round=1 failed"] * metrics.train_rounds_failed
-        )
+        # Every attempt carries its own number, failed ones too.
+        assert [r.getMessage() for r in failures] == [
+            f"training round round={attempt} failed"
+            for attempt in range(1, metrics.train_rounds_failed + 1)
+        ]
         assert all(r.exc_info is not None for r in failures)
+
+    def test_a_failed_rounds_window_is_trained_on_by_the_next_round(
+        self, grammar, target, monkeypatch
+    ):
+        corpora = []
+        real = orch.Recommender.train_and_publish
+
+        def fails_once(self, corpus, label="", should_stop=None):
+            corpora.append(list(corpus))
+            if len(corpora) == 1:
+                raise RuntimeError("boom")
+            return real(self, corpus, label, should_stop)
+
+        monkeypatch.setattr(orch.Recommender, "train_and_publish", fails_once)
+        metrics = fuzz_loop(quick_config(target.base_url, requests=400), grammar)
+        assert metrics.train_rounds_failed == 1
+        assert len(corpora) >= 2
+        failed_window, next_window = corpora[0], corpora[1]
+        assert failed_window, "the failed round had events to train on"
+        assert next_window[: len(failed_window)] == failed_window
+        assert len(next_window) > len(failed_window)
 
     def test_a_round_stops_at_the_duration_budget(self, grammar, target, monkeypatch):
         calls = 0
@@ -245,6 +268,33 @@ class TestRequestStream:
     def test_stream_without_datadriven_checker(self, grammar, mode, uaf, monkeypatch):
         digest = stream_digest(grammar, monkeypatch, mode, uaf=uaf, datadriven=False)
         assert digest == DATADRIVEN_OFF_STREAMS[mode, uaf]
+
+
+class TestPerIterationWork:
+    def test_seq_only_run_computes_per_seed_change_not_per_request(
+        self, grammar, monkeypatch
+    ):
+        """Counts, not timings: what the loop recomputes while it runs."""
+        calls = {"table": 0, "admitted": 0, "frozenset": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sequences, "selection_weights",
+                            counted("table", sequences.selection_weights))
+        monkeypatch.setattr(sequences.SeedPool, "append",
+                            counted("admitted", sequences.SeedPool.append))
+        # Any frozenset grammar code builds, such as a template's consumed types.
+        monkeypatch.setattr(grammar_module, "frozenset",
+                            counted("frozenset", frozenset), raising=False)
+        digest = stream_digest(grammar, monkeypatch, "seq-only", uaf=True, datadriven=True)
+        assert digest == GOLDEN_STREAMS["seq-only"]
+        assert calls["admitted"] > 0
+        assert calls["table"] <= calls["admitted"]
+        assert calls["frozenset"] == 0
 
 
 class TestRequestBudget:

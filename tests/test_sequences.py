@@ -5,12 +5,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restfuzz.responses import ResponseClass
 from restfuzz.sequences import (
     EMPTY_SEQUENCE,
     EmptySeedSet,
     ExtensionResult,
+    SeedPool,
     SequenceTemplate,
     classify_extension,
     extend,
@@ -83,6 +86,50 @@ class TestSelectSeed:
             select_seed(seeds, np.random.default_rng(7)).length for _ in range(1)
         ]
         assert draws1 == draws2
+
+
+class TestSeedPool:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(st.integers(0, 10), st.just("draw")), min_size=1, max_size=40
+        ),
+        rng_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pool_draws_equal_list_draws(self, ops, rng_seed):
+        """Seeds admitted between draws: the cached table never goes stale."""
+        pool = SeedPool()
+        rng = np.random.default_rng(rng_seed)
+        for op in ops:
+            if op != "draw":
+                pool.append(SequenceTemplate(("POST /groups",) * op))
+                continue
+            if not pool:
+                continue
+            twin = np.random.default_rng()
+            twin.bit_generator.state = rng.bit_generator.state
+            assert select_seed(pool, rng) is select_seed(list(pool), twin)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_empty_pool_raises(self, rng):
+        with pytest.raises(EmptySeedSet):
+            select_seed(SeedPool(), rng)
+
+    def test_table_is_built_once_per_change(self, rng, monkeypatch):
+        from restfuzz import sequences
+
+        builds = []
+        real = sequences.selection_weights
+        monkeypatch.setattr(
+            sequences, "selection_weights", lambda seeds: builds.append(1) or real(seeds)
+        )
+        pool = SeedPool(seeds_of_lengths(1, 2))
+        for _ in range(5):
+            select_seed(pool, rng)
+        pool.append(SequenceTemplate(("POST /groups",) * 3))
+        for _ in range(5):
+            select_seed(pool, rng)
+        assert len(builds) == 2
 
 
 class TestExtend:
