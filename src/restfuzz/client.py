@@ -5,9 +5,12 @@ socket: one keep-alive connection to an ``http`` target, each request
 written with one ``sendall`` (the same bytes ``http.client`` would send),
 each reply parsed from a per-connection byte buffer.  Reply bodies are
 framed by ``Content-Length``, by chunked transfer coding or by the target
-closing the connection; 1xx interim replies are skipped.  The message-head
-reader (:func:`read_head`) and the keep-alive rule (:func:`closes_after`)
-are shared with the mock target, which parses requests the same way.
+closing the connection; 1xx interim replies are skipped.  A body over
+``_MAX_BODY`` bytes is refused: the reply becomes a transport outcome and
+the connection is dropped, so a runaway target cannot fill the fuzzer's
+memory.  The message-head reader (:func:`read_head`) and the keep-alive
+rule (:func:`closes_after`) are shared with the mock target, which parses
+requests the same way.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .rendering import ReadyRequest
 from .responses import ResponseRecord
 
 _MAX_HEAD = 64 * 1024  # longest message head (first line and fields) accepted
+_MAX_BODY = 16 * 1024 * 1024  # longest reply body accepted
 _RECV_SIZE = 64 * 1024
 _BODY_METHODS = frozenset({"POST", "PUT", "PATCH"})  # sent with Content-Length: 0 when bodiless
 _BAD_TARGET = re.compile(r"[^\x21-\x7e]")  # controls, space, DEL, non-ASCII
@@ -41,6 +45,10 @@ class FramingError(Exception):
 
 class HeadTooLarge(FramingError):
     """A message head, or a line of a chunked body, runs past 64 KiB."""
+
+
+class BodyTooLarge(FramingError):
+    """A reply body runs past ``_MAX_BODY`` bytes."""
 
 
 def read_head(buf: bytearray, recv: Callable[[], bool]) -> tuple[bytes, dict[bytes, bytes]]:
@@ -221,11 +229,13 @@ class HttpClient:
         elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
             body = self._read_chunked()
         elif (length := _content_length(fields)) is not None:
+            _check_body_size(length)  # refused before any of it is read
             self._fill(length)
             body = self._take(length)
         else:
+            _check_body_size(len(self._buf))
             while self._recv():
-                pass
+                _check_body_size(len(self._buf))
             body = self._take(len(self._buf))
             close = True
         if close or self._buf:
@@ -244,6 +254,7 @@ class HttpClient:
                 raise FramingError(f"bad chunk size line {line[:80]!r}")
             if size == 0:
                 break
+            _check_body_size(len(body) + size)
             self._fill(size + 2)  # the chunk and its CRLF
             body += self._take(size + 2)[:size]
         while self._line().strip():  # trailer fields, up to the blank line
@@ -267,6 +278,11 @@ class HttpClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _check_body_size(size: int) -> None:
+    if size > _MAX_BODY:
+        raise BodyTooLarge(f"body over {_MAX_BODY} bytes")
 
 
 def _content_length(fields: dict[bytes, bytes]) -> int | None:

@@ -10,7 +10,9 @@ outcomes are never recorded.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import IO, Mapping, Sequence
 
 from .grammar import CompiledGrammar
@@ -51,7 +53,7 @@ class CollectionStore:
     def __init__(self, grammar: CompiledGrammar, persist: IO[str] | None = None):
         self._grammar = grammar
         self._persist = persist
-        self.iteration = 0
+        self.iteration = 0  # set by the fuzz loop; never decreases
         # Insertion-ordered; one entry per distinct observation.
         self._pairs: dict[tuple[str, ParamValuePair, ResponseClass], PairObservation] = {}
         self._events: list[_RequestEvent] = []
@@ -147,12 +149,14 @@ class CollectionStore:
         """Pair lists of 2xx requests observed after iteration ``since``.
 
         5xx observations are excluded: too rare to train on, though the
-        checker still uses them.
+        checker still uses them.  Event iterations never decrease, so the
+        window starts at a bisection, not a scan of the whole log.
         """
+        first = bisect_right(self._events, since, key=attrgetter("iteration"))
         return [
             (event.template_id, list(event.pairs))
-            for event in self._events
-            if event.response_class is ResponseClass.PASS_2XX and event.iteration > since
+            for event in self._events[first:]
+            if event.response_class is ResponseClass.PASS_2XX
         ]
 
     def undefined_pairs_for(self, template_id: str) -> list[ParamValuePair]:

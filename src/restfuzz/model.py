@@ -10,6 +10,9 @@ learned alignment matrix (multiplicative attention); the context vector
 and that state feed the output projection together.  Every position of a
 batch is handled in one pass: one causal-masked (B, T, T) score matrix,
 forward and backward, with a Python loop only over the GRU recurrence.
+Both the GRU and the attention are causal, so a batch of mixed lengths can
+be padded at the end: padding never reaches an earlier position, and a
+prediction weight of 0 keeps it out of the loss and the gradients.
 
 Everything here is pure math over token-id sequences; vocabulary handling
 and training schedules live in :mod:`restfuzz.recommender`.
@@ -194,10 +197,19 @@ def predict(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def batch_loss_and_grads(
-    params: ModelParams, tokens: np.ndarray
+    params: ModelParams,
+    tokens: np.ndarray,
+    weights: np.ndarray | None = None,
+    cross_entropy: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray], int]:
-    """Summed next-token cross-entropy over a same-length batch (B, T),
-    its analytic gradients and the number of predictions."""
+    """Next-token cross-entropy over a (B, T) batch, summed, its analytic
+    gradients and the number of predictions.
+
+    ``weights`` (B, T-1) scales each prediction's cross-entropy; a weight
+    of 0 marks padding, which is then not counted as a prediction.  When
+    given, ``cross_entropy`` (B, T-1) receives each prediction's unweighted
+    cross-entropy.
+    """
     tokens = np.asarray(tokens, dtype=np.intp)
     if tokens.ndim != 2 or tokens.shape[1] < 2:
         raise ValueError("need a (batch, length>=2) token array")
@@ -210,7 +222,12 @@ def batch_loss_and_grads(
     xs = params.emb[inputs]
     hs, zrs, cs = _run_gru(params, xs)
     alpha, concat, probs = _heads(params, hs)
-    loss = -float(np.sum(np.log(probs[picked] + 1e-300)))
+    if weights is None:
+        weights = np.ones((batch, steps))  # multiplying by 1.0 changes no bits
+    log_probs = np.log(probs[picked] + 1e-300)
+    if cross_entropy is not None:
+        np.negative(log_probs, out=cross_entropy)
+    loss = -float(np.sum(weights * log_probs))
 
     def flat(a: np.ndarray) -> np.ndarray:
         return a.reshape(-1, a.shape[-1])
@@ -218,6 +235,7 @@ def batch_loss_and_grads(
     grads = {}
     d_logits = probs.copy()
     d_logits[picked] -= 1.0
+    d_logits *= weights[..., None]
     grads["w_out"] = flat(concat).T @ flat(d_logits)
     grads["b_out"] = flat(d_logits).sum(axis=0)
     d_concat = d_logits @ params.w_out.T
@@ -264,4 +282,4 @@ def batch_loss_and_grads(
     grads["emb"] = np.zeros_like(params.emb)
     np.add.at(grads["emb"], inputs.ravel(), flat(d_gates) @ params.w_x.T)
 
-    return loss, grads, batch * steps
+    return loss, grads, int(np.count_nonzero(weights))

@@ -142,28 +142,43 @@ class TrainResult:
     n_val: int
 
 
-def _length_batches(examples: list[list[int]], order: np.ndarray, batch_size: int):
-    """Yield same-length (B, T) arrays covering ``order`` in batches."""
-    for start in range(0, len(order), batch_size):
-        chunk = [examples[i] for i in order[start : start + batch_size]]
-        by_length: dict[int, list[list[int]]] = {}
-        for example in chunk:
-            by_length.setdefault(len(example), []).append(example)
-        for group in by_length.values():
-            yield np.asarray(group, dtype=np.intp)
+def _pad(examples: Sequence[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Examples as one (N, T) array padded with the terminator, and their lengths."""
+    lengths = np.array([len(example) for example in examples], dtype=np.intp)
+    tokens = np.full((len(examples), int(lengths.max())), TERMINATOR_ID, dtype=np.intp)
+    for row, example in zip(tokens, examples):
+        row[: len(example)] = example
+    return tokens, lengths
+
+
+def _length_weights(lengths: np.ndarray) -> np.ndarray:
+    """Per-prediction weights (B, T-1) for a padded batch of these lengths.
+
+    Each prediction weighs ``n_batch / n_group``, where ``n_group`` counts
+    the predictions of its example's length in the batch; padding weighs 0.
+    A step of ``lr / n_batch`` on the weighted gradient is then the sum of
+    one ``lr / n_group`` step per length, all taken at the same parameters.
+    With one length in the batch every weight is exactly 1.
+    """
+    predictions = lengths - 1
+    n_batch = int(predictions.sum())
+    distinct, inverse, counts = np.unique(
+        predictions, return_inverse=True, return_counts=True
+    )
+    row_weights = n_batch / (distinct * counts)[inverse]
+    valid = np.arange(int(predictions.max())) < predictions[:, None]
+    return np.where(valid, row_weights[:, None], 0.0)
 
 
 def _accuracy(params: model.ModelParams, examples: list[list[int]]) -> float | None:
-    """Top-1 next-token accuracy over every position, one pass per length."""
+    """Top-1 next-token accuracy over every position, one padded pass."""
     if not examples:
         return None
-    hits = 0
-    total = 0
-    for tokens in _length_batches(examples, np.arange(len(examples)), len(examples)):
-        predicted = model.predict(params, tokens[:, :-1])
-        hits += int(np.count_nonzero(predicted == tokens[:, 1:]))
-        total += predicted.size
-    return hits / total
+    tokens, lengths = _pad(examples)
+    predicted = model.predict(params, tokens[:, :-1])
+    valid = np.arange(predicted.shape[1]) < (lengths - 1)[:, None]
+    hits = np.count_nonzero((predicted == tokens[:, 1:]) & valid)
+    return int(hits) / int(np.count_nonzero(valid))
 
 
 def train(
@@ -175,8 +190,10 @@ def train(
 ) -> TrainResult:
     """Train fresh weights on the corpus; returns weights plus statistics.
 
-    Mini-batch gradient descent on next-token cross-entropy, with the
-    validation accuracy measured after every epoch and logged at INFO.
+    Mini-batch gradient descent on next-token cross-entropy: one padded,
+    length-weighted kernel call per minibatch (see :func:`_length_weights`).
+    The validation accuracy is measured after every epoch and logged at INFO
+    with the epoch's mean cross-entropy per prediction.
     Every call re-initializes from scratch: no weight reuse between rounds.
     ``should_stop`` is asked before each epoch; once it answers true the
     round raises :class:`RoundCut`.
@@ -203,6 +220,7 @@ def train(
     )
     epoch_losses: list[float] = []
     val_accuracy: float | None = None
+    padded, lengths = _pad(train_set)
     for epoch in range(config.epochs):
         if should_stop is not None and should_stop():
             logger.warning("%s cut before epoch=%d of %d", label or "train",
@@ -211,10 +229,16 @@ def train(
         order = rng.permutation(len(train_set))
         total_loss = 0.0
         total_predictions = 0
-        for tokens in _length_batches(train_set, order, config.batch_size):
-            loss, grads, n_predictions = model.batch_loss_and_grads(params, tokens)
+        for start in range(0, len(order), config.batch_size):
+            rows = order[start : start + config.batch_size]
+            weights = _length_weights(lengths[rows])
+            tokens = padded[rows, : weights.shape[1] + 1]
+            cross_entropy = np.empty(weights.shape)
+            _, grads, n_predictions = model.batch_loss_and_grads(
+                params, tokens, weights, cross_entropy
+            )
             model.apply_gradients(params, grads, config.learning_rate / n_predictions)
-            total_loss += loss
+            total_loss += float(np.sum(cross_entropy[weights > 0]))
             total_predictions += n_predictions
         mean_loss = total_loss / max(total_predictions, 1)
         epoch_losses.append(mean_loss)
@@ -255,7 +279,9 @@ def generate_lists(
     name_token = vocab.name_token(template_id)
     if name_token is None:
         raise UnknownTemplate(template_id)
-    own_pairs = vocab.pair_tokens_for(template_id)
+    own_pairs = [
+        (token, vocab.pair_at(token)) for token in vocab.pair_tokens_for(template_id)
+    ]
 
     results: list[ParamValueList] = []
     seen: set[tuple[ParamValuePair, ...]] = set()
@@ -265,9 +291,7 @@ def generate_lists(
         used_params: set[str] = set()
         while len(pairs) < max_len:
             allowed = [TERMINATOR_ID] + [
-                token
-                for token in own_pairs
-                if vocab.pair_at(token).param_name not in used_params
+                token for token, pair in own_pairs if pair.param_name not in used_params
             ]
             probs = model.forward(params, prefix)
             masked = probs[allowed]

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restfuzz import client as client_module
 from restfuzz.client import HttpClient
 from restfuzz.rendering import ReadyRequest
 from restfuzz.responses import ResponseClass
@@ -319,4 +320,44 @@ class TestFaults:
         record = client.send(ReadyRequest("GET", "/a"))
         assert record.klass is ResponseClass.TRANSPORT
         assert "64 KiB" in record.body
+        assert client.send(ReadyRequest("GET", "/b")).body == "[]"
+
+
+class TestBodyCap:
+    def test_content_length_over_the_cap_is_refused_without_reading(self, target, client):
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (client_module._MAX_BODY + 1)
+        target.script = [reply(head + b"partial"), reply(ok(b"[]"))]
+        started = time.perf_counter()
+        record = client.send(ReadyRequest("GET", "/a"))
+        assert time.perf_counter() - started < TIMEOUT  # no wait for the body
+        assert record.klass is ResponseClass.TRANSPORT
+        assert record.body == f"read failed: body over {client_module._MAX_BODY} bytes"
+        assert client.send(ReadyRequest("GET", "/b")).body == "[]"
+        assert target.connections == 2
+
+    @pytest.mark.parametrize("data, close", [
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"300\r\n" + b"a" * 768 + b"\r\n300\r\n" + b"b" * 768 + b"\r\n0\r\n\r\n", False),
+        (b"HTTP/1.1 200 OK\r\n\r\n" + b"c" * 1025, True),
+    ], ids=["chunked", "read-to-close"])
+    def test_body_growing_past_the_cap_is_transport(self, target, client, monkeypatch, data, close):
+        monkeypatch.setattr(client_module, "_MAX_BODY", 1024)
+        target.script = [reply(data, close=close), reply(ok(b"[]"))]
+        record = client.send(ReadyRequest("GET", "/a"))
+        assert (record.status, record.klass) == (None, ResponseClass.TRANSPORT)
+        assert record.body == "read failed: body over 1024 bytes"
+        assert client.send(ReadyRequest("GET", "/b")).body == "[]"
+        assert target.connections == 2
+
+    @pytest.mark.parametrize("data, close", [
+        (ok(b"d" * 1024), False),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"200\r\n" + b"e" * 512 + b"\r\n200\r\n" + b"e" * 512 + b"\r\n0\r\n\r\n", False),
+        (b"HTTP/1.1 200 OK\r\n\r\n" + b"f" * 1024, True),
+    ], ids=["content-length", "chunked", "read-to-close"])
+    def test_body_at_the_cap_is_read_whole(self, target, client, monkeypatch, data, close):
+        monkeypatch.setattr(client_module, "_MAX_BODY", 1024)
+        target.script = [reply(data, close=close), reply(ok(b"[]"))]
+        record = client.send(ReadyRequest("GET", "/a"))
+        assert (record.status, len(record.body)) == (200, 1024)
         assert client.send(ReadyRequest("GET", "/b")).body == "[]"

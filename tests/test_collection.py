@@ -247,3 +247,31 @@ class TestIndexesMatchScans:
         assert store.undefined_pairs_for(POST) == [ParamValuePair("with_projects", "false")]
         assert store.recorded_pairs_for(GET_ID) == [ParamValuePair("with_projects", "false")]
         assert len(store.recorded_lists_for(GET_ID)) == 1
+
+
+class TestTrainingCorpusMatchesScan:
+    """Random records at non-decreasing iterations: the bisected window
+    equals a scan of the whole event log, in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=st.lists(st.tuples(st.integers(0, 2), _record), max_size=60),
+        sinces=st.lists(st.integers(-2, 70), min_size=1, max_size=5),
+    )
+    def test_equals_naive_scan(self, records, sinces):
+        store = CollectionStore(MOCK_GRAMMAR)
+        for step, (_, template_id, picks, klass) in records:
+            store.iteration += step
+            template = MOCK_GRAMMAR.templates[template_id]
+            rendered = {
+                spec.name: "7" if spec.is_consumer
+                else spec.dictionary[picks[i % len(picks)] % len(spec.dictionary)]
+                for i, spec in enumerate(template.params)
+            }
+            store.record_request_outcome(template_id, rendered, template.defaults(), klass)
+        for since in sinces + [-1, store.iteration]:
+            assert store.training_corpus(since) == [
+                (event.template_id, list(event.pairs))
+                for event in store._events
+                if event.response_class is ResponseClass.PASS_2XX and event.iteration > since
+            ]

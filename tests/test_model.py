@@ -10,7 +10,7 @@ def tiny_params(rng, vocab=6, dim=4, hidden=5, scale=0.3):
     return model.init_params(vocab, dim, hidden, rng, scale=scale)
 
 
-def numeric_gradient(params, tokens, block_name, eps=1e-5):
+def numeric_gradient(params, tokens, block_name, eps=1e-5, weights=None):
     """Central finite differences of the batch loss, one entry at a time."""
     block = getattr(params, block_name)
     numeric = np.zeros_like(block)
@@ -19,9 +19,9 @@ def numeric_gradient(params, tokens, block_name, eps=1e-5):
         index = iterator.multi_index
         original = block[index]
         block[index] = original + eps
-        loss_plus = model.batch_loss_and_grads(params, tokens)[0]
+        loss_plus = model.batch_loss_and_grads(params, tokens, weights)[0]
         block[index] = original - eps
-        loss_minus = model.batch_loss_and_grads(params, tokens)[0]
+        loss_minus = model.batch_loss_and_grads(params, tokens, weights)[0]
         block[index] = original
         numeric[index] = (loss_plus - loss_minus) / (2 * eps)
     return numeric
@@ -96,6 +96,78 @@ class TestGradients:
             np.testing.assert_allclose(
                 grads_ab[name], grads_a[name] + grads_b[name], atol=1e-12
             )
+
+
+def padded_batch(rng, lengths, vocab=6):
+    """Random rows of the given lengths, padded with token 0, and the
+    0/1 weights that keep the padding out of the loss."""
+    tokens = np.zeros((len(lengths), max(lengths)), dtype=np.intp)
+    for row, length in zip(tokens, lengths):
+        row[:length] = rng.integers(0, vocab, size=length)
+    valid = np.arange(max(lengths) - 1) < np.array(lengths)[:, None] - 1
+    return tokens, valid.astype(float)
+
+
+class TestWeightedBatch:
+    def test_padded_weighted_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(7)
+        for trial in range(5):
+            params = tiny_params(rng)
+            tokens, mask = padded_batch(rng, [2, 5, 3])
+            weights = mask * rng.uniform(0.2, 3.0, size=mask.shape)
+            _, grads, n = model.batch_loss_and_grads(params, tokens, weights)
+            assert n == 1 + 4 + 2
+            for name in model.GRAD_BLOCKS:
+                numeric = numeric_gradient(params, tokens, name, weights=weights)
+                scale = max(np.abs(grads[name]).max(), np.abs(numeric).max(), 1e-8)
+                worst = np.abs(grads[name] - numeric).max() / scale
+                assert worst < 1e-4, f"trial {trial}, block {name}: {worst:.2e}"
+
+    def test_weights_of_ones_give_the_same_bits_as_none(self, rng):
+        params = tiny_params(rng)
+        tokens = rng.integers(0, 6, size=(4, 5))
+        loss, grads, n = model.batch_loss_and_grads(params, tokens)
+        loss_w, grads_w, n_w = model.batch_loss_and_grads(params, tokens, np.ones((4, 4)))
+        assert (loss_w, n_w) == (loss, n)
+        for name in model.GRAD_BLOCKS:
+            np.testing.assert_array_equal(grads_w[name], grads[name])
+
+    def test_zero_weight_padding_changes_nothing(self, rng):
+        # padding, a fully padded row and the padding's token values are
+        # all invisible: the result is the sum over the unpadded rows
+        params = tiny_params(rng)
+        lengths = [2, 5, 3, 5]
+        tokens, weights = padded_batch(rng, lengths)
+        loss, grads, n = model.batch_loss_and_grads(params, tokens, weights)
+        assert n == sum(length - 1 for length in lengths)
+        rows = [model.batch_loss_and_grads(params, row[None, :length])
+                for row, length in zip(tokens, lengths)]
+        assert loss == pytest.approx(sum(row[0] for row in rows), rel=1e-12)
+        for name in model.GRAD_BLOCKS:
+            np.testing.assert_allclose(
+                grads[name], sum(row[1][name] for row in rows), rtol=0, atol=1e-13
+            )
+
+        garbled = tokens.copy()
+        garbled[:, 1:][weights == 0] = 5
+        extra = np.vstack([garbled, rng.integers(0, 6, size=(1, 5))])
+        extra_weights = np.vstack([weights, np.zeros((1, 4))])
+        loss_x, grads_x, n_x = model.batch_loss_and_grads(params, extra, extra_weights)
+        assert n_x == n
+        assert loss_x == pytest.approx(loss, rel=1e-12)
+        for name in model.GRAD_BLOCKS:
+            np.testing.assert_allclose(grads_x[name], grads[name], rtol=0, atol=1e-13)
+
+    def test_cross_entropy_receives_each_unweighted_prediction(self, rng):
+        params = tiny_params(rng)
+        tokens, weights = padded_batch(rng, [3, 5])
+        cross_entropy = np.empty(weights.shape)
+        loss, _, _ = model.batch_loss_and_grads(params, tokens, 2.0 * weights, cross_entropy)
+        for b, row in enumerate(tokens):
+            for t in range(4):
+                expected = -np.log(model.forward(params, row[: t + 1])[row[t + 1]])
+                assert cross_entropy[b, t] == pytest.approx(expected, rel=1e-12)
+        assert loss == pytest.approx(2.0 * np.sum(cross_entropy * weights), rel=1e-12)
 
 
 class TestTrainingDynamics:

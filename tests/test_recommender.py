@@ -27,6 +27,16 @@ from conftest import build_spec, groups_paths
 GET_ID = "GET /groups/{id}"
 
 
+def mixed_corpus(n_examples):
+    """Four templates, 1-5 pairs per example: lengths 3-7 mix in every minibatch."""
+    return [
+        (f"GET /mixed{i % 4}",
+         [ParamValuePair(f"p{i % 4}_{j}", f"v{(i + j) % 3}")
+          for j in range(1 + (7 * i) % 5)])
+        for i in range(n_examples)
+    ]
+
+
 def chain_corpus(n_examples=2000, n_templates=5, chain_len=4):
     """Each template always uses the same fixed chain of pairs."""
     corpus = []
@@ -113,24 +123,68 @@ class TestTrain:
 
     def test_reproduces_pinned_losses_on_mixed_lengths(self):
         # lengths 3-7 mix in every minibatch; the pinned values change with
-        # the model's math or the order training draws from the rng
-        corpus = [
-            (f"GET /mixed{i % 4}",
-             [ParamValuePair(f"p{i % 4}_{j}", f"v{(i + j) % 3}")
-              for j in range(1 + (7 * i) % 5)])
-            for i in range(240)
-        ]
+        # the model's math, the length weighting or the order training
+        # draws from the rng
         result = train(
-            corpus, ModelConfig(epochs=4, max_examples=None),
+            mixed_corpus(240), ModelConfig(epochs=4, max_examples=None),
             np.random.default_rng(11),
         )
         np.testing.assert_allclose(
             result.epoch_losses,
-            [3.7993211678397976, 3.6016357021358893,
-             3.6142086109384897, 3.5788662513490057],
+            [3.8347839845434026, 3.5950655536159966,
+             3.6090192762805975, 3.58009901458687],
             rtol=1e-9, atol=0,
         )
         assert result.val_accuracy == pytest.approx(0.25668449197860965, rel=1e-9)
+
+    def test_same_length_corpus_reproduces_pinned_values(self):
+        # every example has 6 tokens, so every prediction weighs exactly 1
+        # and training matches the per-length kernel calls it replaced
+        result = train(chain_corpus(100), ModelConfig(epochs=3), np.random.default_rng(5))
+        np.testing.assert_allclose(
+            result.epoch_losses,
+            [3.2438055909061756, 3.1904561653373196, 3.141385264695555],
+            rtol=1e-9, atol=0,
+        )
+        assert result.val_accuracy == 0.2
+        np.testing.assert_allclose(
+            [np.abs(getattr(result.params, name)).sum() for name in model.GRAD_BLOCKS],
+            [18.422372254434073, 79.18018295664447, 1.6007967516289898,
+             102.92171627883299, 52.104455009489556, 51.8511195295567,
+             75.48449538680184, 1.9801330425294552],
+            rtol=1e-9, atol=0,
+        )
+
+    def test_one_kernel_call_per_minibatch_per_epoch(self, monkeypatch):
+        calls = []
+        real = model.batch_loss_and_grads
+
+        def counted(params, tokens, *args):
+            calls.append(tokens.shape)
+            return real(params, tokens, *args)
+
+        monkeypatch.setattr(model, "batch_loss_and_grads", counted)
+        result = train(
+            mixed_corpus(100), ModelConfig(epochs=3, batch_size=32),
+            np.random.default_rng(2),
+        )
+        assert result.n_train == 80
+        assert [batch for batch, _ in calls] == [32, 32, 16] * 3
+
+    def test_logged_loss_is_the_mean_cross_entropy_per_prediction(self):
+        # with a zero learning rate the weights stay at their initial values,
+        # so the epoch's logged loss is the training set's plain mean
+        corpus = mixed_corpus(60)
+        config = ModelConfig(epochs=1, learning_rate=0.0, max_examples=None)
+        result = train(corpus, config, np.random.default_rng(4))
+        examples = [result.vocab.encode(t, pairs) for t, pairs in corpus]
+        train_set, _ = split_corpus(examples, np.random.default_rng(4), config.train_ratio)
+        losses = [
+            -np.log(model.forward(result.params, example[: t + 1])[example[t + 1]])
+            for example in train_set
+            for t in range(len(example) - 1)
+        ]
+        assert result.epoch_losses[0] == pytest.approx(np.mean(losses), rel=1e-12)
 
     def test_max_examples_window_keeps_most_recent(self, rng):
         corpus = chain_corpus(100, n_templates=2) + [
