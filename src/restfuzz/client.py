@@ -5,11 +5,15 @@ socket: one keep-alive connection to an ``http`` target, each request
 written with one ``sendall`` (the same bytes ``http.client`` would send),
 each reply parsed from a per-connection byte buffer.  Reply bodies are
 framed by ``Content-Length``, by chunked transfer coding or by the target
-closing the connection; 1xx interim replies are skipped.  A body over
-``_MAX_BODY`` bytes is refused: the reply becomes a transport outcome and
-the connection is dropped, so a runaway target cannot fill the fuzzer's
-memory.  The message-head reader (:func:`read_head`) and the keep-alive
-rule (:func:`closes_after`) are shared with the mock target, which parses
+closing the connection; 1xx interim replies are skipped.  The common
+reply, a whole ``Content-Length`` reply that arrives in one ``recv``, is
+parsed in one straight pass; any other is read by the general reader from
+the same bytes, with the same outcome.  A body over ``_MAX_BODY`` bytes is
+refused: the reply becomes a transport outcome and the connection is
+dropped, so a runaway target cannot fill the fuzzer's memory.  The
+message-head readers (:func:`split_head` for a whole CRLF head,
+:func:`read_head` for any other) and the keep-alive rule
+(:func:`closes_after`) are shared with the mock target, which parses
 requests the same way.
 """
 
@@ -20,10 +24,11 @@ import re
 import socket
 import time
 from collections.abc import Callable
+from json.encoder import encode_basestring_ascii as _json_string
 from urllib.parse import urlencode, urlsplit
 
 from .rendering import ReadyRequest
-from .responses import ResponseRecord
+from .responses import ResponseRecord, classify_status
 
 _MAX_HEAD = 64 * 1024  # longest message head (first line and fields) accepted
 _MAX_BODY = 16 * 1024 * 1024  # longest reply body accepted
@@ -32,7 +37,7 @@ _BODY_METHODS = frozenset({"POST", "PUT", "PATCH"})  # sent with Content-Length:
 _BAD_TARGET = re.compile(r"[^\x21-\x7e]")  # controls, space, DEL, non-ASCII
 _CR_OR_LF = re.compile(r"[\r\n]")
 _UNRESERVED = re.compile(r"[A-Za-z0-9_.~-]*")  # what urlencode leaves unquoted
-_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_BLANK_LINE = re.compile(rb"\n\r?\n")  # ends a head, with the \r before it if any
 
 
 class TargetUnreachable(Exception):
@@ -58,18 +63,42 @@ def read_head(buf: bytearray, recv: Callable[[], bool]) -> tuple[bytes, dict[byt
     appends the peer's next bytes to ``buf`` and returns False at end of
     stream.
     """
-    while (end := _HEAD_END.search(buf)) is None and len(buf) <= _MAX_HEAD:
+    while (blank := _BLANK_LINE.search(buf)) is None and len(buf) <= _MAX_HEAD:
         if not recv():
             raise FramingError("connection closed before the head ended")
-    if end is None or end.end() > _MAX_HEAD:
+    if blank is None or blank.end() > _MAX_HEAD:
         raise HeadTooLarge("head over 64 KiB")
-    first, *lines = bytes(buf[: end.start()]).split(b"\n")
-    del buf[: end.end()]
+    start, end = blank.span()
+    if start and buf[start - 1] == 13:  # the CR of the last line's CRLF
+        start -= 1
+    first, *lines = bytes(buf[:start]).split(b"\n")
+    del buf[:end]
     fields = {}
     for line in lines:
         name, _, value = line.partition(b":")
         fields[name.strip().lower()] = value.strip()
     return first, fields
+
+
+def split_head(data: bytes) -> tuple[bytes, dict[bytes, bytes], int] | None:
+    """A whole head at the front of ``data``: its first line, fields and length.
+
+    The common case in one pass: every line ends in CRLF and the head fits
+    in 64 KiB.  The fields are those :func:`read_head` would give, and the
+    first line lacks only its CR.  None for any other bytes, which
+    ``read_head`` reads.
+    """
+    end = data.find(b"\r\n\r\n")
+    if not 0 < end <= _MAX_HEAD - 4:
+        return None
+    first, *lines = data[:end].split(b"\r\n")
+    if data.count(b"\n", 0, end) != len(lines):  # a line ended by a bare LF
+        return None
+    fields = {}
+    for line in lines:
+        name, _, value = line.partition(b":")
+        fields[name.strip().lower()] = value.strip()
+    return first, fields, end + 4
 
 
 def closes_after(version: bytes, fields: dict[bytes, bytes]) -> bool:
@@ -140,48 +169,47 @@ class HttpClient:
             self._drop()
             return ResponseRecord.transport(f"read failed: {exc}")
         latency = time.perf_counter() - started
-        return ResponseRecord.from_status(
-            status, payload.decode("utf-8", errors="replace"), latency
-        )
+        return ResponseRecord(status, classify_status(status),
+                              payload.decode("utf-8", errors="replace"), latency)
 
     def _encode(self, request: ReadyRequest) -> bytes:
         """Head and body in one buffer, as ``http.client`` writes them."""
+        method = request.method
         target = request.path or "/"
         query = request.query
         if query:
             if _UNRESERVED.fullmatch("".join(query) + "".join(query.values())):
                 # Nothing to quote: the bytes urlencode would give.
-                target += "?" + "&".join([f"{name}={value}" for name, value in query.items()])
+                target += "?" + "&".join(map("=".join, query.items()))
             else:
                 target += "?" + urlencode(query)
         if _BAD_TARGET.search(target):
             raise ValueError(f"invalid request target {target!r}")
-        body = json.dumps(request.body).encode() if request.body else b""
+        body = _json_body(request.body) if request.body else b""
 
-        lines = [f"{request.method} {target} HTTP/1.1", self._host_line,
-                 "Accept-Encoding: identity"]
-        if body or request.method in _BODY_METHODS:
-            lines.append(f"Content-Length: {len(body)}")
-        lines += self._header_lines(request.headers, body)
-        lines += ("", "")
-        return "\r\n".join(lines).encode("latin-1") + body
+        head = f"{method} {target} HTTP/1.1\r\n{self._host_line}\r\nAccept-Encoding: identity\r\n"
+        if body or method in _BODY_METHODS:
+            head += f"Content-Length: {len(body)}\r\n"
+        if request.headers or self._auth_token:
+            head += self._header_fields(request.headers, body)
+        elif body:
+            head += "Content-Type: application/json\r\n"
+        return (head + "\r\n").encode("latin-1") + body
 
-    def _header_lines(self, request_headers: dict[str, str], body: bytes) -> list[str]:
+    def _header_fields(self, request_headers: dict[str, str], body: bytes) -> str:
         """The request's headers, then ``Content-Type`` and ``Authorization``."""
-        if not request_headers and not self._auth_token:
-            return ["Content-Type: application/json"] if body else []
         headers = dict(request_headers)
         if body:
             headers["Content-Type"] = "application/json"
         if self._auth_token and "Authorization" not in headers:
             headers["Authorization"] = f"Bearer {self._auth_token}"
-        lines = []
+        fields = ""
         for name, value in headers.items():
             line = f"{name}: {value}"
             if _CR_OR_LF.search(line):
                 raise ValueError(f"CR or LF in header {name!r}")
-            lines.append(line)
-        return lines
+            fields += line + "\r\n"
+        return fields
 
     # -- reply parsing -------------------------------------------------------
 
@@ -219,6 +247,36 @@ class HttpClient:
         return int(parts[1]), parts[0], fields
 
     def _read_reply(self, method: str) -> tuple[int, bytes]:
+        """Status and body of one reply; the buffer is empty between replies.
+
+        The common reply is taken in one pass over the first ``recv``: a
+        :func:`split_head` head, HTTP/1.1, status 200 or above, no
+        ``Connection`` or ``Transfer-Encoding`` field, and a body whose
+        ``Content-Length`` (or a bodiless status or method) ends exactly
+        where the bytes do.  Any other reply, including one that needs a
+        second ``recv``, is read by :meth:`_read_general` from the same bytes.
+        """
+        data = self._sock.recv(_RECV_SIZE)
+        head = split_head(data)
+        if head is not None:
+            status_line, fields, start = head
+            parts = status_line.split(None, 2)
+            if (len(parts) > 1 and parts[0] == b"HTTP/1.1"
+                    and len(parts[1]) == 3 and parts[1].isdigit()
+                    and (status := int(parts[1])) >= 200
+                    and b"connection" not in fields and b"transfer-encoding" not in fields):
+                if method == "HEAD" or status in (204, 304):
+                    length = 0
+                else:
+                    declared = fields.get(b"content-length", b"")
+                    length = int(declared) if declared.isdigit() else -1
+                if 0 <= length <= _MAX_BODY and len(data) == start + length:
+                    return status, data[start:]
+        self._buf += data
+        return self._read_general(method)
+
+    def _read_general(self, method: str) -> tuple[int, bytes]:
+        """Any reply: 1xx interims, chunked or close-delimited bodies, LF-only heads."""
         status, version, fields = self._read_head()
         while status < 200:  # interim replies carry no body
             status, version, fields = self._read_head()
@@ -278,6 +336,17 @@ class HttpClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _json_body(body: dict) -> bytes:
+    """``json.dumps(body).encode()``; a dict of strings is joined without the encoder."""
+    if type(body) is dict:
+        try:
+            pairs = zip(map(_json_string, body), map(_json_string, body.values()))
+            return ("{" + ", ".join(map(": ".join, pairs)) + "}").encode()
+        except TypeError:  # a key or value that is not a string
+            pass
+    return json.dumps(body).encode()
 
 
 def _check_body_size(size: int) -> None:

@@ -3,14 +3,15 @@
 A groups/projects resource model served over HTTP/1.1 on a plain TCP
 server, one thread per connection.  Each connection reads its requests
 (request line, lower-cased header fields, a body framed by
-``Content-Length``) from its own byte buffer with the head reader it shares
-with :mod:`restfuzz.client`, and writes each reply with one ``sendall``.
-Connections are kept alive unless the client asks to close (HTTP/1.0
-without keep-alive, or ``Connection: close``) and close after 30 idle
-seconds.  A request the mock cannot serve (a malformed request line, a
-head over 64 KiB, a method other than GET/POST/PUT/DELETE, a
-``Transfer-Encoding``, a ``Content-Length`` that is not a number) gets a
-400, 431 or 501 and a close.
+``Content-Length``) from its own byte buffer with the head readers it
+shares with :mod:`restfuzz.client`, and writes each reply with one
+``sendall``.  Connections are kept alive unless the client asks to close
+(HTTP/1.0 without keep-alive, or ``Connection: close``) and close after 30
+idle seconds.  A request the mock cannot serve (a malformed request line,
+a head over 64 KiB, a method other than GET/POST/PUT/DELETE, a
+``Transfer-Encoding``, a ``Content-Length`` that is not a number or is over
+16 MiB) gets a 400, 431, 501 or 413 and a close.  Requests are routed by a
+table built once from :data:`ENDPOINTS`.
 
 Requests execute strictly one at a time (concurrent connections queue on a
 dispatch lock), so identical request streams yield identical response
@@ -34,11 +35,14 @@ import socketserver
 import threading
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cache, cached_property
 from http import HTTPStatus
 from importlib import resources
-from urllib.parse import parse_qsl, urlsplit
+from itertools import islice
+from typing import NamedTuple
+from urllib.parse import unquote, urlsplit
 
-from .client import FramingError, HeadTooLarge, closes_after, read_head
+from .client import _MAX_BODY, FramingError, HeadTooLarge, closes_after, read_head, split_head
 from .grammar import ParamSpec, RequestTemplate, grammar_document
 
 BUG_UAF = "b-uaf"
@@ -94,13 +98,9 @@ class MockEndpoint:
     params: tuple[MockParam, ...] = ()
     produces: tuple[str, str] | None = None
 
-    @property
+    @cached_property
     def template_id(self) -> str:
         return f"{self.method} {self.path}"
-
-    @property
-    def segments(self) -> tuple[str, ...]:
-        return tuple(part for part in self.path.split("/") if part)
 
 
 def _resource_endpoints(resource: str, noun: str, extra_post: tuple[MockParam, ...],
@@ -235,22 +235,24 @@ class _State:
         return value
 
 
-@dataclass
-class _Reply:
+class _Reply(NamedTuple):
     status: int
-    payload: object | None = None
-
-    def body(self) -> bytes:
-        if self.payload is None:
-            return b""
-        return json.dumps(self.payload).encode()
+    body: bytes = b""  # the JSON-encoded payload; empty for none
 
 
+def _json_reply(status: int, payload: object) -> _Reply:
+    return _Reply(status, json.dumps(payload).encode())
+
+
+@cache  # the reasons are a fixed set, so each body is encoded once
 def _bad(reason: str) -> _Reply:
-    return _Reply(400, {"message": f"400 Bad Request: {reason}"})
+    return _json_reply(400, {"message": f"400 Bad Request: {reason}"})
 
 
-_ERROR_REPLY = _Reply(500, {"message": "500 Internal Server Error"})
+_NO_CONTENT = _Reply(204)
+_NOT_FOUND = _json_reply(404, {"message": "404 Not Found"})
+_METHOD_NOT_ALLOWED = _json_reply(405, {"message": "405 Method Not Allowed"})
+_ERROR_REPLY = _json_reply(500, {"message": "500 Internal Server Error"})
 
 
 def _value_ok(param: MockParam, value: str) -> bool:
@@ -306,7 +308,6 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
 
     bugs = state.bugs
     resource = endpoint.resource
-    defined = {param.name for param in endpoint.params}
 
     if endpoint.action == "create":
         if (
@@ -324,7 +325,7 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
         }
         state.live[resource][obj_id] = fields
         state.hit(eid, "created")
-        return _Reply(201, {"id": obj_id, **fields})
+        return _json_reply(201, {"id": obj_id, **fields})
 
     if endpoint.action == "list":
         if (
@@ -334,13 +335,15 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
         ):
             state.hit(eid, "bug_perpage")
             return _ERROR_REPLY
+        # Ids are allocated in increasing order and live objects keep
+        # insertion order, so the first per_page are the lowest ids.
         per_page = int(values.get("per_page", "20"))
         items = [
             {"id": obj_id, **fields}
-            for obj_id, fields in sorted(state.live[resource].items())
-        ][:per_page]
+            for obj_id, fields in islice(state.live[resource].items(), per_page)
+        ]
         state.hit(eid, "listed" if items else "empty_page")
-        return _Reply(200, items)
+        return _json_reply(200, items)
 
     # Item-scoped actions below.
     obj_id = int(path_values["id"])
@@ -350,68 +353,135 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
     if endpoint.action == "attributes":
         if obj_id in live:
             state.hit(eid, "ok")
-            return _Reply(200, {"id": obj_id, "custom_attributes": []})
+            return _json_reply(200, {"id": obj_id, "custom_attributes": []})
         if tombstoned and bugs.has(BUG_UAF) and resource == "group":
             state.hit(eid, "bug_uaf")
             return _ERROR_REPLY
         state.hit(eid, "not_found")
-        return _Reply(404, {"message": "404 Not Found"})
+        return _NOT_FOUND
 
     if endpoint.action == "get":
         if obj_id in live:
             state.hit(eid, "ok")
-            return _Reply(200, {"id": obj_id, **live[obj_id]})
+            return _json_reply(200, {"id": obj_id, **live[obj_id]})
         state.hit(eid, "not_found")
-        return _Reply(404, {"message": "404 Not Found"})
+        return _NOT_FOUND
 
     if endpoint.action == "update":
         if (
             bugs.has(BUG_UNDEF)
             and resource == "group"
             and _UNDEF_TRIGGER_PARAM in values
-            and _UNDEF_TRIGGER_PARAM not in defined
+            and all(param.name != _UNDEF_TRIGGER_PARAM for param in endpoint.params)
         ):
             state.hit(eid, "bug_undef")
             return _ERROR_REPLY
         if obj_id not in live:
             state.hit(eid, "not_found")
-            return _Reply(404, {"message": "404 Not Found"})
+            return _NOT_FOUND
         for param in endpoint.params:
             if param.where == "body" and param.name in values:
                 live[obj_id][param.name] = values[param.name]
         state.hit(eid, "updated")
-        return _Reply(200, {"id": obj_id, **live[obj_id]})
+        return _json_reply(200, {"id": obj_id, **live[obj_id]})
 
     if endpoint.action == "delete":
         if obj_id not in live:
             state.hit(eid, "not_found")
-            return _Reply(404, {"message": "404 Not Found"})
+            return _NOT_FOUND
         del live[obj_id]
         state.tombstones[resource].add(obj_id)
         state.hit(eid, "deleted")
-        return _Reply(204)
+        return _NO_CONTENT
 
     raise AssertionError(f"unhandled action {endpoint.action}")  # pragma: no cover
 
 
-def _route(method: str, segments: list[str]) -> tuple[MockEndpoint | None, dict[str, str], bool]:
-    """Match path segments; returns (endpoint, path values, path_known)."""
-    path_known = False
-    for endpoint in ENDPOINTS:
-        pattern = endpoint.segments
-        if len(pattern) != len(segments):
-            continue
-        values: dict[str, str] = {}
-        for part, actual in zip(pattern, segments):
-            if part.startswith("{") and part.endswith("}"):
-                values[part[1:-1]] = actual
-            elif part != actual:
-                break
-        else:
-            path_known = True
-            if endpoint.method == method:
-                return endpoint, values, True
-    return None, {}, path_known
+class _Shape(NamedTuple):
+    """Paths with a segment count and ``{name}`` segments at given positions."""
+
+    variables: tuple[int, ...]  # positions of the {name} segments
+    literals: tuple[int, ...]  # positions of the other segments
+    routes: dict  # literal segments -> method -> (order, endpoint, variable names)
+
+
+class _RouteTable:
+    """The endpoints indexed by path shape, built once.
+
+    A request's segments are looked up, not matched against every endpoint
+    in turn, with the outcome of such a scan in endpoint order: the first
+    endpoint whose path and method match, and whether any path matched
+    (405 rather than 404).
+    """
+
+    def __init__(self, endpoints: tuple[MockEndpoint, ...]):
+        self._shapes: dict[int, list[_Shape]] = {}
+        for order, endpoint in enumerate(endpoints):
+            pattern = [part for part in endpoint.path.split("/") if part]
+            variables = tuple(i for i, part in enumerate(pattern)
+                              if part.startswith("{") and part.endswith("}"))
+            shapes = self._shapes.setdefault(len(pattern), [])
+            shape = next((shape for shape in shapes if shape.variables == variables), None)
+            if shape is None:
+                literals = tuple(i for i in range(len(pattern)) if i not in variables)
+                shape = _Shape(variables, literals, {})
+                shapes.append(shape)
+            methods = shape.routes.setdefault(tuple(pattern[i] for i in shape.literals), {})
+            names = tuple(pattern[i][1:-1] for i in variables)
+            methods.setdefault(endpoint.method, (order, endpoint, names))
+
+    def match(self, method: str, segments: list[str]
+              ) -> tuple[MockEndpoint | None, dict[str, str], bool]:
+        """(endpoint, path values, whether any endpoint has this path)."""
+        found = found_variables = None
+        path_known = False
+        take = segments.__getitem__
+        for variables, literals, routes in self._shapes.get(len(segments), ()):
+            methods = routes.get(tuple(map(take, literals)))
+            if methods is not None:
+                path_known = True
+                route = methods.get(method)
+                if route is not None and (found is None or route[0] < found[0]):
+                    found, found_variables = route, variables
+        if found is None:
+            return None, {}, path_known
+        _, endpoint, names = found
+        return endpoint, dict(zip(names, map(take, found_variables))), True
+
+
+_ROUTES = _RouteTable(ENDPOINTS)
+
+
+def _split_target(target: str) -> tuple[str, str]:
+    """The path and query of a request target, as ``urlsplit`` gives them.
+
+    An origin-form target (``/path?query#fragment``) is split in place;
+    anything else (an absolute URL, ``//authority``, leading control
+    bytes) goes through ``urlsplit``.
+    """
+    if target[:1] != "/" or target[:2] == "//":
+        parts = urlsplit(target)
+        return parts.path, parts.query
+    path, _, query = target.partition("#")[0].partition("?")
+    return path, query
+
+
+def _parse_query(query: str) -> dict[str, str]:
+    """``dict(parse_qsl(query, keep_blank_values=True))``.
+
+    Names and values are unquoted (``+`` as space) only when the query has
+    a ``%`` or ``+``; otherwise unquoting changes nothing.
+    """
+    plain = "%" not in query and "+" not in query
+    values = {}
+    for field in query.split("&"):
+        if field:
+            name, _, value = field.partition("=")
+            if not plain:
+                name = unquote(name.replace("+", " "))
+                value = unquote(value.replace("+", " "))
+            values[name] = value
+    return values
 
 
 def _json_object(raw: bytes) -> dict[str, str] | None:
@@ -464,37 +534,49 @@ class _Handler(socketserver.BaseRequestHandler):
         Returns the reply refusing a request that cannot be served; the
         connection closes after it.
         """
-        try:
-            request_line, fields = read_head(self._buf, self._recv)
-        except HeadTooLarge:
-            return _Reply(431, {"message": "431 Request Header Fields Too Large"})
+        buf = self._buf
+        head = None
+        if not buf:  # between requests: the whole head is most often in one recv
+            data = self.request.recv(_RECV_SIZE)
+            head = split_head(data)
+            buf += data[head[2]:] if head else data
+        if head:
+            request_line, fields, _ = head
+        else:
+            try:
+                request_line, fields = read_head(buf, self._recv)
+            except HeadTooLarge:
+                return _json_reply(431, {"message": "431 Request Header Fields Too Large"})
         parts = request_line.split()
         if len(parts) != 3 or not parts[2].startswith(b"HTTP/1."):
             return _bad("malformed request line")
         method = parts[0].decode("latin-1")
         if method not in _METHODS:
-            return _Reply(501, {"message": "501 Not Implemented"})
+            return _json_reply(501, {"message": "501 Not Implemented"})
         if b"transfer-encoding" in fields:
-            return _Reply(501, {"message": "501 Not Implemented: Transfer-Encoding"})
+            return _json_reply(501, {"message": "501 Not Implemented: Transfer-Encoding"})
         declared = fields.get(b"content-length", b"0")
         if not declared.isdigit():
             return _bad("invalid Content-Length")
         length = int(declared)
-        while len(self._buf) < length:
+        if length > _MAX_BODY:  # refused before any of it is read
+            return _json_reply(413, {"message": f"413 Request Entity Too Large: "
+                                                f"body over {_MAX_BODY} bytes"})
+        while len(buf) < length:
             if not self._recv():
                 raise FramingError("connection closed mid-body")
-        self.body = bytes(self._buf[:length])
-        del self._buf[:length]
+        self.body = bytes(buf[:length])
+        del buf[:length]
         self.method = method
         self.path = parts[1].decode("latin-1")
         self.close_connection = closes_after(parts[2], fields)
         return None
 
     def _respond(self, reply: _Reply) -> None:
-        body = reply.body()
+        status, body = reply
         self.request.sendall(
             b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n%s"
-            % (reply.status, _REASONS[reply.status], len(body),
+            % (status, _REASONS[status], len(body),
                b"Connection: close\r\n" if self.close_connection else b"", body)
         )
 
@@ -506,34 +588,33 @@ class _Handler(socketserver.BaseRequestHandler):
 
     def _dispatch_locked(self, method: str) -> None:
         state = self.server.state
-        split = urlsplit(self.path)
-        segments = [part for part in split.path.split("/") if part]
+        path, query = _split_target(self.path)
+        segments = list(filter(None, path.split("/")))
 
         if segments == ["__reset"] and method == "POST":
             state.reset()
-            self._respond(_Reply(204))
+            self._respond(_NO_CONTENT)
             return
         if segments == ["__coverage"] and method == "GET":
-            self._respond(_Reply(200, dict(sorted(state.coverage.items()))))
+            self._respond(_json_reply(200, dict(sorted(state.coverage.items()))))
             return
 
-        endpoint, path_values, path_known = _route(method, segments)
+        endpoint, path_values, path_known = _ROUTES.match(method, segments)
         if endpoint is None:
             if path_known:
                 state.hit("_router", "method_not_allowed")
-                self._respond(_Reply(405, {"message": "405 Method Not Allowed"}))
+                self._respond(_METHOD_NOT_ALLOWED)
             else:
                 state.hit("_router", "no_route")
-                self._respond(_Reply(404, {"message": "404 Not Found"}))
+                self._respond(_NOT_FOUND)
             return
 
-        query = {key: value for key, value in parse_qsl(split.query, keep_blank_values=True)}
         body = _json_object(self.body)
         if body is None:
             state.hit(endpoint.template_id, "malformed_body")
             self._respond(_bad("body must be a JSON object"))
             return
-        self._respond(_execute(state, endpoint, path_values, query, body))
+        self._respond(_execute(state, endpoint, path_values, _parse_query(query), body))
 
 
 class MockServer(socketserver.ThreadingTCPServer):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
 import socket
 import struct
 import threading
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from restfuzz import client as client_module
 from restfuzz.client import HttpClient
 from restfuzz.rendering import ReadyRequest
-from restfuzz.responses import ResponseClass
+from restfuzz.responses import ResponseClass, classify_status
 
 TIMEOUT = 0.2
 
@@ -203,6 +204,18 @@ class TestRequestBytes:
         expected = "/g" + (f"?{urlencode(query)}" if query else "")
         assert request_line == f"GET {expected} HTTP/1.1"
 
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.one_of(
+        st.dictionaries(
+            st.one_of(st.text(max_size=6), st.integers(), st.booleans()),
+            st.one_of(st.text(max_size=6), st.text(max_size=6), st.integers(), st.none(),
+                      st.lists(st.text(max_size=3), max_size=2)),
+            min_size=1, max_size=4),
+        st.lists(st.text(max_size=3), min_size=1, max_size=3)))
+    def test_body_encodes_as_json_dumps(self, body):
+        head = HttpClient("http://127.0.0.1:9")._encode(ReadyRequest("POST", "/g", body=body))
+        assert head.split(b"\r\n\r\n", 1)[1] == json.dumps(body).encode()
+
     def test_auth_token_with_crlf_is_transport_with_nothing_sent(self, target):
         target.script = [reply(ok(b"[]"))]
         with HttpClient(target.url, timeout=TIMEOUT, auth_token="x\r\nX-Injected: 1") as client:
@@ -361,3 +374,241 @@ class TestBodyCap:
         record = client.send(ReadyRequest("GET", "/a"))
         assert (record.status, len(record.body)) == (200, 1024)
         assert client.send(ReadyRequest("GET", "/b")).body == "[]"
+
+
+class ReferenceReader:
+    """The reply reader before the one-pass parse of the common reply.
+
+    Kept as the reference for ``HttpClient``: the same bytes, cut at the
+    same ``recv`` boundaries, must give the same outcome.
+    """
+
+    head_end = re.compile(rb"\r?\n\r?\n")
+
+    def __init__(self, chunks: list[bytes], max_head: int, max_body: int):
+        self.chunks = list(chunks)
+        self.buf = bytearray()
+        self.max_head = max_head
+        self.max_body = max_body
+        self.dropped = False
+
+    def outcome(self, method: str):
+        """What ``send`` returns: (status, class, body text, connection dropped)."""
+        try:
+            status, body = self.read_reply(method)
+        except client_module.FramingError as exc:
+            return None, ResponseClass.TRANSPORT, f"read failed: {exc}", True
+        return (status, classify_status(status),
+                body.decode("utf-8", errors="replace"), self.dropped)
+
+    def recv(self) -> bool:
+        chunk = self.chunks.pop(0) if self.chunks else b""
+        self.buf += chunk
+        return bool(chunk)
+
+    def read_head(self):
+        while (end := self.head_end.search(self.buf)) is None and len(self.buf) <= self.max_head:
+            if not self.recv():
+                raise client_module.FramingError("connection closed before the head ended")
+        if end is None or end.end() > self.max_head:
+            raise client_module.HeadTooLarge("head over 64 KiB")
+        first, *lines = bytes(self.buf[: end.start()]).split(b"\n")
+        del self.buf[: end.end()]
+        fields = {}
+        for line in lines:
+            name, _, value = line.partition(b":")
+            fields[name.strip().lower()] = value.strip()
+        parts = first.split(None, 2)
+        if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+                or len(parts[1]) != 3 or not parts[1].isdigit() or int(parts[1]) < 100):
+            raise client_module.FramingError(f"bad status line {first[:80]!r}")
+        return int(parts[1]), parts[0], fields
+
+    def check_body_size(self, size: int) -> None:
+        if size > self.max_body:
+            raise client_module.BodyTooLarge(f"body over {self.max_body} bytes")
+
+    def fill(self, size: int) -> None:
+        while len(self.buf) < size:
+            if not self.recv():
+                raise client_module.FramingError("connection closed mid-reply")
+
+    def take(self, size: int) -> bytes:
+        taken = bytes(self.buf[:size])
+        del self.buf[:size]
+        return taken
+
+    def line(self) -> bytes:
+        while (end := self.buf.find(b"\n")) < 0:
+            if len(self.buf) > self.max_head:
+                raise client_module.HeadTooLarge("line over 64 KiB")
+            if not self.recv():
+                raise client_module.FramingError("connection closed mid-reply")
+        return self.take(end + 1)
+
+    def read_reply(self, method: str):
+        status, version, fields = self.read_head()
+        while status < 200:
+            status, version, fields = self.read_head()
+        connection = fields.get(b"connection", b"").lower()
+        if version == b"HTTP/1.0":
+            close = b"keep-alive" not in connection and b"keep-alive" not in fields
+        else:
+            close = b"close" in connection
+        try:
+            length = int(fields[b"content-length"])
+        except (KeyError, ValueError):
+            length = None
+        if length is not None and length < 0:
+            length = None
+        if method == "HEAD" or status in (204, 304):
+            body = b""
+        elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+            body = self.read_chunked()
+        elif length is not None:
+            self.check_body_size(length)
+            self.fill(length)
+            body = self.take(length)
+        else:
+            self.check_body_size(len(self.buf))
+            while self.recv():
+                self.check_body_size(len(self.buf))
+            body = self.take(len(self.buf))
+            close = True
+        if close or self.buf:
+            self.dropped = True
+        return status, body
+
+    def read_chunked(self) -> bytes:
+        body = bytearray()
+        while True:
+            line = self.line()
+            try:
+                size = int(line.split(b";", 1)[0], 16)
+            except ValueError:
+                size = -1
+            if size < 0:
+                raise client_module.FramingError(f"bad chunk size line {line[:80]!r}")
+            if size == 0:
+                break
+            self.check_body_size(len(body) + size)
+            self.fill(size + 2)
+            body += self.take(size + 2)[:size]
+        while self.line().strip():
+            pass
+        return bytes(body)
+
+
+class ChunkedSocket:
+    """Hands out the given chunks, one per ``recv``, then end of stream."""
+
+    def __init__(self, chunks: list[bytes]):
+        self.chunks = list(chunks)
+
+    def recv(self, size: int) -> bytes:
+        return self.chunks.pop(0) if self.chunks else b""
+
+    def sendall(self, data: bytes) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+def _field_name(name: str):
+    return st.sampled_from([name, name, name.lower(), name.upper(), f" {name} "])
+
+
+_CHANGES = ["lf-only", "bare-lf-line", "version", "status", "field", "no-length", "chunked", "trailing",
+            "interim", "cuts", "method", "head-limit", "body-limit"]
+
+
+@st.composite
+def replies(draw):
+    """Reply bytes, the method they answer and the head and body limits.
+
+    Each reply is the common shape, an HTTP/1.1 200 with CRLF line ends
+    and one right ``Content-Length`` in one chunk, with a few changes
+    drawn from ``_CHANGES``.
+    """
+    changes = set(draw(st.lists(st.sampled_from(_CHANGES), max_size=3)))
+    newline = ((lambda: draw(st.sampled_from([b"\r\n", b"\n"])))
+               if "lf-only" in changes else (lambda: b"\r\n"))
+    body = draw(st.binary(max_size=60))
+    fields = [(b"Content-Type", b"application/json")]
+    if "no-length" not in changes:
+        fields.append((b"Content-Length", b"%d" % len(body)))
+    if "field" in changes:
+        kind = draw(st.sampled_from(["length", "chunked", "connection", "keep-alive"]))
+        if kind == "length":
+            value = draw(st.sampled_from([b"%d" % len(body), b"%d" % (len(body) + 3), b"0",
+                                          b"x", b"+1", b" %d " % len(body), b"-1"]))
+            field = (draw(_field_name("Content-Length")).encode(), value)
+        elif kind == "chunked":
+            field = (draw(_field_name("Transfer-Encoding")).encode(),
+                     draw(st.sampled_from([b"chunked", b"Chunked", b"gzip"])))
+        elif kind == "connection":
+            field = (draw(_field_name("Connection")).encode(),
+                     draw(st.sampled_from([b"close", b"keep-alive", b"Upgrade"])))
+        else:
+            field = (b"Keep-Alive", b"timeout=5")
+        fields.insert(draw(st.integers(0, len(fields))), field)
+    if "bare-lf-line" in changes:  # ends the head early for the general reader
+        fields.insert(draw(st.integers(0, len(fields))), None)
+    version = b"HTTP/1.1"
+    if "version" in changes:
+        version = draw(st.sampled_from([b"HTTP/1.0", b"HTTP/2", b"HTX/1.1"]))
+    status = b"200"
+    if "status" in changes:
+        status = draw(st.sampled_from([b"201", b"204", b"304", b"404", b"500",
+                                       b"100", b"101", b"099", b"2x0"]))
+    head = version + b" " + status + b" Reason" + newline()
+    for field in fields:
+        head += b"\n" if field is None else field[0] + b": " + field[1] + newline()
+    head += newline()
+    payload = body
+    if "chunked" in changes:
+        payload = b""
+        rest = body
+        while rest:
+            size = draw(st.integers(1, len(rest)))
+            extension = draw(st.sampled_from([b"", b";x=1"]))
+            payload += b"%x%s\r\n%s\r\n" % (size, extension, rest[:size])
+            rest = rest[size:]
+        payload += b"0\r\n" + draw(st.sampled_from([b"", b"X-Trailer: 1\r\n"])) + b"\r\n"
+    data = head + payload
+    if "trailing" in changes:
+        data += draw(st.sampled_from([b"HTTP/1.1 200 OK\r\n", b"x"]))
+    if "interim" in changes:
+        data = b"HTTP/1.1 100 Continue" + newline() + newline() + data
+    cuts = []
+    if "cuts" in changes:
+        cuts = sorted(draw(st.lists(st.integers(0, len(data)), min_size=1, max_size=4)))
+    chunks = [data[start:end] for start, end in zip([0] + cuts, cuts + [len(data)])]
+    method = draw(st.sampled_from(["HEAD", "POST"])) if "method" in changes else "GET"
+    max_head, max_body = 64 * 1024, 16 * 1024 * 1024
+    if "head-limit" in changes:
+        max_head = len(head) + draw(st.integers(-6, 6))
+    if "body-limit" in changes:
+        max_body = max(len(body) + draw(st.integers(-3, 3)), 0)
+    return [chunk for chunk in chunks if chunk], method, max_head, max_body
+
+
+class TestReplyReadMatchesReference:
+    @settings(max_examples=1500, deadline=None)
+    @given(reply_=replies())
+    def test_same_outcome_at_any_recv_boundaries(self, reply_):
+        chunks, method, max_head, max_body = reply_
+        reference = ReferenceReader(chunks, max_head, max_body)
+        expected = reference.outcome(method)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(client_module, "_MAX_HEAD", max_head)
+            patch.setattr(client_module, "_MAX_BODY", max_body)
+            client = HttpClient("http://127.0.0.1:9")
+            sock = ChunkedSocket(chunks)
+            client._sock = sock
+            record = client.send(ReadyRequest(method, "/a"))
+        outcome = (record.status, record.klass, record.body, client._sock is None)
+        assert outcome == expected
+        if not expected[3]:  # kept alive: nothing read past the reply
+            assert sock.chunks == reference.chunks

@@ -6,15 +6,22 @@ import socket
 import threading
 import time
 
+from urllib.parse import parse_qsl, urlsplit
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from restfuzz import mock_service
 from restfuzz.client import HttpClient
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import (
     ALL_BUGS,
     BUG_UAF,
+    ENDPOINTS,
     BugConfig,
+    MockEndpoint,
     mock_grammar_bytes,
     packaged_grammar_path,
     serve,
@@ -337,6 +344,23 @@ class TestWire:
         assert (answered, fields["connection"], closed) == (status, "close", True)
         assert still_serving(service)
 
+    def test_declared_body_over_the_cap_is_refused_before_reading(self, service):
+        head = b"POST /groups HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (
+            mock_service._MAX_BODY + 1)
+        status, fields, body, closed = exchange(service, head)  # no body sent
+        assert (status, fields["connection"], closed) == (413, "close", True)
+        assert json.loads(body)["message"].startswith("413 ")
+        assert still_serving(service)
+
+    def test_body_at_the_cap_is_read(self, service, monkeypatch):
+        body = b'{"name": "dev-team", "path": "eng"}'
+        monkeypatch.setattr(mock_service, "_MAX_BODY", len(body))
+        request = b"POST /groups HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+        status, _, _, closed = exchange(service, request % (len(body), body))
+        assert (status, closed) == (201, False)
+        status, _, _, closed = exchange(service, request % (len(body) + 1, body + b" "))
+        assert (status, closed) == (413, True)
+
     def test_half_sent_body_holds_up_no_other_connection(self, service):
         with connect(service) as stalled, stalled.makefile("rb") as reader:
             # The GET's reply shows the stalled connection's handler has
@@ -425,3 +449,136 @@ class TestUafNeedsThreeDependentRequests:
         finally:
             client.close()
             handle.stop()
+
+
+def scan_route(endpoints, method, segments):
+    """The linear scan over the endpoints that the route table replaced."""
+    path_known = False
+    for endpoint in endpoints:
+        pattern = tuple(part for part in endpoint.path.split("/") if part)
+        if len(pattern) != len(segments):
+            continue
+        values: dict[str, str] = {}
+        for part, actual in zip(pattern, segments):
+            if part.startswith("{") and part.endswith("}"):
+                values[part[1:-1]] = actual
+            elif part != actual:
+                break
+        else:
+            path_known = True
+            if endpoint.method == method:
+                return endpoint, values, True
+    return None, {}, path_known
+
+
+METHODS = st.sampled_from(["GET", "POST", "PUT", "DELETE", "PATCH"])
+
+
+class TestRouteTable:
+    @settings(max_examples=500, deadline=None)
+    @given(method=METHODS, segments=st.lists(st.sampled_from(
+        ["groups", "projects", "attributes", "1", "{id}", "abc", "__reset"]), max_size=4))
+    def test_matches_the_scan_over_the_service_endpoints(self, method, segments):
+        assert mock_service._ROUTES.match(method, segments) == scan_route(
+            ENDPOINTS, method, segments)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        endpoints=st.lists(st.tuples(st.sampled_from(["GET", "PUT"]), st.lists(
+            st.sampled_from(["a", "{x}", "{y}", "{}", "{"]), max_size=2)), max_size=8),
+        method=st.sampled_from(["GET", "PUT", "POST"]),
+        segments=st.lists(st.sampled_from(["a", "{", "7"]), max_size=2),
+    )
+    def test_matches_the_scan_over_any_endpoints(self, endpoints, method, segments):
+        # Overlapping paths too: the first endpoint in order wins, as in the scan.
+        table = tuple(MockEndpoint(verb, "/" + "/".join(parts), "get", "group")
+                      for verb, parts in endpoints)
+        assert mock_service._RouteTable(table).match(method, segments) == scan_route(
+            table, method, segments)
+
+    def test_the_first_of_two_endpoints_on_one_path_wins(self):
+        first, second = (MockEndpoint("GET", path, "get", "group") for path in ("/g/{x}", "/g/{y}"))
+        assert mock_service._RouteTable((first, second)).match("GET", ["g", "1"]) == (
+            first, {"x": "1"}, True)
+
+    def test_a_known_path_with_another_method_is_405_not_404(self):
+        assert mock_service._ROUTES.match("DELETE", ["groups"]) == (None, {}, True)
+        assert mock_service._ROUTES.match("GET", ["groups", "1", "x"]) == (None, {}, False)
+
+
+# A request target is the second word of the request line, so it holds no
+# byte the line is split on; it is decoded as latin-1.
+_TARGET_PIECES = st.sampled_from([
+    "/", "//", "?", "#", "&", "=", "+", "%", "%2", "%41", "%C3%A9", "%e9", "%zz", ":",
+    "[", "]", "@", "a", "B", "1", "groups", "\x00", "\x1f", "\x7f", "\xe9", "\xff",
+])
+
+
+def reference_split(target: str):
+    try:
+        parts = urlsplit(target)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return parts.path, dict(parse_qsl(parts.query, keep_blank_values=True))
+
+
+def table_split(target: str):
+    try:
+        path, query = mock_service._split_target(target)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return path, mock_service._parse_query(query)
+
+
+class TestTargetSplit:
+    @settings(max_examples=1000, deadline=None)
+    @given(pieces=st.lists(_TARGET_PIECES, max_size=12))
+    def test_path_and_query_equal_urlsplit_and_parse_qsl(self, pieces):
+        target = "".join(pieces)
+        assert table_split(target) == reference_split(target)
+
+    @settings(max_examples=500, deadline=None)
+    @given(pieces=st.lists(_TARGET_PIECES, max_size=12))
+    def test_origin_form_targets(self, pieces):
+        target = "/groups?" + "".join(pieces)
+        assert table_split(target) == reference_split(target)
+
+    @pytest.mark.parametrize("target", [
+        "/groups?per_page=5&per_page=6", "/groups?a&b=&=c&&", "/groups?q=a+b%20c%2B",
+        "/groups#frag?x=1", "//host/groups?x=1", "\x00/groups?x=1", "http://h/groups?x=1",
+        "groups:1?x=1", "/groups?name=%C3%A9%e9", "*",
+    ])
+    def test_examples(self, target):
+        assert table_split(target) == reference_split(target)
+
+
+class TestListAction:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("create"), st.sampled_from(["group", "project"])),
+        st.tuples(st.just("update"), st.sampled_from(["group", "project"]), st.integers(1, 12)),
+        st.tuples(st.just("delete"), st.sampled_from(["group", "project"]), st.integers(1, 12)),
+        st.tuples(st.just("list"), st.sampled_from(["group", "project"]), st.integers(0, 100)),
+        st.tuples(st.just("reset")),
+    ), max_size=60))
+    def test_reply_equals_the_sorted_then_sliced_reply(self, ops):
+        by_key = {(endpoint.resource, endpoint.action): endpoint for endpoint in ENDPOINTS}
+        state = mock_service._State(BugConfig())
+        for op in ops:
+            if op[0] == "reset":
+                state.reset()
+                continue
+            endpoint = by_key[op[1], op[0]]
+            if op[0] == "create":
+                reply = mock_service._execute(
+                    state, endpoint, {}, {}, {"name": "web-app", "path": "eng"})
+                assert reply.status == 201
+            elif op[0] == "list":
+                expected = [{"id": obj_id, **fields}
+                            for obj_id, fields in sorted(state.live[op[1]].items())][:op[2]]
+                reply = mock_service._execute(
+                    state, endpoint, {}, {"per_page": str(op[2])}, {})
+                assert (reply.status, reply.body) == (200, json.dumps(expected).encode())
+            else:
+                body = {"name": "qa-team", "description": "beta"} if op[0] == "update" else {}
+                mock_service._execute(state, endpoint, {"id": str(op[2])}, {}, body)

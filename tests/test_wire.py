@@ -1,0 +1,70 @@
+"""The exact bytes on the wire, seen through a pass-through TCP proxy."""
+
+from __future__ import annotations
+
+import socket
+
+import pytest
+
+from restfuzz.client import HttpClient
+from restfuzz.grammar import parse_spec
+from restfuzz.mock_service import ALL_BUGS, BugConfig, mock_grammar_bytes, serve
+from restfuzz.orchestrator import FuzzConfig, fuzz_loop
+from restfuzz.rendering import ReadyRequest
+from tcp_proxy import TcpProxy
+
+# sha256 (TcpProxy.digest) over the request bytes and reply bytes of a
+# seed-0, 1500-request run with both checkers against the fully armed mock:
+# the runs GOLDEN_STREAMS in test_orchestrator.py pins by request fields.
+# Any change to the bytes the client writes or the mock answers changes it.
+WIRE_STREAMS = {
+    "baseline": "247e1831ad104fdb84154829fc00ccdb03bf9f69bf5a8c02afe83a69575c3ea4",
+    "seq-only": "42b0a83d23dd1ab085e649ff15d383e350361abe8fe0cad037c24c154211f948",
+}
+
+
+@pytest.fixture
+def service():
+    handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
+    yield handle
+    handle.stop()
+
+
+class TestTcpProxy:
+    def test_relays_and_records_both_directions(self, service):
+        with TcpProxy(("127.0.0.1", service.port)) as proxy:
+            with HttpClient(proxy.base_url) as client:
+                assert client.send(ReadyRequest("POST", "/__reset")).status == 204
+                record = client.send(ReadyRequest("GET", "/groups", query={"per_page": "5"}))
+                assert (record.status, record.body) == (200, "[]")
+        [(sent, received)] = proxy.connections
+        assert sent.startswith(b"POST /__reset HTTP/1.1\r\n")
+        assert sent.endswith(b"GET /groups?per_page=5 HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n"
+                             b"Accept-Encoding: identity\r\n\r\n" % proxy.port)
+        assert received.startswith(b"HTTP/1.1 204 No Content\r\n")
+        assert received.endswith(b"\r\n\r\n[]")
+
+    def test_passes_on_the_end_of_stream(self, service):
+        with TcpProxy(("127.0.0.1", service.port)) as proxy:
+            with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as sock:
+                sock.sendall(b"GET /groups HTTP/1.1\r\nConnection: close\r\n\r\n")
+                data = b""
+                while chunk := sock.recv(65536):
+                    data += chunk
+        assert data.startswith(b"HTTP/1.1 200 OK\r\n") and data.endswith(b"[]")
+        assert bytes(proxy.connections[0][1]) == data
+
+
+class TestWireStream:
+    @pytest.mark.parametrize("mode", sorted(WIRE_STREAMS))
+    def test_bytes_match_golden_digest(self, service, mode):
+        with TcpProxy(("127.0.0.1", service.port)) as proxy:
+            config = FuzzConfig(
+                target=proxy.base_url, mode=mode, max_requests=1500, seed=0,
+                train_interval=None, train_every_requests=150,
+                enable_uaf_checker=True, enable_datadriven_checker=True,
+            )
+            metrics = fuzz_loop(config, parse_spec(mock_grammar_bytes()))
+        assert metrics.requests_sent == 1500
+        assert len(proxy.connections) == 1
+        assert proxy.digest() == WIRE_STREAMS[mode]
