@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 METHODS = ("GET", "POST", "PUT", "DELETE")
 LOCATIONS = ("path", "query", "body")
@@ -269,10 +269,10 @@ def parse_spec_file(path) -> CompiledGrammar:
         return parse_spec(fh.read())
 
 
-def grammar_document(templates: Iterable[RequestTemplate]) -> dict:
-    """The JSON document form of ``templates``; ``parse_spec`` round-trips it."""
+def serialize_spec(grammar: CompiledGrammar) -> bytes:
+    """The grammar as a JSON document; ``parse_spec`` round-trips it."""
     paths: dict[str, dict] = {}
-    for template in templates:
+    for template in grammar.templates.values():
         entry: dict = {"parameters": []}
         for spec in template.params:
             raw: dict = {
@@ -293,11 +293,7 @@ def grammar_document(templates: Iterable[RequestTemplate]) -> dict:
                 "pointer": template.produces[1],
             }
         paths.setdefault(template.path, {})[template.method] = entry
-    return {"paths": paths}
-
-
-def serialize_spec(grammar: CompiledGrammar) -> bytes:
-    return json.dumps(grammar_document(grammar.templates.values()), indent=2).encode("utf-8")
+    return json.dumps({"paths": paths}, indent=2).encode("utf-8")
 
 
 def satisfiable_templates(grammar: CompiledGrammar, available: set[str] | frozenset[str]) -> list[str]:

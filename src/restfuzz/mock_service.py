@@ -7,11 +7,18 @@ server, one thread per connection.  Each connection reads its requests
 shares with :mod:`restfuzz.client`, and writes each reply with one
 ``sendall``.  Connections are kept alive unless the client asks to close
 (HTTP/1.0 without keep-alive, or ``Connection: close``) and close after 30
-idle seconds.  A request the mock cannot serve (a malformed request line,
-a head over 64 KiB, a method other than GET/POST/PUT/DELETE, a
+idle seconds.  A request the mock cannot serve (a malformed request line or
+target, a head over 64 KiB, a method other than GET/POST/PUT/DELETE, a
 ``Transfer-Encoding``, a ``Content-Length`` that is not a number or is over
-16 MiB) gets a 400, 431, 501 or 413 and a close.  Requests are routed by a
-table built once from :data:`ENDPOINTS`.
+16 MiB) gets a 400, 431, 501 or 413 and a close.
+
+The service's schema is the grammar shipped as package data
+(``mock_target.grammar.json``), the file the fuzzer reads.  Each template
+is an endpoint: its action follows from the method and the path shape, its
+resource from the type it produces or consumes, and its checks from the
+parameters plus :data:`VALUE_RULES`, the value rules the grammar format
+cannot express.  Each server routes requests by a table built once from
+these endpoints.
 
 Requests execute strictly one at a time (concurrent connections queue on a
 dispatch lock), so identical request streams yield identical response
@@ -21,9 +28,7 @@ all of them disarmed every input maps to a conformant 2xx or 4xx
 response, never a 5xx.
 
 Test hooks: ``POST /__reset`` restores pristine state, ``GET /__coverage``
-returns per-branch hit counters.  The matching fuzzing grammar ships as
-package data (``mock_target.grammar.json``); it is the endpoint schema the
-validator runs on, serialized by :func:`restfuzz.grammar.grammar_document`.
+returns per-branch hit counters.
 """
 
 from __future__ import annotations
@@ -35,15 +40,15 @@ import socketserver
 import threading
 from dataclasses import dataclass
 from datetime import datetime
-from functools import cache, cached_property
+from functools import cache
 from http import HTTPStatus
 from importlib import resources
 from itertools import islice
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 from urllib.parse import unquote, urlsplit
 
 from .client import _MAX_BODY, FramingError, HeadTooLarge, closes_after, read_head, split_head
-from .grammar import ParamSpec, RequestTemplate, grammar_document
+from .grammar import GrammarError, ParamSpec, RequestTemplate, parse_spec
 
 BUG_UAF = "b-uaf"
 BUG_UNDEF = "b-undef"
@@ -76,140 +81,92 @@ class BugConfig:
 
 
 @dataclass(frozen=True)
-class MockParam:
-    name: str
-    where: str            # path | query | body
-    value_type: str       # string | integer | boolean | datetime
-    dictionary: tuple[str, ...] = ()
-    default: str | None = None
-    required: bool = False
-    consumes: str | None = None
-    enum: tuple[str, ...] | None = None
-    int_range: tuple[int, int] | None = None
-    slug: bool = False    # string must match [a-z][a-z0-9_-]*
-
-
-@dataclass(frozen=True)
 class MockEndpoint:
-    method: str
-    path: str
+    """What the mock does for one template of its grammar."""
+
+    template: RequestTemplate
     action: str           # create | list | get | attributes | update | delete
     resource: str
-    params: tuple[MockParam, ...] = ()
-    produces: tuple[str, str] | None = None
-
-    @cached_property
-    def template_id(self) -> str:
-        return f"{self.method} {self.path}"
-
-
-def _resource_endpoints(resource: str, noun: str, extra_post: tuple[MockParam, ...],
-                        item_get: tuple[MockParam, ...]) -> tuple[MockEndpoint, ...]:
-    base = f"/{noun}"
-    item = f"/{noun}/{{id}}"
-    # Dictionaries deliberately mix invalid entries with the valid ones so
-    # random dictionary rendering gets rejected far more often than
-    # default-value rendering (the defaults are always valid).
-    id_param = MockParam("id", "path", "integer", required=True, consumes=resource)
-    name_param = MockParam(
-        "name", "body", "string",
-        dictionary=("dev-team", "qa-team", "", "Dev Team!")
-        if resource == "group"
-        else ("web-app", "cli-tool", "", "Web App!"),
-        default="dev-team" if resource == "group" else "web-app",
-        required=True, slug=True,
-    )
-    per_page = MockParam(
-        "per_page", "query", "integer",
-        dictionary=("20", "0", "101", "-5"), default="20", int_range=(0, 100),
-    )
-    statistics = MockParam(
-        "statistics", "query", "boolean",
-        dictionary=("3", "x", "", "true", "false"), default="false",
-    )
-    order_by = MockParam(
-        "order_by", "query", "string",
-        dictionary=("id", "name", "none", "created"), default="id",
-        enum=("id", "name"),
-    )
-    path_param = MockParam(
-        "path", "body", "string",
-        dictionary=("eng", "ops", "", "Bad Path"), default="eng",
-        required=True, slug=True,
-    )
-    return (
-        MockEndpoint("POST", base, "create", resource,
-                     (name_param, path_param) + extra_post,
-                     produces=(resource, "/id")),
-        MockEndpoint("GET", base, "list", resource, (per_page, statistics, order_by)),
-        MockEndpoint("GET", item, "get", resource, (id_param,) + item_get),
-        MockEndpoint("GET", item + "/attributes", "attributes", resource, (id_param,)),
-        MockEndpoint("PUT", item, "update", resource, (
-            id_param,
-            name_param,
-            MockParam("description", "body", "string",
-                      dictionary=("alpha", "beta"), default="alpha"),
-        )),
-        MockEndpoint("DELETE", item, "delete", resource, (id_param,)),
-    )
-
-
-ENDPOINTS: tuple[MockEndpoint, ...] = _resource_endpoints(
-    "group", "groups",
-    extra_post=(
-        MockParam("parent_id", "body", "integer",
-                  dictionary=("0", "2", "-1", "-2"), default="0"),
-        MockParam("visibility", "body", "string",
-                  dictionary=("private", "internal", "bogus", "wrong"),
-                  default="private", enum=("private", "internal", "public")),
-        MockParam(_UNDEF_TRIGGER_PARAM, "body", "boolean",
-                  dictionary=("true", "false"), default="false"),
-    ),
-    item_get=(
-        MockParam("with_custom_attributes", "query", "boolean",
-                  dictionary=("3", "true", "false"), default="false"),
-        MockParam("with_projects", "query", "boolean",
-                  dictionary=("3", "true", "false"), default="true"),
-    ),
-) + _resource_endpoints(
-    "project", "projects",
-    extra_post=(
-        MockParam("created_after", "body", "datetime",
-                  dictionary=("2024-01-15T10:00:00", "not-a-date"),
-                  default="2024-01-15T10:00:00"),
-    ),
-    item_get=(
-        MockParam("statistics", "query", "boolean",
-                  dictionary=("3", "true", "false"), default="false"),
-    ),
-)
-
-
-def mock_grammar_document() -> dict:
-    """The fuzzing grammar matching this service, in the compiler's format."""
-    return grammar_document(
-        RequestTemplate(
-            endpoint.template_id,
-            endpoint.method,
-            endpoint.path,
-            tuple(
-                ParamSpec(param.name, param.where, param.value_type, param.required,
-                          param.dictionary, param.default, param.consumes)
-                for param in endpoint.params
-            ),
-            endpoint.produces,
-        )
-        for endpoint in ENDPOINTS
-    )
-
-
-def mock_grammar_bytes() -> bytes:
-    return json.dumps(mock_grammar_document(), indent=2, sort_keys=True).encode()
+    # (name, location, required, value check) per parameter, in template order
+    checks: tuple[tuple[str, str, bool, Callable[[object], object]], ...]
+    body: tuple[tuple[str, str | None], ...]  # body parameters and their defaults
 
 
 def packaged_grammar_path():
-    """Path to the grammar file shipped as package data."""
+    """Path to the grammar file shipped as package data: the mock's schema."""
     return resources.files("restfuzz").joinpath("data/mock_target.grammar.json")
+
+
+def _is_datetime(value: str) -> bool:
+    try:
+        datetime.fromisoformat(value)
+    except ValueError:
+        return False
+    return True
+
+
+_TYPE_CHECKS: dict[str, Callable[[str], object]] = {
+    "string": lambda value: True,
+    "integer": _INT_RE.match,
+    "boolean": ("true", "false").__contains__,
+    "datetime": _is_datetime,
+}
+
+# The value rules the grammar format cannot express, by parameter name: the
+# value type a rule is for, and the check a value of that type must pass.
+# Changing the mock's API means editing the packaged grammar and this table.
+VALUE_RULES: dict[str, tuple[str, Callable[[str], object]]] = {
+    "name": ("string", _SLUG_RE.match),
+    "path": ("string", _SLUG_RE.match),
+    "order_by": ("string", ("id", "name").__contains__),
+    "visibility": ("string", ("private", "internal", "public").__contains__),
+    "per_page": ("integer", lambda value: 0 <= int(value) <= 100),
+}
+
+
+def _value_check(template_id: str, spec: ParamSpec) -> Callable[[object], object]:
+    """Truthy for a string of ``spec``'s type that passes the rule on its name, if any."""
+    type_ok = _TYPE_CHECKS[spec.value_type]
+    value_type, rule = VALUE_RULES.get(spec.name, (spec.value_type, type_ok))
+    if value_type != spec.value_type:
+        raise GrammarError(f"{template_id}: the rule on {spec.name!r} is for {value_type} values")
+    return lambda value: isinstance(value, str) and type_ok(value) and rule(value)
+
+
+# The action per method and path shape: a collection path has no
+# {placeholder}, an item path ends in one, a sub-resource path goes on past one.
+_ACTIONS = {
+    ("POST", "collection"): "create", ("GET", "collection"): "list",
+    ("GET", "item"): "get", ("PUT", "item"): "update", ("DELETE", "item"): "delete",
+    ("GET", "subresource"): "attributes",
+}
+
+
+@cache
+def mock_endpoints() -> tuple[MockEndpoint, ...]:
+    """One endpoint per template of the packaged grammar, built on first use.
+
+    A template's resource is the type its path id consumes, or else the
+    type that a template on the same path produces (a create, and the list
+    beside it).
+    """
+    grammar = parse_spec(packaged_grammar_path().read_bytes())
+    produced = {t.path: t.produces[0] for t in grammar.templates.values() if t.produces}
+    endpoints = []
+    for template in grammar.templates.values():
+        path = template.path
+        shape = "collection" if "{" not in path else "item" if path.endswith("}") else "subresource"
+        (resource,) = template.consumed_types or {produced[path]}
+        endpoints.append(MockEndpoint(
+            template,
+            _ACTIONS[template.method, shape],
+            resource,
+            tuple((spec.name, spec.location, spec.required,
+                   _value_check(template.template_id, spec)) for spec in template.params),
+            tuple((spec.name, spec.default) for spec in template.params
+                  if spec.location == "body"),
+        ))
+    return tuple(endpoints)
 
 
 class _State:
@@ -220,9 +177,10 @@ class _State:
         self.reset()
 
     def reset(self) -> None:
-        self.live: dict[str, dict[int, dict]] = {"group": {}, "project": {}}
-        self.tombstones: dict[str, set[int]] = {"group": set(), "project": set()}
-        self.next_id: dict[str, int] = {"group": 1, "project": 1}
+        resources = {endpoint.resource for endpoint in mock_endpoints()}
+        self.live: dict[str, dict[int, dict]] = {resource: {} for resource in resources}
+        self.tombstones: dict[str, set[int]] = {resource: set() for resource in resources}
+        self.next_id: dict[str, int] = dict.fromkeys(resources, 1)
         self.coverage: dict[str, int] = {}
 
     def hit(self, endpoint_id: str, branch: str) -> None:
@@ -255,56 +213,28 @@ _METHOD_NOT_ALLOWED = _json_reply(405, {"message": "405 Method Not Allowed"})
 _ERROR_REPLY = _json_reply(500, {"message": "500 Internal Server Error"})
 
 
-def _value_ok(param: MockParam, value: str) -> bool:
-    if not isinstance(value, str):
-        return False
-    if param.value_type == "integer":
-        if not _INT_RE.match(value):
-            return False
-        if param.int_range is not None:
-            low, high = param.int_range
-            return low <= int(value) <= high
-        return True
-    if param.value_type == "boolean":
-        return value in ("true", "false")
-    if param.value_type == "datetime":
-        try:
-            datetime.fromisoformat(value)
-            return True
-        except ValueError:
-            return False
-    # string
-    if param.slug and not _SLUG_RE.match(value):
-        return False
-    if param.enum is not None and value not in param.enum:
-        return False
-    return True
-
-
 def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
              query: dict[str, str], body: dict[str, str]) -> _Reply:
-    eid = endpoint.template_id
-    values = dict(query)
-    values.update(body)
+    eid = endpoint.template.template_id
+    values = {**query, **body}
 
     # Syntax/semantic checking of the defined parameters comes first; a
     # request must pass it before any behavior (buggy or not) triggers.
-    for param in endpoint.params:
-        if param.where == "path":
-            raw = path_values.get(param.name, "")
-            if not _INT_RE.match(raw):
+    for name, location, required, value_ok in endpoint.checks:
+        if location == "path":  # an object id, which the mock allocates as an integer
+            if not _INT_RE.match(path_values.get(name, "")):
                 state.hit(eid, "invalid_param")
-                return _bad(f"path parameter {param.name!r} must be an integer")
+                return _bad(f"path parameter {name!r} must be an integer")
             continue
-        source = query if param.where == "query" else body
-        if param.name not in source:
-            if param.required:
+        source = query if location == "query" else body
+        if name not in source:
+            if required:
                 state.hit(eid, "missing_required")
-                return _bad(f"missing required parameter {param.name!r}")
+                return _bad(f"missing required parameter {name!r}")
             continue
-        if not _value_ok(param, source[param.name]):
+        if not value_ok(source[name]):
             state.hit(eid, "invalid_param")
-            return _bad(f"invalid value for parameter {param.name!r}")
+            return _bad(f"invalid value for parameter {name!r}")
 
     bugs = state.bugs
     resource = endpoint.resource
@@ -312,17 +242,13 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
     if endpoint.action == "create":
         if (
             bugs.has(BUG_PARENTID)
-            and endpoint.resource == "group"
+            and resource == "group"
             and values.get("parent_id") in _PARENT_ID_TRIGGERS
         ):
             state.hit(eid, "bug_parentid")
             return _ERROR_REPLY
         obj_id = state.allocate(resource)
-        fields = {
-            param.name: values.get(param.name, param.default)
-            for param in endpoint.params
-            if param.where == "body"
-        }
+        fields = {name: values.get(name, default) for name, default in endpoint.body}
         state.live[resource][obj_id] = fields
         state.hit(eid, "created")
         return _json_reply(201, {"id": obj_id, **fields})
@@ -330,7 +256,7 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
     if endpoint.action == "list":
         if (
             bugs.has(BUG_PERPAGE)
-            and endpoint.resource == "group"
+            and resource == "group"
             and values.get("per_page") == "0"
         ):
             state.hit(eid, "bug_perpage")
@@ -348,13 +274,12 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
     # Item-scoped actions below.
     obj_id = int(path_values["id"])
     live = state.live[resource]
-    tombstoned = obj_id in state.tombstones[resource]
 
     if endpoint.action == "attributes":
         if obj_id in live:
             state.hit(eid, "ok")
             return _json_reply(200, {"id": obj_id, "custom_attributes": []})
-        if tombstoned and bugs.has(BUG_UAF) and resource == "group":
+        if obj_id in state.tombstones[resource] and bugs.has(BUG_UAF) and resource == "group":
             state.hit(eid, "bug_uaf")
             return _ERROR_REPLY
         state.hit(eid, "not_found")
@@ -372,29 +297,27 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
             bugs.has(BUG_UNDEF)
             and resource == "group"
             and _UNDEF_TRIGGER_PARAM in values
-            and all(param.name != _UNDEF_TRIGGER_PARAM for param in endpoint.params)
+            and _UNDEF_TRIGGER_PARAM not in endpoint.template.param_names
         ):
             state.hit(eid, "bug_undef")
             return _ERROR_REPLY
         if obj_id not in live:
             state.hit(eid, "not_found")
             return _NOT_FOUND
-        for param in endpoint.params:
-            if param.where == "body" and param.name in values:
-                live[obj_id][param.name] = values[param.name]
+        for name, _ in endpoint.body:
+            if name in values:
+                live[obj_id][name] = values[name]
         state.hit(eid, "updated")
         return _json_reply(200, {"id": obj_id, **live[obj_id]})
 
-    if endpoint.action == "delete":
-        if obj_id not in live:
-            state.hit(eid, "not_found")
-            return _NOT_FOUND
-        del live[obj_id]
-        state.tombstones[resource].add(obj_id)
-        state.hit(eid, "deleted")
-        return _NO_CONTENT
-
-    raise AssertionError(f"unhandled action {endpoint.action}")  # pragma: no cover
+    # The one action left (see _ACTIONS) is delete.
+    if obj_id not in live:
+        state.hit(eid, "not_found")
+        return _NOT_FOUND
+    del live[obj_id]
+    state.tombstones[resource].add(obj_id)
+    state.hit(eid, "deleted")
+    return _NO_CONTENT
 
 
 class _Shape(NamedTuple):
@@ -417,7 +340,8 @@ class _RouteTable:
     def __init__(self, endpoints: tuple[MockEndpoint, ...]):
         self._shapes: dict[int, list[_Shape]] = {}
         for order, endpoint in enumerate(endpoints):
-            pattern = [part for part in endpoint.path.split("/") if part]
+            template = endpoint.template
+            pattern = [part for part in template.path.split("/") if part]
             variables = tuple(i for i, part in enumerate(pattern)
                               if part.startswith("{") and part.endswith("}"))
             shapes = self._shapes.setdefault(len(pattern), [])
@@ -428,7 +352,7 @@ class _RouteTable:
                 shapes.append(shape)
             methods = shape.routes.setdefault(tuple(pattern[i] for i in shape.literals), {})
             names = tuple(pattern[i][1:-1] for i in variables)
-            methods.setdefault(endpoint.method, (order, endpoint, names))
+            methods.setdefault(template.method, (order, endpoint, names))
 
     def match(self, method: str, segments: list[str]
               ) -> tuple[MockEndpoint | None, dict[str, str], bool]:
@@ -447,9 +371,6 @@ class _RouteTable:
             return None, {}, path_known
         _, endpoint, names = found
         return endpoint, dict(zip(names, map(take, found_variables))), True
-
-
-_ROUTES = _RouteTable(ENDPOINTS)
 
 
 def _split_target(target: str) -> tuple[str, str]:
@@ -529,7 +450,8 @@ class _Handler(socketserver.BaseRequestHandler):
         return bool(chunk)
 
     def _read_request(self) -> _Reply | None:
-        """Read the next request into ``method``, ``path``, ``body`` and ``close_connection``.
+        """Read the next request into ``method``, ``path``, ``query``, ``body``
+        and ``close_connection``.
 
         Returns the reply refusing a request that cannot be served; the
         connection closes after it.
@@ -553,6 +475,10 @@ class _Handler(socketserver.BaseRequestHandler):
         method = parts[0].decode("latin-1")
         if method not in _METHODS:
             return _json_reply(501, {"message": "501 Not Implemented"})
+        try:
+            path, query = _split_target(parts[1].decode("latin-1"))
+        except ValueError:  # urlsplit's "Invalid IPv6 URL", as for //[x/groups
+            return _bad("invalid request target")
         if b"transfer-encoding" in fields:
             return _json_reply(501, {"message": "501 Not Implemented: Transfer-Encoding"})
         declared = fields.get(b"content-length", b"0")
@@ -568,7 +494,8 @@ class _Handler(socketserver.BaseRequestHandler):
         self.body = bytes(buf[:length])
         del buf[:length]
         self.method = method
-        self.path = parts[1].decode("latin-1")
+        self.path = path
+        self.query = query
         self.close_connection = closes_after(parts[2], fields)
         return None
 
@@ -588,8 +515,7 @@ class _Handler(socketserver.BaseRequestHandler):
 
     def _dispatch_locked(self, method: str) -> None:
         state = self.server.state
-        path, query = _split_target(self.path)
-        segments = list(filter(None, path.split("/")))
+        segments = list(filter(None, self.path.split("/")))
 
         if segments == ["__reset"] and method == "POST":
             state.reset()
@@ -599,7 +525,7 @@ class _Handler(socketserver.BaseRequestHandler):
             self._respond(_json_reply(200, dict(sorted(state.coverage.items()))))
             return
 
-        endpoint, path_values, path_known = _ROUTES.match(method, segments)
+        endpoint, path_values, path_known = self.server.routes.match(method, segments)
         if endpoint is None:
             if path_known:
                 state.hit("_router", "method_not_allowed")
@@ -611,10 +537,10 @@ class _Handler(socketserver.BaseRequestHandler):
 
         body = _json_object(self.body)
         if body is None:
-            state.hit(endpoint.template_id, "malformed_body")
+            state.hit(endpoint.template.template_id, "malformed_body")
             self._respond(_bad("body must be a JSON object"))
             return
-        self._respond(_execute(state, endpoint, path_values, _parse_query(query), body))
+        self._respond(_execute(state, endpoint, path_values, _parse_query(self.query), body))
 
 
 class MockServer(socketserver.ThreadingTCPServer):
@@ -624,6 +550,7 @@ class MockServer(socketserver.ThreadingTCPServer):
     def __init__(self, address, state: _State):
         super().__init__(address, _Handler)
         self.state = state
+        self.routes = _RouteTable(mock_endpoints())
         self.dispatch_lock = threading.Lock()
 
 

@@ -26,12 +26,7 @@ from .execution import ExecutedSequence, execute_candidate
 from .grammar import CompiledGrammar
 from .recommender import ModelConfig, Recommender
 from .rendering import RenderMode
-from .reporting import (
-    KIND_RESPONSE_5XX,
-    ErrorReport,
-    RunMetrics,
-    write_lengths_csv,
-)
+from .reporting import KIND_RESPONSE_5XX, ErrorReport, RunMetrics
 from .responses import ResponseClass
 from .sequences import (
     EMPTY_SEQUENCE,
@@ -342,7 +337,6 @@ class Fuzzer:
         with open(self._report_dir / "metrics.json", "w", encoding="utf-8") as fh:
             json.dump(self.metrics.to_json(), fh, indent=2)
         self.errors.write_jsonl(self._report_dir / "errors.jsonl")
-        write_lengths_csv(self.metrics, self._report_dir / "lengths.csv")
 
 
 def fuzz_loop(config: FuzzConfig, grammar: CompiledGrammar) -> RunMetrics:

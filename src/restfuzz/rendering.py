@@ -78,17 +78,16 @@ class ReadyRequest:
 
 
 class ObjectIdPool:
-    """Object ids captured from producer responses; lives for one sequence."""
+    """The latest id per type captured from producer responses; lives for one sequence."""
 
     def __init__(self):
-        self._ids: dict[str, list[str]] = {}
+        self._latest: dict[str, str] = {}
 
     def add(self, resource_type: str, value: str) -> None:
-        self._ids.setdefault(resource_type, []).append(value)
+        self._latest[resource_type] = value
 
     def latest(self, resource_type: str) -> str | None:
-        entries = self._ids.get(resource_type)
-        return entries[-1] if entries else None
+        return self._latest.get(resource_type)
 
 
 def resolve_consumer(param: ParamSpec, pool: ObjectIdPool) -> str:

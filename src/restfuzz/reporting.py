@@ -321,9 +321,3 @@ def unique_request_templates(metrics: RunMetrics) -> int:
     """Number of distinct templates that ever got a 2xx answer."""
     return len(metrics.per_template_2xx)
 
-
-def write_lengths_csv(metrics: RunMetrics, path: Path | str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("length,count\n")
-        for length, count in sorted(metrics.length_histogram.items()):
-            fh.write(f"{length},{count}\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from restfuzz.grammar import parse_spec
+from restfuzz.mock_service import packaged_grammar_path
 
 
 def build_spec(paths: dict) -> bytes:
@@ -40,6 +41,12 @@ def groups_paths(with_producer: bool = True) -> dict:
             }
         }
     return paths
+
+
+@pytest.fixture(scope="session")
+def mock_grammar():
+    """The mock target's grammar: the packaged file, which is also the mock's schema."""
+    return parse_spec(packaged_grammar_path().read_bytes())
 
 
 @pytest.fixture

@@ -16,12 +16,7 @@ from restfuzz.client import HttpClient
 from restfuzz.collection import CollectionStore, ParamValuePair
 from restfuzz.execution import ExecutedSequence, send_step
 from restfuzz.grammar import parse_spec
-from restfuzz.mock_service import (
-    ALL_BUGS,
-    BugConfig,
-    mock_grammar_bytes,
-    serve,
-)
+from restfuzz.mock_service import ALL_BUGS, BugConfig, packaged_grammar_path, serve
 from restfuzz.orchestrator import FuzzConfig, fuzz_loop
 from restfuzz.rendering import (
     ObjectIdPool,
@@ -30,11 +25,6 @@ from restfuzz.rendering import (
     render_with_list,
 )
 from restfuzz.responses import ResponseClass, ResponseRecord
-
-
-@pytest.fixture(scope="module")
-def grammar():
-    return parse_spec(mock_grammar_bytes())
 
 
 @pytest.fixture(scope="module")
@@ -119,35 +109,35 @@ def store_with_undef_pair(grammar):
 
 
 class TestDataDrivenChecker:
-    def test_armed_bug_yields_violation(self, grammar, armed, rng):
-        store = store_with_undef_pair(grammar)
-        executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], grammar, armed)
+    def test_armed_bug_yields_violation(self, mock_grammar, armed, rng):
+        store = store_with_undef_pair(mock_grammar)
+        executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
         assert executed.steps[-1].response.status == 200
-        violation = datadriven_check(executed, grammar, store, rng, armed)
+        violation = datadriven_check(executed, mock_grammar, store, rng, armed)
         assert violation is not None
         assert violation.kind == KIND_INCORRECT_PARAM_USAGE
         assert violation.injected_pair.param_name == "initialize_with_readme"
         assert violation.response.status == 500
 
-    def test_disarmed_bug_is_ignored(self, grammar, disarmed, rng):
-        store = store_with_undef_pair(grammar)
-        executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], grammar, disarmed)
-        assert datadriven_check(executed, grammar, store, rng, disarmed) is None
+    def test_disarmed_bug_is_ignored(self, mock_grammar, disarmed, rng):
+        store = store_with_undef_pair(mock_grammar)
+        executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, disarmed)
+        assert datadriven_check(executed, mock_grammar, store, rng, disarmed) is None
 
-    def test_empty_pair_store_is_a_noop(self, grammar, disarmed, rng):
-        executed = execute_defaults(["POST /groups"], grammar, disarmed)
+    def test_empty_pair_store_is_a_noop(self, mock_grammar, disarmed, rng):
+        executed = execute_defaults(["POST /groups"], mock_grammar, disarmed)
         sent = []
         violation = datadriven_check(
-            executed, grammar, CollectionStore(grammar), rng, disarmed,
+            executed, mock_grammar, CollectionStore(mock_grammar), rng, disarmed,
             observe=lambda tid, record: sent.append(tid),
         )
         assert violation is None
         assert sent == []  # nothing was re-sent
 
-    def test_injection_changes_exactly_one_request(self, grammar, armed, rng):
-        store = store_with_undef_pair(grammar)
-        executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], grammar, armed)
-        violation = datadriven_check(executed, grammar, store, rng, armed)
+    def test_injection_changes_exactly_one_request(self, mock_grammar, armed, rng):
+        store = store_with_undef_pair(mock_grammar)
+        executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
+        violation = datadriven_check(executed, mock_grammar, store, rng, armed)
         assert violation is not None
         # every request before the last is byte-identical
         for original, replayed in zip(executed.steps[:-1], violation.steps[:-1]):
@@ -162,45 +152,45 @@ class TestDataDrivenChecker:
         for key in original_last.body:
             assert injected_last.body[key] == original_last.body[key]
 
-    def test_injected_param_is_never_defined_on_last_template(self, grammar, armed, rng):
-        store = store_with_undef_pair(grammar)
-        executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], grammar, armed)
-        violation = datadriven_check(executed, grammar, store, rng, armed)
-        defined = grammar.templates["PUT /groups/{id}"].param_names
+    def test_injected_param_is_never_defined_on_last_template(self, mock_grammar, armed, rng):
+        store = store_with_undef_pair(mock_grammar)
+        executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
+        violation = datadriven_check(executed, mock_grammar, store, rng, armed)
+        defined = mock_grammar.templates["PUT /groups/{id}"].param_names
         assert violation.injected_pair.param_name not in defined
 
-    def test_get_request_gets_query_injection(self, grammar, disarmed, rng):
-        store = store_with_undef_pair(grammar)
-        executed = execute_defaults(["GET /groups"], grammar, disarmed)
+    def test_get_request_gets_query_injection(self, mock_grammar, disarmed, rng):
+        store = store_with_undef_pair(mock_grammar)
+        executed = execute_defaults(["GET /groups"], mock_grammar, disarmed)
         observed = []
         datadriven_check(
-            executed, grammar, store, rng, disarmed,
+            executed, mock_grammar, store, rng, disarmed,
             observe=lambda tid, record: observed.append(tid),
         )
         assert observed == ["GET /groups"]
 
-    def test_replay_adds_no_training_data(self, grammar, disarmed, rng):
-        store = CollectionStore(grammar)
-        executed = execute_recorded(NON_DEFAULT_GROUP, grammar, disarmed, store)
+    def test_replay_adds_no_training_data(self, mock_grammar, disarmed, rng):
+        store = CollectionStore(mock_grammar)
+        executed = execute_recorded(NON_DEFAULT_GROUP, mock_grammar, disarmed, store)
         assert executed.response_classes == [ResponseClass.PASS_2XX] * 2
         corpus = store.training_corpus(since=-1)
         pairs = store.pair_observations()
         assert corpus and store.undefined_pairs_for("PUT /groups/{id}")
 
         sent = []
-        datadriven_check(executed, grammar, store, rng, disarmed,
+        datadriven_check(executed, mock_grammar, store, rng, disarmed,
                          observe=lambda tid, record: sent.append(tid))
         assert sent == ["POST /groups", "PUT /groups/{id}"]
         assert store.training_corpus(since=-1) == corpus
         assert store.pair_observations() == pairs
 
-    def test_injected_request_targets_the_replayed_object(self, grammar, disarmed, rng):
-        store = CollectionStore(grammar)
-        executed = execute_recorded(NON_DEFAULT_GROUP, grammar, disarmed, store)
+    def test_injected_request_targets_the_replayed_object(self, mock_grammar, disarmed, rng):
+        store = CollectionStore(mock_grammar)
+        executed = execute_recorded(NON_DEFAULT_GROUP, mock_grammar, disarmed, store)
         original_id = json.loads(executed.steps[0].response.body)["id"]
 
         client = RecordingClient(disarmed)
-        datadriven_check(executed, grammar, store, rng, client)
+        datadriven_check(executed, mock_grammar, store, rng, client)
         (create, created), (injected, _) = client.sent
         replayed_id = json.loads(created.body)["id"]
         assert create.body == executed.steps[0].request.body
@@ -210,7 +200,7 @@ class TestDataDrivenChecker:
 
 def grammar_with_bad_names():
     """The mock grammar with defaults that fail the target's validation."""
-    doc = json.loads(mock_grammar_bytes())
+    doc = json.loads(packaged_grammar_path().read_bytes())
     for operations in doc["paths"].values():
         for entry in operations.values():
             for param in entry["parameters"]:
@@ -221,8 +211,8 @@ def grammar_with_bad_names():
 
 
 class TestUseAfterFreeChecker:
-    def test_armed_bug_detected(self, grammar, armed):
-        violation = use_after_free_check(grammar, armed)
+    def test_armed_bug_detected(self, mock_grammar, armed):
+        violation = use_after_free_check(mock_grammar, armed)
         assert violation is not None
         assert violation.kind == KIND_USE_AFTER_FREE
         assert violation.response.status == 500
@@ -233,17 +223,17 @@ class TestUseAfterFreeChecker:
             "GET /groups/{id}/attributes",
         ]
 
-    def test_disarmed_service_is_clean(self, grammar, disarmed):
-        assert use_after_free_check(grammar, disarmed) is None
+    def test_disarmed_service_is_clean(self, mock_grammar, disarmed):
+        assert use_after_free_check(mock_grammar, disarmed) is None
 
     def test_failed_create_is_setup_failure(self, disarmed):
         with pytest.raises(SetupFailed):
             use_after_free_check(grammar_with_bad_names(), disarmed)
 
-    def test_probe_cut_short_is_no_verdict(self, grammar, armed):
+    def test_probe_cut_short_is_no_verdict(self, mock_grammar, armed):
         client = RecordingClient(armed)
         violation = use_after_free_check(
-            grammar, client, should_stop=lambda: len(client.sent) >= 2
+            mock_grammar, client, should_stop=lambda: len(client.sent) >= 2
         )
         assert violation is None
         assert [request.method for request, _ in client.sent] == ["POST", "DELETE"]
@@ -256,18 +246,18 @@ class TestUseAfterFreeChecker:
         assert violation is None
         assert len(client.sent) == 1
 
-    def test_transport_failure_is_no_verdict(self, grammar, disarmed):
+    def test_transport_failure_is_no_verdict(self, mock_grammar, disarmed):
         class DroppingClient:
             def send(self, request):
                 if request.method == "GET" and request.path.endswith("/attributes"):
                     return ResponseRecord.transport("connection reset")
                 return disarmed.send(request)
 
-        assert use_after_free_check(grammar, DroppingClient()) is None
+        assert use_after_free_check(mock_grammar, DroppingClient()) is None
 
 
 class TestCheckerTraffic:
-    def test_only_main_loop_requests_reach_the_store(self, grammar, monkeypatch):
+    def test_only_main_loop_requests_reach_the_store(self, mock_grammar, monkeypatch):
         main_loop_sends = []
         recorded = []
         execute_candidate = orchestrator.execute_candidate
@@ -290,7 +280,7 @@ class TestCheckerTraffic:
                 target=handle.base_url, mode="seq-only", max_requests=600, seed=0,
                 enable_uaf_checker=True, enable_datadriven_checker=True,
             )
-            metrics = fuzz_loop(config, grammar)
+            metrics = fuzz_loop(config, mock_grammar)
         finally:
             handle.stop()
         assert len(recorded) == sum(main_loop_sends) < metrics.requests_sent

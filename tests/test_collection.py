@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restfuzz.collection import CollectionStore, ParamValuePair
-from restfuzz.grammar import parse_spec
-from restfuzz.mock_service import mock_grammar_bytes
 from restfuzz.responses import ResponseClass
 
 
@@ -179,20 +177,21 @@ class TestPersistence:
         assert pair_line["iteration"] == 3
 
 
-MOCK_GRAMMAR = parse_spec(mock_grammar_bytes())
-MOCK_IDS = sorted(MOCK_GRAMMAR.templates)
+def _record(template_ids):
+    return st.tuples(
+        st.just("record"),
+        st.sampled_from(template_ids),
+        st.lists(st.integers(0, 3), min_size=8, max_size=8),
+        st.sampled_from(list(ResponseClass)),
+    )
 
-_record = st.tuples(
-    st.just("record"),
-    st.sampled_from(MOCK_IDS),
-    st.lists(st.integers(0, 3), min_size=8, max_size=8),
-    st.sampled_from(list(ResponseClass)),
-)
-_admit = st.tuples(
-    st.just("admit"),
-    st.lists(st.tuples(st.sampled_from(MOCK_IDS), st.sampled_from(list(ResponseClass))),
-             max_size=4),
-)
+
+def _admit(template_ids):
+    return st.tuples(
+        st.just("admit"),
+        st.lists(st.tuples(st.sampled_from(template_ids), st.sampled_from(list(ResponseClass))),
+                 max_size=4),
+    )
 
 
 def _unique(pairs):
@@ -203,15 +202,18 @@ class TestIndexesMatchScans:
     """Random record/admit sequences: every index equals a scan of the log."""
 
     @settings(max_examples=150, deadline=None)
-    @given(ops=st.lists(st.one_of(_record, _admit), max_size=60))
-    def test_indexes_equal_naive_scans(self, ops):
-        store = CollectionStore(MOCK_GRAMMAR)
+    @given(data=st.data())
+    def test_indexes_equal_naive_scans(self, mock_grammar, data):
+        template_ids = sorted(mock_grammar.templates)
+        ops = data.draw(st.lists(st.one_of(_record(template_ids), _admit(template_ids)),
+                                 max_size=60))
+        store = CollectionStore(mock_grammar)
         admitted = []
         for iteration, op in enumerate(ops, start=1):
             store.iteration = iteration
             if op[0] == "record":
                 _, template_id, picks, klass = op
-                template = MOCK_GRAMMAR.templates[template_id]
+                template = mock_grammar.templates[template_id]
                 rendered = {
                     spec.name: "7" if spec.is_consumer
                     else spec.dictionary[picks[i % len(picks)] % len(spec.dictionary)]
@@ -227,8 +229,8 @@ class TestIndexesMatchScans:
         observations = store.pair_observations()
         events = store._events
         assert [seed.template_ids for seed in store.seed_templates()] == admitted
-        for template_id in MOCK_IDS:
-            defined = MOCK_GRAMMAR.templates[template_id].param_names
+        for template_id in template_ids:
+            defined = mock_grammar.templates[template_id].param_names
             assert store.undefined_pairs_for(template_id) == _unique(
                 obs.pair for obs in observations if obs.pair.param_name not in defined
             )
@@ -254,15 +256,14 @@ class TestTrainingCorpusMatchesScan:
     equals a scan of the whole event log, in the same order."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        records=st.lists(st.tuples(st.integers(0, 2), _record), max_size=60),
-        sinces=st.lists(st.integers(-2, 70), min_size=1, max_size=5),
-    )
-    def test_equals_naive_scan(self, records, sinces):
-        store = CollectionStore(MOCK_GRAMMAR)
+    @given(data=st.data(), sinces=st.lists(st.integers(-2, 70), min_size=1, max_size=5))
+    def test_equals_naive_scan(self, mock_grammar, data, sinces):
+        record = _record(sorted(mock_grammar.templates))
+        records = data.draw(st.lists(st.tuples(st.integers(0, 2), record), max_size=60))
+        store = CollectionStore(mock_grammar)
         for step, (_, template_id, picks, klass) in records:
             store.iteration += step
-            template = MOCK_GRAMMAR.templates[template_id]
+            template = mock_grammar.templates[template_id]
             rendered = {
                 spec.name: "7" if spec.is_consumer
                 else spec.dictionary[picks[i % len(picks)] % len(spec.dictionary)]

@@ -15,8 +15,6 @@ from restfuzz.grammar import (
     serialize_spec,
 )
 
-from restfuzz.mock_service import mock_grammar_bytes
-
 from conftest import build_spec, groups_paths
 
 
@@ -82,12 +80,9 @@ class TestParseSpec:
         with pytest.raises(MalformedSpec):
             parse_spec(build_spec(paths))
 
-    def test_mock_target_grammar_ships_and_parses(self):
-        from restfuzz.mock_service import packaged_grammar_path
-
-        g = parse_spec(packaged_grammar_path().read_bytes())
-        assert len(g.templates) == 12
-        assert g.resource_types == frozenset({"group", "project"})
+    def test_mock_target_grammar_ships_and_parses(self, mock_grammar):
+        assert len(mock_grammar.templates) == 12
+        assert mock_grammar.resource_types == frozenset({"group", "project"})
 
 
 class TestTemplateFacts:
@@ -141,11 +136,10 @@ class TestSatisfiableTemplates:
 
     @given(available=st.frozensets(st.sampled_from(["group", "project", "user"])))
     @settings(max_examples=30, deadline=None)
-    def test_satisfiable_ids_are_the_sorted_scan(self, available):
-        g = parse_spec(mock_grammar_bytes())
-        ids = g.satisfiable_ids(available)
-        assert ids == tuple(sorted(satisfiable_templates(g, available)))
-        assert g.satisfiable_ids(frozenset(available)) is ids  # computed once
+    def test_satisfiable_ids_are_the_sorted_scan(self, mock_grammar, available):
+        ids = mock_grammar.satisfiable_ids(available)
+        assert ids == tuple(sorted(satisfiable_templates(mock_grammar, available)))
+        assert mock_grammar.satisfiable_ids(frozenset(available)) is ids  # computed once
 
     @given(
         a=st.frozensets(st.sampled_from(["group", "project", "user"]), max_size=3),

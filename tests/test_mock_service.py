@@ -15,15 +15,14 @@ from hypothesis import strategies as st
 
 from restfuzz import mock_service
 from restfuzz.client import HttpClient
-from restfuzz.grammar import parse_spec
+from restfuzz.grammar import RequestTemplate
 from restfuzz.mock_service import (
     ALL_BUGS,
     BUG_UAF,
-    ENDPOINTS,
+    VALUE_RULES,
     BugConfig,
     MockEndpoint,
-    mock_grammar_bytes,
-    packaged_grammar_path,
+    mock_endpoints,
     serve,
 )
 from restfuzz.rendering import ReadyRequest
@@ -100,6 +99,13 @@ class TestCrudBasics:
         assert clean_service.send(ReadyRequest("DELETE", "/groups")).status == 405
 
 
+# A value each rule in VALUE_RULES rejects, though it has the parameter's type.
+BAD_VALUES = {
+    "name": "Dev Team!", "path": "Bad Path", "order_by": "none", "visibility": "bogus",
+    "per_page": "-5",
+}
+
+
 class TestValidation:
     def test_boolean_type_mismatch_rejected(self, clean_service):
         post_group(clean_service)
@@ -134,6 +140,16 @@ class TestValidation:
 
     def test_non_integer_path_id_rejected(self, clean_service):
         assert clean_service.send(ReadyRequest("GET", "/groups/abc")).status == 400
+
+    @pytest.mark.parametrize("name, bad", sorted(BAD_VALUES.items()))
+    def test_value_rule_rejects_a_bad_value(self, clean_service, mock_grammar, name, bad):
+        template = next(template for template in mock_grammar.templates.values()
+                        if name in template.param_names and not template.consumed_types)
+        good = clean_service.send(template_request(template, template.defaults()))
+        assert good.status in (200, 201)
+        record = clean_service.send(template_request(template, {**template.defaults(), name: bad}))
+        assert record.status == 400
+        assert json.loads(record.body)["message"].endswith(f"parameter {name!r}")
 
 
 class TestSeededBugs:
@@ -191,6 +207,18 @@ class TestSeededBugs:
         assert record.status == 400
 
 
+def template_request(template, values):
+    """A request for ``template`` carrying ``values``, each at its parameter's location."""
+    path, query, body = template.path, {}, {}
+    for name, value in values.items():
+        location = template.param(name).location
+        if location == "path":
+            path = path.replace("{" + name + "}", value)
+        else:
+            (query if location == "query" else body)[name] = value
+    return ReadyRequest(template.method, path, query, body)
+
+
 def random_request(grammar, rng):
     template = grammar.templates[
         grammar.template_ids[int(rng.integers(len(grammar.template_ids)))]
@@ -218,23 +246,20 @@ def random_request(grammar, rng):
 
 
 class TestDisarmedNeverErrors:
-    def test_random_fuzzing_yields_no_5xx(self, clean_service):
-        grammar = parse_spec(mock_grammar_bytes())
+    def test_random_fuzzing_yields_no_5xx(self, clean_service, mock_grammar):
         rng = np.random.default_rng(1234)
         for _ in range(5000):
-            record = clean_service.send(random_request(grammar, rng))
+            record = clean_service.send(random_request(mock_grammar, rng))
             assert record.status is not None and record.status < 500
 
 
 class TestDeterminism:
-    def test_identical_streams_identical_responses(self, clean_service):
-        grammar = parse_spec(mock_grammar_bytes())
-
+    def test_identical_streams_identical_responses(self, clean_service, mock_grammar):
         def stream():
             clean_service.send(ReadyRequest("POST", "/__reset"))
             rng = np.random.default_rng(77)
             return [
-                (clean_service.send(random_request(grammar, rng)).status)
+                (clean_service.send(random_request(mock_grammar, rng)).status)
                 for _ in range(500)
             ]
 
@@ -337,12 +362,16 @@ class TestWire:
         (b"POST /groups HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 501),
         (b"POST /groups HTTP/1.1\r\nContent-Length: -1\r\n\r\n{}", 400),
         (b"POST /groups HTTP/1.1\r\nContent-Length: ten\r\n\r\n{}", 400),
+        (b"GET //[x/groups HTTP/1.1\r\n\r\n", 400),
+        (b"GET http://[x/groups HTTP/1.1\r\n\r\n", 400),
     ], ids=["malformed-request-line", "head-over-64-KiB", "unsupported-method",
-            "transfer-encoding", "content-length--1", "content-length-not-a-number"])
-    def test_unservable_request_is_refused_with_a_close(self, service, data, status):
+            "transfer-encoding", "content-length--1", "content-length-not-a-number",
+            "unsplittable-target", "unsplittable-absolute-target"])
+    def test_unservable_request_is_refused_with_a_close(self, capfd, service, data, status):
         answered, fields, _, closed = exchange(service, data)
         assert (answered, fields["connection"], closed) == (status, "close", True)
         assert still_serving(service)
+        assert capfd.readouterr().err == ""
 
     def test_declared_body_over_the_cap_is_refused_before_reading(self, service):
         head = b"POST /groups HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (
@@ -413,17 +442,65 @@ class TestWire:
 
 
 class TestGrammarShipsWithService:
-    def test_packaged_file_matches_schema(self):
-        assert packaged_grammar_path().read_bytes() == mock_grammar_bytes()
+    def test_parses_with_producers_for_both_resources(self, mock_grammar):
+        edges = mock_grammar.dependency_edges
+        assert ("POST /groups", "group", "DELETE /groups/{id}") in edges
+        assert ("POST /projects", "project", "GET /projects/{id}") in edges
 
-    def test_parses_with_producers_for_both_resources(self):
-        g = parse_spec(mock_grammar_bytes())
-        assert ("POST /groups", "group", "DELETE /groups/{id}") in g.dependency_edges
-        assert ("POST /projects", "project", "GET /projects/{id}") in g.dependency_edges
+    def test_every_template_is_an_endpoint(self, mock_grammar):
+        actions = {(endpoint.template.template_id, endpoint.action, endpoint.resource)
+                   for endpoint in mock_endpoints()}
+        assert actions == {
+            (f"{method} /{resource}s{suffix}", action, resource)
+            for resource in ("group", "project")
+            for method, suffix, action in [
+                ("POST", "", "create"), ("GET", "", "list"), ("GET", "/{id}", "get"),
+                ("GET", "/{id}/attributes", "attributes"), ("PUT", "/{id}", "update"),
+                ("DELETE", "/{id}", "delete"),
+            ]
+        }
+        assert [endpoint.template for endpoint in mock_endpoints()] == list(
+            mock_grammar.templates.values())
+
+
+def value_checks():
+    """Each grammar parameter that the mock checks by value, with the mock's check."""
+    for endpoint in mock_endpoints():
+        for spec, (_, _, _, value_ok) in zip(endpoint.template.params, endpoint.checks):
+            if not spec.is_consumer:
+                yield spec, value_ok
+
+
+class TestValueRules:
+    """The rules the grammar format cannot express (``VALUE_RULES``)."""
+
+    def test_every_rule_has_a_bad_value_case(self):
+        assert set(BAD_VALUES) == set(VALUE_RULES)
+
+    @pytest.mark.parametrize("name", sorted(VALUE_RULES))
+    def test_rule_names_a_grammar_parameter_of_its_type(self, mock_grammar, name):
+        specs = [template.param(name) for template in mock_grammar.templates.values()
+                 if name in template.param_names]
+        assert specs
+        assert {spec.value_type for spec in specs} == {VALUE_RULES[name][0]}
+
+    def test_every_default_passes_the_check(self):
+        for spec, value_ok in value_checks():
+            assert value_ok(spec.default), spec.name
+
+    @pytest.mark.parametrize("name", sorted(VALUE_RULES))
+    def test_dictionary_mixes_in_a_rejected_value(self, name):
+        # Dictionaries deliberately mix invalid entries with the valid ones,
+        # so random dictionary rendering is rejected far more often than
+        # default rendering (the defaults are always valid).
+        checks = [(spec, value_ok) for spec, value_ok in value_checks() if spec.name == name]
+        assert checks
+        for spec, value_ok in checks:
+            assert not all(value_ok(value) for value in spec.dictionary)
 
 
 class TestUafNeedsThreeDependentRequests:
-    def test_no_short_stream_triggers_the_armed_bug(self):
+    def test_no_short_stream_triggers_the_armed_bug(self, mock_grammar):
         """create -> delete -> access is the shortest trigger.
 
         From pristine state no one- or two-request stream can reach a
@@ -432,12 +509,11 @@ class TestUafNeedsThreeDependentRequests:
         handle = serve(0, BugConfig(frozenset({BUG_UAF})))
         client = HttpClient(handle.base_url)
         try:
-            grammar = parse_spec(mock_grammar_bytes())
             rng = np.random.default_rng(71)
             for _ in range(800):
                 client.send(ReadyRequest("POST", "/__reset"))
                 for _ in range(int(rng.integers(1, 3))):
-                    record = client.send(random_request(grammar, rng))
+                    record = client.send(random_request(mock_grammar, rng))
                     assert record.status < 500
             # the three-step sequence does trigger it
             client.send(ReadyRequest("POST", "/__reset"))
@@ -455,7 +531,7 @@ def scan_route(endpoints, method, segments):
     """The linear scan over the endpoints that the route table replaced."""
     path_known = False
     for endpoint in endpoints:
-        pattern = tuple(part for part in endpoint.path.split("/") if part)
+        pattern = tuple(part for part in endpoint.template.path.split("/") if part)
         if len(pattern) != len(segments):
             continue
         values: dict[str, str] = {}
@@ -466,12 +542,19 @@ def scan_route(endpoints, method, segments):
                 break
         else:
             path_known = True
-            if endpoint.method == method:
+            if endpoint.template.method == method:
                 return endpoint, values, True
     return None, {}, path_known
 
 
 METHODS = st.sampled_from(["GET", "POST", "PUT", "DELETE", "PATCH"])
+ROUTES = mock_service._RouteTable(mock_endpoints())
+
+
+def routing_endpoint(method, path):
+    """An endpoint that only routing reads."""
+    template = RequestTemplate(f"{method} {path}", method, path, ())
+    return MockEndpoint(template, "get", "group", checks=(), body=())
 
 
 class TestRouteTable:
@@ -479,8 +562,7 @@ class TestRouteTable:
     @given(method=METHODS, segments=st.lists(st.sampled_from(
         ["groups", "projects", "attributes", "1", "{id}", "abc", "__reset"]), max_size=4))
     def test_matches_the_scan_over_the_service_endpoints(self, method, segments):
-        assert mock_service._ROUTES.match(method, segments) == scan_route(
-            ENDPOINTS, method, segments)
+        assert ROUTES.match(method, segments) == scan_route(mock_endpoints(), method, segments)
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -491,19 +573,18 @@ class TestRouteTable:
     )
     def test_matches_the_scan_over_any_endpoints(self, endpoints, method, segments):
         # Overlapping paths too: the first endpoint in order wins, as in the scan.
-        table = tuple(MockEndpoint(verb, "/" + "/".join(parts), "get", "group")
-                      for verb, parts in endpoints)
+        table = tuple(routing_endpoint(verb, "/" + "/".join(parts)) for verb, parts in endpoints)
         assert mock_service._RouteTable(table).match(method, segments) == scan_route(
             table, method, segments)
 
     def test_the_first_of_two_endpoints_on_one_path_wins(self):
-        first, second = (MockEndpoint("GET", path, "get", "group") for path in ("/g/{x}", "/g/{y}"))
+        first, second = (routing_endpoint("GET", path) for path in ("/g/{x}", "/g/{y}"))
         assert mock_service._RouteTable((first, second)).match("GET", ["g", "1"]) == (
             first, {"x": "1"}, True)
 
     def test_a_known_path_with_another_method_is_405_not_404(self):
-        assert mock_service._ROUTES.match("DELETE", ["groups"]) == (None, {}, True)
-        assert mock_service._ROUTES.match("GET", ["groups", "1", "x"]) == (None, {}, False)
+        assert ROUTES.match("DELETE", ["groups"]) == (None, {}, True)
+        assert ROUTES.match("GET", ["groups", "1", "x"]) == (None, {}, False)
 
 
 # A request target is the second word of the request line, so it holds no
@@ -562,7 +643,7 @@ class TestListAction:
         st.tuples(st.just("reset")),
     ), max_size=60))
     def test_reply_equals_the_sorted_then_sliced_reply(self, ops):
-        by_key = {(endpoint.resource, endpoint.action): endpoint for endpoint in ENDPOINTS}
+        by_key = {(endpoint.resource, endpoint.action): endpoint for endpoint in mock_endpoints()}
         state = mock_service._State(BugConfig())
         for op in ops:
             if op[0] == "reset":

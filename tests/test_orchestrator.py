@@ -10,16 +10,10 @@ from restfuzz import grammar as grammar_module
 from restfuzz import model, sequences
 from restfuzz import orchestrator as orch
 from restfuzz.client import HttpClient, TargetUnreachable
-from restfuzz.grammar import parse_spec
-from restfuzz.mock_service import ALL_BUGS, BugConfig, mock_grammar_bytes, serve
+from restfuzz.mock_service import ALL_BUGS, BugConfig, serve
 from restfuzz.orchestrator import MODES, FuzzConfig, Fuzzer, fuzz_loop
 from restfuzz.rendering import ReadyRequest
 from restfuzz.reporting import load_replay, run_replay
-
-
-@pytest.fixture(scope="module")
-def grammar():
-    return parse_spec(mock_grammar_bytes())
 
 
 @pytest.fixture(scope="module")
@@ -51,20 +45,20 @@ def quick_config(base_url, mode="miner", requests=400, seed=3, **overrides):
 
 
 class TestFuzzLoop:
-    def test_zero_budget_yields_empty_metrics(self, grammar, target):
-        metrics = fuzz_loop(quick_config(target.base_url, requests=0), grammar)
+    def test_zero_budget_yields_empty_metrics(self, mock_grammar, target):
+        metrics = fuzz_loop(quick_config(target.base_url, requests=0), mock_grammar)
         assert metrics.requests_sent == 0
         assert metrics.iterations == 0
         assert metrics.unique_errors == 0
 
-    def test_unreachable_target_fails_fast(self, grammar):
+    def test_unreachable_target_fails_fast(self, mock_grammar):
         config = quick_config("http://127.0.0.1:9", requests=10)
         with pytest.raises(TargetUnreachable):
-            fuzz_loop(config, grammar)
+            fuzz_loop(config, mock_grammar)
 
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_every_mode_runs_and_conserves_counts(self, grammar, target, mode):
-        metrics = fuzz_loop(quick_config(target.base_url, mode=mode), grammar)
+    def test_every_mode_runs_and_conserves_counts(self, mock_grammar, target, mode):
+        metrics = fuzz_loop(quick_config(target.base_url, mode=mode), mock_grammar)
         assert metrics.requests_sent >= 400
         assert sum(metrics.counts.values()) == metrics.requests_sent
         assert metrics.iterations > 0
@@ -78,34 +72,37 @@ class TestFuzzLoop:
         with pytest.raises(ValueError):
             FuzzConfig(target="http://x", mode="miner")
 
-    def test_reports_written(self, grammar, target, tmp_path):
+    def test_reports_written(self, mock_grammar, target, tmp_path):
         config = quick_config(
             target.base_url, requests=300, report_dir=tmp_path / "run",
             enable_uaf_checker=True, enable_datadriven_checker=True,
         )
-        metrics = fuzz_loop(config, grammar)
+        metrics = fuzz_loop(config, mock_grammar)
         report_dir = tmp_path / "run"
         on_disk = json.loads((report_dir / "metrics.json").read_text())
         assert on_disk["requests_sent"] == metrics.requests_sent
-        assert (report_dir / "lengths.csv").read_text().startswith("length,count")
+        lengths = {int(length): count for length, count in on_disk["length_histogram"].items()}
+        assert lengths == metrics.length_histogram
+        assert 0 < sum(lengths.values()) <= metrics.iterations
+        assert not (report_dir / "lengths.csv").exists()  # metrics.json holds the histogram
         assert (report_dir / "errors.jsonl").exists()
         assert (report_dir / "collection.jsonl").stat().st_size > 0
 
-    def test_training_happens_and_is_noted(self, grammar, target):
-        metrics = fuzz_loop(quick_config(target.base_url, requests=600), grammar)
+    def test_training_happens_and_is_noted(self, mock_grammar, target):
+        metrics = fuzz_loop(quick_config(target.base_url, requests=600), mock_grammar)
         assert metrics.train_rounds >= 1
         assert metrics.counts_at_first_training is not None
         assert metrics.pass_rate_after_first_training() is not None
 
     def test_failed_rounds_are_counted_and_the_run_goes_on(
-        self, grammar, target, tmp_path, monkeypatch, caplog
+        self, mock_grammar, target, tmp_path, monkeypatch, caplog
     ):
         def failing_round(self, corpus, label="", should_stop=None):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(orch.Recommender, "train_and_publish", failing_round)
         config = quick_config(target.base_url, requests=600, report_dir=tmp_path / "run")
-        metrics = fuzz_loop(config, grammar)
+        metrics = fuzz_loop(config, mock_grammar)
         assert metrics.requests_sent == 600
         assert metrics.train_rounds == 0
         assert metrics.train_rounds_failed >= 1
@@ -120,7 +117,7 @@ class TestFuzzLoop:
         assert all(r.exc_info is not None for r in failures)
 
     def test_a_failed_rounds_window_is_trained_on_by_the_next_round(
-        self, grammar, target, monkeypatch
+        self, mock_grammar, target, monkeypatch
     ):
         corpora = []
         real = orch.Recommender.train_and_publish
@@ -132,7 +129,7 @@ class TestFuzzLoop:
             return real(self, corpus, label, should_stop)
 
         monkeypatch.setattr(orch.Recommender, "train_and_publish", fails_once)
-        metrics = fuzz_loop(quick_config(target.base_url, requests=400), grammar)
+        metrics = fuzz_loop(quick_config(target.base_url, requests=400), mock_grammar)
         assert metrics.train_rounds_failed == 1
         assert len(corpora) >= 2
         failed_window, next_window = corpora[0], corpora[1]
@@ -140,7 +137,7 @@ class TestFuzzLoop:
         assert next_window[: len(failed_window)] == failed_window
         assert len(next_window) > len(failed_window)
 
-    def test_a_round_stops_at_the_duration_budget(self, grammar, target, monkeypatch):
+    def test_a_round_stops_at_the_duration_budget(self, mock_grammar, target, monkeypatch):
         calls = 0
         real = model.batch_loss_and_grads
 
@@ -155,7 +152,7 @@ class TestFuzzLoop:
             target.base_url, requests=None, duration=1.0, train_every_requests=500,
         )
         started = time.monotonic()
-        metrics = fuzz_loop(config, grammar)
+        metrics = fuzz_loop(config, mock_grammar)
         assert time.monotonic() - started < config.duration + 1.0
         assert calls > 0, "no round started inside the budget"
         assert metrics.train_rounds == 0
@@ -164,7 +161,7 @@ class TestFuzzLoop:
 
 class TestAblationIndependence:
     def test_disabling_the_model_leaves_selection_unchanged(
-        self, grammar, target, monkeypatch
+        self, mock_grammar, target, monkeypatch
     ):
         """Same seed, training off: miner degrades to exactly seq-only.
 
@@ -190,12 +187,12 @@ class TestAblationIndependence:
                 target.base_url, mode=mode, requests=500, seed=21,
                 train_every_requests=None,
             )
-            fuzz_loop(config, grammar)
+            fuzz_loop(config, mock_grammar)
         assert streams["miner"] == streams["seq-only"]
 
 
 class TestReplayFidelity:
-    def test_stored_errors_reproduce_after_reset(self, grammar, tmp_path):
+    def test_stored_errors_reproduce_after_reset(self, mock_grammar, tmp_path):
         handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
         try:
             config = quick_config(
@@ -203,7 +200,7 @@ class TestReplayFidelity:
                 report_dir=tmp_path / "armed",
                 enable_uaf_checker=True, enable_datadriven_checker=True,
             )
-            fuzzer = Fuzzer(config, grammar)
+            fuzzer = Fuzzer(config, mock_grammar)
             fuzzer.run()
             records = fuzzer.errors.records()
             assert records, "expected some errors against the armed target"
@@ -260,19 +257,19 @@ def stream_digest(grammar, monkeypatch, mode, uaf, datadriven):
 
 class TestRequestStream:
     @pytest.mark.parametrize("mode", sorted(GOLDEN_STREAMS))
-    def test_stream_matches_golden_digest(self, grammar, mode, monkeypatch):
-        digest = stream_digest(grammar, monkeypatch, mode, uaf=True, datadriven=True)
+    def test_stream_matches_golden_digest(self, mock_grammar, mode, monkeypatch):
+        digest = stream_digest(mock_grammar, monkeypatch, mode, uaf=True, datadriven=True)
         assert digest == GOLDEN_STREAMS[mode]
 
     @pytest.mark.parametrize(("mode", "uaf"), sorted(DATADRIVEN_OFF_STREAMS))
-    def test_stream_without_datadriven_checker(self, grammar, mode, uaf, monkeypatch):
-        digest = stream_digest(grammar, monkeypatch, mode, uaf=uaf, datadriven=False)
+    def test_stream_without_datadriven_checker(self, mock_grammar, mode, uaf, monkeypatch):
+        digest = stream_digest(mock_grammar, monkeypatch, mode, uaf=uaf, datadriven=False)
         assert digest == DATADRIVEN_OFF_STREAMS[mode, uaf]
 
 
 class TestPerIterationWork:
     def test_seq_only_run_computes_per_seed_change_not_per_request(
-        self, grammar, monkeypatch
+        self, mock_grammar, monkeypatch
     ):
         """Counts, not timings: what the loop recomputes while it runs."""
         calls = {"table": 0, "admitted": 0, "frozenset": 0}
@@ -290,7 +287,7 @@ class TestPerIterationWork:
         # Any frozenset grammar code builds, such as a template's consumed types.
         monkeypatch.setattr(grammar_module, "frozenset",
                             counted("frozenset", frozenset), raising=False)
-        digest = stream_digest(grammar, monkeypatch, "seq-only", uaf=True, datadriven=True)
+        digest = stream_digest(mock_grammar, monkeypatch, "seq-only", uaf=True, datadriven=True)
         assert digest == GOLDEN_STREAMS["seq-only"]
         assert calls["admitted"] > 0
         assert calls["table"] <= calls["admitted"]
@@ -302,7 +299,7 @@ class TestRequestBudget:
         ("seq-only", 0, 600),
         ("baseline", 1, 4000),
     ])
-    def test_checkers_stay_inside_the_budget(self, grammar, mode, seed, budget):
+    def test_checkers_stay_inside_the_budget(self, mock_grammar, mode, seed, budget):
         # both runs end mid-checker: a replay or a probe would overrun
         handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
         try:
@@ -310,7 +307,7 @@ class TestRequestBudget:
                 target=handle.base_url, mode=mode, max_requests=budget, seed=seed,
                 enable_uaf_checker=True, enable_datadriven_checker=True,
             )
-            metrics = fuzz_loop(config, grammar)
+            metrics = fuzz_loop(config, mock_grammar)
         finally:
             handle.stop()
         assert metrics.requests_sent == budget

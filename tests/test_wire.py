@@ -7,8 +7,7 @@ import socket
 import pytest
 
 from restfuzz.client import HttpClient
-from restfuzz.grammar import parse_spec
-from restfuzz.mock_service import ALL_BUGS, BugConfig, mock_grammar_bytes, serve
+from restfuzz.mock_service import ALL_BUGS, BugConfig, serve
 from restfuzz.orchestrator import FuzzConfig, fuzz_loop
 from restfuzz.rendering import ReadyRequest
 from tcp_proxy import TcpProxy
@@ -57,14 +56,14 @@ class TestTcpProxy:
 
 class TestWireStream:
     @pytest.mark.parametrize("mode", sorted(WIRE_STREAMS))
-    def test_bytes_match_golden_digest(self, service, mode):
+    def test_bytes_match_golden_digest(self, service, mock_grammar, mode):
         with TcpProxy(("127.0.0.1", service.port)) as proxy:
             config = FuzzConfig(
                 target=proxy.base_url, mode=mode, max_requests=1500, seed=0,
                 train_interval=None, train_every_requests=150,
                 enable_uaf_checker=True, enable_datadriven_checker=True,
             )
-            metrics = fuzz_loop(config, parse_spec(mock_grammar_bytes()))
+            metrics = fuzz_loop(config, mock_grammar)
         assert metrics.requests_sent == 1500
         assert len(proxy.connections) == 1
         assert proxy.digest() == WIRE_STREAMS[mode]
