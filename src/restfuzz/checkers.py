@@ -4,15 +4,16 @@ The data-driven checker replays an executed sequence, consumer ids rebound
 to the objects the replayed producers return, with one randomly chosen
 param-value pair the last template does not define added to the last
 request; a 5xx answer flags an incorrect-parameter-usage error.  The
-use-after-free checker issues create, delete, then access on the deleted
-object; a 2xx or 5xx answer to the access flags a violation.  Checker
-requests are reported to ``observe`` but never recorded as training data.
+use-after-free checker walks a plan fixed per grammar: for each resource
+type it issues create, delete, then access on the deleted object; a 2xx or
+5xx answer to the access flags a violation.  Checker requests are reported
+to ``observe`` but never recorded as training data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,11 +22,10 @@ from .collection import CollectionStore, ParamValuePair
 from .execution import ExecutedSequence, ExecutedStep, Observer, send_step
 from .grammar import CompiledGrammar, RequestTemplate
 from .rendering import (
-    MissingProducerId,
     ObjectIdPool,
     ParamValueList,
     RenderedStep,
-    extract_producer_ids,
+    read_produced_id,
     render_with_list,
 )
 from .reporting import replay_line, run_replay
@@ -33,10 +33,6 @@ from .responses import ResponseClass, ResponseRecord
 
 KIND_INCORRECT_PARAM_USAGE = "incorrect_param_usage"
 KIND_USE_AFTER_FREE = "use_after_free"
-
-
-class SetupFailed(Exception):
-    """The checker could not establish its precondition; no verdict."""
 
 
 @dataclass(frozen=True)
@@ -96,85 +92,83 @@ def datadriven_check(
     )
 
 
+class UafTarget(NamedTuple):
+    """One resource type the use-after-free probe creates, deletes and reads."""
+
+    resource_type: str
+    create: RequestTemplate
+    delete: RequestTemplate
+    accesses: tuple[RequestTemplate, ...]  # GET consumers, in template-id order
+
+
+def uaf_plan(grammar: CompiledGrammar) -> tuple[UafTarget, ...]:
+    """The probe's targets, one per resource type, in type order.
+
+    A type qualifies with a POST producer, a DELETE consumer and at least one
+    GET consumer that need no id other than the one the probe creates; the
+    first such create and delete in grammar order are used.
+    """
+    plan = []
+    for resource_type in sorted(grammar.resource_types):
+        own_id = {resource_type}
+        creates = [t for t in grammar.producers_of(resource_type)
+                   if t.method == "POST" and not t.consumed_types]
+        consumers = [t for t in grammar.consumers_of(resource_type)
+                     if t.consumed_types <= own_id]
+        deletes = [t for t in consumers if t.method == "DELETE"]
+        accesses = sorted((t for t in consumers if t.method == "GET"),
+                          key=lambda t: t.template_id)
+        if creates and deletes and accesses:
+            plan.append(UafTarget(resource_type, creates[0], deletes[0], tuple(accesses)))
+    return tuple(plan)
+
+
 def _render_defaults(template: RequestTemplate, pool: ObjectIdPool) -> RenderedStep:
     return render_with_list(template, ParamValueList(template.template_id, ()), pool)
 
 
 def use_after_free_check(
-    grammar: CompiledGrammar,
+    plan: Sequence[UafTarget],
     client: HttpClient,
     observe: Observer | None = None,
     should_stop: Callable[[], bool] | None = None,
 ) -> Violation | None:
-    """Create, delete, then access each deleted resource; 2xx or 5xx flags it.
+    """Create, delete, then access each planned type; a 2xx or 5xx access flags it.
 
-    Probes every resource type that has a POST producer, a DELETE consumer
-    and at least one GET consumer.  Every request renders with default
-    values; a 4xx or transport failure on the access is no violation.
-    Raises :class:`SetupFailed` when no type got past its create and delete
-    steps.  ``should_stop`` is asked before every request; once it answers
-    true the probe ends with no verdict.
+    Every request renders with default values.  A create or delete that is
+    not 2xx skips its type, and a 4xx or transport failure on an access is
+    no violation.  ``should_stop`` is asked before every request; once it
+    answers true the probe ends with no verdict.
     """
     stopped = should_stop or (lambda: False)
-    any_setup_ok = False
-    eligible = False
-    for resource_type in sorted(grammar.resource_types):
-        producers = [
-            t for t in grammar.producers_of(resource_type) if t.method == "POST"
-        ]
-        deleters = [
-            t for t in grammar.consumers_of(resource_type) if t.method == "DELETE"
-        ]
-        accessors = [
-            t for t in grammar.consumers_of(resource_type) if t.method == "GET"
-        ]
-        if not producers or not deleters or not accessors:
-            continue
-        eligible = True
+    for target in plan:
         pool = ObjectIdPool()
         if stopped():
             return None
-        try:
-            create = send_step(_render_defaults(producers[0], pool), 0,
-                               client, observe=observe)
-        except MissingProducerId:
-            continue
+        create = send_step(_render_defaults(target.create, pool), client, observe=observe)
         if create.response.klass is not ResponseClass.PASS_2XX:
             continue
-        produced = extract_producer_ids(producers[0], create.response.body)
-        if not produced:
+        deleted_id = read_produced_id(create.response.body, target.create.produces[1])
+        if deleted_id is None:
             continue
-        for rtype, value in produced:
-            pool.add(rtype, value)
-        deleted_id = produced[0][1]
+        pool.add(target.resource_type, deleted_id)
 
         if stopped():
             return None
-        try:
-            delete = send_step(_render_defaults(deleters[0], pool), 1,
-                               client, observe=observe)
-        except MissingProducerId:
-            continue
+        delete = send_step(_render_defaults(target.delete, pool), client, observe=observe)
         if delete.response.klass is not ResponseClass.PASS_2XX:
             continue
-        any_setup_ok = True
 
-        for accessor in sorted(accessors, key=lambda t: t.template_id):
+        for accessor in target.accesses:
             if stopped():
                 return None
-            try:
-                access = send_step(_render_defaults(accessor, pool), 2,
-                                   client, observe=observe)
-            except MissingProducerId:
-                continue
+            access = send_step(_render_defaults(accessor, pool), client, observe=observe)
             if access.response.klass in (ResponseClass.PASS_2XX, ResponseClass.ERROR_5XX):
                 return Violation(
                     KIND_USE_AFTER_FREE,
                     (create, delete, access),
                     offending_index=2,
                     response=access.response,
-                    deleted_resource=(resource_type, deleted_id),
+                    deleted_resource=(target.resource_type, deleted_id),
                 )
-    if eligible and not any_setup_ok:
-        raise SetupFailed("no resource type completed create + delete with 2xx")
     return None

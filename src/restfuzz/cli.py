@@ -14,7 +14,6 @@ from .client import HttpClient, TargetUnreachable
 from .grammar import parse_spec_file
 from .mock_service import BugConfig, serve
 from .orchestrator import MODES, FuzzConfig, fuzz_loop
-from .recommender import ModelConfig
 from .reporting import load_replay, run_replay
 
 
@@ -116,7 +115,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         enable_datadriven_checker=args.enable_datadriven_checker,
         report_dir=args.report_dir,
         max_sequence_length=args.max_sequence_length,
-        model=ModelConfig(),
         auth_token=args.auth_token,
         dump_weights=args.dump_weights,
     )

@@ -73,18 +73,18 @@ class CollectionStore:
         self,
         template_id: str,
         rendered_params: Mapping[str, str],
-        defaults: Mapping[str, str],
         response_class: ResponseClass,
     ) -> None:
         """Store the key mutations of one executed request.
 
-        ``rendered_params`` must iterate in template parameter order;
-        ``defaults`` holds the defaults of non-consumer parameters only, so
-        consumer (object-id) parameters are skipped implicitly.  Only 2xx
-        and 5xx outcomes are recorded.
+        ``rendered_params`` must iterate in template parameter order.  A
+        pair is a value that differs from the template's default; consumer
+        (object-id) parameters have no default, so they are skipped.  Only
+        2xx and 5xx outcomes are recorded.
         """
         if response_class not in _RECORDED_CLASSES:
             return
+        defaults = self._grammar.templates[template_id].defaults()
         pairs = tuple(
             ParamValuePair(name, value)
             for name, value in rendered_params.items()

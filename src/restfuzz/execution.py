@@ -25,12 +25,9 @@ Observer = Callable[[str, ResponseRecord], None]
 
 @dataclass(frozen=True)
 class ExecutedStep:
-    position: int
     template_id: str
     request: ReadyRequest
     rendered_params: dict[str, str]
-    defaults: Mapping[str, str]
-    consumer_bindings: dict[str, str]
     response: ResponseRecord
 
 
@@ -39,7 +36,6 @@ class ExecutedSequence:
     template_ids: tuple[str, ...]
     steps: list[ExecutedStep]
     completed: bool
-    abort_reason: str | None = None
 
     @property
     def response_classes(self) -> list[ResponseClass]:
@@ -51,8 +47,7 @@ class ExecutedSequence:
 
 
 def send_step(
-    step: RenderedStep | ExecutedStep,
-    position: int,
+    step: RenderedStep,
     client: HttpClient,
     store: CollectionStore | None = None,
     observe: Observer | None = None,
@@ -66,11 +61,8 @@ def send_step(
     if observe is not None:
         observe(step.template_id, record)
     if store is not None:
-        store.record_request_outcome(
-            step.template_id, step.rendered_params, step.defaults, record.klass
-        )
-    return ExecutedStep(position, step.template_id, step.request, step.rendered_params,
-                        step.defaults, step.consumer_bindings, record)
+        store.record_request_outcome(step.template_id, step.rendered_params, record.klass)
+    return ExecutedStep(step.template_id, step.request, step.rendered_params, record)
 
 
 def execute_candidate(
@@ -88,7 +80,8 @@ def execute_candidate(
 
     Producer ids flow into the pool between positions; outcomes are written
     through the collection store's standard recording path.  A consumer
-    whose producer never yielded an id aborts the execution.
+    whose producer never yielded an id, or a budget that runs out, ends the
+    execution incomplete.
     """
     executed = ExecutedSequence(tuple(candidate_ids), [], completed=False)
     generator = render_sequence(candidate_ids, grammar, list_snapshot, mode, rng, store)
@@ -97,13 +90,12 @@ def execute_candidate(
         while True:
             rendered = generator.send(record) if record is not None else next(generator)
             if should_stop is not None and should_stop():
-                executed.abort_reason = "budget exhausted"
                 return executed
-            step = send_step(rendered, len(executed.steps), client, store, observe)
+            step = send_step(rendered, client, store, observe)
             executed.steps.append(step)
             record = step.response
     except StopIteration:
         executed.completed = True
-    except MissingProducerId as exc:
-        executed.abort_reason = str(exc)
+    except MissingProducerId:
+        pass
     return executed

@@ -216,7 +216,7 @@ _ERROR_REPLY = _json_reply(500, {"message": "500 Internal Server Error"})
 def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
              query: dict[str, str], body: dict[str, str]) -> _Reply:
     eid = endpoint.template.template_id
-    values = {**query, **body}
+    values: dict[str, str] = {}  # each defined parameter, read from its own location
 
     # Syntax/semantic checking of the defined parameters comes first; a
     # request must pass it before any behavior (buggy or not) triggers.
@@ -232,9 +232,11 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
                 state.hit(eid, "missing_required")
                 return _bad(f"missing required parameter {name!r}")
             continue
-        if not value_ok(source[name]):
+        value = source[name]
+        if not value_ok(value):
             state.hit(eid, "invalid_param")
             return _bad(f"invalid value for parameter {name!r}")
+        values[name] = value
 
     bugs = state.bugs
     resource = endpoint.resource
@@ -296,7 +298,7 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
         if (
             bugs.has(BUG_UNDEF)
             and resource == "group"
-            and _UNDEF_TRIGGER_PARAM in values
+            and (_UNDEF_TRIGGER_PARAM in query or _UNDEF_TRIGGER_PARAM in body)
             and _UNDEF_TRIGGER_PARAM not in endpoint.template.param_names
         ):
             state.hit(eid, "bug_undef")

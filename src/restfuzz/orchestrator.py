@@ -14,12 +14,12 @@ import json
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .checkers import SetupFailed, datadriven_check, use_after_free_check
+from .checkers import datadriven_check, uaf_plan, use_after_free_check
 from .client import HttpClient
 from .collection import CollectionStore
 from .execution import ExecutedSequence, execute_candidate
@@ -67,7 +67,6 @@ class FuzzConfig:
     enable_datadriven_checker: bool = False
     report_dir: Path | str | None = None
     max_sequence_length: int = 10
-    model: ModelConfig = dataclass_field(default_factory=ModelConfig)
     auth_token: str | None = None
     request_timeout: float = 10.0
     dump_weights: bool = False
@@ -112,7 +111,7 @@ class Fuzzer:
             else None
         )
         self.recommender = (
-            Recommender(grammar, config.model, self._rng_trainer, dump_dir=dump_dir)
+            Recommender(grammar, ModelConfig(), self._rng_trainer, dump_dir=dump_dir)
             if self.uses_model
             else None
         )
@@ -123,10 +122,11 @@ class Fuzzer:
 
         # Weighted strategy: each drawn seed's extensions, computed once.
         self._extensions: dict[tuple[str, ...], list[SequenceTemplate]] = {}
-        # BFS state for the classic selection strategy.
-        self._frontier: list[SequenceTemplate] = [EMPTY_SEQUENCE]
+        # BFS state for the classic selection strategy: the round being
+        # executed, and the candidates it extended, which seed the next round.
         self._round_queue: deque[SequenceTemplate] = deque()
-        self._next_frontier: list[SequenceTemplate] = []
+        self._frontier: list[SequenceTemplate] = []
+        self._uaf_plan = uaf_plan(grammar)
 
     # -- budget ----------------------------------------------------------
 
@@ -203,41 +203,28 @@ class Fuzzer:
         return seed if seed.length else None
 
     def _next_candidate_bfs(self) -> SequenceTemplate | None:
-        while not self._round_queue:
-            if self._frontier:
-                self._round_queue = deque(
-                    candidate
-                    for seed in self._frontier
-                    for candidate in extend(
-                        seed, self.grammar, self.config.max_sequence_length
-                    )
-                )
-                self._frontier = []
-                self._next_frontier = []
-                if self._round_queue:
-                    break
-            # Frontier produced nothing (died out or hit the cap): restart
-            # the extension process from the empty template.
-            restart = extend(
-                EMPTY_SEQUENCE, self.grammar, self.config.max_sequence_length
+        if not self._round_queue:
+            limit = self.config.max_sequence_length
+            seeds, self._frontier = self._frontier or [EMPTY_SEQUENCE], []
+            self._round_queue.extend(
+                candidate for seed in seeds for candidate in extend(seed, self.grammar, limit)
             )
-            if not restart:
+            if not self._round_queue:
+                # The frontier sits at the length cap: restart the extension
+                # process from the empty template.
+                self._round_queue.extend(extend(EMPTY_SEQUENCE, self.grammar, limit))
+            if not self._round_queue:
                 return None
-            self._round_queue = deque(restart)
-            self._next_frontier = []
-            break
         return self._round_queue.popleft()
 
     def _bfs_note_result(self, candidate: SequenceTemplate, executed: ExecutedSequence) -> None:
-        outcome = (
-            classify_extension(candidate, executed.response_classes)
-            if executed.completed
-            else ExtensionResult.FAILED
-        )
-        if outcome == ExtensionResult.EXTENDED and len(self._next_frontier) < _FRONTIER_LIMIT:
-            self._next_frontier.append(candidate)
-        if not self._round_queue:
-            self._frontier = self._next_frontier
+        if (
+            executed.completed
+            and len(self._frontier) < _FRONTIER_LIMIT
+            and classify_extension(candidate, executed.response_classes)
+            == ExtensionResult.EXTENDED
+        ):
+            self._frontier.append(candidate)
 
     # -- main loop ---------------------------------------------------------
 
@@ -299,10 +286,10 @@ class Fuzzer:
                     executed.template_ids, executed.response_classes
                 )
 
-            for step in executed.steps:
+            for position, step in enumerate(executed.steps):
                 if step.response.klass is ResponseClass.ERROR_5XX:
                     self.errors.bucket_error(
-                        executed.steps, step.position, KIND_RESPONSE_5XX,
+                        executed.steps, position, KIND_RESPONSE_5XX,
                         self.metrics.iterations,
                     )
 
@@ -318,13 +305,9 @@ class Fuzzer:
                         violation.kind, self.metrics.iterations,
                     )
             if self.config.enable_uaf_checker and not self._exhausted():
-                try:
-                    violation = use_after_free_check(
-                        self.grammar, client, observe, should_stop=self._exhausted
-                    )
-                except SetupFailed as exc:
-                    logger.debug("use-after-free setup failed: %s", exc)
-                    violation = None
+                violation = use_after_free_check(
+                    self._uaf_plan, client, observe, should_stop=self._exhausted
+                )
                 if violation is not None:
                     self.errors.bucket_error(
                         violation.steps, violation.offending_index,

@@ -57,9 +57,9 @@ class ParamValueList:
             raise ValueError(f"duplicate parameter names in list for {self.template_id}")
 
     def validate_against(self, template: RequestTemplate) -> None:
+        defaults = template.defaults()
         for pair in self.pairs:
-            spec = next((s for s in template.params if s.name == pair.param_name), None)
-            if spec is None or spec.is_consumer:
+            if pair.param_name not in defaults:
                 raise ForeignPair(
                     f"{self.template_id}: {pair.param_name!r} is not a "
                     "defined non-consumer parameter"
@@ -102,13 +102,11 @@ def resolve_consumer(param: ParamSpec, pool: ObjectIdPool) -> str:
 
 @dataclass(frozen=True)
 class RenderedStep:
-    """A rendered request plus the bookkeeping the fuzz loop needs."""
+    """A rendered request plus the parameter values it was rendered from."""
 
     template_id: str
     request: ReadyRequest
-    rendered_params: dict[str, str]      # every parameter, template order
-    defaults: Mapping[str, str]          # non-consumer defaults, template order
-    consumer_bindings: dict[str, str]    # param name -> resource type
+    rendered_params: dict[str, str]  # every parameter, template order
 
 
 def _render(
@@ -117,14 +115,12 @@ def _render(
     choose_value,
 ) -> RenderedStep:
     values: dict[str, str] = {}
-    bindings: dict[str, str] = {}
     path = template.path
     query: dict[str, str] = {}
     body: dict[str, str] = {}
     for spec in template.params:
         if spec.consumes is not None:
             value = resolve_consumer(spec, pool)
-            bindings[spec.name] = spec.consumes
         else:
             value = choose_value(spec)
         values[spec.name] = value
@@ -138,8 +134,6 @@ def _render(
         template.template_id,
         ReadyRequest(template.method, path, query, body, {}),
         values,
-        template.defaults(),
-        bindings,
     )
 
 
@@ -191,15 +185,6 @@ def read_produced_id(body: str, pointer: str) -> str | None:
             return None
         node = node[key]
     return str(node) if isinstance(node, (str, int)) else None
-
-
-def extract_producer_ids(template: RequestTemplate, body: str) -> list[tuple[str, str]]:
-    """Read the produced object id from a 2xx response body."""
-    if not template.produces:
-        return []
-    resource_type, pointer = template.produces
-    value = read_produced_id(body, pointer)
-    return [] if value is None else [(resource_type, value)]
 
 
 def render_sequence(
@@ -257,5 +242,7 @@ def render_sequence(
         if response is None:
             raise RuntimeError("render_sequence must be sent the response record")
         if response.klass is ResponseClass.PASS_2XX and template.produces:
-            for resource_type, value in extract_producer_ids(template, response.body):
+            resource_type, pointer = template.produces
+            value = read_produced_id(response.body, pointer)
+            if value is not None:
                 pool.add(resource_type, value)

@@ -85,7 +85,7 @@ def replay_line(step: ExecutedStep, grammar: CompiledGrammar) -> dict:
         "query": dict(step.request.query),
         "body": dict(step.request.body),
         "headers": headers,
-        "rebind": dict(step.consumer_bindings),
+        "rebind": {spec.name: spec.consumes for spec in template.params if spec.consumes},
         "produces": produces,
         "expected_status": step.response.status,
         "expected_class": step.response.klass.value,

@@ -8,8 +8,9 @@ from restfuzz import orchestrator
 from restfuzz.checkers import (
     KIND_INCORRECT_PARAM_USAGE,
     KIND_USE_AFTER_FREE,
-    SetupFailed,
+    UafTarget,
     datadriven_check,
+    uaf_plan,
     use_after_free_check,
 )
 from restfuzz.client import HttpClient
@@ -21,10 +22,12 @@ from restfuzz.orchestrator import FuzzConfig, fuzz_loop
 from restfuzz.rendering import (
     ObjectIdPool,
     ParamValueList,
-    extract_producer_ids,
+    read_produced_id,
     render_with_list,
 )
 from restfuzz.responses import ResponseClass, ResponseRecord
+
+from conftest import build_spec
 
 
 @pytest.fixture(scope="module")
@@ -58,15 +61,17 @@ def execute_recorded(steps, grammar, client, store):
     """Run (template id, overrides) steps through the main loop's send path."""
     pool = ObjectIdPool()
     executed = []
-    for position, (template_id, overrides) in enumerate(steps):
+    for template_id, overrides in steps:
         template = grammar.templates[template_id]
         plist = ParamValueList(
             template_id, tuple(ParamValuePair(*item) for item in overrides.items())
         )
-        step = send_step(render_with_list(template, plist, pool), position, client, store)
+        step = send_step(render_with_list(template, plist, pool), client, store)
         executed.append(step)
-        if step.response.klass is ResponseClass.PASS_2XX:
-            for resource_type, value in extract_producer_ids(template, step.response.body):
+        if step.response.klass is ResponseClass.PASS_2XX and template.produces:
+            resource_type, pointer = template.produces
+            value = read_produced_id(step.response.body, pointer)
+            if value is not None:
                 pool.add(resource_type, value)
     return ExecutedSequence(tuple(t for t, _ in steps), executed, completed=True)
 
@@ -102,7 +107,6 @@ def store_with_undef_pair(grammar):
         "POST /groups",
         {"name": "dev-team", "path": "eng", "parent_id": "0",
          "visibility": "private", "initialize_with_readme": "true"},
-        grammar.templates["POST /groups"].defaults(),
         ResponseClass.PASS_2XX,
     )
     return store
@@ -210,9 +214,67 @@ def grammar_with_bad_names():
     return parse_spec(json.dumps(doc).encode())
 
 
+def grammar_with_nested_projects():
+    """Groups as in the mock, plus projects that can only be created inside a group."""
+    group_id = {"name": "id", "in": "path", "type": "integer", "x-consumes": "group"}
+    project_id = {"name": "pid", "in": "path", "type": "integer", "x-consumes": "project"}
+    return parse_spec(build_spec({
+        "/groups": {"POST": {"parameters": [], "x-produces": {"type": "group", "pointer": "/id"}}},
+        "/groups/{id}": {"GET": {"parameters": [group_id]},
+                         "DELETE": {"parameters": [group_id]}},
+        "/groups/{id}/projects": {"POST": {
+            "parameters": [group_id], "x-produces": {"type": "project", "pointer": "/id"},
+        }},
+        "/groups/{id}/projects/{pid}": {"GET": {"parameters": [group_id, project_id]}},
+        "/projects/{pid}": {"GET": {"parameters": [project_id]},
+                            "DELETE": {"parameters": [project_id]}},
+    }))
+
+
+class StubClient:
+    """Answers a create with 201 and a new id, a delete with 204, anything else with 404."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, request):
+        self.sent.append(request)
+        if request.method == "POST":
+            return ResponseRecord.from_status(201, json.dumps({"id": len(self.sent)}))
+        return ResponseRecord.from_status(204 if request.method == "DELETE" else 404)
+
+
+class TestUseAfterFreePlan:
+    def test_packaged_grammar_plans_groups_and_projects(self, mock_grammar):
+        templates = mock_grammar.templates
+        assert uaf_plan(mock_grammar) == tuple(
+            UafTarget(
+                resource_type,
+                templates[f"POST /{collection}"],
+                templates[f"DELETE /{collection}/{{id}}"],
+                (templates[f"GET /{collection}/{{id}}"],
+                 templates[f"GET /{collection}/{{id}}/attributes"]),
+            )
+            for resource_type, collection in (("group", "groups"), ("project", "projects"))
+        )
+
+    def test_type_whose_create_consumes_another_type_is_left_out(self):
+        grammar = grammar_with_nested_projects()
+        plan = uaf_plan(grammar)
+        assert [target.resource_type for target in plan] == ["group"]
+        # the GET that also needs a project id is no access of a group
+        assert [t.template_id for t in plan[0].accesses] == ["GET /groups/{id}"]
+
+        client = StubClient()
+        assert use_after_free_check(plan, client) is None
+        assert [(r.method, r.path) for r in client.sent] == [
+            ("POST", "/groups"), ("DELETE", "/groups/1"), ("GET", "/groups/1"),
+        ]
+
+
 class TestUseAfterFreeChecker:
     def test_armed_bug_detected(self, mock_grammar, armed):
-        violation = use_after_free_check(mock_grammar, armed)
+        violation = use_after_free_check(uaf_plan(mock_grammar), armed)
         assert violation is not None
         assert violation.kind == KIND_USE_AFTER_FREE
         assert violation.response.status == 500
@@ -224,24 +286,29 @@ class TestUseAfterFreeChecker:
         ]
 
     def test_disarmed_service_is_clean(self, mock_grammar, disarmed):
-        assert use_after_free_check(mock_grammar, disarmed) is None
+        assert use_after_free_check(uaf_plan(mock_grammar), disarmed) is None
 
-    def test_failed_create_is_setup_failure(self, disarmed):
-        with pytest.raises(SetupFailed):
-            use_after_free_check(grammar_with_bad_names(), disarmed)
+    def test_failed_create_skips_its_type(self, armed):
+        # Both creates are refused (400), so neither type is deleted or read.
+        client = RecordingClient(armed)
+        assert use_after_free_check(uaf_plan(grammar_with_bad_names()), client) is None
+        assert [(request.path, record.status) for request, record in client.sent] == [
+            ("/groups", 400), ("/projects", 400),
+        ]
 
     def test_probe_cut_short_is_no_verdict(self, mock_grammar, armed):
         client = RecordingClient(armed)
         violation = use_after_free_check(
-            mock_grammar, client, should_stop=lambda: len(client.sent) >= 2
+            uaf_plan(mock_grammar), client, should_stop=lambda: len(client.sent) >= 2
         )
         assert violation is None
         assert [request.method for request, _ in client.sent] == ["POST", "DELETE"]
 
-    def test_probe_cut_short_raises_no_setup_failure(self, disarmed):
-        client = RecordingClient(disarmed)
+    def test_probe_cut_short_after_a_failed_create_is_no_verdict(self, armed):
+        client = RecordingClient(armed)
         violation = use_after_free_check(
-            grammar_with_bad_names(), client, should_stop=lambda: len(client.sent) >= 1
+            uaf_plan(grammar_with_bad_names()), client,
+            should_stop=lambda: len(client.sent) >= 1,
         )
         assert violation is None
         assert len(client.sent) == 1
@@ -253,7 +320,7 @@ class TestUseAfterFreeChecker:
                     return ResponseRecord.transport("connection reset")
                 return disarmed.send(request)
 
-        assert use_after_free_check(mock_grammar, DroppingClient()) is None
+        assert use_after_free_check(uaf_plan(mock_grammar), DroppingClient()) is None
 
 
 class TestCheckerTraffic:

@@ -15,14 +15,12 @@ def store(two_template_grammar):
 
 GET_ID = "GET /groups/{id}"
 POST = "POST /groups"
-GET_DEFAULTS = {"with_custom_attributes": "false", "with_projects": "true"}
 
 
 def record_get(store, *, wca="false", wp="true", klass=ResponseClass.PASS_2XX):
     store.record_request_outcome(
         GET_ID,
         {"id": "7", "with_custom_attributes": wca, "with_projects": wp},
-        GET_DEFAULTS,
         klass,
     )
 
@@ -129,16 +127,10 @@ class TestTrainingCorpus:
 
 class TestUndefinedPairsFor:
     def test_pair_from_other_template_is_undefined(self, store):
-        # min_access_level is not a parameter of GET /groups/{id}
-        store.record_request_outcome(
-            POST,
-            {"name": "dev-team", "min_access_level": "1"},
-            {"name": "dev-team", "min_access_level": "0"},
-            ResponseClass.PASS_2XX,
-        )
-        assert store.undefined_pairs_for(GET_ID) == [
-            ParamValuePair("min_access_level", "1")
-        ]
+        # name is not a parameter of GET /groups/{id}
+        store.record_request_outcome(POST, {"name": "qa-team"}, ResponseClass.PASS_2XX)
+        assert store.undefined_pairs_for(GET_ID) == [ParamValuePair("name", "qa-team")]
+        assert store.undefined_pairs_for(POST) == []
 
     def test_defined_params_are_filtered_out(self, store):
         record_get(store, wp="false")
@@ -219,7 +211,7 @@ class TestIndexesMatchScans:
                     else spec.dictionary[picks[i % len(picks)] % len(spec.dictionary)]
                     for i, spec in enumerate(template.params)
                 }
-                store.record_request_outcome(template_id, rendered, template.defaults(), klass)
+                store.record_request_outcome(template_id, rendered, klass)
             else:
                 ids = [template_id for template_id, _ in op[1]]
                 classes = [klass for _, klass in op[1]]
@@ -269,7 +261,7 @@ class TestTrainingCorpusMatchesScan:
                 else spec.dictionary[picks[i % len(picks)] % len(spec.dictionary)]
                 for i, spec in enumerate(template.params)
             }
-            store.record_request_outcome(template_id, rendered, template.defaults(), klass)
+            store.record_request_outcome(template_id, rendered, klass)
         for since in sinces + [-1, store.iteration]:
             assert store.training_corpus(since) == [
                 (event.template_id, list(event.pairs))

@@ -198,6 +198,14 @@ class TestSeededBugs:
         assert post_group(armed_service, parent_id=value).status == 500
         assert post_group(clean_service, parent_id=value).status == 201
 
+    def test_undef_param_in_the_query_on_update(self, armed_service):
+        post_group(armed_service)
+        record = armed_service.send(
+            ReadyRequest("PUT", "/groups/1", query={"initialize_with_readme": "true"},
+                         body={"name": "dev-team"})
+        )
+        assert record.status == 500
+
     def test_bugs_only_fire_after_validation(self, armed_service):
         # an invalid defined parameter still yields 400, not the bug's 500
         record = armed_service.send(
@@ -205,6 +213,23 @@ class TestSeededBugs:
                          query={"per_page": "0", "statistics": "3"})
         )
         assert record.status == 400
+
+
+class TestParameterLocations:
+    """A defined parameter is read only from the location its grammar gives it."""
+
+    def test_per_page_in_the_body_is_not_read(self, clean_service):
+        record = clean_service.send(ReadyRequest("GET", "/groups", body={"per_page": "abc"}))
+        assert record.status == 200
+        assert json.loads(record.body) == []
+
+    def test_parent_id_in_the_query_fires_no_bug(self, armed_service):
+        record = armed_service.send(
+            ReadyRequest("POST", "/groups", query={"parent_id": "2"},
+                         body={"name": "dev-team", "path": "eng"})
+        )
+        assert record.status == 201
+        assert json.loads(record.body)["parent_id"] == "0"  # the body default
 
 
 def template_request(template, values):

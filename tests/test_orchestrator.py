@@ -10,10 +10,12 @@ from restfuzz import grammar as grammar_module
 from restfuzz import model, sequences
 from restfuzz import orchestrator as orch
 from restfuzz.client import HttpClient, TargetUnreachable
+from restfuzz.execution import ExecutedSequence, ExecutedStep
 from restfuzz.mock_service import ALL_BUGS, BugConfig, serve
 from restfuzz.orchestrator import MODES, FuzzConfig, Fuzzer, fuzz_loop
 from restfuzz.rendering import ReadyRequest
 from restfuzz.reporting import load_replay, run_replay
+from restfuzz.responses import ResponseRecord
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +159,72 @@ class TestFuzzLoop:
         assert calls > 0, "no round started inside the budget"
         assert metrics.train_rounds == 0
         assert metrics.train_rounds_failed == 0
+
+
+POST = "POST /groups"
+GET_ID = "GET /groups/{id}"
+
+
+def bfs_fuzzer(grammar, max_sequence_length=10):
+    config = FuzzConfig(target="http://x", mode="baseline", max_requests=1,
+                        max_sequence_length=max_sequence_length)
+    return Fuzzer(config, grammar)
+
+
+def note(fuzzer, candidate, last_status):
+    """Tell the BFS that ``candidate`` ran whole and its last request got ``last_status``."""
+    statuses = [201] * (candidate.length - 1) + [last_status]
+    steps = [
+        ExecutedStep(template_id, ReadyRequest("GET", "/"), {},
+                     ResponseRecord.from_status(status))
+        for template_id, status in zip(candidate.template_ids, statuses)
+    ]
+    executed = ExecutedSequence(candidate.template_ids, steps, completed=True)
+    fuzzer._bfs_note_result(candidate, executed)
+
+
+def run_round(fuzzer, last_status):
+    """Draw every candidate of the next round, noting each with ``last_status``."""
+    drawn = [fuzzer._next_candidate_bfs()]
+    note(fuzzer, drawn[0], last_status)
+    while fuzzer._round_queue:
+        drawn.append(fuzzer._next_candidate_bfs())
+        note(fuzzer, drawn[-1], last_status)
+    return [candidate.template_ids for candidate in drawn]
+
+
+class TestBfsFrontier:
+    """The BFS baseline on the two-template grammar, where only POST starts a sequence."""
+
+    def test_rounds_extend_what_the_last_round_extended(self, two_template_grammar):
+        fuzzer = bfs_fuzzer(two_template_grammar)
+        assert run_round(fuzzer, 201) == [(POST,)]
+        assert run_round(fuzzer, 201) == [(POST, GET_ID), (POST, POST)]
+        assert run_round(fuzzer, 201)[:2] == [(POST, GET_ID, GET_ID), (POST, GET_ID, POST)]
+
+    def test_a_round_that_extends_nothing_restarts(self, two_template_grammar):
+        fuzzer = bfs_fuzzer(two_template_grammar)
+        run_round(fuzzer, 201)
+        assert run_round(fuzzer, 400) == [(POST, GET_ID), (POST, POST)]
+        assert fuzzer._frontier == []
+        assert run_round(fuzzer, 201) == [(POST,)]
+
+    def test_a_frontier_at_the_length_cap_restarts(self, two_template_grammar):
+        fuzzer = bfs_fuzzer(two_template_grammar, max_sequence_length=1)
+        assert run_round(fuzzer, 201) == [(POST,)]
+        assert [seed.template_ids for seed in fuzzer._frontier] == [(POST,)]
+        assert run_round(fuzzer, 201) == [(POST,)]
+
+    def test_the_frontier_stops_growing_at_its_limit(self, two_template_grammar, monkeypatch):
+        monkeypatch.setattr(orch, "_FRONTIER_LIMIT", 2)
+        fuzzer = bfs_fuzzer(two_template_grammar)
+        run_round(fuzzer, 201)
+        run_round(fuzzer, 201)
+        assert len(run_round(fuzzer, 201)) == 4
+        assert [seed.template_ids for seed in fuzzer._frontier] == [
+            (POST, GET_ID, GET_ID), (POST, GET_ID, POST),
+        ]
+        assert len(run_round(fuzzer, 201)) == 4  # two seeds, two extensions each
 
 
 class TestAblationIndependence:

@@ -13,7 +13,7 @@ from restfuzz.rendering import (
     ParamValueList,
     RenderMode,
     choose_list,
-    extract_producer_ids,
+    read_produced_id,
     render_sequence,
     render_traditional,
     render_with_list,
@@ -130,18 +130,26 @@ class TestChooseList:
 
 
 class TestExtractProducerIds:
-    def test_pointer_read(self, two_template_grammar):
-        post = two_template_grammar.templates[POST]
-        assert extract_producer_ids(post, '{"id": 42, "name": "x"}') == [("group", "42")]
+    """A producer's id, read from its response body by ``read_produced_id``."""
 
-    def test_missing_field_is_tolerated(self, two_template_grammar):
-        post = two_template_grammar.templates[POST]
-        assert extract_producer_ids(post, '{"name": "x"}') == []
-        assert extract_producer_ids(post, "not json") == []
+    def test_pointer_read(self):
+        assert read_produced_id('{"id": 42, "name": "x"}', "/id") == "42"
+        assert read_produced_id('{"group": {"id": "g-1"}}', "/group/id") == "g-1"
 
-    def test_non_producer_yields_nothing(self, two_template_grammar):
-        get = two_template_grammar.templates[GET_ID]
-        assert extract_producer_ids(get, '{"id": 42}') == []
+    def test_missing_field_is_tolerated(self):
+        assert read_produced_id('{"name": "x"}', "/id") is None
+        assert read_produced_id("not json", "/id") is None
+        assert read_produced_id("", "/id") is None
+        assert read_produced_id('{"id": [42]}', "/id") is None
+
+    def test_non_producer_yields_nothing(self, two_template_grammar, rng):
+        # The GET answers with an id of its own; only the POST's id is bound.
+        gen = render_sequence(
+            [POST, GET_ID, GET_ID], two_template_grammar, {}, RenderMode.BASELINE, rng
+        )
+        steps = drive(gen, [ResponseRecord.from_status(201, '{"id": 7}'),
+                            ResponseRecord.from_status(200, '{"id": 42}')])
+        assert [step.request.path for step in steps[1:]] == ["/groups/7", "/groups/7"]
 
 
 class TestResolveConsumer:
@@ -227,9 +235,7 @@ class TestRenderSequence:
         from restfuzz.responses import ResponseClass
 
         store = CollectionStore(two_template_grammar)
-        store.record_request_outcome(
-            POST, {"name": "qa-team"}, {"name": "dev-team"}, ResponseClass.PASS_2XX
-        )
+        store.record_request_outcome(POST, {"name": "qa-team"}, ResponseClass.PASS_2XX)
         gen = render_sequence(
             [POST, POST], two_template_grammar, {}, RenderMode.REC1, rng, store
         )
@@ -244,7 +250,7 @@ class TestRenderSequence:
         steps = drive(gen, [ResponseRecord.from_status(201, '{"id": 42}'),
                             ResponseRecord.from_status(200, "{}")])
         assert steps[1].request.path == "/groups/42"
-        assert steps[1].consumer_bindings == {"id": "group"}
+        assert steps[1].rendered_params["id"] == "42"
 
     def test_failed_producer_aborts_at_consumer(self, two_template_grammar, rng):
         gen = render_sequence(

@@ -84,14 +84,11 @@ class TestBodySignature:
         assert body_signature("Internal Error") == body_signature("internal error")
 
 
-def make_step(template_id="POST /groups", status=500, body='{"m":"e"}', position=0):
+def make_step(template_id="POST /groups", status=500, body='{"m":"e"}'):
     return ExecutedStep(
-        position=position,
         template_id=template_id,
         request=ReadyRequest("POST", "/groups", body={"name": "dev-team"}),
         rendered_params={"name": "dev-team"},
-        defaults={"name": "dev-team"},
-        consumer_bindings={},
         response=ResponseRecord.from_status(status, body),
     )
 
