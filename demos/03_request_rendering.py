@@ -15,12 +15,7 @@ from restfuzz.client import HttpClient
 from restfuzz.collection import ParamValuePair
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import BugConfig, packaged_grammar_path, serve
-from restfuzz.rendering import (
-    ObjectIdPool,
-    ParamValueList,
-    render_traditional,
-    render_with_list,
-)
+from restfuzz.rendering import ParamValueList, render_traditional, render_with_list
 
 grammar = parse_spec(packaged_grammar_path().read_bytes())
 handle = serve(0, BugConfig())
@@ -28,11 +23,12 @@ client = HttpClient(handle.base_url)
 rng = np.random.default_rng(4)
 
 # A producer run first: its response id feeds the consumer's {id} slot.
-pool = ObjectIdPool()
+# The pool maps each resource type to the latest id produced for it.
+pool = {}
 post = grammar.templates["POST /groups"]
 created = client.send(render_with_list(post, ParamValueList(post.template_id, ()), pool).request)
 group_id = str(json.loads(created.body)["id"])
-pool.add("group", group_id)
+pool["group"] = group_id
 print(f"producer POST /groups -> {created.status}, captured group id {group_id}")
 
 get = grammar.templates["GET /groups/{id}"]

@@ -18,18 +18,12 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .client import HttpClient
-from .collection import CollectionStore, ParamValuePair
+from .collection import CollectionStore
 from .execution import ExecutedSequence, ExecutedStep, Observer, send_step
 from .grammar import CompiledGrammar, RequestTemplate
-from .rendering import (
-    ObjectIdPool,
-    ParamValueList,
-    RenderedStep,
-    read_produced_id,
-    render_with_list,
-)
+from .rendering import ParamValueList, RenderedStep, read_produced_id, render_with_list
 from .reporting import replay_line, run_replay
-from .responses import ResponseClass, ResponseRecord
+from .responses import ResponseClass
 
 KIND_INCORRECT_PARAM_USAGE = "incorrect_param_usage"
 KIND_USE_AFTER_FREE = "use_after_free"
@@ -37,12 +31,11 @@ KIND_USE_AFTER_FREE = "use_after_free"
 
 @dataclass(frozen=True)
 class Violation:
+    """A checker's finding; the offending reply is ``steps[offending_index].response``."""
+
     kind: str
     steps: tuple[ExecutedStep, ...]
     offending_index: int
-    response: ResponseRecord
-    injected_pair: ParamValuePair | None = None
-    deleted_resource: tuple[str, str] | None = None  # (resource type, id)
 
 
 def datadriven_check(
@@ -73,8 +66,7 @@ def datadriven_check(
     lines[-1][location][pair.param_name] = pair.value
     results = run_replay(lines, client, observe)
 
-    response = results[-1][1]
-    if response.klass is not ResponseClass.ERROR_5XX:
+    if results[-1][1].klass is not ResponseClass.ERROR_5XX:
         return None
     # The replay file then expects the classes this replay saw.
     steps = [
@@ -83,13 +75,7 @@ def datadriven_check(
     ]
     injected = replace(last.request, **{location: lines[-1][location]})
     steps[-1] = replace(steps[-1], request=injected)
-    return Violation(
-        KIND_INCORRECT_PARAM_USAGE,
-        tuple(steps),
-        offending_index=len(steps) - 1,
-        response=response,
-        injected_pair=pair,
-    )
+    return Violation(KIND_INCORRECT_PARAM_USAGE, tuple(steps), offending_index=len(steps) - 1)
 
 
 class UafTarget(NamedTuple):
@@ -123,7 +109,7 @@ def uaf_plan(grammar: CompiledGrammar) -> tuple[UafTarget, ...]:
     return tuple(plan)
 
 
-def _render_defaults(template: RequestTemplate, pool: ObjectIdPool) -> RenderedStep:
+def _render_defaults(template: RequestTemplate, pool: dict[str, str]) -> RenderedStep:
     return render_with_list(template, ParamValueList(template.template_id, ()), pool)
 
 
@@ -142,16 +128,15 @@ def use_after_free_check(
     """
     stopped = should_stop or (lambda: False)
     for target in plan:
-        pool = ObjectIdPool()
         if stopped():
             return None
-        create = send_step(_render_defaults(target.create, pool), client, observe=observe)
+        create = send_step(_render_defaults(target.create, {}), client, observe=observe)
         if create.response.klass is not ResponseClass.PASS_2XX:
             continue
         deleted_id = read_produced_id(create.response.body, target.create.produces[1])
         if deleted_id is None:
             continue
-        pool.add(target.resource_type, deleted_id)
+        pool = {target.resource_type: deleted_id}
 
         if stopped():
             return None
@@ -164,11 +149,5 @@ def use_after_free_check(
                 return None
             access = send_step(_render_defaults(accessor, pool), client, observe=observe)
             if access.response.klass in (ResponseClass.PASS_2XX, ResponseClass.ERROR_5XX):
-                return Violation(
-                    KIND_USE_AFTER_FREE,
-                    (create, delete, access),
-                    offending_index=2,
-                    response=access.response,
-                    deleted_resource=(target.resource_type, deleted_id),
-                )
+                return Violation(KIND_USE_AFTER_FREE, (create, delete, access), offending_index=2)
     return None

@@ -117,16 +117,18 @@ class HttpClient:
     request went out are reported as transport outcomes, never retried,
     since the target may already have acted on the request.  A request
     that cannot be written as HTTP/1.1 (a space, control or non-ASCII
-    character in the request target, CR or LF in a header) is a transport
-    outcome with nothing sent.
+    character in the request target, CR or LF in the auth token) is a
+    transport outcome with nothing sent.  The target is ``http://host:port``
+    or a bare ``host:port``: every request path is sent as rendered, so a
+    target URL with a path, a query or a fragment is refused.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0, auth_token: str | None = None):
-        parts = urlsplit(base_url)
-        if parts.scheme not in ("http", "") or not parts.netloc and not parts.path:
+        parts = urlsplit(base_url if "//" in base_url else "//" + base_url)
+        if (parts.scheme not in ("http", "") or not parts.netloc
+                or parts.path not in ("", "/") or parts.query or parts.fragment):
             raise ValueError(f"unsupported target url {base_url!r}")
-        netloc = parts.netloc or parts.path
-        host, _, port = netloc.partition(":")
+        host, _, port = parts.netloc.partition(":")
         self._host = host
         self._port = int(port) if port else 80
         self._host_line = f"Host: {host}" if self._port == 80 else f"Host: {host}:{self._port}"
@@ -190,26 +192,13 @@ class HttpClient:
         head = f"{method} {target} HTTP/1.1\r\n{self._host_line}\r\nAccept-Encoding: identity\r\n"
         if body or method in _BODY_METHODS:
             head += f"Content-Length: {len(body)}\r\n"
-        if request.headers or self._auth_token:
-            head += self._header_fields(request.headers, body)
-        elif body:
-            head += "Content-Type: application/json\r\n"
-        return (head + "\r\n").encode("latin-1") + body
-
-    def _header_fields(self, request_headers: dict[str, str], body: bytes) -> str:
-        """The request's headers, then ``Content-Type`` and ``Authorization``."""
-        headers = dict(request_headers)
         if body:
-            headers["Content-Type"] = "application/json"
-        if self._auth_token and "Authorization" not in headers:
-            headers["Authorization"] = f"Bearer {self._auth_token}"
-        fields = ""
-        for name, value in headers.items():
-            line = f"{name}: {value}"
-            if _CR_OR_LF.search(line):
-                raise ValueError(f"CR or LF in header {name!r}")
-            fields += line + "\r\n"
-        return fields
+            head += "Content-Type: application/json\r\n"
+        if self._auth_token:
+            if _CR_OR_LF.search(self._auth_token):
+                raise ValueError("CR or LF in the auth token")
+            head += f"Authorization: Bearer {self._auth_token}\r\n"
+        return (head + "\r\n").encode("latin-1") + body
 
     # -- reply parsing -------------------------------------------------------
 

@@ -54,8 +54,8 @@ class CollectionStore:
         self._grammar = grammar
         self._persist = persist
         self.iteration = 0  # set by the fuzz loop; never decreases
-        # Insertion-ordered; one entry per distinct observation.
-        self._pairs: dict[tuple[str, ParamValuePair, ResponseClass], PairObservation] = {}
+        # Insertion-ordered keys, one per distinct (template, pair, class) observation.
+        self._pairs: dict[tuple[str, ParamValuePair, ResponseClass], None] = {}
         self._events: list[_RequestEvent] = []
         self._seed_keys: set[tuple[str, ...]] = set()
         self._seeds = SeedPool()
@@ -100,7 +100,7 @@ class CollectionStore:
             key = (template_id, pair, response_class)
             if key not in self._pairs:
                 # A pair new to the template, or new altogether, has a new key.
-                self._pairs[key] = PairObservation(template_id, pair, response_class)
+                self._pairs[key] = None
                 self._pairs_by_template.setdefault(template_id, {})[pair] = None
                 if pair not in self._distinct_pairs:
                     self._distinct_pairs.add(pair)
@@ -172,7 +172,7 @@ class CollectionStore:
         return list(self._lists_by_template.get(template_id, ()))
 
     def pair_observations(self) -> list[PairObservation]:
-        return list(self._pairs.values())
+        return [PairObservation(*key) for key in self._pairs]
 
     # -- indexes -----------------------------------------------------------
 

@@ -41,14 +41,14 @@ logger = logging.getLogger("restfuzz.fuzz")
 # Round failures go where the rounds log, so training.log shows them too.
 training_logger = logging.getLogger("restfuzz.training")
 
-# mode name -> (weighted seed selection?, render mode, trains a model?)
-MODES: dict[str, tuple[bool, RenderMode, bool]] = {
-    "miner": (True, RenderMode.MINER, True),
-    "baseline": (False, RenderMode.BASELINE, False),
-    "seq-only": (True, RenderMode.BASELINE, False),
-    "model-only": (False, RenderMode.MODEL_ONLY, True),
-    "rec1": (False, RenderMode.REC1, False),
-    "reclist": (False, RenderMode.RECLIST, False),
+# mode name -> (weighted seed selection?, render mode); the model modes train.
+MODES: dict[str, tuple[bool, RenderMode]] = {
+    "miner": (True, RenderMode.MODEL),
+    "baseline": (False, RenderMode.BASELINE),
+    "seq-only": (True, RenderMode.BASELINE),
+    "model-only": (False, RenderMode.MODEL),
+    "rec1": (False, RenderMode.REC1),
+    "reclist": (False, RenderMode.RECLIST),
 }
 
 _FRONTIER_LIMIT = 4096  # memory guard for long BFS runs
@@ -84,7 +84,7 @@ class Fuzzer:
     def __init__(self, config: FuzzConfig, grammar: CompiledGrammar):
         self.config = config
         self.grammar = grammar
-        self.weighted_selection, self.render_mode, self.uses_model = MODES[config.mode]
+        self.weighted_selection, self.render_mode = MODES[config.mode]
 
         seeds = np.random.SeedSequence(config.seed).spawn(4)
         self._rng_select = np.random.default_rng(seeds[0])
@@ -112,7 +112,7 @@ class Fuzzer:
         )
         self.recommender = (
             Recommender(grammar, ModelConfig(), self._rng_trainer, dump_dir=dump_dir)
-            if self.uses_model
+            if self.render_mode is RenderMode.MODEL
             else None
         )
         self._trained_through_iteration = 0

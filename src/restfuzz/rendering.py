@@ -4,7 +4,9 @@ Two rendering strategies: the traditional one draws a random dictionary
 value for every parameter; the recommender-backed one starts from defaults
 and overrides only the parameters named in a generated param-value list.
 Consumer parameters are always resolved from the object-id pool built up
-while the sequence executes.
+while the sequence executes: the latest id per resource type, a plain
+``dict[str, str]`` that replay (:func:`restfuzz.reporting.run_replay`) and
+the use-after-free probe keep the same way.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ class RenderMode(enum.Enum):
     BASELINE = "baseline"
     REC1 = "rec1"
     RECLIST = "reclist"
-    MODEL_ONLY = "model-only"
-    MINER = "miner"
-
-
-_MODEL_MODES = (RenderMode.MODEL_ONLY, RenderMode.MINER)
+    MODEL = "model"
 
 
 @dataclass(frozen=True)
@@ -68,31 +66,17 @@ class ParamValueList:
 
 @dataclass(frozen=True)
 class ReadyRequest:
-    """A complete request: resolved path, string-valued params, headers."""
+    """A complete request: resolved path and string-valued params."""
 
     method: str
     path: str
     query: dict[str, str] = field(default_factory=dict)
     body: dict[str, str] = field(default_factory=dict)
-    headers: dict[str, str] = field(default_factory=dict)
 
 
-class ObjectIdPool:
-    """The latest id per type captured from producer responses; lives for one sequence."""
-
-    def __init__(self):
-        self._latest: dict[str, str] = {}
-
-    def add(self, resource_type: str, value: str) -> None:
-        self._latest[resource_type] = value
-
-    def latest(self, resource_type: str) -> str | None:
-        return self._latest.get(resource_type)
-
-
-def resolve_consumer(param: ParamSpec, pool: ObjectIdPool) -> str:
+def resolve_consumer(param: ParamSpec, pool: dict[str, str]) -> str:
     """Most recently produced id of the required type (create-then-act)."""
-    value = pool.latest(param.consumes)
+    value = pool.get(param.consumes)
     if value is None:
         raise MissingProducerId(
             f"no {param.consumes!r} id available for parameter {param.name!r}"
@@ -111,7 +95,7 @@ class RenderedStep:
 
 def _render(
     template: RequestTemplate,
-    pool: ObjectIdPool,
+    pool: dict[str, str],
     choose_value,
 ) -> RenderedStep:
     values: dict[str, str] = {}
@@ -132,13 +116,13 @@ def _render(
             body[spec.name] = value
     return RenderedStep(
         template.template_id,
-        ReadyRequest(template.method, path, query, body, {}),
+        ReadyRequest(template.method, path, query, body),
         values,
     )
 
 
 def render_traditional(
-    template: RequestTemplate, pool: ObjectIdPool, rng: np.random.Generator
+    template: RequestTemplate, pool: dict[str, str], rng: np.random.Generator
 ) -> RenderedStep:
     """Uniform random dictionary value for every non-consumer parameter."""
     return _render(
@@ -149,14 +133,14 @@ def render_traditional(
 
 
 def render_with_list(
-    template: RequestTemplate, plist: ParamValueList, pool: ObjectIdPool
+    template: RequestTemplate, plist: ParamValueList, pool: dict[str, str]
 ) -> RenderedStep:
-    """Defaults everywhere, overridden by the pairs in ``plist``."""
-    if plist.template_id != template.template_id:
-        raise ForeignPair(
-            f"list for {plist.template_id!r} applied to {template.template_id!r}"
-        )
-    plist.validate_against(template)
+    """Defaults everywhere, overridden by the pairs in ``plist``.
+
+    ``plist`` is checked where it is made: model output when it is
+    published, recorded pairs and lists by construction (the store keeps
+    only the template's own non-consumer parameters).
+    """
     overrides = {pair.param_name: pair.value for pair in plist.pairs}
     return _render(template, pool, lambda spec: overrides.get(spec.name, spec.default))
 
@@ -202,18 +186,18 @@ def render_sequence(
     Producer ids from 2xx responses flow into the pool between positions.
 
     The last position is always rendered traditionally; positions before it
-    follow ``mode``: model modes use a chosen param-value list (falling back
-    to traditional when none exists yet), rec1/reclist replay one recorded
+    follow ``mode``: the model mode uses a chosen param-value list (falling
+    back to traditional when none exists yet), rec1/reclist replay one recorded
     pair / one recorded pair list on top of defaults, baseline stays fully
     random.
     """
-    pool = ObjectIdPool()
+    pool: dict[str, str] = {}
     last = len(candidate_ids) - 1
     for position, template_id in enumerate(candidate_ids):
         template = grammar.templates[template_id]
         if position == last or mode is RenderMode.BASELINE:
             step = render_traditional(template, pool, rng)
-        elif mode in _MODEL_MODES:
+        elif mode is RenderMode.MODEL:
             plist = choose_list(list_snapshot.get(template_id, ()), rng)
             if plist is None:
                 step = render_traditional(template, pool, rng)
@@ -227,7 +211,7 @@ def render_sequence(
             step = render_with_list(
                 template, ParamValueList(template_id, chosen), pool
             )
-        elif mode is RenderMode.RECLIST:
+        else:  # RenderMode.RECLIST
             lists = store.recorded_lists_for(template_id) if store else []
             chosen_list = (
                 lists[int(rng.integers(len(lists)))] if lists else ()
@@ -235,8 +219,6 @@ def render_sequence(
             step = render_with_list(
                 template, ParamValueList(template_id, tuple(chosen_list)), pool
             )
-        else:  # pragma: no cover - exhaustive over RenderMode
-            raise ValueError(f"unknown render mode {mode}")
 
         response = yield step
         if response is None:
@@ -245,4 +227,4 @@ def render_sequence(
             resource_type, pointer = template.produces
             value = read_produced_id(response.body, pointer)
             if value is not None:
-                pool.add(resource_type, value)
+                pool[resource_type] = value

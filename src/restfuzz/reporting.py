@@ -6,7 +6,7 @@ import hashlib
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -72,11 +72,6 @@ def replay_line(step: ExecutedStep, grammar: CompiledGrammar) -> dict:
     produces = None
     if template.produces:
         produces = {"type": template.produces[0], "pointer": template.produces[1]}
-    headers = {
-        key: value
-        for key, value in step.request.headers.items()
-        if key.lower() != "authorization"
-    }
     return {
         "template_id": step.template_id,
         "method": step.request.method,
@@ -84,7 +79,6 @@ def replay_line(step: ExecutedStep, grammar: CompiledGrammar) -> dict:
         "path_params": path_params,
         "query": dict(step.request.query),
         "body": dict(step.request.body),
-        "headers": headers,
         "rebind": {spec.name: spec.consumes for spec in template.params if spec.consumes},
         "produces": produces,
         "expected_status": step.response.status,
@@ -104,18 +98,6 @@ class ErrorRecord:
     replay_path: str | None
     first_seen_iteration: int
     hits: int = 1
-
-    def to_json(self) -> dict:
-        return {
-            "bucket_id": self.bucket_id,
-            "template_id": self.template_id,
-            "status": self.status,
-            "kind": self.kind,
-            "signature": self.signature,
-            "replay_path": self.replay_path,
-            "first_seen_iteration": self.first_seen_iteration,
-            "hits": self.hits,
-        }
 
 
 class ErrorReport:
@@ -178,7 +160,7 @@ class ErrorReport:
     def write_jsonl(self, path: Path | str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for record in self.records():
-                fh.write(json.dumps(record.to_json()) + "\n")
+                fh.write(json.dumps(asdict(record)) + "\n")
 
 
 def load_replay(path: Path | str) -> list[dict]:
@@ -194,32 +176,25 @@ def run_replay(
     Returns one (expected class, actual response) tuple per request and
     reports each response to ``observe``.  When the target state matches
     the original run the rebound ids equal the recorded ones and the
-    requests go out byte-identical.  Nothing is recorded as training data.
+    requests go out byte-identical.  Nothing is recorded as training data;
+    a ``headers`` key, written by older versions, is ignored.
     """
-    latest: dict[str, str] = {}
+    pool: dict[str, str] = {}  # the latest id per resource type, as rendering keeps it
+
+    def resolve(line: dict, key: str) -> dict[str, str]:
+        """The line's recorded ``key`` values, consumer ids rebound from ``pool``."""
+        rebind = line.get("rebind", {})
+        return {name: pool.get(rebind.get(name), recorded)
+                for name, recorded in line.get(key, {}).items()}
+
     results: list[tuple[str | None, ResponseRecord]] = []
     for line in lines:
-        rebind = line.get("rebind", {})
-
-        def resolve(name: str, recorded: str) -> str:
-            rtype = rebind.get(name)
-            if rtype is not None and rtype in latest:
-                return latest[rtype]
-            return recorded
-
         path = line["path_template"]
-        for name, recorded in line.get("path_params", {}).items():
-            path = path.replace("{" + name + "}", resolve(name, recorded))
-        query = {
-            name: resolve(name, value) for name, value in line.get("query", {}).items()
-        }
-        body = {
-            name: resolve(name, value) for name, value in line.get("body", {}).items()
-        }
-        request = ReadyRequest(
-            line["method"], path, query, body, dict(line.get("headers", {}))
+        for name, value in resolve(line, "path_params").items():
+            path = path.replace("{" + name + "}", value)
+        record = client.send(
+            ReadyRequest(line["method"], path, resolve(line, "query"), resolve(line, "body"))
         )
-        record = client.send(request)
         if observe is not None:
             observe(line["template_id"], record)
         results.append((line.get("expected_class"), record))
@@ -228,7 +203,7 @@ def run_replay(
         if produces and record.klass is ResponseClass.PASS_2XX:
             value = read_produced_id(record.body, produces["pointer"])
             if value is not None:
-                latest[produces["type"]] = value
+                pool[produces["type"]] = value
     return results
 
 

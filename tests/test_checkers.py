@@ -19,12 +19,7 @@ from restfuzz.execution import ExecutedSequence, send_step
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import ALL_BUGS, BugConfig, packaged_grammar_path, serve
 from restfuzz.orchestrator import FuzzConfig, fuzz_loop
-from restfuzz.rendering import (
-    ObjectIdPool,
-    ParamValueList,
-    read_produced_id,
-    render_with_list,
-)
+from restfuzz.rendering import ParamValueList, read_produced_id, render_with_list
 from restfuzz.responses import ResponseClass, ResponseRecord
 
 from conftest import build_spec
@@ -59,7 +54,7 @@ def reset(request):
 
 def execute_recorded(steps, grammar, client, store):
     """Run (template id, overrides) steps through the main loop's send path."""
-    pool = ObjectIdPool()
+    pool: dict[str, str] = {}
     executed = []
     for template_id, overrides in steps:
         template = grammar.templates[template_id]
@@ -72,7 +67,7 @@ def execute_recorded(steps, grammar, client, store):
             resource_type, pointer = template.produces
             value = read_produced_id(step.response.body, pointer)
             if value is not None:
-                pool.add(resource_type, value)
+                pool[resource_type] = value
     return ExecutedSequence(tuple(t for t, _ in steps), executed, completed=True)
 
 
@@ -120,8 +115,9 @@ class TestDataDrivenChecker:
         violation = datadriven_check(executed, mock_grammar, store, rng, armed)
         assert violation is not None
         assert violation.kind == KIND_INCORRECT_PARAM_USAGE
-        assert violation.injected_pair.param_name == "initialize_with_readme"
-        assert violation.response.status == 500
+        # the PUT defines no initialize_with_readme: the drawn pair, injected
+        assert violation.steps[-1].request.body["initialize_with_readme"] == "true"
+        assert violation.steps[violation.offending_index].response.status == 500
 
     def test_disarmed_bug_is_ignored(self, mock_grammar, disarmed, rng):
         store = store_with_undef_pair(mock_grammar)
@@ -161,7 +157,8 @@ class TestDataDrivenChecker:
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
         violation = datadriven_check(executed, mock_grammar, store, rng, armed)
         defined = mock_grammar.templates["PUT /groups/{id}"].param_names
-        assert violation.injected_pair.param_name not in defined
+        (injected,) = set(violation.steps[-1].request.body) - set(executed.steps[-1].request.body)
+        assert injected not in defined
 
     def test_get_request_gets_query_injection(self, mock_grammar, disarmed, rng):
         store = store_with_undef_pair(mock_grammar)
@@ -277,8 +274,8 @@ class TestUseAfterFreeChecker:
         violation = use_after_free_check(uaf_plan(mock_grammar), armed)
         assert violation is not None
         assert violation.kind == KIND_USE_AFTER_FREE
-        assert violation.response.status == 500
-        assert violation.deleted_resource[0] == "group"
+        assert violation.steps[violation.offending_index].response.status == 500
+        assert mock_grammar.templates[violation.steps[0].template_id].produces[0] == "group"
         assert [step.template_id for step in violation.steps] == [
             "POST /groups",
             "DELETE /groups/{id}",

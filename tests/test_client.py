@@ -140,12 +140,12 @@ def http_client_bytes(target, request: ReadyRequest, auth_token: str | None) -> 
     path = request.path
     if request.query:
         path = f"{path}?{urlencode(request.query)}"
-    headers = dict(request.headers)
+    headers = {}
     body = None
     if request.body:
         body = json.dumps(request.body).encode()
         headers["Content-Type"] = "application/json"
-    if auth_token and "Authorization" not in headers:
+    if auth_token:
         headers["Authorization"] = f"Bearer {auth_token}"
     host, port = target.url.removeprefix("http://").split(":")
     conn = http.client.HTTPConnection(host, int(port), timeout=5)
@@ -166,10 +166,7 @@ class TestRequestBytes:
         ReadyRequest("POST", "/groups"),
         ReadyRequest("PUT", "/groups/1"),
         ReadyRequest("DELETE", "/groups/1"),
-        ReadyRequest("GET", "/groups/1", headers={"X-Trace": "7", "Accept": "*/*"}),
-        ReadyRequest("GET", "/groups/1", headers={"Authorization": "Basic eA=="}),
-    ], ids=["get-query", "get-plain-query", "post-body", "post-empty", "put-empty", "delete",
-            "extra-headers", "own-authorization"])
+    ], ids=["get-query", "get-plain-query", "post-body", "post-empty", "put-empty", "delete"])
     def test_equal_to_http_client(self, target, request_, auth_token):
         target.script = [reply(ok()), reply(ok())]
         expected = http_client_bytes(target, request_, auth_token)
@@ -180,9 +177,7 @@ class TestRequestBytes:
     @pytest.mark.parametrize("request_", [
         ReadyRequest("GET", "/groups/a b"),
         ReadyRequest("GET", "/groups/1\r\nX-Injected: 1"),
-        ReadyRequest("GET", "/groups", headers={"X-A": "1\r\nX-Injected: 1"}),
-        ReadyRequest("GET", "/groups", headers={"X-A\n": "1"}),
-    ], ids=["space-in-path", "crlf-in-path", "crlf-in-value", "lf-in-name"])
+    ], ids=["space-in-path", "crlf-in-path"])
     def test_unsendable_request_is_transport_with_nothing_sent(self, target, client, request_):
         target.script = [reply(ok(b"[]"))]
         record = client.send(request_)
@@ -221,6 +216,26 @@ class TestRequestBytes:
         with HttpClient(target.url, timeout=TIMEOUT, auth_token="x\r\nX-Injected: 1") as client:
             assert client.send(ReadyRequest("GET", "/groups")).klass is ResponseClass.TRANSPORT
         assert target.requests == []
+
+
+class TestTargetUrl:
+    @pytest.mark.parametrize("url", [
+        "http://127.0.0.1:8080/api/v4", "http://127.0.0.1:8080/groups",
+        "http://127.0.0.1:8080?private=true", "http://127.0.0.1:8080/#top",
+        "127.0.0.1:8080/api/v4", "https://127.0.0.1:8080",
+    ], ids=["path", "one-segment-path", "query", "fragment", "bare-with-path", "https"])
+    def test_anything_but_host_and_port_is_refused(self, url):
+        with pytest.raises(ValueError, match="unsupported target url"):
+            HttpClient(url)
+
+    @pytest.mark.parametrize("suffix", ["", "/"])
+    @pytest.mark.parametrize("scheme", ["http://", ""])
+    def test_host_and_port_send_the_rendered_path(self, target, scheme, suffix):
+        target.script = [reply(ok(b"[]"))]
+        url = scheme + target.url.removeprefix("http://") + suffix
+        with HttpClient(url, timeout=TIMEOUT) as client:
+            assert client.send(ReadyRequest("GET", "/groups")).body == "[]"
+        assert target.requests[0].startswith(b"GET /groups HTTP/1.1\r\n")
 
 
 class TestBodyFraming:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restfuzz.collection import CollectionStore, ParamValuePair
+from restfuzz.rendering import ParamValueList
 from restfuzz.responses import ResponseClass
 
 
@@ -232,6 +233,10 @@ class TestIndexesMatchScans:
             assert store.recorded_lists_for(template_id) == [
                 event.pairs for event in events if event.template_id == template_id
             ]
+            # rec1/reclist render these without a check: valid by construction
+            template = mock_grammar.templates[template_id]
+            for pairs in store.recorded_lists_for(template_id):
+                ParamValueList(template_id, pairs).validate_against(template)
 
     def test_returned_lists_are_copies(self, store):
         record_get(store, wp="false")

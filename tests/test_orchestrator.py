@@ -288,6 +288,8 @@ class TestReplayFidelity:
 GOLDEN_STREAMS = {
     "baseline": "69ef32b18ff1c59fadad04ca5c6b99d9d6b2954cc653a73e4c9dd796652623f4",
     "seq-only": "95695e694bd5f3e5c99f7939b246ab318ca588797ab301588fed91fb0440272e",
+    "rec1": "509ac44e568db86f32f2fde9764f97ef156a32bac1df19efd6b3f3e5185c19f1",
+    "reclist": "00298069da036cb6840b41f1705baf0d02d36948f81d9ee04ba0ef8a5888feef",
 }
 
 # The same digest for runs that leave the data-driven checker off: they pin

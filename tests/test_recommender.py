@@ -349,6 +349,19 @@ class TestRecommenderPublish:
         with pytest.raises(ForeignPair):
             recommender.publish([bad])
 
+    def test_foreign_pair_rejected(self, recommender):
+        # a parameter of the grammar's other template, POST /groups
+        plist = ParamValueList(GET_ID, (ParamValuePair("name", "qa-team"),))
+        with pytest.raises(ForeignPair):
+            recommender.publish([plist])
+        assert recommender.snapshot() == {}
+
+    def test_consumer_override_rejected(self, recommender):
+        plist = ParamValueList(GET_ID, (ParamValuePair("id", "9"),))
+        with pytest.raises(ForeignPair):
+            recommender.publish([plist])
+        assert recommender.snapshot() == {}
+
     def test_snapshot_swap_is_atomic_object_replacement(self, recommender):
         before = recommender.snapshot()
         recommender.publish(self.lists(1))

@@ -7,9 +7,7 @@ import pytest
 
 from restfuzz.collection import CollectionStore, ParamValuePair
 from restfuzz.rendering import (
-    ForeignPair,
     MissingProducerId,
-    ObjectIdPool,
     ParamValueList,
     RenderMode,
     choose_list,
@@ -32,9 +30,7 @@ def get_template(two_template_grammar):
 
 @pytest.fixture
 def pool_with_group():
-    pool = ObjectIdPool()
-    pool.add("group", "7")
-    return pool
+    return {"group": "7"}
 
 
 class TestRenderTraditional:
@@ -50,12 +46,12 @@ class TestRenderTraditional:
 
         post = two_template_grammar.templates[POST]
         bare = dataclasses.replace(post, params=())
-        step = render_traditional(bare, ObjectIdPool(), rng)
+        step = render_traditional(bare, {}, rng)
         assert step.request.query == {} and step.request.body == {}
 
     def test_missing_producer_id_raises(self, get_template, rng):
         with pytest.raises(MissingProducerId):
-            render_traditional(get_template, ObjectIdPool(), rng)
+            render_traditional(get_template, {}, rng)
 
     def test_replay_is_byte_identical_under_same_seed(self, get_template, pool_with_group):
         first = render_traditional(get_template, pool_with_group, np.random.default_rng(3))
@@ -92,16 +88,6 @@ class TestRenderWithList:
             "with_custom_attributes": "true",
             "with_projects": "3",
         }
-
-    def test_foreign_pair_rejected(self, get_template, pool_with_group):
-        plist = ParamValueList(GET_ID, (ParamValuePair("min_access_level", "1"),))
-        with pytest.raises(ForeignPair):
-            render_with_list(get_template, plist, pool_with_group)
-
-    def test_consumer_override_rejected(self, get_template, pool_with_group):
-        plist = ParamValueList(GET_ID, (ParamValuePair("id", "9"),))
-        with pytest.raises(ForeignPair):
-            render_with_list(get_template, plist, pool_with_group)
 
     def test_duplicate_param_names_rejected(self):
         with pytest.raises(ValueError):
@@ -153,12 +139,13 @@ class TestExtractProducerIds:
 
 
 class TestResolveConsumer:
-    def test_most_recent_id_wins(self, two_template_grammar):
-        param = two_template_grammar.templates[GET_ID].param("id")
-        pool = ObjectIdPool()
-        pool.add("group", "7")
-        pool.add("group", "9")
-        assert resolve_consumer(param, pool) == "9"
+    def test_most_recent_id_wins(self, two_template_grammar, rng):
+        gen = render_sequence(
+            [POST, POST, GET_ID], two_template_grammar, {}, RenderMode.BASELINE, rng
+        )
+        steps = drive(gen, [ResponseRecord.from_status(201, '{"id": 7}'),
+                            ResponseRecord.from_status(201, '{"id": 9}')])
+        assert steps[2].request.path == "/groups/9"
 
     def test_single_id(self, two_template_grammar, pool_with_group):
         param = two_template_grammar.templates[GET_ID].param("id")
@@ -167,7 +154,7 @@ class TestResolveConsumer:
     def test_empty_pool_raises(self, two_template_grammar):
         param = two_template_grammar.templates[GET_ID].param("id")
         with pytest.raises(MissingProducerId):
-            resolve_consumer(param, ObjectIdPool())
+            resolve_consumer(param, {})
 
 
 def drive(generator, responses):
@@ -198,7 +185,7 @@ class TestRenderSequence:
         snapshot = {POST: (post_list,)}
         gen = render_sequence(
             [POST, POST, POST], two_template_grammar, snapshot,
-            RenderMode.MINER, rng,
+            RenderMode.MODEL, rng,
         )
         created = ResponseRecord.from_status(201, '{"id": 1}')
         steps = drive(gen, [created, created, created])
@@ -210,7 +197,7 @@ class TestRenderSequence:
     def test_miner_falls_back_to_traditional_without_lists(self, two_template_grammar):
         seed = 11
         gen = render_sequence(
-            [POST, POST], two_template_grammar, {}, RenderMode.MINER,
+            [POST, POST], two_template_grammar, {}, RenderMode.MODEL,
             np.random.default_rng(seed),
         )
         created = ResponseRecord.from_status(201, '{"id": 1}')

@@ -126,6 +126,7 @@ class TestErrorBucketing:
         (line,) = [json.loads(l) for l in open(record.replay_path)]
         assert line["expected_class"] == "5xx"
         assert line["method"] == "POST"
+        assert "headers" not in line
 
     def test_errors_jsonl_round_trips(self, report, tmp_path):
         report.bucket_error([make_step()], 0, KIND_RESPONSE_5XX, 7)
@@ -134,6 +135,8 @@ class TestErrorBucketing:
         (entry,) = [json.loads(l) for l in open(out)]
         assert entry["first_seen_iteration"] == 7
         assert entry["kind"] == KIND_RESPONSE_5XX
+        assert list(entry) == ["bucket_id", "template_id", "status", "kind", "signature",
+                               "replay_path", "first_seen_iteration", "hits"]
 
 
 class TestRunMetrics:
@@ -209,12 +212,16 @@ class TestPassRateMonotonicity:
 
 
 def producer_line(new_id, status=201):
-    """A group create; the fake target answers it with ``status`` and ``new_id``."""
+    """A group create; the fake target answers it with ``status`` and ``new_id``.
+
+    It carries the ``headers`` key older versions wrote, which replay ignores.
+    """
     return {
         "template_id": "POST /groups", "method": "POST", "path_template": "/groups",
         "path_params": {}, "query": {},
         "body": {"new_id": str(new_id), "status": str(status)},
-        "headers": {}, "rebind": {}, "produces": {"type": "group", "pointer": "/id"},
+        "headers": {"X-Old": "1"}, "rebind": {},
+        "produces": {"type": "group", "pointer": "/id"},
         "expected_class": "2xx",
     }
 
@@ -223,7 +230,7 @@ def consumer_line(recorded_id="7"):
     return {
         "template_id": "GET /groups/{id}", "method": "GET",
         "path_template": "/groups/{id}", "path_params": {"id": recorded_id},
-        "query": {"with_projects": "true"}, "body": {}, "headers": {},
+        "query": {"with_projects": "true"}, "body": {},
         "rebind": {"id": "group"}, "produces": None, "expected_class": "2xx",
     }
 
@@ -253,7 +260,8 @@ class TestRunReplay:
         assert [r.path for r in target.sent if r.method == "GET"] == [
             "/groups/7", "/groups/40", "/groups/40",
         ]
-        assert target.sent[1].query == {}
+        assert target.sent[1] == ReadyRequest(
+            "POST", "/groups", body={"new_id": "40", "status": "201"})
         assert target.sent[2].query == {"with_projects": "true"}
         assert observed == [(line["template_id"], record)
                             for line, (_, record) in zip(lines, results)]

@@ -14,7 +14,8 @@ from tcp_proxy import TcpProxy
 
 # sha256 (TcpProxy.digest) over the request bytes and reply bytes of a
 # seed-0, 1500-request run with both checkers against the fully armed mock:
-# the runs GOLDEN_STREAMS in test_orchestrator.py pins by request fields.
+# the baseline and seq-only runs GOLDEN_STREAMS in test_orchestrator.py pins
+# by request fields.
 # Any change to the bytes the client writes or the mock answers changes it.
 WIRE_STREAMS = {
     "baseline": "247e1831ad104fdb84154829fc00ccdb03bf9f69bf5a8c02afe83a69575c3ea4",
