@@ -124,13 +124,19 @@ class HttpClient:
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0, auth_token: str | None = None):
-        parts = urlsplit(base_url if "//" in base_url else "//" + base_url)
-        if (parts.scheme not in ("http", "") or not parts.netloc
+        unsupported = ValueError(f"unsupported target url {base_url!r}")
+        try:
+            parts = urlsplit(base_url if "//" in base_url else "//" + base_url)
+            port = parts.port  # refuses a port that is not a number in 0-65535
+        except ValueError:  # that, or a malformed IPv6 literal
+            raise unsupported from None
+        if (parts.scheme not in ("http", "") or not parts.hostname
+                or parts.username is not None
                 or parts.path not in ("", "/") or parts.query or parts.fragment):
-            raise ValueError(f"unsupported target url {base_url!r}")
-        host, _, port = parts.netloc.partition(":")
-        self._host = host
-        self._port = int(port) if port else 80
+            raise unsupported
+        self._host = parts.hostname
+        self._port = 80 if port is None else port
+        host = f"[{self._host}]" if ":" in self._host else self._host
         self._host_line = f"Host: {host}" if self._port == 80 else f"Host: {host}:{self._port}"
         self._timeout = timeout
         self._auth_token = auth_token

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -162,6 +163,14 @@ def _run_gru(params: ModelParams, xs: np.ndarray):
     return hs, zrs, cs
 
 
+@cache
+def _causal_mask(steps: int) -> np.ndarray:
+    """Read-only (steps, steps) lower-triangular mask, built once per length."""
+    mask = np.tri(steps, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _heads(params: ModelParams, hs: np.ndarray):
     """Attention weights (B, T, T), output-layer inputs (B, T, 2h) and
     next-token distributions (B, T, V) after every input position, from
@@ -169,8 +178,7 @@ def _heads(params: ModelParams, hs: np.ndarray):
     states = hs[:, 1:]
     steps = states.shape[1]
     scores = states @ (states @ params.w_att).transpose(0, 2, 1)
-    causal = np.tri(steps, dtype=bool)
-    alpha = _softmax(np.where(causal, scores, -np.inf))
+    alpha = _softmax(np.where(_causal_mask(steps), scores, -np.inf))
     concat = np.concatenate([alpha @ states, states], axis=2)
     probs = _softmax(concat @ params.w_out + params.b_out)
     return alpha, concat, probs
@@ -279,7 +287,12 @@ def batch_loss_and_grads(
     grads["u_c"] = flat(reset * h_prevs).T @ flat(d_gates[:, :, 2 * hidden :])
     grads["w_x"] = flat(xs).T @ flat(d_gates)
     grads["b_x"] = flat(d_gates).sum(axis=0)
-    grads["emb"] = np.zeros_like(params.emb)
-    np.add.at(grads["emb"], inputs.ravel(), flat(d_gates) @ params.w_x.T)
+    # Scatter-add of each input row's gradient onto its token's embedding:
+    # one bin per (token, column), summed in row order from 0.0.
+    vocab, embed = params.emb.shape
+    bins = inputs.reshape(-1, 1) * embed + np.arange(embed)
+    grads["emb"] = np.bincount(
+        bins.ravel(), (flat(d_gates) @ params.w_x.T).ravel(), vocab * embed
+    ).reshape(vocab, embed)
 
     return loss, grads, int(np.count_nonzero(weights))

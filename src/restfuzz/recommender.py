@@ -48,11 +48,14 @@ class Vocabulary:
 
     Pair tokens are scoped to their template so generation can mask out
     every pair belonging to a different template.  Id 0 is the terminator;
-    ordering is lexicographic for reproducibility.
+    ordering is lexicographic for reproducibility.  ``pairs_by_template``
+    maps each template, in name-token order, to its pair tokens in token
+    order.
     """
 
     keys: tuple[tuple, ...]
     index: dict[tuple, int]
+    pairs_by_template: dict[str, list[int]]
 
     @property
     def size(self) -> int:
@@ -62,14 +65,10 @@ class Vocabulary:
         return self.index.get(("name", template_id))
 
     def template_ids(self) -> list[str]:
-        return [key[1] for key in self.keys if key[0] == "name"]
+        return list(self.pairs_by_template)
 
     def pair_tokens_for(self, template_id: str) -> list[int]:
-        return [
-            token
-            for token, key in enumerate(self.keys)
-            if key[0] == "pair" and key[1] == template_id
-        ]
+        return list(self.pairs_by_template.get(template_id, ()))
 
     def pair_at(self, token: int) -> ParamValuePair:
         key = self.keys[token]
@@ -99,7 +98,12 @@ def build_vocab(corpus: Corpus) -> Vocabulary:
     keys: list[tuple] = [("end",)]
     keys.extend(("name", name) for name in names)
     keys.extend(pair_keys)
-    return Vocabulary(tuple(keys), {key: token for token, key in enumerate(keys)})
+    by_template: dict[str, list[int]] = {name: [] for name in names}
+    for token, key in enumerate(pair_keys, start=1 + len(names)):
+        by_template[key[1]].append(token)
+    return Vocabulary(
+        tuple(keys), {key: token for token, key in enumerate(keys)}, by_template
+    )
 
 
 def split_corpus(
@@ -162,10 +166,7 @@ def _length_weights(lengths: np.ndarray) -> np.ndarray:
     """
     predictions = lengths - 1
     n_batch = int(predictions.sum())
-    distinct, inverse, counts = np.unique(
-        predictions, return_inverse=True, return_counts=True
-    )
-    row_weights = n_batch / (distinct * counts)[inverse]
+    row_weights = n_batch / (predictions * np.bincount(predictions)[predictions])
     valid = np.arange(int(predictions.max())) < predictions[:, None]
     return np.where(valid, row_weights[:, None], 0.0)
 
@@ -221,6 +222,11 @@ def train(
     epoch_losses: list[float] = []
     val_accuracy: float | None = None
     padded, lengths = _pad(train_set)
+    logger.info(
+        "%s n_train=%d n_val=%d vocab=%d val_predictions=%d",
+        label or "train", len(train_set), len(val_set), vocab.size,
+        sum(len(example) - 1 for example in val_set),
+    )
     for epoch in range(config.epochs):
         if should_stop is not None and should_stop():
             logger.warning("%s cut before epoch=%d of %d", label or "train",
@@ -274,7 +280,9 @@ def generate_lists(
     Tokens are drawn from the softmax distribution restricted to the
     terminator, the template's own pair tokens, and parameters not already
     used in the list under construction.  Generation stops at the
-    terminator or at ``max_len`` pairs.  Duplicates are removed.
+    terminator or at ``max_len`` pairs.  Duplicates are removed.  The
+    allowed tokens and their distribution depend only on the prefix, so
+    each distinct prefix runs through the model once per call.
     """
     name_token = vocab.name_token(template_id)
     if name_token is None:
@@ -283,27 +291,31 @@ def generate_lists(
         (token, vocab.pair_at(token)) for token in vocab.pair_tokens_for(template_id)
     ]
 
+    # prefix -> (allowed tokens, cumulative sum of their renormalized probabilities)
+    draws: dict[tuple[int, ...], tuple[list[int], np.ndarray]] = {}
     results: list[ParamValueList] = []
     seen: set[tuple[ParamValuePair, ...]] = set()
     for _ in range(k):
-        prefix = [name_token]
+        prefix: tuple[int, ...] = (name_token,)
         pairs: list[ParamValuePair] = []
         used_params: set[str] = set()
         while len(pairs) < max_len:
-            allowed = [TERMINATOR_ID] + [
-                token for token, pair in own_pairs if pair.param_name not in used_params
-            ]
-            probs = model.forward(params, prefix)
-            masked = probs[allowed]
-            masked = masked / masked.sum()
-            index = int(np.searchsorted(np.cumsum(masked), rng.random()))
+            draw = draws.get(prefix)
+            if draw is None:
+                allowed = [TERMINATOR_ID] + [
+                    token for token, pair in own_pairs if pair.param_name not in used_params
+                ]
+                masked = model.forward(params, prefix)[allowed]
+                draw = draws[prefix] = (allowed, np.cumsum(masked / masked.sum()))
+            allowed, cumulative = draw
+            index = int(np.searchsorted(cumulative, rng.random()))
             token = allowed[min(index, len(allowed) - 1)]  # cumsum may end below 1
             if token == TERMINATOR_ID:
                 break
             pair = vocab.pair_at(token)
             pairs.append(pair)
             used_params.add(pair.param_name)
-            prefix.append(token)
+            prefix += (token,)
         key = tuple(pairs)
         if key not in seen:
             seen.add(key)

@@ -60,18 +60,20 @@ def ok(body: bytes = b"{}") -> bytes:
 
 
 class ScriptedTarget:
-    def __init__(self):
+    def __init__(self, host: str = "127.0.0.1"):
         self.script: list = []
         self.requests: list[bytes] = []
         self.connections = 0
-        self._listener = socket.create_server(("127.0.0.1", 0))
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, 0), family=family)
         self._stopped = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
     @property
     def url(self) -> str:
-        return f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        host, port = self._listener.getsockname()[:2]
+        return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
 
     def _serve(self) -> None:
         while True:
@@ -96,7 +98,7 @@ class ScriptedTarget:
 
     def stop(self) -> None:
         self._stopped.set()
-        socket.create_connection(self._listener.getsockname(), timeout=5).close()  # wake accept()
+        socket.create_connection(self._listener.getsockname()[:2], timeout=5).close()  # wake accept()
         self._thread.join(5.0)
         assert not self._thread.is_alive()
         self._listener.close()
@@ -223,10 +225,37 @@ class TestTargetUrl:
         "http://127.0.0.1:8080/api/v4", "http://127.0.0.1:8080/groups",
         "http://127.0.0.1:8080?private=true", "http://127.0.0.1:8080/#top",
         "127.0.0.1:8080/api/v4", "https://127.0.0.1:8080",
-    ], ids=["path", "one-segment-path", "query", "fragment", "bare-with-path", "https"])
+        "http://127.0.0.1:abc", "http://127.0.0.1:99999", "http://[::1:8080",
+        "http://user@127.0.0.1:8080",
+    ], ids=["path", "one-segment-path", "query", "fragment", "bare-with-path", "https",
+            "port-not-a-number", "port-out-of-range", "broken-ipv6", "userinfo"])
     def test_anything_but_host_and_port_is_refused(self, url):
         with pytest.raises(ValueError, match="unsupported target url"):
             HttpClient(url)
+
+    @pytest.mark.parametrize(("url", "host_line"), [
+        ("http://127.0.0.1:8080", b"Host: 127.0.0.1:8080"),
+        ("http://127.0.0.1", b"Host: 127.0.0.1"),
+        ("http://[::1]:8080", b"Host: [::1]:8080"),
+        ("[::1]:8080", b"Host: [::1]:8080"),
+        ("http://[::1]", b"Host: [::1]"),
+    ])
+    def test_host_line(self, url, host_line):
+        head = HttpClient(url)._encode(ReadyRequest("GET", "/groups"))
+        assert head.split(b"\r\n")[1] == host_line
+
+    def test_ipv6_literal_connects(self):
+        try:
+            scripted = ScriptedTarget("::1")
+        except OSError:
+            pytest.skip("this host cannot bind ::1")
+        try:
+            scripted.script = [reply(ok(b"[]"))]
+            with HttpClient(scripted.url, timeout=TIMEOUT) as client:
+                assert client.send(ReadyRequest("GET", "/groups")).body == "[]"
+            assert scripted.requests[0].split(b"\r\n")[1] == f"Host: {scripted.url[7:]}".encode()
+        finally:
+            scripted.stop()
 
     @pytest.mark.parametrize("suffix", ["", "/"])
     @pytest.mark.parametrize("scheme", ["http://", ""])

@@ -1,19 +1,26 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restfuzz import model
 from restfuzz.collection import ParamValuePair
 from restfuzz.grammar import parse_spec
 from restfuzz.recommender import (
+    TERMINATOR_ID,
     ModelConfig,
     Recommender,
     UnknownTemplate,
     _accuracy,
+    _length_weights,
     build_vocab,
     generate_lists,
     split_corpus,
@@ -25,6 +32,7 @@ from restfuzz.rendering import ForeignPair, ParamValueList
 from conftest import build_spec, groups_paths
 
 GET_ID = "GET /groups/{id}"
+CORPORA = Path(__file__).parent / "data" / "miner_bugs_corpora.json"
 
 
 def mixed_corpus(n_examples):
@@ -71,6 +79,16 @@ class TestBuildVocab:
         assert tokens[0] == vocab.name_token(GET_ID)
         assert tokens[-1] == 0
         assert [vocab.pair_at(t) for t in tokens[1:-1]] == pairs
+
+    def test_template_index_equals_a_scan_in_token_order(self):
+        vocab = build_vocab(mixed_corpus(40) + [("GET /bare", [])])
+        assert vocab.template_ids() == [key[1] for key in vocab.keys if key[0] == "name"]
+        for template_id in [*vocab.template_ids(), "GET /nowhere"]:
+            assert vocab.pair_tokens_for(template_id) == [
+                token for token, key in enumerate(vocab.keys)
+                if key[0] == "pair" and key[1] == template_id
+            ]
+        assert vocab.pair_tokens_for("GET /bare") == []
 
 
 class TestSplitCorpus:
@@ -195,6 +213,25 @@ class TestTrain:
         assert result.n_train + result.n_val == 10
 
 
+def length_weights_by_unique(lengths):
+    """The ``np.unique`` formulation that ``_length_weights`` replaced."""
+    predictions = lengths - 1
+    n_batch = int(predictions.sum())
+    distinct, inverse, counts = np.unique(
+        predictions, return_inverse=True, return_counts=True
+    )
+    row_weights = n_batch / (distinct * counts)[inverse]
+    valid = np.arange(int(predictions.max())) < predictions[:, None]
+    return np.where(valid, row_weights[:, None], 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 24), min_size=1, max_size=64))
+def test_length_weights_equal_the_unique_formulation(lengths):
+    lengths = np.array(lengths, dtype=np.intp)
+    assert np.array_equal(_length_weights(lengths), length_weights_by_unique(lengths))
+
+
 class TestAccuracy:
     def test_matches_a_per_row_reference_on_mixed_lengths(self, rng):
         params = model.init_params(9, 4, 5, rng, scale=0.5)
@@ -231,6 +268,16 @@ class TestTrainLogging:
         assert len(lines) == 4
         last = re.search(r"val_acc=(\S+)", lines[-1]).group(1)
         assert last == f"{result.val_accuracy:.3f}"
+
+    def test_the_round_size_is_logged_before_the_first_epoch(self, caplog):
+        result = self.run(caplog, logging.INFO)
+        first, second = [r.getMessage() for r in caplog.records][:2]
+        # every chain example has 6 tokens, so 5 predictions
+        assert first == (
+            f"train n_train={result.n_train} n_val={result.n_val} "
+            f"vocab={result.vocab.size} val_predictions={5 * result.n_val}"
+        )
+        assert "epoch=1 " in second
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +360,165 @@ class TestGenerateLists:
         assert a == b
 
 
+def reference_lists(params, vocab, template_id, k, rng, max_len):
+    """The per-step loop ``generate_lists`` replaced: one ``model.forward``
+    call for every token drawn, however often its prefix was seen."""
+    name_token = vocab.name_token(template_id)
+    own_pairs = [
+        (token, vocab.pair_at(token)) for token in vocab.pair_tokens_for(template_id)
+    ]
+    results, seen = [], set()
+    for _ in range(k):
+        prefix = [name_token]
+        pairs = []
+        used_params = set()
+        while len(pairs) < max_len:
+            allowed = [TERMINATOR_ID] + [
+                token for token, pair in own_pairs if pair.param_name not in used_params
+            ]
+            probs = model.forward(params, prefix)
+            masked = probs[allowed]
+            masked = masked / masked.sum()
+            index = int(np.searchsorted(np.cumsum(masked), rng.random()))
+            token = allowed[min(index, len(allowed) - 1)]
+            if token == TERMINATOR_ID:
+                break
+            pair = vocab.pair_at(token)
+            pairs.append(pair)
+            used_params.add(pair.param_name)
+            prefix.append(token)
+        key = tuple(pairs)
+        if key not in seen:
+            seen.add(key)
+            results.append(ParamValueList(template_id, key))
+    return results
+
+
+@pytest.fixture(scope="module")
+def mixed_models():
+    """Small models trained on mixed-length corpora, a few epochs each."""
+    return [
+        train(mixed_corpus(60 + 20 * seed), ModelConfig(epochs=2 + seed, max_examples=None),
+              np.random.default_rng(seed))
+        for seed in range(4)
+    ]
+
+
+def record_prefixes(monkeypatch):
+    """Route ``model.forward`` through a recorder; returns the prefixes list."""
+    prefixes = []
+    real = model.forward
+
+    def recorded(params, prefix):
+        prefixes.append(tuple(int(token) for token in prefix))
+        return real(params, prefix)
+
+    monkeypatch.setattr(model, "forward", recorded)
+    return prefixes
+
+
+class TestGenerateListsMemo:
+    def test_one_forward_call_per_distinct_prefix(self, mixed_models, monkeypatch):
+        prefixes = record_prefixes(monkeypatch)
+        saved = 0
+        for result in mixed_models:
+            for template_id in result.vocab.template_ids():
+                args = (result.params, result.vocab, template_id, 32)
+                reference_lists(*args, np.random.default_rng(1), result.max_len)
+                visited = list(prefixes)
+                prefixes.clear()
+                generate_lists(*args, np.random.default_rng(1), result.max_len)
+                assert len(prefixes) == len(set(prefixes))
+                assert set(prefixes) == set(visited)
+                saved += len(visited) - len(prefixes)
+                prefixes.clear()
+        assert saved > 0
+
+    def test_lists_equal_the_per_step_loop(self, mixed_models):
+        for seed, result in enumerate(mixed_models):
+            for template_id in result.vocab.template_ids():
+                rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+                args = (result.params, result.vocab, template_id, 32)
+                assert generate_lists(*args, rngs[0], result.max_len) == reference_lists(
+                    *args, rngs[1], result.max_len
+                )
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def miner_bugs_round(index):
+    """Round ``index`` of a seed-0 ``miner-bugs`` run, captured by
+    ``tests/data/capture_miner_bugs_corpora.py``: its training corpus and
+    the trainer's rng in the state the round received it."""
+    entry = json.loads(CORPORA.read_text())[index]
+    corpus = [
+        (template_id, [ParamValuePair(name, value) for name, value in pairs])
+        for template_id, pairs in entry["corpus"]
+    ]
+    rng = np.random.default_rng()
+    rng.bit_generator.state = entry["rng_state"]
+    return corpus, rng
+
+
+# (round, n_train, n_val, epoch losses, val_accuracy, lists, sha256 of the
+# lists); the pinned values change with the model's math, the length
+# weighting, generation or the order a round draws from the rng
+MINER_BUGS_ROUNDS = [
+    (0, 26, 7, [
+        2.484456869245242, 2.280547446090028, 2.1432155485474422,
+        2.055515319082849, 2.0011315788236974, 1.9663689531310102,
+        1.9418922132050283, 1.9222460965382941, 1.9045688253035487,
+        1.88740394164552, 1.8698578118224365, 1.8512399544938007,
+        1.8308824660714609, 1.807854695154778, 1.7805931137877784,
+        1.7464527276590167, 1.7012360845510113, 1.639553355883423,
+        1.55870434995848, 1.465762625277538, 1.373219938535575,
+        1.2873560772268402, 1.2099170519507103, 1.137659179487226,
+        1.0782960302229896, 1.0101955152446243, 1.0889739755445598,
+    ], 0.4117647058823529, 13,
+     "1b6f2c250243edd26caa5371d37ee0fa2c613b5c61d8d1b512838c1d9ebef7fe"),
+    (1, 206, 51, [
+        2.756080827849391, 2.1228278991757352, 1.9772397114856453,
+        1.8753010563466477, 1.7825306829722969, 1.6212996933105284,
+        1.4308226560342991, 1.2781493903875198, 1.2291632869981235,
+        1.124293275850603, 1.191758293963936, 1.044542200526802,
+        1.1111317187203984, 0.9925260678547858, 1.0746659527789524,
+        0.9734128087587263, 0.9245738164708571, 0.9664828685816177,
+        0.8958696496262402, 0.9763924371595236, 0.8759908732617472,
+        0.9056820120564077, 0.8918125069762719, 0.8918230409398089,
+        0.9310636353823222, 0.8792600378698935, 0.8999139887601799,
+    ], 0.6470588235294118, 28,
+     "8030e2a235a33c6312820e3f3a44b79f1c8000d67d6edfb695e7c75d26eb42ae"),
+]
+
+
+class TestMinerBugsRounds:
+    @pytest.mark.parametrize(
+        ("index", "n_train", "n_val", "losses", "val_accuracy", "n_lists", "digest"),
+        MINER_BUGS_ROUNDS, ids=["round-1", "round-2"],
+    )
+    def test_round_reproduces_pinned_values(
+        self, index, n_train, n_val, losses, val_accuracy, n_lists, digest
+    ):
+        corpus, rng = miner_bugs_round(index)
+        config = ModelConfig()
+        result = train(corpus, config, rng)
+        assert (result.n_train, result.n_val) == (n_train, n_val)
+        np.testing.assert_allclose(result.epoch_losses, losses, rtol=1e-9, atol=0)
+        assert result.val_accuracy == pytest.approx(val_accuracy, rel=1e-9)
+        lists = [
+            plist
+            for template_id in result.vocab.template_ids()
+            for plist in generate_lists(
+                result.params, result.vocab, template_id,
+                config.lists_per_template, rng, result.max_len,
+            )
+        ]
+        dump = json.dumps([
+            [plist.template_id, [[pair.param_name, pair.value] for pair in plist.pairs]]
+            for plist in lists
+        ])
+        assert (len(lists), hashlib.sha256(dump.encode()).hexdigest()) == (n_lists, digest)
+
+
 class TestRecommenderPublish:
     @pytest.fixture
     def recommender(self, two_template_grammar, rng):
@@ -387,7 +593,8 @@ class TestRound:
         assert result is None
         assert recommender.rounds == 0
         assert recommender.snapshot() == {}
-        assert sum(r.levelno == logging.INFO for r in caplog.records) == 2  # epoch lines
+        epoch_lines = [r for r in caplog.records if "epoch=" in r.getMessage()]
+        assert sum(r.levelno == logging.INFO for r in epoch_lines) == 2
         cuts = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert [r.getMessage() for r in cuts] == [
             "round=1 cut before epoch=3 of 5"
