@@ -3,8 +3,10 @@
 The traditional method draws a random dictionary value for every
 parameter, including the deliberately invalid entries, which is why it
 gets rejected a lot.  The recommender-backed method starts from defaults and
-overrides only the parameters named in a param-value list, so everything
-it sends is built from combinations that actually passed before.
+overrides only the parameters named in a param-value list, a plain tuple
+of (parameter, value) pairs, so everything it sends is built from
+combinations that actually passed before.  The empty list () renders
+every default.
 """
 
 import json
@@ -15,7 +17,7 @@ from restfuzz.client import HttpClient
 from restfuzz.collection import ParamValuePair
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import BugConfig, packaged_grammar_path, serve
-from restfuzz.rendering import ParamValueList, render_traditional, render_with_list
+from restfuzz.rendering import render_traditional, render_with_list
 
 grammar = parse_spec(packaged_grammar_path().read_bytes())
 handle = serve(0, BugConfig())
@@ -26,7 +28,7 @@ rng = np.random.default_rng(4)
 # The pool maps each resource type to the latest id produced for it.
 pool = {}
 post = grammar.templates["POST /groups"]
-created = client.send(render_with_list(post, ParamValueList(post.template_id, ()), pool).request)
+created = client.send(render_with_list(post, (), pool).request)
 group_id = str(json.loads(created.body)["id"])
 pool["group"] = group_id
 print(f"producer POST /groups -> {created.status}, captured group id {group_id}")
@@ -39,8 +41,8 @@ for _ in range(8):
     print(f"  {step.request.path}?{step.request.query}  ->  {record.status}")
 
 print("\ndefaults plus a recorded override:")
-plist = ParamValueList(get.template_id, (ParamValuePair("with_projects", "false"),))
-step = render_with_list(get, plist, pool)
+pairs = (ParamValuePair("with_projects", "false"),)
+step = render_with_list(get, pairs, pool)
 record = client.send(step.request)
 print(f"  {step.request.path}?{step.request.query}  ->  {record.status}")
 print("  parameters outside the list keep their defaults")

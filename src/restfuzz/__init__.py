@@ -26,8 +26,8 @@ from .grammar import (
 )
 from .orchestrator import MODES, FuzzConfig, Fuzzer, fuzz_loop
 from .recommender import ModelConfig, Recommender
-from .rendering import ParamValueList, ReadyRequest, RenderMode
-from .reporting import RunMetrics, pass_rate, unique_request_templates
+from .rendering import ReadyRequest, RenderMode
+from .reporting import RunMetrics, pass_rate
 from .responses import ResponseClass, ResponseRecord
 from .sequences import SequenceTemplate, extend, select_seed, selection_weights
 
@@ -43,7 +43,6 @@ __all__ = [
     "MalformedSpec",
     "ModelConfig",
     "ParamSpec",
-    "ParamValueList",
     "ParamValuePair",
     "ReadyRequest",
     "Recommender",
@@ -63,5 +62,4 @@ __all__ = [
     "select_seed",
     "selection_weights",
     "serialize_spec",
-    "unique_request_templates",
 ]

@@ -21,7 +21,7 @@ from .client import HttpClient
 from .collection import CollectionStore
 from .execution import ExecutedSequence, ExecutedStep, Observer, send_step
 from .grammar import CompiledGrammar, RequestTemplate
-from .rendering import ParamValueList, RenderedStep, read_produced_id, render_with_list
+from .rendering import RenderedStep, read_produced_id, render_with_list
 from .reporting import replay_line, run_replay
 from .responses import ResponseClass
 
@@ -110,7 +110,7 @@ def uaf_plan(grammar: CompiledGrammar) -> tuple[UafTarget, ...]:
 
 
 def _render_defaults(template: RequestTemplate, pool: dict[str, str]) -> RenderedStep:
-    return render_with_list(template, ParamValueList(template.template_id, ()), pool)
+    return render_with_list(template, (), pool)
 
 
 def use_after_free_check(

@@ -5,6 +5,11 @@ for length-weighted selection), param-value pairs from 2xx responses
 (recommender training data) and param-value pairs from 5xx responses (extra
 ammunition for the undefined-parameter checker).  4xx and transport
 outcomes are never recorded.
+
+A param-value list is a plain :data:`PairList`, a tuple of pairs in
+template parameter order; the same tuple goes from the store to the model,
+into the published snapshot and into rendering.  Queries return the stored
+sequences themselves, which callers must not mutate.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import IO, Mapping, Sequence
+from operator import itemgetter
+from typing import IO, Mapping, NamedTuple, Sequence
 
 from .grammar import CompiledGrammar
 from .responses import ResponseClass
@@ -22,28 +27,20 @@ from .sequences import SeedPool, SequenceTemplate
 _RECORDED_CLASSES = (ResponseClass.PASS_2XX, ResponseClass.ERROR_5XX)
 
 
-@dataclass(frozen=True, order=True)
-class ParamValuePair:
+class ParamValuePair(NamedTuple):
     """A mutated parameter and the exact string sent on the wire."""
 
     param_name: str
     value: str
 
 
+PairList = tuple[ParamValuePair, ...]
+
+
 @dataclass(frozen=True)
 class PairObservation:
     template_id: str
     pair: ParamValuePair
-    response_class: ResponseClass
-
-
-@dataclass(frozen=True)
-class _RequestEvent:
-    """Per-request observation: the non-default pairs one execution used."""
-
-    iteration: int
-    template_id: str
-    pairs: tuple[ParamValuePair, ...]
     response_class: ResponseClass
 
 
@@ -56,12 +53,13 @@ class CollectionStore:
         self.iteration = 0  # set by the fuzz loop; never decreases
         # Insertion-ordered keys, one per distinct (template, pair, class) observation.
         self._pairs: dict[tuple[str, ParamValuePair, ResponseClass], None] = {}
-        self._events: list[_RequestEvent] = []
+        # (iteration, template id, pairs) of every 2xx request with a pair.
+        self._events: list[tuple[int, str, PairList]] = []
         self._seed_keys: set[tuple[str, ...]] = set()
         self._seeds = SeedPool()
         # Query indexes, kept at record time, each in first-seen order.
-        self._pairs_by_template: dict[str, dict[ParamValuePair, None]] = {}
-        self._lists_by_template: dict[str, list[tuple[ParamValuePair, ...]]] = {}
+        self._pairs_by_template: dict[str, list[ParamValuePair]] = {}
+        self._lists_by_template: dict[str, list[PairList]] = {}
         self._distinct_pairs: set[ParamValuePair] = set()
         self._undefined_by_template: dict[str, list[ParamValuePair]] = {
             template_id: [] for template_id in grammar.templates
@@ -80,7 +78,8 @@ class CollectionStore:
         ``rendered_params`` must iterate in template parameter order.  A
         pair is a value that differs from the template's default; consumer
         (object-id) parameters have no default, so they are skipped.  Only
-        2xx and 5xx outcomes are recorded.
+        2xx and 5xx outcomes are recorded, and only 2xx ones as training
+        events.
         """
         if response_class not in _RECORDED_CLASSES:
             return
@@ -92,16 +91,20 @@ class CollectionStore:
         )
         if not pairs:
             return
-        self._events.append(
-            _RequestEvent(self.iteration, template_id, pairs, response_class)
-        )
+        if response_class is ResponseClass.PASS_2XX:
+            self._events.append((self.iteration, template_id, pairs))
+            other_class = ResponseClass.ERROR_5XX
+        else:
+            other_class = ResponseClass.PASS_2XX
         self._lists_by_template.setdefault(template_id, []).append(pairs)
         for pair in pairs:
             key = (template_id, pair, response_class)
             if key not in self._pairs:
-                # A pair new to the template, or new altogether, has a new key.
+                # A pair new to the template, or new altogether, has a new key;
+                # it is new to the template unless the other class has it.
                 self._pairs[key] = None
-                self._pairs_by_template.setdefault(template_id, {})[pair] = None
+                if (template_id, pair, other_class) not in self._pairs:
+                    self._pairs_by_template.setdefault(template_id, []).append(pair)
                 if pair not in self._distinct_pairs:
                     self._distinct_pairs.add(pair)
                     self._index_undefined(pair)
@@ -145,31 +148,28 @@ class CollectionStore:
         """The admitted seeds in admission order (read-only to callers)."""
         return self._seeds
 
-    def training_corpus(self, since: int) -> list[tuple[str, list[ParamValuePair]]]:
+    def training_corpus(self, since: int) -> list[tuple[str, PairList]]:
         """Pair lists of 2xx requests observed after iteration ``since``.
 
-        5xx observations are excluded: too rare to train on, though the
-        checker still uses them.  Event iterations never decrease, so the
-        window starts at a bisection, not a scan of the whole log.
+        5xx observations are not kept as events: too rare to train on,
+        though the checker and ``reclist`` still use them.  Event iterations
+        never decrease, so the window starts at a bisection, not a scan of
+        the whole log.
         """
-        first = bisect_right(self._events, since, key=attrgetter("iteration"))
-        return [
-            (event.template_id, list(event.pairs))
-            for event in self._events[first:]
-            if event.response_class is ResponseClass.PASS_2XX
-        ]
+        first = bisect_right(self._events, since, key=itemgetter(0))
+        return [(template_id, pairs) for _, template_id, pairs in self._events[first:]]
 
-    def undefined_pairs_for(self, template_id: str) -> list[ParamValuePair]:
+    def undefined_pairs_for(self, template_id: str) -> Sequence[ParamValuePair]:
         """Stored pairs whose parameter the given template does not define."""
-        return list(self._undefined_by_template[template_id])
+        return self._undefined_by_template[template_id]
 
-    def recorded_pairs_for(self, template_id: str) -> list[ParamValuePair]:
+    def recorded_pairs_for(self, template_id: str) -> Sequence[ParamValuePair]:
         """Deduplicated pairs observed on one template (2xx and 5xx)."""
-        return list(self._pairs_by_template.get(template_id, ()))
+        return self._pairs_by_template.get(template_id, ())
 
-    def recorded_lists_for(self, template_id: str) -> list[tuple[ParamValuePair, ...]]:
-        """Whole per-request pair lists observed on one template."""
-        return list(self._lists_by_template.get(template_id, ()))
+    def recorded_lists_for(self, template_id: str) -> Sequence[PairList]:
+        """Whole per-request pair lists observed on one template (2xx and 5xx)."""
+        return self._lists_by_template.get(template_id, ())
 
     def pair_observations(self) -> list[PairObservation]:
         return [PairObservation(*key) for key in self._pairs]

@@ -8,11 +8,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .client import HttpClient
-from .collection import CollectionStore
+from .collection import CollectionStore, PairList
 from .grammar import CompiledGrammar
 from .rendering import (
     MissingProducerId,
-    ParamValueList,
     ReadyRequest,
     RenderedStep,
     RenderMode,
@@ -68,7 +67,7 @@ def send_step(
 def execute_candidate(
     candidate_ids: Sequence[str],
     grammar: CompiledGrammar,
-    list_snapshot: Mapping[str, Sequence[ParamValueList]],
+    list_snapshot: Mapping[str, Sequence[PairList]],
     mode: RenderMode,
     rng: np.random.Generator,
     client: HttpClient,

@@ -3,8 +3,9 @@
 Each training round rebuilds the vocabulary from the corpus window and
 trains fresh weights from scratch, then samples param-value lists per
 request template.  Rounds run inline on the fuzz loop's thread.  Published
-lists accumulate across rounds in a snapshot that each publish replaces,
-so a mapping the rendering side holds never changes under it.
+lists accumulate across rounds in a snapshot, keyed by template, that each
+publish replaces, so a mapping the rendering side holds never changes
+under it.  A list is a plain :data:`~restfuzz.collection.PairList`.
 """
 
 from __future__ import annotations
@@ -13,20 +14,19 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import model
-from .collection import ParamValuePair
+from .collection import PairList, ParamValuePair
 from .grammar import CompiledGrammar
-from .rendering import ParamValueList
 
 logger = logging.getLogger("restfuzz.training")
 
 TERMINATOR_ID = 0
 
-Corpus = list[tuple[str, list[ParamValuePair]]]
+Corpus = Sequence[tuple[str, Sequence[ParamValuePair]]]
 StopCheck = Callable[[], bool]
 
 
@@ -40,6 +40,10 @@ class RoundCut(Exception):
 
 class UnknownTemplate(Exception):
     """The vocabulary has no name token for the requested template."""
+
+
+class ForeignPair(Exception):
+    """A param-value list names a parameter the template does not define."""
 
 
 @dataclass(frozen=True)
@@ -171,11 +175,16 @@ def _length_weights(lengths: np.ndarray) -> np.ndarray:
     return np.where(valid, row_weights[:, None], 0.0)
 
 
-def _accuracy(params: model.ModelParams, examples: list[list[int]]) -> float | None:
-    """Top-1 next-token accuracy over every position, one padded pass."""
-    if not examples:
+def _accuracy(
+    params: model.ModelParams, padded: tuple[np.ndarray, np.ndarray] | None
+) -> float | None:
+    """Top-1 next-token accuracy over every position of ``_pad``'s output, one pass.
+
+    ``None`` stands for an empty validation set.
+    """
+    if padded is None:
         return None
-    tokens, lengths = _pad(examples)
+    tokens, lengths = padded
     predicted = model.predict(params, tokens[:, :-1])
     valid = np.arange(predicted.shape[1]) < (lengths - 1)[:, None]
     hits = np.count_nonzero((predicted == tokens[:, 1:]) & valid)
@@ -222,6 +231,7 @@ def train(
     epoch_losses: list[float] = []
     val_accuracy: float | None = None
     padded, lengths = _pad(train_set)
+    val_padded = _pad(val_set) if val_set else None
     logger.info(
         "%s n_train=%d n_val=%d vocab=%d val_predictions=%d",
         label or "train", len(train_set), len(val_set), vocab.size,
@@ -248,7 +258,7 @@ def train(
             total_predictions += n_predictions
         mean_loss = total_loss / max(total_predictions, 1)
         epoch_losses.append(mean_loss)
-        val_accuracy = _accuracy(params, val_set)
+        val_accuracy = _accuracy(params, val_padded)
         logger.info(
             "%s epoch=%d loss=%.4f val_acc=%s wall=%.2fs",
             label or "train", epoch + 1, mean_loss,
@@ -274,7 +284,7 @@ def generate_lists(
     k: int,
     rng: np.random.Generator,
     max_len: int,
-) -> list[ParamValueList]:
+) -> list[PairList]:
     """Sample up to ``k`` param-value lists for one template.
 
     Tokens are drawn from the softmax distribution restricted to the
@@ -293,8 +303,8 @@ def generate_lists(
 
     # prefix -> (allowed tokens, cumulative sum of their renormalized probabilities)
     draws: dict[tuple[int, ...], tuple[list[int], np.ndarray]] = {}
-    results: list[ParamValueList] = []
-    seen: set[tuple[ParamValuePair, ...]] = set()
+    results: list[PairList] = []
+    seen: set[PairList] = set()
     for _ in range(k):
         prefix: tuple[int, ...] = (name_token,)
         pairs: list[ParamValuePair] = []
@@ -319,7 +329,7 @@ def generate_lists(
         key = tuple(pairs)
         if key not in seen:
             seen.add(key)
-            results.append(ParamValueList(template_id, key))
+            results.append(key)
     return results
 
 
@@ -337,32 +347,34 @@ class Recommender:
         self._config = config
         self._rng = rng
         self._dump_dir = dump_dir
-        self._snapshot: dict[str, tuple[ParamValueList, ...]] = {}
+        self._snapshot: dict[str, tuple[PairList, ...]] = {}
         self.rounds = 0
 
-    def snapshot(self) -> dict[str, tuple[ParamValueList, ...]]:
+    def snapshot(self) -> dict[str, tuple[PairList, ...]]:
         """The current published mapping; ``publish`` replaces it, never edits it."""
         return self._snapshot
 
-    def publish(self, lists: Iterable[ParamValueList]) -> None:
-        """Merge new lists into a copy of the snapshot and replace it.
+    def publish(self, lists: Mapping[str, Sequence[PairList]]) -> None:
+        """Merge new lists, keyed by template, into a copy of the snapshot and replace it.
 
         Lists are validated against the grammar (no foreign pairs), deduped
         against what is already published, and capped per template with the
-        oldest entries evicted first.
+        oldest entries evicted first.  A foreign pair anywhere raises
+        :class:`ForeignPair` and leaves the snapshot as it was.
         """
-        incoming: dict[str, list[ParamValueList]] = {}
-        for plist in lists:
-            plist.validate_against(self._grammar.templates[plist.template_id])
-            incoming.setdefault(plist.template_id, []).append(plist)
         updated = dict(self._snapshot)
-        for template_id, new_lists in incoming.items():
+        for template_id, new_lists in lists.items():
+            defaults = self._grammar.templates[template_id].defaults()
+            foreign = {name for pairs in new_lists for name, _ in pairs} - defaults.keys()
+            if foreign:
+                raise ForeignPair(f"{template_id}: {sorted(foreign)} are not defined "
+                                  "non-consumer parameters")
             merged = list(updated.get(template_id, ()))
-            known = {plist.pairs for plist in merged}
-            for plist in new_lists:
-                if plist.pairs not in known:
-                    known.add(plist.pairs)
-                    merged.append(plist)
+            known = set(merged)
+            for pairs in new_lists:
+                if pairs not in known:
+                    known.add(pairs)
+                    merged.append(pairs)
             overflow = len(merged) - self._config.per_template_cap
             if overflow > 0:
                 merged = merged[overflow:]
@@ -387,19 +399,17 @@ class Recommender:
                 result.params,
                 Path(self._dump_dir) / f"round_{result.params.version:03d}",
             )
-        generated: list[ParamValueList] = []
-        for template_id in result.vocab.template_ids():
-            generated.extend(
-                generate_lists(
-                    result.params,
-                    result.vocab,
-                    template_id,
-                    self._config.lists_per_template,
-                    self._rng,
-                    result.max_len,
-                )
+        self.publish({
+            template_id: generate_lists(
+                result.params,
+                result.vocab,
+                template_id,
+                self._config.lists_per_template,
+                self._rng,
+                result.max_len,
             )
-        self.publish(generated)
+            for template_id in result.vocab.template_ids()
+        })
         self.rounds += 1
         return result
 

@@ -1,8 +1,10 @@
 """Turn request templates into ready-to-send requests.
 
 Two rendering strategies: the traditional one draws a random dictionary
-value for every parameter; the recommender-backed one starts from defaults
-and overrides only the parameters named in a generated param-value list.
+value for every parameter; the list-backed one starts from defaults and
+overrides only the parameters named in a param-value list, a plain
+:data:`~restfuzz.collection.PairList` whether the model generated it or the
+store recorded it.
 Consumer parameters are always resolved from the object-id pool built up
 while the sequence executes: the latest id per resource type, a plain
 ``dict[str, str]`` that replay (:func:`restfuzz.reporting.run_replay`) and
@@ -18,7 +20,7 @@ from typing import Generator, Mapping, Sequence
 
 import numpy as np
 
-from .collection import CollectionStore, ParamValuePair
+from .collection import CollectionStore, PairList
 from .grammar import CompiledGrammar, ParamSpec, RequestTemplate
 from .responses import ResponseClass, ResponseRecord
 
@@ -31,37 +33,11 @@ class MissingProducerId(RenderError):
     """A consumer parameter found no id of its resource type in the pool."""
 
 
-class ForeignPair(RenderError):
-    """A param-value list names a parameter the template does not define."""
-
-
 class RenderMode(enum.Enum):
     BASELINE = "baseline"
     REC1 = "rec1"
     RECLIST = "reclist"
     MODEL = "model"
-
-
-@dataclass(frozen=True)
-class ParamValueList:
-    """An ordered list of pair overrides for one request template."""
-
-    template_id: str
-    pairs: tuple[ParamValuePair, ...]
-
-    def __post_init__(self):
-        names = [pair.param_name for pair in self.pairs]
-        if len(names) != len(set(names)):
-            raise ValueError(f"duplicate parameter names in list for {self.template_id}")
-
-    def validate_against(self, template: RequestTemplate) -> None:
-        defaults = template.defaults()
-        for pair in self.pairs:
-            if pair.param_name not in defaults:
-                raise ForeignPair(
-                    f"{self.template_id}: {pair.param_name!r} is not a "
-                    "defined non-consumer parameter"
-                )
 
 
 @dataclass(frozen=True)
@@ -133,22 +109,25 @@ def render_traditional(
 
 
 def render_with_list(
-    template: RequestTemplate, plist: ParamValueList, pool: dict[str, str]
+    template: RequestTemplate, pairs: PairList, pool: dict[str, str]
 ) -> RenderedStep:
-    """Defaults everywhere, overridden by the pairs in ``plist``.
+    """Defaults everywhere, overridden by ``pairs``.
 
-    ``plist`` is checked where it is made: model output when it is
+    ``pairs`` is checked where it is made: model output when it is
     published, recorded pairs and lists by construction (the store keeps
     only the template's own non-consumer parameters).
     """
-    overrides = {pair.param_name: pair.value for pair in plist.pairs}
+    overrides = dict(pairs)
     return _render(template, pool, lambda spec: overrides.get(spec.name, spec.default))
 
 
 def choose_list(
-    lists: Sequence[ParamValueList], rng: np.random.Generator
-) -> ParamValueList | None:
-    """Uniform draw over available lists; ``None`` when there are none."""
+    lists: Sequence[PairList], rng: np.random.Generator
+) -> PairList | None:
+    """Uniform draw over available lists; ``None`` when there are none.
+
+    An all-defaults list ``()`` is falsy, so test the result with ``is None``.
+    """
     if not lists:
         return None
     return lists[int(rng.integers(len(lists)))]
@@ -174,7 +153,7 @@ def read_produced_id(body: str, pointer: str) -> str | None:
 def render_sequence(
     candidate_ids: Sequence[str],
     grammar: CompiledGrammar,
-    list_snapshot: Mapping[str, Sequence[ParamValueList]],
+    list_snapshot: Mapping[str, Sequence[PairList]],
     mode: RenderMode,
     rng: np.random.Generator,
     store: CollectionStore | None = None,
@@ -198,27 +177,19 @@ def render_sequence(
         if position == last or mode is RenderMode.BASELINE:
             step = render_traditional(template, pool, rng)
         elif mode is RenderMode.MODEL:
-            plist = choose_list(list_snapshot.get(template_id, ()), rng)
-            if plist is None:
+            chosen = choose_list(list_snapshot.get(template_id, ()), rng)
+            if chosen is None:
                 step = render_traditional(template, pool, rng)
             else:
-                step = render_with_list(template, plist, pool)
+                step = render_with_list(template, chosen, pool)
         elif mode is RenderMode.REC1:
-            pairs = store.recorded_pairs_for(template_id) if store else []
-            chosen = (
-                (pairs[int(rng.integers(len(pairs)))],) if pairs else ()
-            )
-            step = render_with_list(
-                template, ParamValueList(template_id, chosen), pool
-            )
+            pairs = store.recorded_pairs_for(template_id) if store else ()
+            chosen = (pairs[int(rng.integers(len(pairs)))],) if pairs else ()
+            step = render_with_list(template, chosen, pool)
         else:  # RenderMode.RECLIST
-            lists = store.recorded_lists_for(template_id) if store else []
-            chosen_list = (
-                lists[int(rng.integers(len(lists)))] if lists else ()
-            )
-            step = render_with_list(
-                template, ParamValueList(template_id, tuple(chosen_list)), pool
-            )
+            lists = store.recorded_lists_for(template_id) if store else ()
+            chosen = lists[int(rng.integers(len(lists)))] if lists else ()
+            step = render_with_list(template, chosen, pool)
 
         response = yield step
         if response is None:

@@ -291,8 +291,3 @@ class RunMetrics:
             "wall_time_seconds": self.wall_time,
         }
 
-
-def unique_request_templates(metrics: RunMetrics) -> int:
-    """Number of distinct templates that ever got a 2xx answer."""
-    return len(metrics.per_template_2xx)
-

@@ -146,15 +146,3 @@ def classify_extension(
     if responses and responses[-1] is ResponseClass.PASS_2XX:
         return ExtensionResult.EXTENDED
     return ExtensionResult.FAILED
-
-
-def is_satisfiable(seq: SequenceTemplate, grammar: CompiledGrammar) -> bool:
-    """Re-derive positional satisfiability (used by tests and invariants)."""
-    available: set[str] = set()
-    for template_id in seq.template_ids:
-        template = grammar.templates.get(template_id)
-        if template is None or not template.consumed_types <= available:
-            return False
-        if template.produces:
-            available.add(template.produces[0])
-    return True

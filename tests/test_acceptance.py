@@ -178,7 +178,7 @@ def test_criterion_4_model_learning_oracle():
                 ParamValuePair(f"p{t}_{j}", f"v{t}_{j}") for j in range(4)
             )
             hits = sum(
-                bool(lists and lists[0].pairs == expected)
+                bool(lists and lists[0] == expected)
                 for lists in (
                     generate_lists(result.params, result.vocab, f"GET /things{t}",
                                    1, rng, result.max_len)

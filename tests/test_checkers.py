@@ -19,7 +19,7 @@ from restfuzz.execution import ExecutedSequence, send_step
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import ALL_BUGS, BugConfig, packaged_grammar_path, serve
 from restfuzz.orchestrator import FuzzConfig, fuzz_loop
-from restfuzz.rendering import ParamValueList, read_produced_id, render_with_list
+from restfuzz.rendering import read_produced_id, render_with_list
 from restfuzz.responses import ResponseClass, ResponseRecord
 
 from conftest import build_spec
@@ -58,10 +58,8 @@ def execute_recorded(steps, grammar, client, store):
     executed = []
     for template_id, overrides in steps:
         template = grammar.templates[template_id]
-        plist = ParamValueList(
-            template_id, tuple(ParamValuePair(*item) for item in overrides.items())
-        )
-        step = send_step(render_with_list(template, plist, pool), client, store)
+        pairs = tuple(ParamValuePair(*item) for item in overrides.items())
+        step = send_step(render_with_list(template, pairs, pool), client, store)
         executed.append(step)
         if step.response.klass is ResponseClass.PASS_2XX and template.produces:
             resource_type, pointer = template.produces

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restfuzz.collection import CollectionStore, ParamValuePair
-from restfuzz.rendering import ParamValueList
 from restfuzz.responses import ResponseClass
 
 
@@ -94,7 +93,7 @@ class TestTrainingCorpus:
         store.iteration = 1
         record_get(store, wp="false")
         assert store.training_corpus(since=0) == [
-            (GET_ID, [ParamValuePair("with_projects", "false")])
+            (GET_ID, (ParamValuePair("with_projects", "false"),))
         ]
 
     def test_since_latest_iteration_is_empty(self, store):
@@ -191,8 +190,28 @@ def _unique(pairs):
     return list(dict.fromkeys(pairs))
 
 
+def _rendered(template, picks):
+    return {
+        spec.name: "7" if spec.is_consumer
+        else spec.dictionary[picks[i % len(picks)] % len(spec.dictionary)]
+        for i, spec in enumerate(template.params)
+    }
+
+
+def _logged(template, rendered, klass):
+    """The pairs a scan of one recorded op expects, or ``None`` when nothing is kept."""
+    defaults = template.defaults()
+    pairs = tuple(
+        ParamValuePair(name, value) for name, value in rendered.items()
+        if name in defaults and value != defaults[name]
+    )
+    if klass not in (ResponseClass.PASS_2XX, ResponseClass.ERROR_5XX) or not pairs:
+        return None
+    return pairs
+
+
 class TestIndexesMatchScans:
-    """Random record/admit sequences: every index equals a scan of the log."""
+    """Random record/admit sequences: every index equals a scan of the ops."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -202,55 +221,67 @@ class TestIndexesMatchScans:
                                  max_size=60))
         store = CollectionStore(mock_grammar)
         admitted = []
+        log = []  # (template id, pairs, class) of every op the store keeps
         for iteration, op in enumerate(ops, start=1):
             store.iteration = iteration
             if op[0] == "record":
                 _, template_id, picks, klass = op
                 template = mock_grammar.templates[template_id]
-                rendered = {
-                    spec.name: "7" if spec.is_consumer
-                    else spec.dictionary[picks[i % len(picks)] % len(spec.dictionary)]
-                    for i, spec in enumerate(template.params)
-                }
+                rendered = _rendered(template, picks)
                 store.record_request_outcome(template_id, rendered, klass)
+                pairs = _logged(template, rendered, klass)
+                if pairs is not None:
+                    log.append((template_id, pairs, klass))
             else:
                 ids = [template_id for template_id, _ in op[1]]
                 classes = [klass for _, klass in op[1]]
                 if store.admit_sequence(ids, classes) and tuple(ids) not in admitted:
                     admitted.append(tuple(ids))
 
-        observations = store.pair_observations()
-        events = store._events
         assert [seed.template_ids for seed in store.seed_templates()] == admitted
+        assert [
+            (obs.template_id, obs.pair, obs.response_class)
+            for obs in store.pair_observations()
+        ] == _unique(
+            (template_id, pair, klass) for template_id, pairs, klass in log for pair in pairs
+        )
         for template_id in template_ids:
-            defined = mock_grammar.templates[template_id].param_names
-            assert store.undefined_pairs_for(template_id) == _unique(
-                obs.pair for obs in observations if obs.pair.param_name not in defined
+            template = mock_grammar.templates[template_id]
+            assert list(store.undefined_pairs_for(template_id)) == _unique(
+                pair for _, pairs, _ in log for pair in pairs
+                if pair.param_name not in template.param_names
             )
-            assert store.recorded_pairs_for(template_id) == _unique(
-                obs.pair for obs in observations if obs.template_id == template_id
+            assert list(store.recorded_pairs_for(template_id)) == _unique(
+                pair for logged_id, pairs, _ in log if logged_id == template_id
+                for pair in pairs
             )
-            assert store.recorded_lists_for(template_id) == [
-                event.pairs for event in events if event.template_id == template_id
+            assert list(store.recorded_lists_for(template_id)) == [
+                pairs for logged_id, pairs, _ in log if logged_id == template_id
             ]
             # rec1/reclist render these without a check: valid by construction
-            template = mock_grammar.templates[template_id]
+            defaults = template.defaults()
             for pairs in store.recorded_lists_for(template_id):
-                ParamValueList(template_id, pairs).validate_against(template)
+                assert all(pair.param_name in defaults for pair in pairs)
 
-    def test_returned_lists_are_copies(self, store):
+    def test_pair_seen_as_5xx_then_2xx_is_recorded_once(self, store):
+        record_get(store, wp="false", klass=ResponseClass.ERROR_5XX)
+        record_get(store, wca="true")
+        record_get(store, wca="true", wp="false")
+        assert list(store.recorded_pairs_for(GET_ID)) == [
+            ParamValuePair("with_projects", "false"),
+            ParamValuePair("with_custom_attributes", "true"),
+        ]
+
+    def test_queries_return_the_stored_sequence(self, store):
         record_get(store, wp="false")
-        store.undefined_pairs_for(POST).clear()
-        store.recorded_pairs_for(GET_ID).clear()
-        store.recorded_lists_for(GET_ID).clear()
-        assert store.undefined_pairs_for(POST) == [ParamValuePair("with_projects", "false")]
-        assert store.recorded_pairs_for(GET_ID) == [ParamValuePair("with_projects", "false")]
-        assert len(store.recorded_lists_for(GET_ID)) == 1
+        assert store.undefined_pairs_for(POST) is store.undefined_pairs_for(POST)
+        assert store.recorded_pairs_for(GET_ID) is store.recorded_pairs_for(GET_ID)
+        assert store.recorded_lists_for(GET_ID) is store.recorded_lists_for(GET_ID)
 
 
 class TestTrainingCorpusMatchesScan:
     """Random records at non-decreasing iterations: the bisected window
-    equals a scan of the whole event log, in the same order."""
+    equals a scan of the recorded ops, in the same order."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), sinces=st.lists(st.integers(-2, 70), min_size=1, max_size=5))
@@ -258,18 +289,18 @@ class TestTrainingCorpusMatchesScan:
         record = _record(sorted(mock_grammar.templates))
         records = data.draw(st.lists(st.tuples(st.integers(0, 2), record), max_size=60))
         store = CollectionStore(mock_grammar)
+        log = []  # (iteration, template id, pairs) of every 2xx op with a pair
         for step, (_, template_id, picks, klass) in records:
             store.iteration += step
             template = mock_grammar.templates[template_id]
-            rendered = {
-                spec.name: "7" if spec.is_consumer
-                else spec.dictionary[picks[i % len(picks)] % len(spec.dictionary)]
-                for i, spec in enumerate(template.params)
-            }
+            rendered = _rendered(template, picks)
             store.record_request_outcome(template_id, rendered, klass)
+            pairs = _logged(template, rendered, klass)
+            if pairs is not None and klass is ResponseClass.PASS_2XX:
+                log.append((store.iteration, template_id, pairs))
         for since in sinces + [-1, store.iteration]:
             assert store.training_corpus(since) == [
-                (event.template_id, list(event.pairs))
-                for event in store._events
-                if event.response_class is ResponseClass.PASS_2XX and event.iteration > since
+                (template_id, pairs)
+                for iteration, template_id, pairs in log
+                if iteration > since
             ]

@@ -286,6 +286,8 @@ class TestReplayFidelity:
 # seed-0, 1500-request run with both checkers against the fully armed mock.
 # Any change to which bytes go out, or in what order, changes the digest.
 GOLDEN_STREAMS = {
+    "miner": "2115a8c53ff08750dc029e8a88817295de7fbc7babc00894c3e9b443a59b6961",
+    "model-only": "a74f7f4314f49fc3deb35a256411f18eb8e399e6173951556afdb22a8230606a",
     "baseline": "69ef32b18ff1c59fadad04ca5c6b99d9d6b2954cc653a73e4c9dd796652623f4",
     "seq-only": "95695e694bd5f3e5c99f7939b246ab318ca588797ab301588fed91fb0440272e",
     "rec1": "509ac44e568db86f32f2fde9764f97ef156a32bac1df19efd6b3f3e5185c19f1",

@@ -16,18 +16,19 @@ from restfuzz.collection import ParamValuePair
 from restfuzz.grammar import parse_spec
 from restfuzz.recommender import (
     TERMINATOR_ID,
+    ForeignPair,
     ModelConfig,
     Recommender,
     UnknownTemplate,
     _accuracy,
     _length_weights,
+    _pad,
     build_vocab,
     generate_lists,
     split_corpus,
     train,
 )
 from restfuzz.recommender import EmptyCorpus, RoundCut
-from restfuzz.rendering import ForeignPair, ParamValueList
 
 from conftest import build_spec, groups_paths
 
@@ -246,7 +247,7 @@ class TestAccuracy:
                 probs = model.forward(params, example[: t + 1])
                 hits += int(np.argmax(probs) == example[t + 1])
                 total += 1
-        assert _accuracy(params, examples) == hits / total
+        assert _accuracy(params, _pad(examples)) == hits / total
 
 
 class TestTrainLogging:
@@ -301,22 +302,22 @@ class TestGenerateLists:
                     trained.params, trained.vocab, template_id, 1, rng,
                     trained.max_len,
                 )
-                hits += bool(lists and lists[0].pairs == expected)
+                hits += bool(lists and lists[0] == expected)
             assert hits / 50 > 0.9
 
     def test_never_emits_foreign_pairs(self, trained, rng):
         lists = generate_lists(
             trained.params, trained.vocab, "GET /things0", 30, rng, trained.max_len
         )
-        for plist in lists:
-            for pair in plist.pairs:
+        for pairs in lists:
+            for pair in pairs:
                 assert pair.param_name.startswith("p0_")
 
     def test_max_len_zero_yields_empty_lists(self, trained, rng):
         lists = generate_lists(
             trained.params, trained.vocab, "GET /things0", 5, rng, max_len=0
         )
-        assert lists == [ParamValueList("GET /things0", ())]
+        assert lists == [()]
 
     def test_k_zero_yields_nothing(self, trained, rng):
         assert generate_lists(
@@ -346,7 +347,7 @@ class TestGenerateLists:
                 return draw
 
         lists = generate_lists(None, vocab, "GET /a", 1, HighDraw(), max_len=1)
-        assert lists == [ParamValueList("GET /a", (ParamValuePair("z", "1"),))]
+        assert lists == [(ParamValuePair("z", "1"),)]
 
     def test_deterministic_given_seed(self, trained):
         a = generate_lists(
@@ -390,7 +391,7 @@ def reference_lists(params, vocab, template_id, k, rng, max_len):
         key = tuple(pairs)
         if key not in seen:
             seen.add(key)
-            results.append(ParamValueList(template_id, key))
+            results.append(key)
     return results
 
 
@@ -505,16 +506,16 @@ class TestMinerBugsRounds:
         np.testing.assert_allclose(result.epoch_losses, losses, rtol=1e-9, atol=0)
         assert result.val_accuracy == pytest.approx(val_accuracy, rel=1e-9)
         lists = [
-            plist
+            (template_id, pairs)
             for template_id in result.vocab.template_ids()
-            for plist in generate_lists(
+            for pairs in generate_lists(
                 result.params, result.vocab, template_id,
                 config.lists_per_template, rng, result.max_len,
             )
         ]
         dump = json.dumps([
-            [plist.template_id, [[pair.param_name, pair.value] for pair in plist.pairs]]
-            for plist in lists
+            [template_id, [[pair.param_name, pair.value] for pair in pairs]]
+            for template_id, pairs in lists
         ])
         assert (len(lists), hashlib.sha256(dump.encode()).hexdigest()) == (n_lists, digest)
 
@@ -525,10 +526,10 @@ class TestRecommenderPublish:
         return Recommender(two_template_grammar, ModelConfig(per_template_cap=64), rng)
 
     def lists(self, count, start=0):
-        return [
-            ParamValueList(GET_ID, (ParamValuePair("with_projects", f"v{i}"),))
+        return {GET_ID: [
+            (ParamValuePair("with_projects", f"v{i}"),)
             for i in range(start, start + count)
-        ]
+        ]}
 
     def test_first_publish(self, recommender):
         recommender.publish(self.lists(4))
@@ -547,25 +548,32 @@ class TestRecommenderPublish:
         recommender.publish(self.lists(2, start=100))
         published = recommender.snapshot()[GET_ID]
         assert len(published) == 4
-        values = [plist.pairs[0].value for plist in published]
+        values = [pairs[0].value for pairs in published]
         assert values == ["v2", "v3", "v100", "v101"]
 
     def test_foreign_pair_rejected_at_publish(self, recommender):
-        bad = ParamValueList(GET_ID, (ParamValuePair("nope", "1"),))
+        bad = (ParamValuePair("nope", "1"),)
         with pytest.raises(ForeignPair):
-            recommender.publish([bad])
+            recommender.publish({GET_ID: [bad]})
 
     def test_foreign_pair_rejected(self, recommender):
         # a parameter of the grammar's other template, POST /groups
-        plist = ParamValueList(GET_ID, (ParamValuePair("name", "qa-team"),))
+        pairs = (ParamValuePair("name", "qa-team"),)
         with pytest.raises(ForeignPair):
-            recommender.publish([plist])
+            recommender.publish({GET_ID: [pairs]})
+        assert recommender.snapshot() == {}
+
+    def test_foreign_pair_on_a_later_template_publishes_nothing(self, recommender):
+        good = self.lists(1)[GET_ID]
+        bad = [(ParamValuePair("with_projects", "true"),)]  # a GET parameter
+        with pytest.raises(ForeignPair):
+            recommender.publish({GET_ID: good, "POST /groups": bad})
         assert recommender.snapshot() == {}
 
     def test_consumer_override_rejected(self, recommender):
-        plist = ParamValueList(GET_ID, (ParamValuePair("id", "9"),))
+        pairs = (ParamValuePair("id", "9"),)
         with pytest.raises(ForeignPair):
-            recommender.publish([plist])
+            recommender.publish({GET_ID: [pairs]})
         assert recommender.snapshot() == {}
 
     def test_snapshot_swap_is_atomic_object_replacement(self, recommender):

@@ -8,7 +8,6 @@ import pytest
 from restfuzz.collection import CollectionStore, ParamValuePair
 from restfuzz.rendering import (
     MissingProducerId,
-    ParamValueList,
     RenderMode,
     choose_list,
     read_produced_id,
@@ -61,54 +60,41 @@ class TestRenderTraditional:
 
 class TestRenderWithList:
     def test_defaults_plus_overrides(self, get_template, pool_with_group):
-        plist = ParamValueList(GET_ID, (ParamValuePair("with_projects", "false"),))
-        step = render_with_list(get_template, plist, pool_with_group)
+        pairs = (ParamValuePair("with_projects", "false"),)
+        step = render_with_list(get_template, pairs, pool_with_group)
         assert step.request.query == {
             "with_custom_attributes": "false",
             "with_projects": "false",
         }
 
     def test_empty_list_means_all_defaults(self, get_template, pool_with_group):
-        step = render_with_list(get_template, ParamValueList(GET_ID, ()), pool_with_group)
+        step = render_with_list(get_template, (), pool_with_group)
         assert step.request.query == {
             "with_custom_attributes": "false",
             "with_projects": "true",
         }
 
     def test_full_override_uses_list_values_exactly(self, get_template, pool_with_group):
-        plist = ParamValueList(
-            GET_ID,
-            (
-                ParamValuePair("with_custom_attributes", "true"),
-                ParamValuePair("with_projects", "3"),
-            ),
+        pairs = (
+            ParamValuePair("with_custom_attributes", "true"),
+            ParamValuePair("with_projects", "3"),
         )
-        step = render_with_list(get_template, plist, pool_with_group)
+        step = render_with_list(get_template, pairs, pool_with_group)
         assert step.request.query == {
             "with_custom_attributes": "true",
             "with_projects": "3",
         }
 
-    def test_duplicate_param_names_rejected(self):
-        with pytest.raises(ValueError):
-            ParamValueList(
-                GET_ID,
-                (
-                    ParamValuePair("with_projects", "true"),
-                    ParamValuePair("with_projects", "false"),
-                ),
-            )
-
 
 class TestChooseList:
     def test_uniform_over_lists(self, rng):
-        lists = [ParamValueList(GET_ID, (ParamValuePair("p", str(i)),)) for i in range(4)]
-        counts = Counter(choose_list(lists, rng).pairs[0].value for _ in range(100_000))
+        lists = [(ParamValuePair("p", str(i)),) for i in range(4)]
+        counts = Counter(choose_list(lists, rng)[0].value for _ in range(100_000))
         for value in counts:
             assert counts[value] / 100_000 == pytest.approx(0.25, abs=0.01)
 
     def test_single_list_always_chosen(self, rng):
-        lists = [ParamValueList(GET_ID, ())]
+        lists = [()]
         assert choose_list(lists, rng) is lists[0]
 
     def test_no_lists_yields_none(self, rng):
@@ -181,8 +167,7 @@ class TestRenderSequence:
         assert all(req == baseline for req in requests.values())
 
     def test_miner_uses_lists_before_last_position(self, two_template_grammar, rng):
-        post_list = ParamValueList(POST, (ParamValuePair("name", "qa-team"),))
-        snapshot = {POST: (post_list,)}
+        snapshot = {POST: ((ParamValuePair("name", "qa-team"),),)}
         gen = render_sequence(
             [POST, POST, POST], two_template_grammar, snapshot,
             RenderMode.MODEL, rng,
@@ -193,6 +178,15 @@ class TestRenderSequence:
         assert steps[1].request.body == {"name": "qa-team"}
         # the final request ignores lists and draws from the dictionary
         assert steps[2].rendered_params["name"] in {"dev-team", "qa-team"}
+
+    def test_miner_renders_an_all_defaults_list(self, two_template_grammar):
+        # () is falsy but a list all the same: defaults, never the fallback
+        for seed in range(20):
+            gen = render_sequence(
+                [POST, POST], two_template_grammar, {POST: ((),)},
+                RenderMode.MODEL, np.random.default_rng(seed),
+            )
+            assert next(gen).request.body == {"name": "dev-team"}
 
     def test_miner_falls_back_to_traditional_without_lists(self, two_template_grammar):
         seed = 11
@@ -229,6 +223,32 @@ class TestRenderSequence:
         created = ResponseRecord.from_status(201, '{"id": 1}')
         steps = drive(gen, [created, created])
         assert steps[0].request.body == {"name": "qa-team"}
+
+    def test_reclist_draws_over_2xx_and_5xx_lists(self, two_template_grammar):
+        from restfuzz.responses import ResponseClass
+
+        store = CollectionStore(two_template_grammar)
+        store.record_request_outcome(
+            GET_ID, {"id": "7", "with_custom_attributes": "true", "with_projects": "true"},
+            ResponseClass.PASS_2XX,
+        )
+        store.record_request_outcome(
+            GET_ID, {"id": "7", "with_custom_attributes": "false", "with_projects": "false"},
+            ResponseClass.ERROR_5XX,
+        )
+        created = ResponseRecord.from_status(201, '{"id": 1}')
+        queries = set()
+        for seed in range(50):
+            gen = render_sequence(
+                [POST, GET_ID, GET_ID], two_template_grammar, {}, RenderMode.RECLIST,
+                np.random.default_rng(seed), store,
+            )
+            steps = drive(gen, [created, created, created])
+            queries.add(tuple(sorted(steps[1].request.query.items())))
+        assert queries == {
+            (("with_custom_attributes", "true"), ("with_projects", "true")),
+            (("with_custom_attributes", "false"), ("with_projects", "false")),
+        }
 
     def test_producer_ids_flow_into_later_positions(self, two_template_grammar, rng):
         gen = render_sequence(

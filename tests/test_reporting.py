@@ -16,7 +16,6 @@ from restfuzz.reporting import (
     body_signature,
     pass_rate,
     run_replay,
-    unique_request_templates,
 )
 from restfuzz.responses import ResponseClass, ResponseRecord
 
@@ -147,15 +146,14 @@ class TestRunMetrics:
         metrics.observe("b", ResponseRecord.from_status(404))
         metrics.observe("c", ResponseRecord.transport())
         assert metrics.requests_sent == 4
-        assert unique_request_templates(metrics) == 1
         assert metrics.per_template_2xx == {"a"}
 
     def test_unique_templates_counts_types_not_hits(self):
         metrics = RunMetrics()
         for _ in range(1000):
             metrics.observe("a", ResponseRecord.from_status(201))
-        assert unique_request_templates(metrics) == 1
-        assert unique_request_templates(RunMetrics()) == 0
+        assert metrics.to_json()["unique_request_templates"] == 1
+        assert RunMetrics().to_json()["unique_request_templates"] == 0
 
     def test_median_executed_length(self):
         metrics = RunMetrics()

@@ -17,10 +17,21 @@ from restfuzz.sequences import (
     SequenceTemplate,
     classify_extension,
     extend,
-    is_satisfiable,
     select_seed,
     selection_weights,
 )
+
+
+def is_satisfiable(seq: SequenceTemplate, grammar) -> bool:
+    """Positional satisfiability re-derived from the grammar: ``extend``'s oracle."""
+    available: set[str] = set()
+    for template_id in seq.template_ids:
+        template = grammar.templates.get(template_id)
+        if template is None or not template.consumed_types <= available:
+            return False
+        if template.produces:
+            available.add(template.produces[0])
+    return True
 
 
 def seeds_of_lengths(*lengths: int) -> list[SequenceTemplate]:
