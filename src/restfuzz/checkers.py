@@ -6,13 +6,15 @@ param-value pair the last template does not define added to the last
 request; a 5xx answer flags an incorrect-parameter-usage error.  The
 use-after-free checker walks a plan fixed per grammar: for each resource
 type it issues create, delete, then access on the deleted object; a 2xx or
-5xx answer to the access flags a violation.  Checker requests are reported
-to ``observe`` but never recorded as training data.
+5xx answer to the access flags a violation.  Both send through
+:func:`execution.send_step`, so checker requests are reported to
+``observe`` but never recorded as training data, and a finding holds the
+steps exactly as they were sent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -21,7 +23,7 @@ from .client import HttpClient
 from .collection import CollectionStore
 from .execution import ExecutedSequence, ExecutedStep, Observer, send_step
 from .grammar import CompiledGrammar, RequestTemplate
-from .rendering import RenderedStep, read_produced_id, render_with_list
+from .rendering import note_produced_id, render_with_list
 from .reporting import replay_line, run_replay
 from .responses import ResponseClass
 
@@ -31,11 +33,10 @@ KIND_USE_AFTER_FREE = "use_after_free"
 
 @dataclass(frozen=True)
 class Violation:
-    """A checker's finding; the offending reply is ``steps[offending_index].response``."""
+    """A checker's finding: the steps it sent, the offending reply last."""
 
     kind: str
     steps: tuple[ExecutedStep, ...]
-    offending_index: int
 
 
 def datadriven_check(
@@ -52,6 +53,7 @@ def datadriven_check(
     The sequence goes out through :func:`run_replay`, so consumer ids are
     rebound to the objects the replayed producers return; the pair goes
     into the query string for GET/DELETE and into the body for POST/PUT.
+    A violation holds the replayed steps, ids and injected pair as sent.
     """
     if not executed.steps or not executed.completed:
         return None
@@ -64,18 +66,10 @@ def datadriven_check(
     lines = [replay_line(step, grammar) for step in executed.steps]
     location = "query" if last.request.method in ("GET", "DELETE") else "body"
     lines[-1][location][pair.param_name] = pair.value
-    results = run_replay(lines, client, observe)
-
-    if results[-1][1].klass is not ResponseClass.ERROR_5XX:
+    steps = run_replay(lines, client, observe)
+    if steps[-1].response.klass is not ResponseClass.ERROR_5XX:
         return None
-    # The replay file then expects the classes this replay saw.
-    steps = [
-        replace(step, response=record)
-        for step, (_, record) in zip(executed.steps, results)
-    ]
-    injected = replace(last.request, **{location: lines[-1][location]})
-    steps[-1] = replace(steps[-1], request=injected)
-    return Violation(KIND_INCORRECT_PARAM_USAGE, tuple(steps), offending_index=len(steps) - 1)
+    return Violation(KIND_INCORRECT_PARAM_USAGE, tuple(steps))
 
 
 class UafTarget(NamedTuple):
@@ -109,10 +103,6 @@ def uaf_plan(grammar: CompiledGrammar) -> tuple[UafTarget, ...]:
     return tuple(plan)
 
 
-def _render_defaults(template: RequestTemplate, pool: dict[str, str]) -> RenderedStep:
-    return render_with_list(template, (), pool)
-
-
 def use_after_free_check(
     plan: Sequence[UafTarget],
     client: HttpClient,
@@ -130,24 +120,22 @@ def use_after_free_check(
     for target in plan:
         if stopped():
             return None
-        create = send_step(_render_defaults(target.create, {}), client, observe=observe)
-        if create.response.klass is not ResponseClass.PASS_2XX:
+        pool: dict[str, str] = {}
+        create = send_step(render_with_list(target.create, (), pool), client, observe=observe)
+        note_produced_id(pool, target.create.produces, create.response)
+        if target.resource_type not in pool:
             continue
-        deleted_id = read_produced_id(create.response.body, target.create.produces[1])
-        if deleted_id is None:
-            continue
-        pool = {target.resource_type: deleted_id}
 
         if stopped():
             return None
-        delete = send_step(_render_defaults(target.delete, pool), client, observe=observe)
+        delete = send_step(render_with_list(target.delete, (), pool), client, observe=observe)
         if delete.response.klass is not ResponseClass.PASS_2XX:
             continue
 
         for accessor in target.accesses:
             if stopped():
                 return None
-            access = send_step(_render_defaults(accessor, pool), client, observe=observe)
+            access = send_step(render_with_list(accessor, (), pool), client, observe=observe)
             if access.response.klass in (ResponseClass.PASS_2XX, ResponseClass.ERROR_5XX):
-                return Violation(KIND_USE_AFTER_FREE, (create, delete, access), offending_index=2)
+                return Violation(KIND_USE_AFTER_FREE, (create, delete, access))
     return None

@@ -27,11 +27,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser("fuzz", help="run a fuzzing session")
     fuzz.add_argument("--spec", required=True, help="grammar file (JSON)")
     fuzz.add_argument("--target", required=True, help="target base URL")
-    fuzz.add_argument("--mode", choices=sorted(MODES), default="miner")
+    fuzz.add_argument("--mode", choices=sorted(MODES), default=FuzzConfig.mode)
     fuzz.add_argument("--duration", type=float, default=None, help="budget in seconds")
     fuzz.add_argument("--max-requests", type=int, default=None, help="budget in requests")
-    fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--train-interval", type=float, default=7200.0,
+    fuzz.add_argument("--seed", type=int, default=FuzzConfig.seed)
+    fuzz.add_argument("--train-interval", type=float, default=FuzzConfig.train_interval,
                       help="seconds between training rounds")
     fuzz.add_argument("--train-every-requests", type=int, default=None,
                       help="trigger training every N requests instead of by time")
@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--report-dir", default=None)
     fuzz.add_argument("--dump-weights", action="store_true",
                       help="write per-round weight dumps under the report dir")
-    fuzz.add_argument("--max-sequence-length", type=int, default=10)
+    fuzz.add_argument("--max-sequence-length", type=int, default=FuzzConfig.max_sequence_length)
     fuzz.add_argument("--auth-token", default=None)
     fuzz.add_argument("--verbose", action="store_true")
 
@@ -98,26 +98,26 @@ def _stderr_log(verbose: bool) -> ContextManager[None]:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.duration is None and args.max_requests is None:
-        print("fuzz needs a budget: --duration and/or --max-requests",
-              file=sys.stderr)
+    try:
+        config = FuzzConfig(
+            target=args.target,
+            mode=args.mode,
+            max_requests=args.max_requests,
+            duration=args.duration,
+            seed=args.seed,
+            train_interval=args.train_interval,
+            train_every_requests=args.train_every_requests,
+            enable_uaf_checker=args.enable_uaf_checker,
+            enable_datadriven_checker=args.enable_datadriven_checker,
+            report_dir=args.report_dir,
+            max_sequence_length=args.max_sequence_length,
+            auth_token=args.auth_token,
+            dump_weights=args.dump_weights,
+        )
+    except ValueError as exc:
+        print(f"fuzz: {exc}", file=sys.stderr)
         return 2
     grammar = parse_spec_file(args.spec)
-    config = FuzzConfig(
-        target=args.target,
-        mode=args.mode,
-        max_requests=args.max_requests,
-        duration=args.duration,
-        seed=args.seed,
-        train_interval=args.train_interval,
-        train_every_requests=args.train_every_requests,
-        enable_uaf_checker=args.enable_uaf_checker,
-        enable_datadriven_checker=args.enable_datadriven_checker,
-        report_dir=args.report_dir,
-        max_sequence_length=args.max_sequence_length,
-        auth_token=args.auth_token,
-        dump_weights=args.dump_weights,
-    )
     try:
         with _stderr_log(args.verbose), _training_log(args.report_dir):
             metrics = fuzz_loop(config, grammar)
@@ -132,9 +132,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     lines = load_replay(args.file)
     with HttpClient(args.target) as client:
-        results = run_replay(lines, client)
+        steps = run_replay(lines, client)
     all_match = True
-    for index, (expected, record) in enumerate(results, start=1):
+    for index, (line, step) in enumerate(zip(lines, steps), start=1):
+        expected, record = line.get("expected_class"), step.response
         actual = record.klass.value
         status = record.status if record.status is not None else "-"
         if expected is None:

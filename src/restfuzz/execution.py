@@ -1,4 +1,4 @@
-"""Send one request and record it; drive a rendered sequence against the target."""
+"""Send and record one request, the path every sender takes; drive a rendered sequence."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from .rendering import (
     ReadyRequest,
     RenderedStep,
     RenderMode,
+    note_produced_id,
     render_sequence,
 )
 from .responses import ResponseClass, ResponseRecord
@@ -40,10 +41,6 @@ class ExecutedSequence:
     def response_classes(self) -> list[ResponseClass]:
         return [step.response.klass for step in self.steps]
 
-    @property
-    def sent(self) -> int:
-        return len(self.steps)
-
 
 def send_step(
     step: RenderedStep,
@@ -53,8 +50,8 @@ def send_step(
 ) -> ExecutedStep:
     """Send one request, report it to ``observe`` and record its outcome.
 
-    The path every request of the main loop and the use-after-free probe
-    takes; replayed sequences go through :func:`reporting.run_replay`.
+    Only the main loop passes a ``store``: replay and checker requests are
+    reported to ``observe`` but never become training data.
     """
     record = client.send(step.request)
     if observe is not None:
@@ -83,18 +80,18 @@ def execute_candidate(
     execution incomplete.
     """
     executed = ExecutedSequence(tuple(candidate_ids), [], completed=False)
-    generator = render_sequence(candidate_ids, grammar, list_snapshot, mode, rng, store)
-    record: ResponseRecord | None = None
+    pool: dict[str, str] = {}
+    rendered_steps = render_sequence(
+        candidate_ids, grammar, list_snapshot, mode, rng, pool, store
+    )
     try:
-        while True:
-            rendered = generator.send(record) if record is not None else next(generator)
+        for rendered in rendered_steps:
             if should_stop is not None and should_stop():
                 return executed
             step = send_step(rendered, client, store, observe)
             executed.steps.append(step)
-            record = step.response
-    except StopIteration:
-        executed.completed = True
+            note_produced_id(pool, grammar.templates[step.template_id].produces, step.response)
     except MissingProducerId:
-        pass
+        return executed
+    executed.completed = True
     return executed

@@ -101,10 +101,10 @@ class RequestTemplate:
 
 @dataclass(frozen=True)
 class CompiledGrammar:
-    """Immutable compilation result, safe to share across threads.
+    """Immutable compilation result, shared by the whole run.
 
-    The one mutable part is a memo of :meth:`satisfiable_ids`; two threads
-    filling the same entry store equal values.
+    The one mutable part is a memo of :meth:`satisfiable_ids`, filled on
+    demand by the fuzzing loop; every fill of an entry stores equal values.
     """
 
     templates: dict[str, RequestTemplate]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkers import datadriven_check, uaf_plan, use_after_free_check
+from .checkers import Violation, datadriven_check, uaf_plan, use_after_free_check
 from .client import HttpClient
 from .collection import CollectionStore
 from .execution import ExecutedSequence, execute_candidate
@@ -29,6 +29,7 @@ from .rendering import RenderMode
 from .reporting import KIND_RESPONSE_5XX, ErrorReport, RunMetrics
 from .responses import ResponseClass
 from .sequences import (
+    DEFAULT_MAX_SEQUENCE_LENGTH,
     EMPTY_SEQUENCE,
     ExtensionResult,
     SequenceTemplate,
@@ -66,9 +67,8 @@ class FuzzConfig:
     enable_uaf_checker: bool = False
     enable_datadriven_checker: bool = False
     report_dir: Path | str | None = None
-    max_sequence_length: int = 10
+    max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH
     auth_token: str | None = None
-    request_timeout: float = 10.0
     dump_weights: bool = False
 
     def __post_init__(self):
@@ -230,11 +230,7 @@ class Fuzzer:
 
     def run(self) -> RunMetrics:
         self._started = time.monotonic()
-        client = HttpClient(
-            self.config.target,
-            timeout=self.config.request_timeout,
-            auth_token=self.config.auth_token,
-        )
+        client = HttpClient(self.config.target, auth_token=self.config.auth_token)
         try:
             client.check_reachable()
             self._last_train_time = time.monotonic()
@@ -278,7 +274,7 @@ class Fuzzer:
                 observe=observe,
                 should_stop=self._exhausted,
             )
-            self.metrics.note_executed_length(executed.sent)
+            self.metrics.note_executed_length(len(executed.steps))
             if not self.weighted_selection:
                 self._bfs_note_result(candidate, executed)
             if executed.completed:
@@ -295,24 +291,22 @@ class Fuzzer:
 
             # The replay re-sends every executed step, so it runs only whole.
             if self.config.enable_datadriven_checker and self._fits(len(executed.steps)):
-                violation = datadriven_check(
+                self._report(datadriven_check(
                     executed, self.grammar, self.store,
                     self._rng_checker, client, observe,
-                )
-                if violation is not None:
-                    self.errors.bucket_error(
-                        violation.steps, violation.offending_index,
-                        violation.kind, self.metrics.iterations,
-                    )
+                ))
             if self.config.enable_uaf_checker and not self._exhausted():
-                violation = use_after_free_check(
+                self._report(use_after_free_check(
                     self._uaf_plan, client, observe, should_stop=self._exhausted
-                )
-                if violation is not None:
-                    self.errors.bucket_error(
-                        violation.steps, violation.offending_index,
-                        violation.kind, self.metrics.iterations,
-                    )
+                ))
+
+    def _report(self, violation: Violation | None) -> None:
+        """Bucket a checker's finding by its last step, the offending reply."""
+        if violation is not None:
+            self.errors.bucket_error(
+                violation.steps, len(violation.steps) - 1,
+                violation.kind, self.metrics.iterations,
+            )
 
     def _write_reports(self) -> None:
         if self._report_dir is None:

@@ -7,8 +7,9 @@ overrides only the parameters named in a param-value list, a plain
 store recorded it.
 Consumer parameters are always resolved from the object-id pool built up
 while the sequence executes: the latest id per resource type, a plain
-``dict[str, str]`` that replay (:func:`restfuzz.reporting.run_replay`) and
-the use-after-free probe keep the same way.
+``dict[str, str]`` owned by whoever sends the sequence.  The main loop,
+replay (:func:`restfuzz.reporting.run_replay`) and the use-after-free
+probe all file a producer's id into it through :func:`note_produced_id`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Generator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class RenderedStep:
 
     template_id: str
     request: ReadyRequest
-    rendered_params: dict[str, str]  # every parameter, template order
+    rendered_params: dict[str, str]  # every value sent, by name; template order here
 
 
 def _render(
@@ -150,19 +151,32 @@ def read_produced_id(body: str, pointer: str) -> str | None:
     return str(node) if isinstance(node, (str, int)) else None
 
 
+def note_produced_id(
+    pool: dict[str, str], produces: tuple[str, str] | None, response: ResponseRecord
+) -> None:
+    """File the id a 2xx reply to a producer returned as its type's latest."""
+    if produces is not None and response.klass is ResponseClass.PASS_2XX:
+        resource_type, pointer = produces
+        value = read_produced_id(response.body, pointer)
+        if value is not None:
+            pool[resource_type] = value
+
+
 def render_sequence(
     candidate_ids: Sequence[str],
     grammar: CompiledGrammar,
     list_snapshot: Mapping[str, Sequence[PairList]],
     mode: RenderMode,
     rng: np.random.Generator,
+    pool: dict[str, str],
     store: CollectionStore | None = None,
-) -> Generator[RenderedStep, ResponseRecord, None]:
-    """Render a candidate one request at a time, fed by response feedback.
+) -> Iterator[RenderedStep]:
+    """Render a candidate one request at a time from the caller's id pool.
 
-    A generator: it yields each :class:`RenderedStep` and must be sent the
-    resulting :class:`ResponseRecord` before it renders the next position.
-    Producer ids from 2xx responses flow into the pool between positions.
+    Each position is rendered only when the next step is asked for, so the
+    caller sends a step and files its producer id into ``pool``
+    (:func:`note_produced_id`) before a later consumer reads it; the rng
+    draws and store reads happen in that same order.
 
     The last position is always rendered traditionally; positions before it
     follow ``mode``: the model mode uses a chosen param-value list (falling
@@ -170,32 +184,22 @@ def render_sequence(
     pair / one recorded pair list on top of defaults, baseline stays fully
     random.
     """
-    pool: dict[str, str] = {}
     last = len(candidate_ids) - 1
     for position, template_id in enumerate(candidate_ids):
         template = grammar.templates[template_id]
         if position == last or mode is RenderMode.BASELINE:
-            step = render_traditional(template, pool, rng)
+            yield render_traditional(template, pool, rng)
         elif mode is RenderMode.MODEL:
             chosen = choose_list(list_snapshot.get(template_id, ()), rng)
             if chosen is None:
-                step = render_traditional(template, pool, rng)
+                yield render_traditional(template, pool, rng)
             else:
-                step = render_with_list(template, chosen, pool)
+                yield render_with_list(template, chosen, pool)
         elif mode is RenderMode.REC1:
             pairs = store.recorded_pairs_for(template_id) if store else ()
             chosen = (pairs[int(rng.integers(len(pairs)))],) if pairs else ()
-            step = render_with_list(template, chosen, pool)
+            yield render_with_list(template, chosen, pool)
         else:  # RenderMode.RECLIST
             lists = store.recorded_lists_for(template_id) if store else ()
             chosen = lists[int(rng.integers(len(lists)))] if lists else ()
-            step = render_with_list(template, chosen, pool)
-
-        response = yield step
-        if response is None:
-            raise RuntimeError("render_sequence must be sent the response record")
-        if response.klass is ResponseClass.PASS_2XX and template.produces:
-            resource_type, pointer = template.produces
-            value = read_produced_id(response.body, pointer)
-            if value is not None:
-                pool[resource_type] = value
+            yield render_with_list(template, chosen, pool)

@@ -11,9 +11,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .client import HttpClient
-from .execution import ExecutedStep, Observer
+from .execution import ExecutedStep, Observer, send_step
 from .grammar import CompiledGrammar
-from .rendering import ReadyRequest, read_produced_id
+from .rendering import ReadyRequest, RenderedStep, note_produced_id
 from .responses import ResponseClass, ResponseRecord
 
 KIND_RESPONSE_5XX = "response5xx"
@@ -111,11 +111,12 @@ class ErrorReport:
     def bucket_error(
         self,
         steps: Sequence[ExecutedStep],
-        offending_index: int,
+        position: int,
         kind: str,
         iteration: int,
     ) -> tuple[ErrorRecord, bool]:
-        offending = steps[offending_index]
+        """Bucket ``steps[position]``; return its record and whether it is new."""
+        offending = steps[position]
         signature = body_signature(offending.response.body)
         key = (offending.template_id, offending.response.status, kind, signature)
         record = self._buckets.get(key)
@@ -170,14 +171,16 @@ def load_replay(path: Path | str) -> list[dict]:
 
 def run_replay(
     lines: Sequence[dict], client: HttpClient, observe: Observer | None = None
-) -> list[tuple[str | None, ResponseRecord]]:
+) -> list[ExecutedStep]:
     """Re-send a stored sequence, re-resolving consumer ids along the way.
 
-    Returns one (expected class, actual response) tuple per request and
-    reports each response to ``observe``.  When the target state matches
-    the original run the rebound ids equal the recorded ones and the
-    requests go out byte-identical.  Nothing is recorded as training data;
-    a ``headers`` key, written by older versions, is ignored.
+    Every request goes out through :func:`execution.send_step` and is
+    reported to ``observe``, never recorded as training data.  Returns the
+    steps as sent: each step's ``rendered_params`` holds the path, query and
+    body values that went out, consumer ids rebound.  When the target state
+    matches the original run the rebound ids equal the recorded ones and the
+    requests go out byte-identical.  A ``headers`` key, written by older
+    versions, is ignored.
     """
     pool: dict[str, str] = {}  # the latest id per resource type, as rendering keeps it
 
@@ -187,24 +190,21 @@ def run_replay(
         return {name: pool.get(rebind.get(name), recorded)
                 for name, recorded in line.get(key, {}).items()}
 
-    results: list[tuple[str | None, ResponseRecord]] = []
+    steps: list[ExecutedStep] = []
     for line in lines:
+        path_params = resolve(line, "path_params")
         path = line["path_template"]
-        for name, value in resolve(line, "path_params").items():
+        for name, value in path_params.items():
             path = path.replace("{" + name + "}", value)
-        record = client.send(
-            ReadyRequest(line["method"], path, resolve(line, "query"), resolve(line, "body"))
-        )
-        if observe is not None:
-            observe(line["template_id"], record)
-        results.append((line.get("expected_class"), record))
-
+        query, body = resolve(line, "query"), resolve(line, "body")
+        request = ReadyRequest(line["method"], path, query, body)
+        rendered = RenderedStep(line["template_id"], request, {**path_params, **query, **body})
+        step = send_step(rendered, client, observe=observe)
+        steps.append(step)
         produces = line.get("produces")
-        if produces and record.klass is ResponseClass.PASS_2XX:
-            value = read_produced_id(record.body, produces["pointer"])
-            if value is not None:
-                pool[produces["type"]] = value
-    return results
+        if produces:
+            note_produced_id(pool, (produces["type"], produces["pointer"]), step.response)
+    return steps
 
 
 @dataclass

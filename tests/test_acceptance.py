@@ -348,6 +348,7 @@ def test_criterion_8_replay_fidelity(bug_discovery):
         for record in records:
             reset(handle.base_url)
             with HttpClient(handle.base_url) as client:
-                results = run_replay(load_replay(record["replay_path"]), client)
-            for expected, actual in results:
-                assert actual.klass.value == expected, record["bucket_id"]
+                lines = load_replay(record["replay_path"])
+                steps = run_replay(lines, client)
+            for line, step in zip(lines, steps):
+                assert step.response.klass.value == line["expected_class"], record["bucket_id"]

@@ -19,7 +19,8 @@ from restfuzz.execution import ExecutedSequence, send_step
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import ALL_BUGS, BugConfig, packaged_grammar_path, serve
 from restfuzz.orchestrator import FuzzConfig, fuzz_loop
-from restfuzz.rendering import read_produced_id, render_with_list
+from restfuzz.rendering import note_produced_id, render_with_list
+from restfuzz.reporting import ErrorReport, load_replay
 from restfuzz.responses import ResponseClass, ResponseRecord
 
 from conftest import build_spec
@@ -61,11 +62,7 @@ def execute_recorded(steps, grammar, client, store):
         pairs = tuple(ParamValuePair(*item) for item in overrides.items())
         step = send_step(render_with_list(template, pairs, pool), client, store)
         executed.append(step)
-        if step.response.klass is ResponseClass.PASS_2XX and template.produces:
-            resource_type, pointer = template.produces
-            value = read_produced_id(step.response.body, pointer)
-            if value is not None:
-                pool[resource_type] = value
+        note_produced_id(pool, template.produces, step.response)
     return ExecutedSequence(tuple(t for t, _ in steps), executed, completed=True)
 
 
@@ -115,7 +112,7 @@ class TestDataDrivenChecker:
         assert violation.kind == KIND_INCORRECT_PARAM_USAGE
         # the PUT defines no initialize_with_readme: the drawn pair, injected
         assert violation.steps[-1].request.body["initialize_with_readme"] == "true"
-        assert violation.steps[violation.offending_index].response.status == 500
+        assert violation.steps[-1].response.status == 500
 
     def test_disarmed_bug_is_ignored(self, mock_grammar, disarmed, rng):
         store = store_with_undef_pair(mock_grammar)
@@ -142,13 +139,37 @@ class TestDataDrivenChecker:
             assert original.request == replayed.request
         original_last = executed.steps[-1].request
         injected_last = violation.steps[-1].request
+        replayed_id = json.loads(violation.steps[0].response.body)["id"]
         assert injected_last.method == original_last.method
-        assert injected_last.path == original_last.path
+        assert injected_last.path == f"/groups/{replayed_id}"
         assert injected_last.query == original_last.query
         extra = set(injected_last.body) - set(original_last.body)
         assert extra == {"initialize_with_readme"}
         for key in original_last.body:
             assert injected_last.body[key] == original_last.body[key]
+
+    def test_violation_holds_what_its_replay_sent(self, mock_grammar, armed, rng, tmp_path):
+        store = store_with_undef_pair(mock_grammar)
+        executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
+        original_id = json.loads(executed.steps[0].response.body)["id"]
+        violation = datadriven_check(executed, mock_grammar, store, rng, armed)
+        assert violation is not None
+        replayed_id = json.loads(violation.steps[0].response.body)["id"]
+        assert replayed_id != original_id
+        injected = violation.steps[-1]
+        assert injected.request.path == f"/groups/{replayed_id}"
+        assert injected.rendered_params["id"] == str(replayed_id)
+        assert injected.rendered_params["initialize_with_readme"] == "true"
+
+        report = ErrorReport(mock_grammar, tmp_path)
+        record, is_new = report.bucket_error(
+            violation.steps, len(violation.steps) - 1, violation.kind, 1
+        )
+        assert is_new
+        lines = load_replay(record.replay_path)
+        assert lines[-1]["path_params"] == {"id": str(replayed_id)}
+        assert lines[-1]["body"]["initialize_with_readme"] == "true"
+        assert [line["expected_status"] for line in lines] == [201, 500]
 
     def test_injected_param_is_never_defined_on_last_template(self, mock_grammar, armed, rng):
         store = store_with_undef_pair(mock_grammar)
@@ -272,7 +293,7 @@ class TestUseAfterFreeChecker:
         violation = use_after_free_check(uaf_plan(mock_grammar), armed)
         assert violation is not None
         assert violation.kind == KIND_USE_AFTER_FREE
-        assert violation.steps[violation.offending_index].response.status == 500
+        assert violation.steps[-1].response.status == 500
         assert mock_grammar.templates[violation.steps[0].template_id].produces[0] == "group"
         assert [step.template_id for step in violation.steps] == [
             "POST /groups",
@@ -327,7 +348,7 @@ class TestCheckerTraffic:
 
         def counting_execute(*args, **kwargs):
             executed = execute_candidate(*args, **kwargs)
-            main_loop_sends.append(executed.sent)
+            main_loop_sends.append(len(executed.steps))
             return executed
 
         def counting_record(store, *args):

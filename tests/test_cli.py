@@ -77,3 +77,13 @@ class TestTrainingLog:
         assert proc.returncode == 0, proc.stderr
         assert "epoch=" in (tmp_path / "training.log").read_text()
         assert ("epoch=" in proc.stderr) is verbose
+
+
+class TestFuzzArguments:
+    def test_missing_budget_exits_2_before_reading_the_spec(self, tmp_path, capsys):
+        argv = ["fuzz", "--spec", str(tmp_path / "missing.json"),
+                "--target", "http://127.0.0.1:9"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "need a budget" in err
+        assert "Traceback" not in err

@@ -275,9 +275,10 @@ class TestReplayFidelity:
             for record in records:
                 with HttpClient(handle.base_url) as client:
                     client.send(ReadyRequest("POST", "/__reset"))
-                    results = run_replay(load_replay(record.replay_path), client)
-                for expected, actual in results:
-                    assert actual.klass.value == expected, record.bucket_id
+                    lines = load_replay(record.replay_path)
+                    steps = run_replay(lines, client)
+                for line, step in zip(lines, steps):
+                    assert step.response.klass.value == line["expected_class"], record.bucket_id
         finally:
             handle.stop()
 

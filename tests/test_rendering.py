@@ -10,6 +10,7 @@ from restfuzz.rendering import (
     MissingProducerId,
     RenderMode,
     choose_list,
+    note_produced_id,
     read_produced_id,
     render_sequence,
     render_traditional,
@@ -116,21 +117,28 @@ class TestExtractProducerIds:
 
     def test_non_producer_yields_nothing(self, two_template_grammar, rng):
         # The GET answers with an id of its own; only the POST's id is bound.
-        gen = render_sequence(
-            [POST, GET_ID, GET_ID], two_template_grammar, {}, RenderMode.BASELINE, rng
-        )
-        steps = drive(gen, [ResponseRecord.from_status(201, '{"id": 7}'),
-                            ResponseRecord.from_status(200, '{"id": 42}')])
+        steps = drive(two_template_grammar, [POST, GET_ID, GET_ID], RenderMode.BASELINE, rng,
+                      [ResponseRecord.from_status(201, '{"id": 7}'),
+                       ResponseRecord.from_status(200, '{"id": 42}')])
         assert [step.request.path for step in steps[1:]] == ["/groups/7", "/groups/7"]
+
+    def test_only_a_2xx_reply_files_an_id(self):
+        produces = ("group", "/id")
+        pool = {"group": "7"}
+        note_produced_id(pool, produces, ResponseRecord.from_status(400, '{"id": 8}'))
+        note_produced_id(pool, produces, ResponseRecord.from_status(500, '{"id": 9}'))
+        note_produced_id(pool, None, ResponseRecord.from_status(200, '{"id": 10}'))
+        note_produced_id(pool, produces, ResponseRecord.from_status(201, '{"name": "x"}'))
+        assert pool == {"group": "7"}
+        note_produced_id(pool, produces, ResponseRecord.from_status(201, '{"id": 11}'))
+        assert pool == {"group": "11"}
 
 
 class TestResolveConsumer:
     def test_most_recent_id_wins(self, two_template_grammar, rng):
-        gen = render_sequence(
-            [POST, POST, GET_ID], two_template_grammar, {}, RenderMode.BASELINE, rng
-        )
-        steps = drive(gen, [ResponseRecord.from_status(201, '{"id": 7}'),
-                            ResponseRecord.from_status(201, '{"id": 9}')])
+        steps = drive(two_template_grammar, [POST, POST, GET_ID], RenderMode.BASELINE, rng,
+                      [ResponseRecord.from_status(201, '{"id": 7}'),
+                       ResponseRecord.from_status(201, '{"id": 9}')])
         assert steps[2].request.path == "/groups/9"
 
     def test_single_id(self, two_template_grammar, pool_with_group):
@@ -143,14 +151,20 @@ class TestResolveConsumer:
             resolve_consumer(param, {})
 
 
-def drive(generator, responses):
-    """Feed canned responses into a render_sequence generator."""
-    steps = [next(generator)]
-    try:
-        for response in responses:
-            steps.append(generator.send(response))
-    except StopIteration:
-        pass
+def drive(grammar, candidate_ids, mode, rng, responses, snapshot=None, store=None):
+    """Render a sequence as the main loop does, answered by canned responses.
+
+    Each response's producer id goes into the pool before the next position
+    is rendered; steps past the last response render with no reply.
+    """
+    pool: dict[str, str] = {}
+    replies = iter(responses)
+    steps = []
+    for step in render_sequence(candidate_ids, grammar, snapshot or {}, mode, rng, pool, store):
+        steps.append(step)
+        response = next(replies, None)
+        if response is not None:
+            note_produced_id(pool, grammar.templates[step.template_id].produces, response)
     return steps
 
 
@@ -159,7 +173,7 @@ class TestRenderSequence:
         requests = {}
         for mode in RenderMode:
             gen = render_sequence(
-                [POST], two_template_grammar, {}, mode, np.random.default_rng(5),
+                [POST], two_template_grammar, {}, mode, np.random.default_rng(5), {},
                 CollectionStore(two_template_grammar),
             )
             requests[mode] = next(gen).request
@@ -168,12 +182,9 @@ class TestRenderSequence:
 
     def test_miner_uses_lists_before_last_position(self, two_template_grammar, rng):
         snapshot = {POST: ((ParamValuePair("name", "qa-team"),),)}
-        gen = render_sequence(
-            [POST, POST, POST], two_template_grammar, snapshot,
-            RenderMode.MODEL, rng,
-        )
         created = ResponseRecord.from_status(201, '{"id": 1}')
-        steps = drive(gen, [created, created, created])
+        steps = drive(two_template_grammar, [POST, POST, POST], RenderMode.MODEL, rng,
+                      [created, created, created], snapshot)
         assert steps[0].request.body == {"name": "qa-team"}
         assert steps[1].request.body == {"name": "qa-team"}
         # the final request ignores lists and draws from the dictionary
@@ -184,32 +195,24 @@ class TestRenderSequence:
         for seed in range(20):
             gen = render_sequence(
                 [POST, POST], two_template_grammar, {POST: ((),)},
-                RenderMode.MODEL, np.random.default_rng(seed),
+                RenderMode.MODEL, np.random.default_rng(seed), {},
             )
             assert next(gen).request.body == {"name": "dev-team"}
 
     def test_miner_falls_back_to_traditional_without_lists(self, two_template_grammar):
         seed = 11
-        gen = render_sequence(
-            [POST, POST], two_template_grammar, {}, RenderMode.MODEL,
-            np.random.default_rng(seed),
-        )
         created = ResponseRecord.from_status(201, '{"id": 1}')
-        miner_steps = drive(gen, [created, created])
-        gen = render_sequence(
-            [POST, POST], two_template_grammar, {}, RenderMode.BASELINE,
-            np.random.default_rng(seed),
-        )
-        baseline_steps = drive(gen, [created, created])
+        miner_steps = drive(two_template_grammar, [POST, POST], RenderMode.MODEL,
+                            np.random.default_rng(seed), [created, created])
+        baseline_steps = drive(two_template_grammar, [POST, POST], RenderMode.BASELINE,
+                               np.random.default_rng(seed), [created, created])
         assert [s.request for s in miner_steps] == [s.request for s in baseline_steps]
 
     def test_rec1_with_empty_store_renders_defaults(self, two_template_grammar, rng):
         store = CollectionStore(two_template_grammar)
-        gen = render_sequence(
-            [POST, POST], two_template_grammar, {}, RenderMode.REC1, rng, store
-        )
         created = ResponseRecord.from_status(201, '{"id": 1}')
-        steps = drive(gen, [created, created])
+        steps = drive(two_template_grammar, [POST, POST], RenderMode.REC1, rng,
+                      [created, created], store=store)
         assert steps[0].request.body == {"name": "dev-team"}  # the default
 
     def test_rec1_overrides_one_recorded_pair(self, two_template_grammar, rng):
@@ -217,11 +220,9 @@ class TestRenderSequence:
 
         store = CollectionStore(two_template_grammar)
         store.record_request_outcome(POST, {"name": "qa-team"}, ResponseClass.PASS_2XX)
-        gen = render_sequence(
-            [POST, POST], two_template_grammar, {}, RenderMode.REC1, rng, store
-        )
         created = ResponseRecord.from_status(201, '{"id": 1}')
-        steps = drive(gen, [created, created])
+        steps = drive(two_template_grammar, [POST, POST], RenderMode.REC1, rng,
+                      [created, created], store=store)
         assert steps[0].request.body == {"name": "qa-team"}
 
     def test_reclist_draws_over_2xx_and_5xx_lists(self, two_template_grammar):
@@ -239,11 +240,9 @@ class TestRenderSequence:
         created = ResponseRecord.from_status(201, '{"id": 1}')
         queries = set()
         for seed in range(50):
-            gen = render_sequence(
-                [POST, GET_ID, GET_ID], two_template_grammar, {}, RenderMode.RECLIST,
-                np.random.default_rng(seed), store,
-            )
-            steps = drive(gen, [created, created, created])
+            steps = drive(two_template_grammar, [POST, GET_ID, GET_ID], RenderMode.RECLIST,
+                          np.random.default_rng(seed), [created, created, created],
+                          store=store)
             queries.add(tuple(sorted(steps[1].request.query.items())))
         assert queries == {
             (("with_custom_attributes", "true"), ("with_projects", "true")),
@@ -251,18 +250,13 @@ class TestRenderSequence:
         }
 
     def test_producer_ids_flow_into_later_positions(self, two_template_grammar, rng):
-        gen = render_sequence(
-            [POST, GET_ID], two_template_grammar, {}, RenderMode.BASELINE, rng
-        )
-        steps = drive(gen, [ResponseRecord.from_status(201, '{"id": 42}'),
-                            ResponseRecord.from_status(200, "{}")])
+        steps = drive(two_template_grammar, [POST, GET_ID], RenderMode.BASELINE, rng,
+                      [ResponseRecord.from_status(201, '{"id": 42}'),
+                       ResponseRecord.from_status(200, "{}")])
         assert steps[1].request.path == "/groups/42"
         assert steps[1].rendered_params["id"] == "42"
 
     def test_failed_producer_aborts_at_consumer(self, two_template_grammar, rng):
-        gen = render_sequence(
-            [POST, GET_ID], two_template_grammar, {}, RenderMode.BASELINE, rng
-        )
-        next(gen)
         with pytest.raises(MissingProducerId):
-            gen.send(ResponseRecord.from_status(400, "{}"))
+            drive(two_template_grammar, [POST, GET_ID], RenderMode.BASELINE, rng,
+                  [ResponseRecord.from_status(400, '{"id": 7}')])

@@ -253,17 +253,18 @@ class TestRunReplay:
         observed = []
         lines = [consumer_line(), producer_line(40), consumer_line(),
                  producer_line(41, status=400), consumer_line()]
-        results = run_replay(lines, target,
-                             lambda tid, record: observed.append((tid, record)))
+        steps = run_replay(lines, target,
+                           lambda tid, record: observed.append((tid, record)))
         assert [r.path for r in target.sent if r.method == "GET"] == [
             "/groups/7", "/groups/40", "/groups/40",
         ]
         assert target.sent[1] == ReadyRequest(
             "POST", "/groups", body={"new_id": "40", "status": "201"})
         assert target.sent[2].query == {"with_projects": "true"}
-        assert observed == [(line["template_id"], record)
-                            for line, (_, record) in zip(lines, results)]
-        assert [expected for expected, _ in results] == ["2xx"] * 5
+        assert observed == [(step.template_id, step.response) for step in steps]
+        assert [step.template_id for step in steps] == [line["template_id"] for line in lines]
+        assert [step.request for step in steps] == target.sent
+        assert steps[2].rendered_params == {"id": "40", "with_projects": "true"}
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.one_of(
@@ -281,6 +282,6 @@ class TestRunReplay:
                 lines.append(consumer_line())
                 expected.append(f"/groups/{latest}")
         target = EchoTarget()
-        results = run_replay(lines, target)
-        assert len(results) == len(lines) == len(target.sent)
+        steps = run_replay(lines, target)
+        assert len(steps) == len(lines) == len(target.sent)
         assert [r.path for r in target.sent if r.method == "GET"] == expected
