@@ -9,17 +9,18 @@ from collections import Counter
 
 import numpy as np
 
-from restfuzz.sequences import SequenceTemplate, select_seed, selection_weights
+from restfuzz.sequences import select_seed, selection_weights
 
-seeds = [SequenceTemplate(("POST /groups",) * n) for n in range(1, 10)]
+# A sequence template is a plain tuple of request-template ids.
+seeds = [("POST /groups",) * n for n in range(1, 10)]
 
 print("length   weight      probability")
 for seed, weight, prob in selection_weights(seeds):
-    print(f"  {seed.length}      {weight:.5f}     {prob:.4f}")
+    print(f"  {len(seed)}      {weight:.5f}     {prob:.4f}")
 
 rng = np.random.default_rng(0)
 draws = 100_000
-counts = Counter(select_seed(seeds, rng).length for _ in range(draws))
+counts = Counter(len(select_seed(seeds, rng)) for _ in range(draws))
 
 print(f"\nempirical frequencies over {draws:,} draws:")
 for length in sorted(counts):

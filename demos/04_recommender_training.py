@@ -43,5 +43,5 @@ for t in (0, 3):
     lists = generate_lists(result.params, result.vocab, f"GET /things{t}",
                            3, rng, result.max_len)
     for plist in lists:
-        rendered = ", ".join(f"{p.param_name}={p.value}" for p in plist.pairs)
+        rendered = ", ".join(f"{p.param_name}={p.value}" for p in plist)
         print(f"  GET /things{t}: [{rendered}]")

@@ -1,6 +1,6 @@
 """Security rule checkers run after each executed sequence.
 
-The data-driven checker replays an executed sequence, consumer ids rebound
+The data-driven checker replays the steps of a whole run, consumer ids rebound
 to the objects the replayed producers return, with one randomly chosen
 param-value pair the last template does not define added to the last
 request; a 5xx answer flags an incorrect-parameter-usage error.  The
@@ -21,7 +21,7 @@ import numpy as np
 
 from .client import HttpClient
 from .collection import CollectionStore
-from .execution import ExecutedSequence, ExecutedStep, Observer, send_step
+from .execution import ExecutedStep, Observer, send_step
 from .grammar import CompiledGrammar, RequestTemplate
 from .rendering import note_produced_id, render_with_list
 from .reporting import replay_line, run_replay
@@ -40,14 +40,14 @@ class Violation:
 
 
 def datadriven_check(
-    executed: ExecutedSequence,
+    steps: Sequence[ExecutedStep],
     grammar: CompiledGrammar,
     store: CollectionStore,
     rng: np.random.Generator,
     client: HttpClient,
     observe: Observer | None = None,
 ) -> Violation | None:
-    """Replay the sequence with one undefined pair added to the last request.
+    """Replay a whole run's steps with one undefined pair added to the last request.
 
     No-op when the store holds no pair the last template leaves undefined.
     The sequence goes out through :func:`run_replay`, so consumer ids are
@@ -55,21 +55,19 @@ def datadriven_check(
     into the query string for GET/DELETE and into the body for POST/PUT.
     A violation holds the replayed steps, ids and injected pair as sent.
     """
-    if not executed.steps or not executed.completed:
-        return None
-    last = executed.steps[-1]
+    last = steps[-1]
     candidates = store.undefined_pairs_for(last.template_id)
     if not candidates:
         return None
     pair = candidates[int(rng.integers(len(candidates)))]
 
-    lines = [replay_line(step, grammar) for step in executed.steps]
+    lines = [replay_line(step, grammar) for step in steps]
     location = "query" if last.request.method in ("GET", "DELETE") else "body"
     lines[-1][location][pair.param_name] = pair.value
-    steps = run_replay(lines, client, observe)
-    if steps[-1].response.klass is not ResponseClass.ERROR_5XX:
+    replayed = run_replay(lines, client, observe)
+    if replayed[-1].response.klass is not ResponseClass.ERROR_5XX:
         return None
-    return Violation(KIND_INCORRECT_PARAM_USAGE, tuple(steps))
+    return Violation(KIND_INCORRECT_PARAM_USAGE, tuple(replayed))
 
 
 class UafTarget(NamedTuple):

@@ -11,10 +11,13 @@ from pathlib import Path
 from typing import ContextManager, Iterator
 
 from .client import HttpClient, TargetUnreachable
-from .grammar import parse_spec_file
+from .grammar import GrammarError, parse_spec_file
 from .mock_service import BugConfig, serve
 from .orchestrator import MODES, FuzzConfig, fuzz_loop
 from .reporting import load_replay, run_replay
+
+# A bad option value or input file ends the command with one line and exit 2.
+_INPUT_ERRORS = (OSError, GrammarError, ValueError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,10 +117,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             auth_token=args.auth_token,
             dump_weights=args.dump_weights,
         )
-    except ValueError as exc:
+        grammar = parse_spec_file(args.spec)
+    except _INPUT_ERRORS as exc:
         print(f"fuzz: {exc}", file=sys.stderr)
         return 2
-    grammar = parse_spec_file(args.spec)
     try:
         with _stderr_log(args.verbose), _training_log(args.report_dir):
             metrics = fuzz_loop(config, grammar)
@@ -130,8 +133,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    lines = load_replay(args.file)
-    with HttpClient(args.target) as client:
+    try:
+        lines = load_replay(args.file)
+        client = HttpClient(args.target)
+    except _INPUT_ERRORS as exc:
+        print(f"replay: {exc}", file=sys.stderr)
+        return 2
+    with client:
         steps = run_replay(lines, client)
     all_match = True
     for index, (line, step) in enumerate(zip(lines, steps), start=1):

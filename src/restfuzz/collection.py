@@ -1,7 +1,8 @@
 """Historical datasets gathered while fuzzing.
 
 Three stores feed the data-driven designs: valid sequence templates (seeds
-for length-weighted selection), param-value pairs from 2xx responses
+for length-weighted selection, each the tuple of template ids of a whole
+run), param-value pairs from 2xx responses
 (recommender training data) and param-value pairs from 5xx responses (extra
 ammunition for the undefined-parameter checker).  4xx and transport
 outcomes are never recorded.
@@ -55,7 +56,7 @@ class CollectionStore:
         self._pairs: dict[tuple[str, ParamValuePair, ResponseClass], None] = {}
         # (iteration, template id, pairs) of every 2xx request with a pair.
         self._events: list[tuple[int, str, PairList]] = []
-        self._seed_keys: set[tuple[str, ...]] = set()
+        self._seed_keys: set[SequenceTemplate] = set()
         self._seeds = SeedPool()
         # Query indexes, kept at record time, each in first-seen order.
         self._pairs_by_template: dict[str, list[ParamValuePair]] = {}
@@ -118,28 +119,24 @@ class CollectionStore:
                 )
 
     def admit_sequence(
-        self,
-        template_ids: Sequence[str],
-        response_classes: Sequence[ResponseClass],
+        self, seed: SequenceTemplate, response_classes: Sequence[ResponseClass]
     ) -> bool:
         """Admit a fully executed sequence as a seed template.
 
+        ``response_classes`` holds one class per template id of ``seed``.
         Admission requires every response in {2xx, 5xx}.  Producers whose
         ids were consumed later are 2xx by construction: ids only enter the
         pool from 2xx responses, and a consumer that finds no id aborts the
         sequence before it gets here.
         """
-        if len(response_classes) != len(template_ids):
-            raise ValueError("one response class per request required")
-        if not template_ids:
+        if not seed:
             return False
         if any(klass not in _RECORDED_CLASSES for klass in response_classes):
             return False
-        key = tuple(template_ids)
-        if key not in self._seed_keys:
-            self._seed_keys.add(key)
-            self._seeds.append(SequenceTemplate(key))
-            self._write_line(kind="seed", iteration=self.iteration, templates=list(key))
+        if seed not in self._seed_keys:
+            self._seed_keys.add(seed)
+            self._seeds.append(seed)
+            self._write_line(kind="seed", iteration=self.iteration, templates=list(seed))
         return True
 
     # -- queries -----------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Send and record one request, the path every sender takes; drive a rendered sequence."""
+"""Send and record one request, the path every sender takes; drive a rendered sequence.
+
+An executed sequence is the list of :class:`ExecutedStep` it sent.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ from .rendering import (
     note_produced_id,
     render_sequence,
 )
-from .responses import ResponseClass, ResponseRecord
+from .responses import ResponseRecord
+from .sequences import SequenceTemplate
 
 Observer = Callable[[str, ResponseRecord], None]
 
@@ -29,17 +33,6 @@ class ExecutedStep:
     request: ReadyRequest
     rendered_params: dict[str, str]
     response: ResponseRecord
-
-
-@dataclass
-class ExecutedSequence:
-    template_ids: tuple[str, ...]
-    steps: list[ExecutedStep]
-    completed: bool
-
-    @property
-    def response_classes(self) -> list[ResponseClass]:
-        return [step.response.klass for step in self.steps]
 
 
 def send_step(
@@ -62,7 +55,7 @@ def send_step(
 
 
 def execute_candidate(
-    candidate_ids: Sequence[str],
+    candidate: SequenceTemplate,
     grammar: CompiledGrammar,
     list_snapshot: Mapping[str, Sequence[PairList]],
     mode: RenderMode,
@@ -71,27 +64,24 @@ def execute_candidate(
     store: CollectionStore | None = None,
     observe: Observer | None = None,
     should_stop: Callable[[], bool] | None = None,
-) -> ExecutedSequence:
-    """Render, send and record a candidate sequence request by request.
+) -> list[ExecutedStep]:
+    """Render, send and record a candidate sequence; return the steps sent.
 
     Producer ids flow into the pool between positions; outcomes are written
     through the collection store's standard recording path.  A consumer
-    whose producer never yielded an id, or a budget that runs out, ends the
-    execution incomplete.
+    whose producer never yielded an id, or a budget that runs out, cuts the
+    run short: it ran whole exactly when there is one step per template id.
     """
-    executed = ExecutedSequence(tuple(candidate_ids), [], completed=False)
+    steps: list[ExecutedStep] = []
     pool: dict[str, str] = {}
-    rendered_steps = render_sequence(
-        candidate_ids, grammar, list_snapshot, mode, rng, pool, store
-    )
+    rendered_steps = render_sequence(candidate, grammar, list_snapshot, mode, rng, pool, store)
     try:
         for rendered in rendered_steps:
             if should_stop is not None and should_stop():
-                return executed
+                break
             step = send_step(rendered, client, store, observe)
-            executed.steps.append(step)
+            steps.append(step)
             note_produced_id(pool, grammar.templates[step.template_id].produces, step.response)
     except MissingProducerId:
-        return executed
-    executed.completed = True
-    return executed
+        pass
+    return steps

@@ -6,6 +6,8 @@ empty template when the frontier dies out, and renders every request
 traditionally.  The data-driven one draws seeds from the collection store
 with log10(length+1) weighting and renders all but the last request from
 recommender output.  Ablation modes mix and match the two axes.
+A candidate is a tuple of template ids; only a whole run of it (one step
+sent per id) can extend the frontier, become a seed or be replayed.
 """
 
 from __future__ import annotations
@@ -22,25 +24,16 @@ import numpy as np
 from .checkers import Violation, datadriven_check, uaf_plan, use_after_free_check
 from .client import HttpClient
 from .collection import CollectionStore
-from .execution import ExecutedSequence, execute_candidate
+from .execution import ExecutedStep, execute_candidate
 from .grammar import CompiledGrammar
 from .recommender import ModelConfig, Recommender
+from .recommender import logger as training_logger  # training.log shows failed rounds too
 from .rendering import RenderMode
 from .reporting import KIND_RESPONSE_5XX, ErrorReport, RunMetrics
 from .responses import ResponseClass
-from .sequences import (
-    DEFAULT_MAX_SEQUENCE_LENGTH,
-    EMPTY_SEQUENCE,
-    ExtensionResult,
-    SequenceTemplate,
-    classify_extension,
-    extend,
-    select_seed,
-)
+from .sequences import DEFAULT_MAX_SEQUENCE_LENGTH, SequenceTemplate, extend, select_seed
 
 logger = logging.getLogger("restfuzz.fuzz")
-# Round failures go where the rounds log, so training.log shows them too.
-training_logger = logging.getLogger("restfuzz.training")
 
 # mode name -> (weighted seed selection?, render mode); the model modes train.
 MODES: dict[str, tuple[bool, RenderMode]] = {
@@ -76,6 +69,12 @@ class FuzzConfig:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {sorted(MODES)}")
         if self.max_requests is None and self.duration is None:
             raise ValueError("need a budget: max_requests and/or duration")
+        for name in ("max_requests", "duration", "train_every_requests",
+                     "train_interval", "max_sequence_length"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # NaN too
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        HttpClient(self.target)  # refuses an unsupported target url; opens no socket
 
 
 class Fuzzer:
@@ -121,7 +120,7 @@ class Fuzzer:
         self._last_train_requests = 0
 
         # Weighted strategy: each drawn seed's extensions, computed once.
-        self._extensions: dict[tuple[str, ...], list[SequenceTemplate]] = {}
+        self._extensions: dict[SequenceTemplate, list[SequenceTemplate]] = {}
         # BFS state for the classic selection strategy: the round being
         # executed, and the candidates it extended, which seed the next round.
         self._round_queue: deque[SequenceTemplate] = deque()
@@ -191,38 +190,38 @@ class Fuzzer:
 
     def _next_candidate_weighted(self) -> SequenceTemplate | None:
         seeds = self.store.seed_templates()
-        seed = select_seed(seeds, self._rng_select) if seeds else EMPTY_SEQUENCE
-        candidates = self._extensions.get(seed.template_ids)
+        seed = select_seed(seeds, self._rng_select) if seeds else ()
+        candidates = self._extensions.get(seed)
         if candidates is None:
-            candidates = self._extensions[seed.template_ids] = extend(
+            candidates = self._extensions[seed] = extend(
                 seed, self.grammar, self.config.max_sequence_length
             )
         if candidates:
             return candidates[int(self._rng_select.integers(len(candidates)))]
         # Seed sits at the length cap: re-execute it with fresh values.
-        return seed if seed.length else None
+        return seed or None
 
     def _next_candidate_bfs(self) -> SequenceTemplate | None:
         if not self._round_queue:
             limit = self.config.max_sequence_length
-            seeds, self._frontier = self._frontier or [EMPTY_SEQUENCE], []
+            seeds, self._frontier = self._frontier or [()], []
             self._round_queue.extend(
                 candidate for seed in seeds for candidate in extend(seed, self.grammar, limit)
             )
             if not self._round_queue:
                 # The frontier sits at the length cap: restart the extension
                 # process from the empty template.
-                self._round_queue.extend(extend(EMPTY_SEQUENCE, self.grammar, limit))
+                self._round_queue.extend(extend((), self.grammar, limit))
             if not self._round_queue:
                 return None
         return self._round_queue.popleft()
 
-    def _bfs_note_result(self, candidate: SequenceTemplate, executed: ExecutedSequence) -> None:
+    def _bfs_note_result(self, candidate: SequenceTemplate, steps: list[ExecutedStep]) -> None:
+        """A whole run whose last reply is 2xx extends ``candidate``."""
         if (
-            executed.completed
+            len(steps) == len(candidate)
+            and steps[-1].response.klass is ResponseClass.PASS_2XX
             and len(self._frontier) < _FRONTIER_LIMIT
-            and classify_extension(candidate, executed.response_classes)
-            == ExtensionResult.EXTENDED
         ):
             self._frontier.append(candidate)
 
@@ -263,8 +262,8 @@ class Fuzzer:
                 return
 
             snapshot = self.recommender.snapshot() if self.recommender else {}
-            executed = execute_candidate(
-                candidate.template_ids,
+            steps = execute_candidate(
+                candidate,
                 self.grammar,
                 snapshot,
                 self.render_mode,
@@ -274,26 +273,23 @@ class Fuzzer:
                 observe=observe,
                 should_stop=self._exhausted,
             )
-            self.metrics.note_executed_length(len(executed.steps))
+            self.metrics.note_executed_length(len(steps))
+            whole = len(steps) == len(candidate)
             if not self.weighted_selection:
-                self._bfs_note_result(candidate, executed)
-            if executed.completed:
-                self.store.admit_sequence(
-                    executed.template_ids, executed.response_classes
-                )
+                self._bfs_note_result(candidate, steps)
+            if whole:
+                self.store.admit_sequence(candidate, [step.response.klass for step in steps])
 
-            for position, step in enumerate(executed.steps):
+            for position, step in enumerate(steps):
                 if step.response.klass is ResponseClass.ERROR_5XX:
                     self.errors.bucket_error(
-                        executed.steps, position, KIND_RESPONSE_5XX,
-                        self.metrics.iterations,
+                        steps, position, KIND_RESPONSE_5XX, self.metrics.iterations,
                     )
 
             # The replay re-sends every executed step, so it runs only whole.
-            if self.config.enable_datadriven_checker and self._fits(len(executed.steps)):
+            if self.config.enable_datadriven_checker and whole and self._fits(len(steps)):
                 self._report(datadriven_check(
-                    executed, self.grammar, self.store,
-                    self._rng_checker, client, observe,
+                    steps, self.grammar, self.store, self._rng_checker, client, observe,
                 ))
             if self.config.enable_uaf_checker and not self._exhausted():
                 self._report(use_after_free_check(

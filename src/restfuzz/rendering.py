@@ -26,11 +26,7 @@ from .grammar import CompiledGrammar, ParamSpec, RequestTemplate
 from .responses import ResponseClass, ResponseRecord
 
 
-class RenderError(Exception):
-    pass
-
-
-class MissingProducerId(RenderError):
+class MissingProducerId(Exception):
     """A consumer parameter found no id of its resource type in the pool."""
 
 

@@ -1,15 +1,17 @@
-"""Sequence templates: length-weighted seed selection and BFS extension."""
+"""Sequence templates: length-weighted seed selection and BFS extension.
+
+A sequence template is a plain tuple of request-template ids; the empty
+tuple is the template every extension process starts from.
+"""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grammar import CompiledGrammar
-from .responses import ResponseClass
 
 DEFAULT_MAX_SEQUENCE_LENGTH = 10
 
@@ -18,26 +20,8 @@ class EmptySeedSet(Exception):
     """Selection was asked to draw from zero seeds."""
 
 
-@dataclass(frozen=True)
-class SequenceTemplate:
-    """An ordered, dependency-satisfiable list of request-template ids."""
-
-    template_ids: tuple[str, ...] = ()
-
-    @property
-    def length(self) -> int:
-        return len(self.template_ids)
-
-    def extended_with(self, template_id: str) -> "SequenceTemplate":
-        return SequenceTemplate(self.template_ids + (template_id,))
-
-
-EMPTY_SEQUENCE = SequenceTemplate()
-
-
-class ExtensionResult:
-    EXTENDED = "extended"
-    FAILED = "failed"
+# An ordered, dependency-satisfiable list of request-template ids.
+SequenceTemplate = tuple[str, ...]
 
 
 def selection_weights(
@@ -50,7 +34,7 @@ def selection_weights(
     """
     if not seeds:
         raise EmptySeedSet("no seed sequence templates to select from")
-    weights = [math.log10(seed.length + 1) for seed in seeds]
+    weights = [math.log10(len(seed) + 1) for seed in seeds]
     total = sum(weights)
     if total <= 0.0:
         # All seeds have length 0 (only possible with bootstrap-only pools);
@@ -110,7 +94,7 @@ def select_seed(seeds: Sequence[SequenceTemplate], rng: np.random.Generator) -> 
 
 def produced_types(seq: SequenceTemplate, grammar: CompiledGrammar) -> frozenset[str]:
     types = set()
-    for template_id in seq.template_ids:
+    for template_id in seq:
         produces = grammar.templates[template_id].produces
         if produces:
             types.add(produces[0])
@@ -128,21 +112,7 @@ def extend(
     produces, ordered by appended template id.  Empty when the seed sits at
     the length cap.
     """
-    if seed.length >= max_sequence_length:
+    if len(seed) >= max_sequence_length:
         return []
     available = produced_types(seed, grammar)
-    return [
-        seed.extended_with(template_id)
-        for template_id in grammar.satisfiable_ids(available)
-    ]
-
-
-def classify_extension(
-    candidate: SequenceTemplate, responses: Sequence[ResponseClass]
-) -> str:
-    """A candidate extends successfully iff its last response is 2xx."""
-    if len(responses) != candidate.length:
-        raise ValueError("one response class per request required")
-    if responses and responses[-1] is ResponseClass.PASS_2XX:
-        return ExtensionResult.EXTENDED
-    return ExtensionResult.FAILED
+    return [seed + (template_id,) for template_id in grammar.satisfiable_ids(available)]

@@ -131,13 +131,13 @@ def test_criterion_2_selection_weights():
         pair = [seeds[1], seeds[9]]
         probs = [p for _, _, p in selection_weights(pair)]
         rng = np.random.default_rng(23)
-        counts = Counter(select_seed(pair, rng).length for _ in range(100_000))
+        counts = Counter(len(select_seed(pair, rng)) for _ in range(100_000))
         assert abs(counts[1] / 100_000 - probs[0]) < 0.01
         assert abs(counts[9] / 100_000 - probs[1]) < 0.01
 
         everything = list(seeds.values())
         mean_length = np.mean(
-            [select_seed(everything, rng).length for _ in range(100_000)]
+            [len(select_seed(everything, rng)) for _ in range(100_000)]
         )
         assert mean_length > 5.0  # uniform selection would average 5.0
 

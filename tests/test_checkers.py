@@ -15,7 +15,7 @@ from restfuzz.checkers import (
 )
 from restfuzz.client import HttpClient
 from restfuzz.collection import CollectionStore, ParamValuePair
-from restfuzz.execution import ExecutedSequence, send_step
+from restfuzz.execution import send_step
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import ALL_BUGS, BugConfig, packaged_grammar_path, serve
 from restfuzz.orchestrator import FuzzConfig, fuzz_loop
@@ -54,7 +54,7 @@ def reset(request):
 
 
 def execute_recorded(steps, grammar, client, store):
-    """Run (template id, overrides) steps through the main loop's send path."""
+    """Run (template id, overrides) steps through the main loop's send path; return the steps."""
     pool: dict[str, str] = {}
     executed = []
     for template_id, overrides in steps:
@@ -63,7 +63,7 @@ def execute_recorded(steps, grammar, client, store):
         step = send_step(render_with_list(template, pairs, pool), client, store)
         executed.append(step)
         note_produced_id(pool, template.produces, step.response)
-    return ExecutedSequence(tuple(t for t, _ in steps), executed, completed=True)
+    return executed
 
 
 def execute_defaults(template_ids, grammar, client):
@@ -106,7 +106,7 @@ class TestDataDrivenChecker:
     def test_armed_bug_yields_violation(self, mock_grammar, armed, rng):
         store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
-        assert executed.steps[-1].response.status == 200
+        assert executed[-1].response.status == 200
         violation = datadriven_check(executed, mock_grammar, store, rng, armed)
         assert violation is not None
         assert violation.kind == KIND_INCORRECT_PARAM_USAGE
@@ -135,9 +135,9 @@ class TestDataDrivenChecker:
         violation = datadriven_check(executed, mock_grammar, store, rng, armed)
         assert violation is not None
         # every request before the last is byte-identical
-        for original, replayed in zip(executed.steps[:-1], violation.steps[:-1]):
+        for original, replayed in zip(executed[:-1], violation.steps[:-1]):
             assert original.request == replayed.request
-        original_last = executed.steps[-1].request
+        original_last = executed[-1].request
         injected_last = violation.steps[-1].request
         replayed_id = json.loads(violation.steps[0].response.body)["id"]
         assert injected_last.method == original_last.method
@@ -151,7 +151,7 @@ class TestDataDrivenChecker:
     def test_violation_holds_what_its_replay_sent(self, mock_grammar, armed, rng, tmp_path):
         store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
-        original_id = json.loads(executed.steps[0].response.body)["id"]
+        original_id = json.loads(executed[0].response.body)["id"]
         violation = datadriven_check(executed, mock_grammar, store, rng, armed)
         assert violation is not None
         replayed_id = json.loads(violation.steps[0].response.body)["id"]
@@ -176,7 +176,7 @@ class TestDataDrivenChecker:
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
         violation = datadriven_check(executed, mock_grammar, store, rng, armed)
         defined = mock_grammar.templates["PUT /groups/{id}"].param_names
-        (injected,) = set(violation.steps[-1].request.body) - set(executed.steps[-1].request.body)
+        (injected,) = set(violation.steps[-1].request.body) - set(executed[-1].request.body)
         assert injected not in defined
 
     def test_get_request_gets_query_injection(self, mock_grammar, disarmed, rng):
@@ -192,7 +192,7 @@ class TestDataDrivenChecker:
     def test_replay_adds_no_training_data(self, mock_grammar, disarmed, rng):
         store = CollectionStore(mock_grammar)
         executed = execute_recorded(NON_DEFAULT_GROUP, mock_grammar, disarmed, store)
-        assert executed.response_classes == [ResponseClass.PASS_2XX] * 2
+        assert [step.response.klass for step in executed] == [ResponseClass.PASS_2XX] * 2
         corpus = store.training_corpus(since=-1)
         pairs = store.pair_observations()
         assert corpus and store.undefined_pairs_for("PUT /groups/{id}")
@@ -207,13 +207,13 @@ class TestDataDrivenChecker:
     def test_injected_request_targets_the_replayed_object(self, mock_grammar, disarmed, rng):
         store = CollectionStore(mock_grammar)
         executed = execute_recorded(NON_DEFAULT_GROUP, mock_grammar, disarmed, store)
-        original_id = json.loads(executed.steps[0].response.body)["id"]
+        original_id = json.loads(executed[0].response.body)["id"]
 
         client = RecordingClient(disarmed)
         datadriven_check(executed, mock_grammar, store, rng, client)
         (create, created), (injected, _) = client.sent
         replayed_id = json.loads(created.body)["id"]
-        assert create.body == executed.steps[0].request.body
+        assert create.body == executed[0].request.body
         assert replayed_id != original_id
         assert injected.path == f"/groups/{replayed_id}"
 
@@ -347,9 +347,9 @@ class TestCheckerTraffic:
         record_request_outcome = CollectionStore.record_request_outcome
 
         def counting_execute(*args, **kwargs):
-            executed = execute_candidate(*args, **kwargs)
-            main_loop_sends.append(len(executed.steps))
-            return executed
+            steps = execute_candidate(*args, **kwargs)
+            main_loop_sends.append(len(steps))
+            return steps
 
         def counting_record(store, *args):
             recorded.append(args[0])
@@ -367,3 +367,31 @@ class TestCheckerTraffic:
         finally:
             handle.stop()
         assert len(recorded) == sum(main_loop_sends) < metrics.requests_sent
+
+    def test_only_whole_runs_are_replayed(self, mock_grammar, monkeypatch):
+        runs, replayed = [], []
+        execute_candidate = orchestrator.execute_candidate
+        datadriven = orchestrator.datadriven_check
+
+        def noting_execute(candidate, *args, **kwargs):
+            steps = execute_candidate(candidate, *args, **kwargs)
+            runs.append((len(steps) == len(candidate), steps))
+            return steps
+
+        def noting_check(steps, *args, **kwargs):
+            replayed.append(steps)
+            return datadriven(steps, *args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "execute_candidate", noting_execute)
+        monkeypatch.setattr(orchestrator, "datadriven_check", noting_check)
+        handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
+        try:
+            fuzz_loop(FuzzConfig(
+                target=handle.base_url, mode="seq-only", max_requests=600, seed=0,
+                enable_datadriven_checker=True,
+            ), mock_grammar)
+        finally:
+            handle.stop()
+        whole = [steps for is_whole, steps in runs if is_whole]
+        assert len(whole) < len(runs), "no run was cut short"
+        assert replayed and all(any(steps is run for run in whole) for steps in replayed)

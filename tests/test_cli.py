@@ -87,3 +87,62 @@ class TestFuzzArguments:
         err = capsys.readouterr().err
         assert "need a budget" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option", [
+        "--max-requests=0", "--max-requests=-5", "--duration=0", "--duration=-1",
+        "--train-every-requests=0", "--train-interval=0", "--max-sequence-length=0",
+    ])
+    def test_a_value_that_is_not_positive_exits_2(self, option, tmp_path, capsys):
+        argv = ["fuzz", "--spec", str(packaged_grammar_path()), "--target", "http://127.0.0.1:9",
+                "--max-requests", "10", "--report-dir", str(tmp_path / "run"), option]
+        assert cli.main(argv) == 2
+        assert_one_line(capsys.readouterr().err, "fuzz: ", "must be positive")
+        assert not (tmp_path / "run").exists()
+
+    def test_unsupported_target_exits_2_before_opening_the_report_dir(self, tmp_path, capsys):
+        argv = ["fuzz", "--spec", str(packaged_grammar_path()),
+                "--target", "http://127.0.0.1:9/api", "--max-requests", "10",
+                "--report-dir", str(tmp_path / "run")]
+        assert cli.main(argv) == 2
+        assert_one_line(capsys.readouterr().err, "fuzz: ", "unsupported target url")
+        assert not (tmp_path / "run").exists()
+
+
+def assert_one_line(err, prefix, reason=""):
+    assert err.startswith(prefix) and reason in err
+    assert err.count("\n") == 1, err
+
+
+SPEC_FILES = {
+    "missing": None,
+    "not-json": "{not json",
+    "not-a-grammar": '{"templates": 3}',
+}
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("content", SPEC_FILES.values(), ids=SPEC_FILES.keys())
+    def test_bad_spec_exits_2(self, content, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        if content is not None:
+            spec.write_text(content)
+        argv = ["fuzz", "--spec", str(spec), "--target", "http://127.0.0.1:9",
+                "--max-requests", "10"]
+        assert cli.main(argv) == 2
+        assert_one_line(capsys.readouterr().err, "fuzz: ")
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
+    def test_bad_replay_file_exits_2(self, content, tmp_path, capsys):
+        replay = tmp_path / "replay.jsonl"
+        if content is not None:
+            replay.write_text(content)
+        argv = ["replay", "--file", str(replay), "--target", "http://127.0.0.1:9"]
+        assert cli.main(argv) == 2
+        assert_one_line(capsys.readouterr().err, "replay: ")
+
+    def test_unsupported_replay_target_exits_2(self, tmp_path, capsys):
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text("")
+        argv = ["replay", "--file", str(replay), "--target", "http://127.0.0.1:9/api"]
+        assert cli.main(argv) == 2
+        assert_one_line(capsys.readouterr().err, "replay: ", "unsupported target url")

@@ -10,7 +10,7 @@ from restfuzz import grammar as grammar_module
 from restfuzz import model, sequences
 from restfuzz import orchestrator as orch
 from restfuzz.client import HttpClient, TargetUnreachable
-from restfuzz.execution import ExecutedSequence, ExecutedStep
+from restfuzz.execution import ExecutedStep
 from restfuzz.mock_service import ALL_BUGS, BugConfig, serve
 from restfuzz.orchestrator import MODES, FuzzConfig, Fuzzer, fuzz_loop
 from restfuzz.rendering import ReadyRequest
@@ -48,7 +48,9 @@ def quick_config(base_url, mode="miner", requests=400, seed=3, **overrides):
 
 class TestFuzzLoop:
     def test_zero_budget_yields_empty_metrics(self, mock_grammar, target):
-        metrics = fuzz_loop(quick_config(target.base_url, requests=0), mock_grammar)
+        # The budget is spent by the reachability probe, before the first iteration.
+        config = quick_config(target.base_url, requests=None, duration=1e-9)
+        metrics = fuzz_loop(config, mock_grammar)
         assert metrics.requests_sent == 0
         assert metrics.iterations == 0
         assert metrics.unique_errors == 0
@@ -73,6 +75,19 @@ class TestFuzzLoop:
     def test_budget_required(self):
         with pytest.raises(ValueError):
             FuzzConfig(target="http://x", mode="miner")
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_requests", 0), ("max_requests", -5), ("duration", 0.0), ("duration", -1.0),
+        ("duration", float("nan")),
+        ("train_every_requests", 0), ("train_interval", 0.0), ("max_sequence_length", 0),
+    ])
+    def test_values_that_are_not_positive_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            FuzzConfig(**{"target": "http://x", "max_requests": 1, field: value})
+
+    def test_unsupported_target_rejected(self):
+        with pytest.raises(ValueError, match="unsupported target url"):
+            FuzzConfig(target="http://127.0.0.1:9/api", max_requests=1)
 
     def test_reports_written(self, mock_grammar, target, tmp_path):
         config = quick_config(
@@ -173,14 +188,13 @@ def bfs_fuzzer(grammar, max_sequence_length=10):
 
 def note(fuzzer, candidate, last_status):
     """Tell the BFS that ``candidate`` ran whole and its last request got ``last_status``."""
-    statuses = [201] * (candidate.length - 1) + [last_status]
+    statuses = [201] * (len(candidate) - 1) + [last_status]
     steps = [
         ExecutedStep(template_id, ReadyRequest("GET", "/"), {},
                      ResponseRecord.from_status(status))
-        for template_id, status in zip(candidate.template_ids, statuses)
+        for template_id, status in zip(candidate, statuses)
     ]
-    executed = ExecutedSequence(candidate.template_ids, steps, completed=True)
-    fuzzer._bfs_note_result(candidate, executed)
+    fuzzer._bfs_note_result(candidate, steps)
 
 
 def run_round(fuzzer, last_status):
@@ -190,7 +204,7 @@ def run_round(fuzzer, last_status):
     while fuzzer._round_queue:
         drawn.append(fuzzer._next_candidate_bfs())
         note(fuzzer, drawn[-1], last_status)
-    return [candidate.template_ids for candidate in drawn]
+    return drawn
 
 
 class TestBfsFrontier:
@@ -203,16 +217,27 @@ class TestBfsFrontier:
         assert run_round(fuzzer, 201)[:2] == [(POST, GET_ID, GET_ID), (POST, GET_ID, POST)]
 
     def test_a_round_that_extends_nothing_restarts(self, two_template_grammar):
+        for last_status in (400, 500):  # only a 2xx last reply extends
+            fuzzer = bfs_fuzzer(two_template_grammar)
+            run_round(fuzzer, 201)
+            assert run_round(fuzzer, last_status) == [(POST, GET_ID), (POST, POST)]
+            assert fuzzer._frontier == []
+            assert run_round(fuzzer, 201) == [(POST,)]
+
+    def test_a_cut_run_extends_nothing(self, two_template_grammar):
         fuzzer = bfs_fuzzer(two_template_grammar)
         run_round(fuzzer, 201)
-        assert run_round(fuzzer, 400) == [(POST, GET_ID), (POST, POST)]
+        candidate = fuzzer._next_candidate_bfs()
+        assert candidate == (POST, GET_ID)
+        sent = ExecutedStep(POST, ReadyRequest("POST", "/groups"), {},
+                            ResponseRecord.from_status(201))
+        fuzzer._bfs_note_result(candidate, [sent])
         assert fuzzer._frontier == []
-        assert run_round(fuzzer, 201) == [(POST,)]
 
     def test_a_frontier_at_the_length_cap_restarts(self, two_template_grammar):
         fuzzer = bfs_fuzzer(two_template_grammar, max_sequence_length=1)
         assert run_round(fuzzer, 201) == [(POST,)]
-        assert [seed.template_ids for seed in fuzzer._frontier] == [(POST,)]
+        assert fuzzer._frontier == [(POST,)]
         assert run_round(fuzzer, 201) == [(POST,)]
 
     def test_the_frontier_stops_growing_at_its_limit(self, two_template_grammar, monkeypatch):
@@ -221,7 +246,7 @@ class TestBfsFrontier:
         run_round(fuzzer, 201)
         run_round(fuzzer, 201)
         assert len(run_round(fuzzer, 201)) == 4
-        assert [seed.template_ids for seed in fuzzer._frontier] == [
+        assert fuzzer._frontier == [
             (POST, GET_ID, GET_ID), (POST, GET_ID, POST),
         ]
         assert len(run_round(fuzzer, 201)) == 4  # two seeds, two extensions each

@@ -8,14 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restfuzz.responses import ResponseClass
 from restfuzz.sequences import (
-    EMPTY_SEQUENCE,
     EmptySeedSet,
-    ExtensionResult,
     SeedPool,
     SequenceTemplate,
-    classify_extension,
     extend,
     select_seed,
     selection_weights,
@@ -25,7 +21,7 @@ from restfuzz.sequences import (
 def is_satisfiable(seq: SequenceTemplate, grammar) -> bool:
     """Positional satisfiability re-derived from the grammar: ``extend``'s oracle."""
     available: set[str] = set()
-    for template_id in seq.template_ids:
+    for template_id in seq:
         template = grammar.templates.get(template_id)
         if template is None or not template.consumed_types <= available:
             return False
@@ -35,7 +31,7 @@ def is_satisfiable(seq: SequenceTemplate, grammar) -> bool:
 
 
 def seeds_of_lengths(*lengths: int) -> list[SequenceTemplate]:
-    return [SequenceTemplate(("POST /groups",) * n) for n in lengths]
+    return [("POST /groups",) * n for n in lengths]
 
 
 class TestSelectionWeights:
@@ -70,31 +66,29 @@ class TestSelectSeed:
 
     def test_frequencies_follow_weights(self, rng):
         seeds = seeds_of_lengths(1, 9)
-        counts = Counter(select_seed(seeds, rng).length for _ in range(100_000))
+        counts = Counter(len(select_seed(seeds, rng)) for _ in range(100_000))
         assert counts[1] / 100_000 == pytest.approx(0.2314, abs=0.01)
         assert counts[9] / 100_000 == pytest.approx(0.7686, abs=0.01)
 
     def test_equal_lengths_select_uniformly(self, rng):
-        seeds = [SequenceTemplate((f"t{i}",) * 3) for i in range(4)]
-        counts = Counter(
-            select_seed(seeds, rng).template_ids[0] for _ in range(100_000)
-        )
+        seeds = [(f"t{i}",) * 3 for i in range(4)]
+        counts = Counter(select_seed(seeds, rng)[0] for _ in range(100_000))
         for template_id in counts:
             assert counts[template_id] / 100_000 == pytest.approx(0.25, abs=0.01)
 
     def test_mean_selected_length_beats_uniform(self, rng):
         # the point of length weighting: long templates get more executions
         seeds = seeds_of_lengths(*range(1, 10))
-        mean = np.mean([select_seed(seeds, rng).length for _ in range(100_000)])
+        mean = np.mean([len(select_seed(seeds, rng)) for _ in range(100_000)])
         assert mean > 5.0
 
     def test_deterministic_under_fixed_rng(self):
         seeds = seeds_of_lengths(1, 5, 9)
         draws1 = [
-            select_seed(seeds, np.random.default_rng(7)).length for _ in range(1)
+            len(select_seed(seeds, np.random.default_rng(7))) for _ in range(1)
         ]
         draws2 = [
-            select_seed(seeds, np.random.default_rng(7)).length for _ in range(1)
+            len(select_seed(seeds, np.random.default_rng(7))) for _ in range(1)
         ]
         assert draws1 == draws2
 
@@ -113,7 +107,7 @@ class TestSeedPool:
         rng = np.random.default_rng(rng_seed)
         for op in ops:
             if op != "draw":
-                pool.append(SequenceTemplate(("POST /groups",) * op))
+                pool.append(("POST /groups",) * op)
                 continue
             if not pool:
                 continue
@@ -137,7 +131,7 @@ class TestSeedPool:
         pool = SeedPool(seeds_of_lengths(1, 2))
         for _ in range(5):
             select_seed(pool, rng)
-        pool.append(SequenceTemplate(("POST /groups",) * 3))
+        pool.append(("POST /groups",) * 3)
         for _ in range(5):
             select_seed(pool, rng)
         assert len(builds) == 2
@@ -145,23 +139,23 @@ class TestSeedPool:
 
 class TestExtend:
     def test_empty_seed_extends_with_producers_only(self, two_template_grammar):
-        candidates = extend(EMPTY_SEQUENCE, two_template_grammar)
-        assert [c.template_ids for c in candidates] == [("POST /groups",)]
+        candidates = extend((), two_template_grammar)
+        assert candidates == [("POST /groups",)]
 
     def test_producer_seed_extends_with_both(self, two_template_grammar):
-        (post,) = extend(EMPTY_SEQUENCE, two_template_grammar)
+        (post,) = extend((), two_template_grammar)
         candidates = extend(post, two_template_grammar)
-        assert [c.template_ids for c in candidates] == [
+        assert candidates == [
             ("POST /groups", "GET /groups/{id}"),
             ("POST /groups", "POST /groups"),
         ]
 
     def test_seed_at_cap_extends_to_nothing(self, two_template_grammar):
-        seed = SequenceTemplate(("POST /groups",) * 10)
+        seed = ("POST /groups",) * 10
         assert extend(seed, two_template_grammar, max_sequence_length=10) == []
 
     def test_candidates_are_always_satisfiable(self, two_template_grammar):
-        frontier = [EMPTY_SEQUENCE]
+        frontier = [()]
         for _ in range(4):
             frontier = [
                 candidate
@@ -172,24 +166,5 @@ class TestExtend:
                 assert is_satisfiable(candidate, two_template_grammar)
 
     def test_consumer_first_sequence_is_unsatisfiable(self, two_template_grammar):
-        bad = SequenceTemplate(("GET /groups/{id}",))
+        bad = ("GET /groups/{id}",)
         assert not is_satisfiable(bad, two_template_grammar)
-
-
-class TestClassifyExtension:
-    @pytest.mark.parametrize(
-        "klass,expected",
-        [
-            (ResponseClass.PASS_2XX, ExtensionResult.EXTENDED),
-            (ResponseClass.ERROR_5XX, ExtensionResult.FAILED),
-            (ResponseClass.REJECT_4XX, ExtensionResult.FAILED),
-        ],
-    )
-    def test_last_response_decides(self, klass, expected):
-        candidate = SequenceTemplate(("POST /groups", "GET /groups/{id}"))
-        got = classify_extension(candidate, [ResponseClass.PASS_2XX, klass])
-        assert got == expected
-
-    def test_response_count_must_match(self):
-        with pytest.raises(ValueError):
-            classify_extension(SequenceTemplate(("a",)), [])
