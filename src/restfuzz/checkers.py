@@ -8,13 +8,13 @@ use-after-free checker walks a plan fixed per grammar: for each resource
 type it issues create, delete, then access on the deleted object; a 2xx or
 5xx answer to the access flags a violation.  Both send through
 :func:`execution.send_step`, so checker requests are reported to
-``observe`` but never recorded as training data, and a finding holds the
-steps exactly as they were sent.
+``observe`` but never recorded as training data.  A finding is the list of
+steps a checker sent, exactly as they were sent, the offending reply last;
+no finding is ``None``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -31,14 +31,6 @@ KIND_INCORRECT_PARAM_USAGE = "incorrect_param_usage"
 KIND_USE_AFTER_FREE = "use_after_free"
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A checker's finding: the steps it sent, the offending reply last."""
-
-    kind: str
-    steps: tuple[ExecutedStep, ...]
-
-
 def datadriven_check(
     steps: Sequence[ExecutedStep],
     grammar: CompiledGrammar,
@@ -46,14 +38,14 @@ def datadriven_check(
     rng: np.random.Generator,
     client: HttpClient,
     observe: Observer | None = None,
-) -> Violation | None:
+) -> list[ExecutedStep] | None:
     """Replay a whole run's steps with one undefined pair added to the last request.
 
     No-op when the store holds no pair the last template leaves undefined.
     The sequence goes out through :func:`run_replay`, so consumer ids are
     rebound to the objects the replayed producers return; the pair goes
     into the query string for GET/DELETE and into the body for POST/PUT.
-    A violation holds the replayed steps, ids and injected pair as sent.
+    A finding is the replayed steps, ids and injected pair as sent.
     """
     last = steps[-1]
     candidates = store.undefined_pairs_for(last.template_id)
@@ -65,9 +57,7 @@ def datadriven_check(
     location = "query" if last.request.method in ("GET", "DELETE") else "body"
     lines[-1][location][pair.param_name] = pair.value
     replayed = run_replay(lines, client, observe)
-    if replayed[-1].response.klass is not ResponseClass.ERROR_5XX:
-        return None
-    return Violation(KIND_INCORRECT_PARAM_USAGE, tuple(replayed))
+    return replayed if replayed[-1].response.klass is ResponseClass.ERROR_5XX else None
 
 
 class UafTarget(NamedTuple):
@@ -106,7 +96,7 @@ def use_after_free_check(
     client: HttpClient,
     observe: Observer | None = None,
     should_stop: Callable[[], bool] | None = None,
-) -> Violation | None:
+) -> list[ExecutedStep] | None:
     """Create, delete, then access each planned type; a 2xx or 5xx access flags it.
 
     Every request renders with default values.  A create or delete that is
@@ -135,5 +125,5 @@ def use_after_free_check(
                 return None
             access = send_step(render_with_list(accessor, (), pool), client, observe=observe)
             if access.response.klass in (ResponseClass.PASS_2XX, ResponseClass.ERROR_5XX):
-                return Violation(KIND_USE_AFTER_FREE, (create, delete, access))
+                return [create, delete, access]
     return None

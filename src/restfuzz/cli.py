@@ -13,7 +13,7 @@ from typing import ContextManager, Iterator
 from .client import HttpClient, TargetUnreachable
 from .grammar import GrammarError, parse_spec_file
 from .mock_service import BugConfig, serve
-from .orchestrator import MODES, FuzzConfig, fuzz_loop
+from .orchestrator import MODES, FuzzConfig, Fuzzer
 from .reporting import load_replay, run_replay
 
 # A bad option value or input file ends the command with one line and exit 2.
@@ -82,9 +82,7 @@ def _training_log(report_dir: str | None) -> ContextManager[None]:
     """
     if not report_dir:
         return nullcontext()
-    path = Path(report_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    handler = logging.FileHandler(path / "training.log")
+    handler = logging.FileHandler(Path(report_dir) / "training.log")
     handler.setFormatter(logging.Formatter("%(asctime)s %(message)s"))
     return _attached(logging.getLogger("restfuzz.training"), handler, logging.INFO)
 
@@ -117,13 +115,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             auth_token=args.auth_token,
             dump_weights=args.dump_weights,
         )
-        grammar = parse_spec_file(args.spec)
+        fuzzer = Fuzzer(config, parse_spec_file(args.spec))  # makes the report dir
     except _INPUT_ERRORS as exc:
         print(f"fuzz: {exc}", file=sys.stderr)
         return 2
     try:
         with _stderr_log(args.verbose), _training_log(args.report_dir):
-            metrics = fuzz_loop(config, grammar)
+            metrics = fuzzer.run()
     except TargetUnreachable as exc:
         print(f"target unreachable: {exc}", file=sys.stderr)
         return 1

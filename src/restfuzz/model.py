@@ -15,15 +15,15 @@ be padded at the end: padding never reaches an earlier position, and a
 prediction weight of 0 keeps it out of the loss and the gradients.
 
 Everything here is pure math over token-id sequences; vocabulary handling
-and training schedules live in :mod:`restfuzz.recommender`.
+and training schedules live in :mod:`restfuzz.recommender`.  The weights
+are the arrays of :meth:`ModelParams.blocks`, and this module reads and
+writes no file.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -41,15 +41,6 @@ class ModelParams:
     w_att: np.ndarray  # (h, h) alignment scoring
     w_out: np.ndarray  # (2h, V)
     b_out: np.ndarray  # (V,)
-    version: int = 0
-
-    @property
-    def vocab_size(self) -> int:
-        return self.emb.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.emb.shape[1]
 
     @property
     def hidden_dim(self) -> int:
@@ -95,53 +86,15 @@ def apply_gradients(params: ModelParams, grads: dict[str, np.ndarray], step: flo
         block -= step * grads[name]
 
 
-def save_params(params: ModelParams, directory: Path | str) -> None:
-    """Dump the weights for offline inspection.
-
-    One flat binary of float64 tensors plus a JSON manifest recording name,
-    shape and byte offset per block.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    offset = 0
-    with open(directory / "weights.bin", "wb") as fh:
-        for name, block in params.blocks().items():
-            data = np.ascontiguousarray(block, dtype=np.float64).tobytes()
-            fh.write(data)
-            entries.append({
-                "name": name,
-                "shape": list(block.shape),
-                "offset": offset,
-            })
-            offset += len(data)
-    manifest = {"version": params.version, "dtype": "float64", "tensors": entries}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-
-
-def load_params(directory: Path | str) -> ModelParams:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    raw = (directory / "weights.bin").read_bytes()
-    arrays = {}
-    for entry in manifest["tensors"]:
-        count = int(np.prod(entry["shape"]))
-        block = np.frombuffer(
-            raw, dtype=np.float64, count=count, offset=entry["offset"]
-        )
-        arrays[entry["name"]] = block.reshape(entry["shape"]).copy()
-    return ModelParams(version=manifest["version"], **arrays)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis; ``-inf`` entries get probability 0."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _run_gru(params: ModelParams, xs: np.ndarray):
@@ -235,7 +188,7 @@ def batch_loss_and_grads(
     log_probs = np.log(probs[picked] + 1e-300)
     if cross_entropy is not None:
         np.negative(log_probs, out=cross_entropy)
-    loss = -float(np.sum(weights * log_probs))
+    loss = -float((weights * log_probs).sum())
 
     def flat(a: np.ndarray) -> np.ndarray:
         return a.reshape(-1, a.shape[-1])
@@ -257,7 +210,7 @@ def batch_loss_and_grads(
     d_alpha = d_context @ states.transpose(0, 2, 1)
     d_states += alpha.transpose(0, 2, 1) @ d_context
     # softmax over each row; masked entries have alpha = 0 and stay out
-    d_scores = alpha * (d_alpha - np.sum(alpha * d_alpha, axis=2, keepdims=True))
+    d_scores = alpha * (d_alpha - (alpha * d_alpha).sum(axis=2, keepdims=True))
     # scores[t, s] = state_t . (state_s @ w_att)
     d_keys = d_scores.transpose(0, 2, 1) @ states
     grads["w_att"] = flat(states).T @ flat(d_keys)

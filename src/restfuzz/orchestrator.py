@@ -8,6 +8,9 @@ with log10(length+1) weighting and renders all but the last request from
 recommender output.  Ablation modes mix and match the two axes.
 A candidate is a tuple of template ids; only a whole run of it (one step
 sent per id) can extend the frontier, become a seed or be replayed.
+Every finding, a main-loop 5xx or a checker's, is filed by one call as the
+steps sent up to and including the offending reply.  With ``dump_weights``
+each training round that returns is written as ``weights/round_NNN.npz``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkers import Violation, datadriven_check, uaf_plan, use_after_free_check
+from .checkers import KIND_INCORRECT_PARAM_USAGE, KIND_USE_AFTER_FREE, datadriven_check
+from .checkers import uaf_plan, use_after_free_check
 from .client import HttpClient
 from .collection import CollectionStore
 from .execution import ExecutedStep, execute_candidate
@@ -104,13 +108,13 @@ class Fuzzer:
             )
         self.store = CollectionStore(grammar, persist=self._persist)
 
-        dump_dir = (
+        self._weights_dir = (
             self._report_dir / "weights"
             if config.dump_weights and self._report_dir is not None
             else None
         )
         self.recommender = (
-            Recommender(grammar, ModelConfig(), self._rng_trainer, dump_dir=dump_dir)
+            Recommender(grammar, ModelConfig(), self._rng_trainer)
             if self.render_mode is RenderMode.MODEL
             else None
         )
@@ -174,11 +178,16 @@ class Fuzzer:
         self._train_attempts += 1
         label = f"round={self._train_attempts}"
         try:
-            if self.recommender.train_and_publish(corpus, label, self._exhausted):
-                self.metrics.note_first_training()
+            result = self.recommender.train_and_publish(corpus, label, self._exhausted)
             # Only a round that returned has seen its window; a failed
             # round's events stay in the next round's corpus.
             self._trained_through_iteration = self.store.iteration - 1
+            if result is not None:
+                self.metrics.note_first_training()
+                if self._weights_dir is not None:
+                    self._weights_dir.mkdir(exist_ok=True)
+                    path = self._weights_dir / f"round_{self.recommender.rounds:03d}.npz"
+                    np.savez(path, **result.params.blocks())
         except Exception:
             # A bad round must not end the run: log it, count it, go on.
             self.metrics.train_rounds_failed += 1
@@ -282,27 +291,22 @@ class Fuzzer:
 
             for position, step in enumerate(steps):
                 if step.response.klass is ResponseClass.ERROR_5XX:
-                    self.errors.bucket_error(
-                        steps, position, KIND_RESPONSE_5XX, self.metrics.iterations,
-                    )
+                    self._report(KIND_RESPONSE_5XX, steps[: position + 1])
 
             # The replay re-sends every executed step, so it runs only whole.
             if self.config.enable_datadriven_checker and whole and self._fits(len(steps)):
-                self._report(datadriven_check(
+                self._report(KIND_INCORRECT_PARAM_USAGE, datadriven_check(
                     steps, self.grammar, self.store, self._rng_checker, client, observe,
                 ))
             if self.config.enable_uaf_checker and not self._exhausted():
-                self._report(use_after_free_check(
+                self._report(KIND_USE_AFTER_FREE, use_after_free_check(
                     self._uaf_plan, client, observe, should_stop=self._exhausted
                 ))
 
-    def _report(self, violation: Violation | None) -> None:
-        """Bucket a checker's finding by its last step, the offending reply."""
-        if violation is not None:
-            self.errors.bucket_error(
-                violation.steps, len(violation.steps) - 1,
-                violation.kind, self.metrics.iterations,
-            )
+    def _report(self, kind: str, steps: list[ExecutedStep] | None) -> None:
+        """File a finding, the steps sent with the offending reply last; ``None`` is none."""
+        if steps is not None:
+            self.errors.bucket_error(steps, kind, self.metrics.iterations)
 
     def _write_reports(self) -> None:
         if self._report_dir is None:

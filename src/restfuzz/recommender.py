@@ -2,7 +2,8 @@
 
 Each training round rebuilds the vocabulary from the corpus window and
 trains fresh weights from scratch, then samples param-value lists per
-request template.  Rounds run inline on the fuzz loop's thread.  Published
+request template.  Rounds run inline on the fuzz loop's thread and write
+no file; a round's weights are its result's arrays.  Published
 lists accumulate across rounds in a snapshot, keyed by template, that each
 publish replaces, so a mapping the rendering side holds never changes
 under it.  A list is a plain :data:`~restfuzz.collection.PairList`.
@@ -13,7 +14,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -254,7 +254,7 @@ def train(
                 params, tokens, weights, cross_entropy
             )
             model.apply_gradients(params, grads, config.learning_rate / n_predictions)
-            total_loss += float(np.sum(cross_entropy[weights > 0]))
+            total_loss += float(cross_entropy[weights > 0].sum())
             total_predictions += n_predictions
         mean_loss = total_loss / max(total_predictions, 1)
         epoch_losses.append(mean_loss)
@@ -336,17 +336,10 @@ def generate_lists(
 class Recommender:
     """Owns the published list snapshot and the train-generate cycle."""
 
-    def __init__(
-        self,
-        grammar: CompiledGrammar,
-        config: ModelConfig,
-        rng: np.random.Generator,
-        dump_dir=None,
-    ):
+    def __init__(self, grammar: CompiledGrammar, config: ModelConfig, rng: np.random.Generator):
         self._grammar = grammar
         self._config = config
         self._rng = rng
-        self._dump_dir = dump_dir
         self._snapshot: dict[str, tuple[PairList, ...]] = {}
         self.rounds = 0
 
@@ -393,12 +386,6 @@ class Recommender:
             result = train(corpus, self._config, self._rng, label, should_stop)
         except (EmptyCorpus, RoundCut):
             return None
-        result.params.version = self.rounds + 1
-        if self._dump_dir is not None:
-            model.save_params(
-                result.params,
-                Path(self._dump_dir) / f"round_{result.params.version:03d}",
-            )
         self.publish({
             template_id: generate_lists(
                 result.params,

@@ -1,10 +1,14 @@
-"""Run metrics, error bucketing with replay files, and replay execution."""
+"""Run metrics, error bucketing with replay files, and replay execution.
+
+A finding is the steps sent, the offending reply last; its replay file holds exactly them.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import re
+import statistics
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -109,14 +113,11 @@ class ErrorReport:
         self._buckets: dict[tuple, ErrorRecord] = {}
 
     def bucket_error(
-        self,
-        steps: Sequence[ExecutedStep],
-        position: int,
-        kind: str,
-        iteration: int,
+        self, steps: Sequence[ExecutedStep], kind: str, iteration: int
     ) -> tuple[ErrorRecord, bool]:
-        """Bucket ``steps[position]``; return its record and whether it is new."""
-        offending = steps[position]
+        """Bucket ``steps[-1]``, the offending reply; return its record and whether
+        it is new.  A new bucket's replay file holds exactly ``steps``."""
+        offending = steps[-1]
         signature = body_signature(offending.response.body)
         key = (offending.template_id, offending.response.status, kind, signature)
         record = self._buckets.get(key)
@@ -164,9 +165,40 @@ class ErrorReport:
                 fh.write(json.dumps(asdict(record)) + "\n")
 
 
+def _has_strings(value, keys) -> bool:
+    """True when ``value`` is an object whose ``keys`` all hold strings."""
+    return isinstance(value, dict) and all(isinstance(value.get(key), str) for key in keys)
+
+
+def _replay_record(text: str) -> dict:
+    """One line of a replay file as a replay record; ``ValueError`` says why it is none."""
+    line = json.loads(text)
+    if not _has_strings(line, ("template_id", "method", "path_template")):
+        raise ValueError("need an object with string template_id, method and path_template")
+    for key in ("path_params", "query", "body", "rebind"):
+        value = line.get(key, {})
+        if not _has_strings(value, value):  # every key of the object
+            raise ValueError(f"{key} must be an object of strings")
+    produces = line.get("produces")
+    if produces is not None and not _has_strings(produces, ("type", "pointer")):
+        raise ValueError("produces must be null or an object with string type and pointer")
+    return line
+
+
 def load_replay(path: Path | str) -> list[dict]:
+    """The replay records of a file, one JSON object a line; blank lines are skipped.
+
+    A line that is not a replay record raises ``ValueError`` naming its number.
+    """
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, text in enumerate(fh, start=1):
+            try:
+                if text.strip():
+                    records.append(_replay_record(text))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
+    return records
 
 
 def run_replay(
@@ -250,16 +282,9 @@ class RunMetrics:
             return None
 
     def median_executed_length(self) -> float | None:
-        total = sum(self.length_histogram.values())
-        if total == 0:
+        if not self.length_histogram:
             return None
-        midpoint = (total + 1) // 2
-        running = 0
-        for length in sorted(self.length_histogram):
-            running += self.length_histogram[length]
-            if running >= midpoint:
-                return float(length)
-        return None  # pragma: no cover
+        return float(statistics.median_low(self.length_histogram.elements()))
 
     def to_json(self) -> dict:
         def counter_json(counter: Counter | None):

@@ -7,7 +7,6 @@ import pytest
 from restfuzz import orchestrator
 from restfuzz.checkers import (
     KIND_INCORRECT_PARAM_USAGE,
-    KIND_USE_AFTER_FREE,
     UafTarget,
     datadriven_check,
     uaf_plan,
@@ -108,11 +107,11 @@ class TestDataDrivenChecker:
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
         assert executed[-1].response.status == 200
         violation = datadriven_check(executed, mock_grammar, store, rng, armed)
-        assert violation is not None
-        assert violation.kind == KIND_INCORRECT_PARAM_USAGE
+        # a finding is the replayed steps, the offending reply last
+        assert [step.template_id for step in violation] == ["POST /groups", "PUT /groups/{id}"]
         # the PUT defines no initialize_with_readme: the drawn pair, injected
-        assert violation.steps[-1].request.body["initialize_with_readme"] == "true"
-        assert violation.steps[-1].response.status == 500
+        assert violation[-1].request.body["initialize_with_readme"] == "true"
+        assert violation[-1].response.status == 500
 
     def test_disarmed_bug_is_ignored(self, mock_grammar, disarmed, rng):
         store = store_with_undef_pair(mock_grammar)
@@ -135,11 +134,11 @@ class TestDataDrivenChecker:
         violation = datadriven_check(executed, mock_grammar, store, rng, armed)
         assert violation is not None
         # every request before the last is byte-identical
-        for original, replayed in zip(executed[:-1], violation.steps[:-1]):
+        for original, replayed in zip(executed[:-1], violation[:-1]):
             assert original.request == replayed.request
         original_last = executed[-1].request
-        injected_last = violation.steps[-1].request
-        replayed_id = json.loads(violation.steps[0].response.body)["id"]
+        injected_last = violation[-1].request
+        replayed_id = json.loads(violation[0].response.body)["id"]
         assert injected_last.method == original_last.method
         assert injected_last.path == f"/groups/{replayed_id}"
         assert injected_last.query == original_last.query
@@ -154,17 +153,15 @@ class TestDataDrivenChecker:
         original_id = json.loads(executed[0].response.body)["id"]
         violation = datadriven_check(executed, mock_grammar, store, rng, armed)
         assert violation is not None
-        replayed_id = json.loads(violation.steps[0].response.body)["id"]
+        replayed_id = json.loads(violation[0].response.body)["id"]
         assert replayed_id != original_id
-        injected = violation.steps[-1]
+        injected = violation[-1]
         assert injected.request.path == f"/groups/{replayed_id}"
         assert injected.rendered_params["id"] == str(replayed_id)
         assert injected.rendered_params["initialize_with_readme"] == "true"
 
         report = ErrorReport(mock_grammar, tmp_path)
-        record, is_new = report.bucket_error(
-            violation.steps, len(violation.steps) - 1, violation.kind, 1
-        )
+        record, is_new = report.bucket_error(violation, KIND_INCORRECT_PARAM_USAGE, 1)
         assert is_new
         lines = load_replay(record.replay_path)
         assert lines[-1]["path_params"] == {"id": str(replayed_id)}
@@ -176,7 +173,7 @@ class TestDataDrivenChecker:
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
         violation = datadriven_check(executed, mock_grammar, store, rng, armed)
         defined = mock_grammar.templates["PUT /groups/{id}"].param_names
-        (injected,) = set(violation.steps[-1].request.body) - set(executed[-1].request.body)
+        (injected,) = set(violation[-1].request.body) - set(executed[-1].request.body)
         assert injected not in defined
 
     def test_get_request_gets_query_injection(self, mock_grammar, disarmed, rng):
@@ -292,10 +289,9 @@ class TestUseAfterFreeChecker:
     def test_armed_bug_detected(self, mock_grammar, armed):
         violation = use_after_free_check(uaf_plan(mock_grammar), armed)
         assert violation is not None
-        assert violation.kind == KIND_USE_AFTER_FREE
-        assert violation.steps[-1].response.status == 500
-        assert mock_grammar.templates[violation.steps[0].template_id].produces[0] == "group"
-        assert [step.template_id for step in violation.steps] == [
+        assert violation[-1].response.status == 500
+        assert mock_grammar.templates[violation[0].template_id].produces[0] == "group"
+        assert [step.template_id for step in violation] == [
             "POST /groups",
             "DELETE /groups/{id}",
             "GET /groups/{id}/attributes",

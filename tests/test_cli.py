@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import logging
 import os
 import subprocess
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from restfuzz import cli
+from restfuzz.client import HttpClient
 from restfuzz.mock_service import BugConfig, packaged_grammar_path, serve
+from restfuzz.rendering import ReadyRequest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -107,6 +110,17 @@ class TestFuzzArguments:
         assert_one_line(capsys.readouterr().err, "fuzz: ", "unsupported target url")
         assert not (tmp_path / "run").exists()
 
+    def test_a_report_dir_that_is_a_plain_file_exits_2_and_sends_nothing(
+        self, target, tmp_path, capsys
+    ):
+        plain = tmp_path / "run"
+        plain.write_text("")
+        assert cli.main(fuzz_argv(target.base_url, plain)) == 2
+        assert_one_line(capsys.readouterr().err, "fuzz: ")
+        assert plain.read_text() == ""
+        with HttpClient(target.base_url) as client:
+            assert json.loads(client.send(ReadyRequest("GET", "/__coverage")).body) == {}
+
 
 def assert_one_line(err, prefix, reason=""):
     assert err.startswith(prefix) and reason in err
@@ -117,6 +131,30 @@ SPEC_FILES = {
     "missing": None,
     "not-json": "{not json",
     "not-a-grammar": '{"templates": 3}',
+}
+
+
+RECORD = '{"template_id": "GET /groups", "method": "GET", "path_template": "/groups"'
+
+
+def records_then(line):
+    """A replay record, a blank line, then ``line`` as line 3."""
+    return f'{RECORD}, "query": {{"page": "1"}}, "produces": null}}\n\n{line}\n'
+
+
+# id -> (file content, what the one line on stderr names)
+REPLAY_FILES = {
+    "missing": (None, ""),
+    "not-json": ("{not json", "line 1"),
+    "bad-json-line": (records_then("{not json"), "line 3"),
+    "empty-object": (records_then("{}"), "line 3"),
+    "list": (records_then("[1]"), "line 3"),
+    "string": (records_then('"text"'), "line 3"),
+    "method-not-a-string": (records_then(RECORD.replace('"GET",', "7,") + "}"), "line 3"),
+    "query-value-not-a-string": (records_then(RECORD + ', "query": {"page": 1}}'), "line 3"),
+    "body-not-an-object": (records_then(RECORD + ', "body": []}'), "line 3"),
+    "produces-without-pointer": (
+        records_then(RECORD + ', "produces": {"type": "group"}}'), "line 3"),
 }
 
 
@@ -131,14 +169,14 @@ class TestInputFiles:
         assert cli.main(argv) == 2
         assert_one_line(capsys.readouterr().err, "fuzz: ")
 
-    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
-    def test_bad_replay_file_exits_2(self, content, tmp_path, capsys):
+    @pytest.mark.parametrize("content,reason", REPLAY_FILES.values(), ids=REPLAY_FILES.keys())
+    def test_bad_replay_file_exits_2(self, content, reason, tmp_path, capsys):
         replay = tmp_path / "replay.jsonl"
         if content is not None:
             replay.write_text(content)
         argv = ["replay", "--file", str(replay), "--target", "http://127.0.0.1:9"]
         assert cli.main(argv) == 2
-        assert_one_line(capsys.readouterr().err, "replay: ")
+        assert_one_line(capsys.readouterr().err, "replay: ", reason)
 
     def test_unsupported_replay_target_exits_2(self, tmp_path, capsys):
         replay = tmp_path / "replay.jsonl"

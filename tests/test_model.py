@@ -199,23 +199,3 @@ class TestTrainingDynamics:
             _, grads, n = model.batch_loss_and_grads(params, tokens)
             model.apply_gradients(params, grads, 1.0 / n)
         assert all(np.all(np.isfinite(block)) for block in params.blocks().values())
-
-
-class TestWeightDump:
-    def test_save_load_round_trip(self, rng, tmp_path):
-        params = tiny_params(rng)
-        params.version = 7
-        model.save_params(params, tmp_path / "round_007")
-        loaded = model.load_params(tmp_path / "round_007")
-        assert loaded.version == 7
-        for name in model.GRAD_BLOCKS:
-            np.testing.assert_array_equal(
-                getattr(loaded, name), getattr(params, name)
-            )
-
-    def test_manifest_names_every_tensor(self, rng, tmp_path):
-        import json
-
-        model.save_params(tiny_params(rng), tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert [t["name"] for t in manifest["tensors"]] == list(model.GRAD_BLOCKS)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
 
+import numpy as np
 import pytest
 
 from restfuzz import grammar as grammar_module
@@ -104,6 +106,44 @@ class TestFuzzLoop:
         assert not (report_dir / "lengths.csv").exists()  # metrics.json holds the histogram
         assert (report_dir / "errors.jsonl").exists()
         assert (report_dir / "collection.jsonl").stat().st_size > 0
+
+    def test_each_returned_round_dumps_its_arrays(
+        self, mock_grammar, target, tmp_path, monkeypatch
+    ):
+        returned = []
+        real = orch.Recommender.train_and_publish
+
+        def keep(self, *args, **kwargs):
+            result = real(self, *args, **kwargs)
+            if result is not None:
+                returned.append(result.params.blocks())
+            return result
+
+        monkeypatch.setattr(orch.Recommender, "train_and_publish", keep)
+        config = quick_config(target.base_url, requests=600, report_dir=tmp_path / "run",
+                              dump_weights=True)
+        metrics = fuzz_loop(config, mock_grammar)
+        assert metrics.train_rounds == len(returned) >= 2
+        dumps = sorted((tmp_path / "run" / "weights").iterdir())
+        assert [path.name for path in dumps] == [
+            f"round_{number:03d}.npz" for number in range(1, len(returned) + 1)
+        ]
+        for path, blocks in zip(dumps, returned):
+            with np.load(path) as arrays:
+                assert sorted(arrays.files) == sorted(model.GRAD_BLOCKS)
+                for name in model.GRAD_BLOCKS:
+                    np.testing.assert_array_equal(arrays[name], blocks[name])
+            (vocab, embed), hidden = blocks["emb"].shape, blocks["u_c"].shape[0]
+            assert {name: block.shape for name, block in blocks.items()} == {
+                "emb": (vocab, embed), "w_x": (embed, 3 * hidden), "b_x": (3 * hidden,),
+                "u_zr": (hidden, 2 * hidden), "u_c": (hidden, hidden),
+                "w_att": (hidden, hidden), "w_out": (2 * hidden, vocab), "b_out": (vocab,),
+            }
+
+    def test_no_weights_without_the_flag(self, mock_grammar, target, tmp_path):
+        config = quick_config(target.base_url, requests=600, report_dir=tmp_path / "run")
+        assert fuzz_loop(config, mock_grammar).train_rounds >= 1
+        assert not (tmp_path / "run" / "weights").exists()
 
     def test_training_happens_and_is_noted(self, mock_grammar, target):
         metrics = fuzz_loop(quick_config(target.base_url, requests=600), mock_grammar)
@@ -306,6 +346,34 @@ class TestReplayFidelity:
                     assert step.response.klass.value == line["expected_class"], record.bucket_id
         finally:
             handle.stop()
+
+
+    def test_a_5xx_replay_file_ends_at_the_offending_reply(
+        self, mock_grammar, target, tmp_path, monkeypatch
+    ):
+        real = orch.execute_candidate
+        failed_mid_run = []
+
+        def first_reply_fails(*args, **kwargs):
+            steps = real(*args, **kwargs)
+            if len(steps) > 1:
+                steps[0] = dataclasses.replace(
+                    steps[0], response=ResponseRecord.from_status(500, '{"message": "boom"}')
+                )
+                failed_mid_run.append(steps[0].template_id)
+            return steps
+
+        monkeypatch.setattr(orch, "execute_candidate", first_reply_fails)
+        config = quick_config(target.base_url, mode="seq-only", requests=300,
+                              report_dir=tmp_path / "run")
+        fuzzer = Fuzzer(config, mock_grammar)
+        fuzzer.run()
+        records = fuzzer.errors.records()
+        assert {record.template_id for record in records} == set(failed_mid_run)
+        for record in records:
+            (line,) = load_replay(record.replay_path)
+            assert line["template_id"] == record.template_id
+            assert line["expected_status"] == 500
 
 
 # sha256 over (method, path, query, body, status) of every request of a

@@ -607,21 +607,3 @@ class TestRound:
         assert [r.getMessage() for r in cuts] == [
             "round=1 cut before epoch=3 of 5"
         ]
-
-
-class TestWeightDumpPerRound:
-    def test_each_round_writes_a_versioned_dump(self, two_template_grammar, rng, tmp_path):
-        recommender = Recommender(
-            two_template_grammar, ModelConfig(epochs=1), rng,
-            dump_dir=tmp_path / "weights",
-        )
-        corpus = [
-            (GET_ID, [ParamValuePair("with_projects", "false")])
-            for _ in range(20)
-        ]
-        recommender.train_and_publish(corpus)
-        recommender.train_and_publish(corpus)
-        dumps = sorted(p.name for p in (tmp_path / "weights").iterdir())
-        assert dumps == ["round_001", "round_002"]
-        loaded = model.load_params(tmp_path / "weights" / "round_002")
-        assert loaded.version == 2

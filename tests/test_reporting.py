@@ -101,25 +101,25 @@ class TestErrorBucketing:
     def test_id_differences_merge_into_one_bucket(self, report):
         first = make_step(body='{"msg": "cannot load group 17"}')
         second = make_step(body='{"msg": "cannot load group 23"}')
-        _, new1 = report.bucket_error([first], 0, KIND_RESPONSE_5XX, iteration=1)
-        record, new2 = report.bucket_error([second], 0, KIND_RESPONSE_5XX, iteration=2)
+        _, new1 = report.bucket_error([first], KIND_RESPONSE_5XX, iteration=1)
+        record, new2 = report.bucket_error([second], KIND_RESPONSE_5XX, iteration=2)
         assert new1 and not new2
         assert record.hits == 2
         assert len(report) == 1
 
     def test_status_code_distinguishes_buckets(self, report):
-        report.bucket_error([make_step(status=500)], 0, KIND_RESPONSE_5XX, 1)
-        report.bucket_error([make_step(status=503)], 0, KIND_RESPONSE_5XX, 1)
+        report.bucket_error([make_step(status=500)], KIND_RESPONSE_5XX, 1)
+        report.bucket_error([make_step(status=503)], KIND_RESPONSE_5XX, 1)
         assert len(report) == 2
 
     def test_kind_distinguishes_buckets(self, report):
-        report.bucket_error([make_step()], 0, KIND_RESPONSE_5XX, 1)
-        report.bucket_error([make_step()], 0, "incorrect_param_usage", 1)
+        report.bucket_error([make_step()], KIND_RESPONSE_5XX, 1)
+        report.bucket_error([make_step()], "incorrect_param_usage", 1)
         assert len(report) == 2
 
     def test_replay_file_written_once(self, report, tmp_path):
-        record, _ = report.bucket_error([make_step()], 0, KIND_RESPONSE_5XX, 1)
-        report.bucket_error([make_step()], 0, KIND_RESPONSE_5XX, 2)
+        record, _ = report.bucket_error([make_step()], KIND_RESPONSE_5XX, 1)
+        report.bucket_error([make_step()], KIND_RESPONSE_5XX, 2)
         replays = list((tmp_path / "replays").glob("*.jsonl"))
         assert [str(p) for p in replays] == [record.replay_path]
         (line,) = [json.loads(l) for l in open(record.replay_path)]
@@ -128,7 +128,7 @@ class TestErrorBucketing:
         assert "headers" not in line
 
     def test_errors_jsonl_round_trips(self, report, tmp_path):
-        report.bucket_error([make_step()], 0, KIND_RESPONSE_5XX, 7)
+        report.bucket_error([make_step()], KIND_RESPONSE_5XX, 7)
         out = tmp_path / "errors.jsonl"
         report.write_jsonl(out)
         (entry,) = [json.loads(l) for l in open(out)]
