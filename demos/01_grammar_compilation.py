@@ -3,11 +3,12 @@
 The grammar file is a small Swagger-v2 subset with extension fields: every
 parameter carries a dictionary of candidate values and a default, and
 producer/consumer relationships are explicit annotations rather than
-heuristics.  Compilation turns it into request templates plus a dependency
-graph that sequence construction later relies on.
+heuristics.  Compilation turns it into request templates, each naming the
+resource type it produces and the types it consumes; sequence construction
+appends a template only once every type it consumes has been produced.
 """
 
-from restfuzz.grammar import parse_spec, satisfiable_templates
+from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import packaged_grammar_path
 
 grammar = parse_spec(packaged_grammar_path().read_bytes())
@@ -28,13 +29,15 @@ for spec in grammar.templates["GET /groups/{id}"].params:
     else:
         print(f"  {spec.name}: {list(spec.dictionary)} (default {spec.default!r})")
 
-print(f"\ndependency edges ({len(grammar.dependency_edges)}):")
-for producer, rtype, consumer in sorted(grammar.dependency_edges):
-    print(f"  {producer} --[{rtype}]--> {consumer}")
+print("\nproducers -> consumers per resource type:")
+for rtype in sorted(grammar.resource_types):
+    producers = ", ".join(t.template_id for t in grammar.producers_of(rtype))
+    consumers = ", ".join(t.template_id for t in grammar.consumers_of(rtype))
+    print(f"  {rtype}: {producers} -> {consumers}")
 
 # Satisfiability grows monotonically with the available resource types:
 # an empty pool only supports templates with no consumer parameters.
 print("\nsatisfiable templates as resources become available:")
-for available in (set(), {"group"}, {"group", "project"}):
-    ids = satisfiable_templates(grammar, available)
+for available in (frozenset(), frozenset({"group"}), frozenset({"group", "project"})):
+    ids = grammar.satisfiable_ids(available)
     print(f"  {sorted(available) or '{}'}: {len(ids)} templates")

@@ -1,10 +1,10 @@
 """Stateful REST API fuzzing framework with a deterministic mock target.
 
 The package splits along the fuzzing pipeline: :mod:`restfuzz.grammar`
-compiles an API description into request templates and producer/consumer
-dependencies, :mod:`restfuzz.sequences` selects and extends sequence
-templates, :mod:`restfuzz.rendering` turns them into concrete requests,
-:mod:`restfuzz.collection` accumulates the datasets that feed
+compiles an API description into request templates that name the types
+they produce and consume, :mod:`restfuzz.sequences` selects and extends
+sequence templates, :mod:`restfuzz.rendering` turns them into concrete
+requests, :mod:`restfuzz.collection` accumulates the datasets that feed
 :mod:`restfuzz.recommender` (a GRU/attention next-pair model) and the
 checkers in :mod:`restfuzz.checkers`.  :mod:`restfuzz.orchestrator` runs
 the loop; :mod:`restfuzz.mock_service` is the desk-scale target with
@@ -21,8 +21,6 @@ from .grammar import (
     UnresolvableConsumer,
     parse_spec,
     parse_spec_file,
-    satisfiable_templates,
-    serialize_spec,
 )
 from .orchestrator import MODES, FuzzConfig, Fuzzer, fuzz_loop
 from .recommender import ModelConfig, Recommender
@@ -58,8 +56,6 @@ __all__ = [
     "parse_spec",
     "parse_spec_file",
     "pass_rate",
-    "satisfiable_templates",
     "select_seed",
     "selection_weights",
-    "serialize_spec",
 ]

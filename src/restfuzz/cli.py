@@ -154,8 +154,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    bugs = BugConfig.parse(args.bugs)
-    handle = serve(args.port, bugs)
+    try:
+        bugs = BugConfig.parse(args.bugs)
+        handle = serve(args.port, bugs)
+    except _INPUT_ERRORS as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     print(f"mock target listening on {handle.base_url} "
           f"(bugs: {', '.join(sorted(bugs.armed)) or 'none'})")
     try:

@@ -117,10 +117,10 @@ class HttpClient:
     request went out are reported as transport outcomes, never retried,
     since the target may already have acted on the request.  A request
     that cannot be written as HTTP/1.1 (a space, control or non-ASCII
-    character in the request target, CR or LF in the auth token) is a
-    transport outcome with nothing sent.  The target is ``http://host:port``
-    or a bare ``host:port``: every request path is sent as rendered, so a
-    target URL with a path, a query or a fragment is refused.
+    character in the request target) is a transport outcome with nothing
+    sent.  The target is ``http://host:port`` or a bare ``host:port``: every
+    request path is sent as rendered, so a target URL with a path, a query
+    or a fragment is refused, as is an auth token with CR or LF in it.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0, auth_token: str | None = None):
@@ -134,6 +134,8 @@ class HttpClient:
                 or parts.username is not None
                 or parts.path not in ("", "/") or parts.query or parts.fragment):
             raise unsupported
+        if auth_token and _CR_OR_LF.search(auth_token):
+            raise ValueError("CR or LF in the auth token")
         self._host = parts.hostname
         self._port = 80 if port is None else port
         host = f"[{self._host}]" if ":" in self._host else self._host
@@ -201,8 +203,6 @@ class HttpClient:
         if body:
             head += "Content-Type: application/json\r\n"
         if self._auth_token:
-            if _CR_OR_LF.search(self._auth_token):
-                raise ValueError("CR or LF in the auth token")
             head += f"Authorization: Bearer {self._auth_token}\r\n"
         return (head + "\r\n").encode("latin-1") + body
 

@@ -1,11 +1,11 @@
-"""Compile a JSON API grammar into request templates and a dependency graph.
+"""Compile a JSON API grammar into request templates.
 
 The grammar format is a small Swagger-v2 subset with extension fields:
 ``x-dictionary`` (candidate literal values), ``x-default`` (the value used
 when nothing overrides it), ``x-consumes`` (this parameter is filled with a
 previously produced object id) and ``x-produces`` (where in a 2xx response
-body the created object id lives).  Producer/consumer edges are derived
-purely from those annotations.
+body the created object id lives).  Each template records the type it
+produces and the types it consumes.
 """
 
 from __future__ import annotations
@@ -101,21 +101,10 @@ class RequestTemplate:
 
 @dataclass(frozen=True)
 class CompiledGrammar:
-    """Immutable compilation result, shared by the whole run.
-
-    The one mutable part is a memo of :meth:`satisfiable_ids`, filled on
-    demand by the fuzzing loop; every fill of an entry stores equal values.
-    """
+    """Immutable compilation result, shared by the whole run."""
 
     templates: dict[str, RequestTemplate]
     resource_types: frozenset[str]
-    dependency_edges: frozenset[tuple[str, str, str]]
-    # available type set -> sorted satisfiable template ids, filled on demand
-    _satisfiable: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def template_ids(self) -> tuple[str, ...]:
-        return tuple(self.templates)
 
     def producers_of(self, resource_type: str) -> tuple[RequestTemplate, ...]:
         return tuple(
@@ -130,13 +119,12 @@ class CompiledGrammar:
         )
 
     def satisfiable_ids(self, available: frozenset[str]) -> tuple[str, ...]:
-        """:func:`satisfiable_templates` sorted by id, computed once per type set."""
-        ids = self._satisfiable.get(available)
-        if ids is None:
-            ids = self._satisfiable[available] = tuple(
-                sorted(satisfiable_templates(self, available))
-            )
-        return ids
+        """Sorted ids of the templates whose every consumed type is in ``available``."""
+        return tuple(sorted(
+            template_id
+            for template_id, template in self.templates.items()
+            if template.consumed_types <= available
+        ))
 
 
 def _parse_param(template_id: str, raw: object, path_placeholders: set[str]) -> ParamSpec:
@@ -250,57 +238,15 @@ def parse_spec(document: bytes | str) -> CompiledGrammar:
             templates[template.template_id] = template
 
     produced = frozenset(t.produces[0] for t in templates.values() if t.produces)
-    edges = set()
-    for consumer in templates.values():
-        for rtype in consumer.consumed_types:
-            if rtype not in produced:
-                raise UnresolvableConsumer(
-                    f"{consumer.template_id}: consumes {rtype!r} which nothing produces"
-                )
-            for producer in templates.values():
-                if producer.produces and producer.produces[0] == rtype:
-                    edges.add((producer.template_id, rtype, consumer.template_id))
-
-    return CompiledGrammar(templates, produced, frozenset(edges))
+    for template in templates.values():
+        if missing := template.consumed_types - produced:
+            raise UnresolvableConsumer(
+                f"{template.template_id}: consumes {', '.join(map(repr, sorted(missing)))} "
+                "which nothing produces"
+            )
+    return CompiledGrammar(templates, produced)
 
 
 def parse_spec_file(path) -> CompiledGrammar:
     with open(path, "rb") as fh:
         return parse_spec(fh.read())
-
-
-def serialize_spec(grammar: CompiledGrammar) -> bytes:
-    """The grammar as a JSON document; ``parse_spec`` round-trips it."""
-    paths: dict[str, dict] = {}
-    for template in grammar.templates.values():
-        entry: dict = {"parameters": []}
-        for spec in template.params:
-            raw: dict = {
-                "name": spec.name,
-                "in": spec.location,
-                "type": spec.value_type,
-                "required": spec.required,
-            }
-            if spec.is_consumer:
-                raw["x-consumes"] = spec.consumes
-            else:
-                raw["x-dictionary"] = list(spec.dictionary)
-                raw["x-default"] = spec.default
-            entry["parameters"].append(raw)
-        if template.produces:
-            entry["x-produces"] = {
-                "type": template.produces[0],
-                "pointer": template.produces[1],
-            }
-        paths.setdefault(template.path, {})[template.method] = entry
-    return json.dumps({"paths": paths}, indent=2).encode("utf-8")
-
-
-def satisfiable_templates(grammar: CompiledGrammar, available: set[str] | frozenset[str]) -> list[str]:
-    """Template ids whose every consumed type is in ``available``, in stable
-    grammar order."""
-    return [
-        template_id
-        for template_id, template in grammar.templates.items()
-        if template.consumed_types <= available
-    ]

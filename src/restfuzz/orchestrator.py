@@ -78,7 +78,10 @@ class FuzzConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:  # NaN too
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        HttpClient(self.target)  # refuses an unsupported target url; opens no socket
+        if self.dump_weights and not self.report_dir:
+            raise ValueError("dump_weights needs a report_dir to write the weights under")
+        # Refuses an unsupported target url or auth token; opens no socket.
+        HttpClient(self.target, auth_token=self.auth_token)
 
 
 class Fuzzer:
@@ -108,11 +111,7 @@ class Fuzzer:
             )
         self.store = CollectionStore(grammar, persist=self._persist)
 
-        self._weights_dir = (
-            self._report_dir / "weights"
-            if config.dump_weights and self._report_dir is not None
-            else None
-        )
+        self._weights_dir = self._report_dir / "weights" if config.dump_weights else None
         self.recommender = (
             Recommender(grammar, ModelConfig(), self._rng_trainer)
             if self.render_mode is RenderMode.MODEL

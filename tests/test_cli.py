@@ -121,6 +121,35 @@ class TestFuzzArguments:
         with HttpClient(target.base_url) as client:
             assert json.loads(client.send(ReadyRequest("GET", "/__coverage")).body) == {}
 
+    def test_auth_token_with_cr_or_lf_exits_2_and_sends_nothing(self, target, tmp_path, capsys):
+        argv = fuzz_argv(target.base_url, tmp_path / "run", "--auth-token", "a\nb")
+        assert cli.main(argv) == 2
+        assert_one_line(capsys.readouterr().err, "fuzz: ", "CR or LF in the auth token")
+        assert not (tmp_path / "run").exists()
+        with HttpClient(target.base_url) as client:
+            assert json.loads(client.send(ReadyRequest("GET", "/__coverage")).body) == {}
+
+    def test_dump_weights_without_report_dir_exits_2(self, capsys):
+        argv = ["fuzz", "--spec", str(packaged_grammar_path()), "--target", "http://127.0.0.1:9",
+                "--max-requests", "10", "--dump-weights"]
+        assert cli.main(argv) == 2
+        assert_one_line(capsys.readouterr().err, "fuzz: ", "report_dir")
+
+
+class TestServeArguments:
+    def test_a_port_in_use_exits_2(self, target, capsys):
+        assert cli.main(["serve", "--port", str(target.port)]) == 2
+        assert_one_line(capsys.readouterr().err, "serve: ", "in use")
+
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_a_port_out_of_range_exits_2(self, port, capsys):
+        assert cli.main(["serve", "--port", port]) == 2
+        assert_one_line(capsys.readouterr().err, "serve: ", "0-65535")
+
+    def test_an_unknown_bug_id_exits_2(self, capsys):
+        assert cli.main(["serve", "--port", "0", "--bugs", "b-uaf,b-typo"]) == 2
+        assert_one_line(capsys.readouterr().err, "serve: ", "b-typo")
+
 
 def assert_one_line(err, prefix, reason=""):
     assert err.startswith(prefix) and reason in err

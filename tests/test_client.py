@@ -213,10 +213,9 @@ class TestRequestBytes:
         head = HttpClient("http://127.0.0.1:9")._encode(ReadyRequest("POST", "/g", body=body))
         assert head.split(b"\r\n\r\n", 1)[1] == json.dumps(body).encode()
 
-    def test_auth_token_with_crlf_is_transport_with_nothing_sent(self, target):
-        target.script = [reply(ok(b"[]"))]
-        with HttpClient(target.url, timeout=TIMEOUT, auth_token="x\r\nX-Injected: 1") as client:
-            assert client.send(ReadyRequest("GET", "/groups")).klass is ResponseClass.TRANSPORT
+    def test_auth_token_with_crlf_is_refused_at_construction(self, target):
+        with pytest.raises(ValueError, match="CR or LF in the auth token"):
+            HttpClient(target.url, timeout=TIMEOUT, auth_token="x\r\nX-Injected: 1")
         assert target.requests == []
 
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +9,6 @@ from restfuzz.grammar import (
     MalformedSpec,
     UnresolvableConsumer,
     parse_spec,
-    satisfiable_templates,
-    serialize_spec,
 )
 
 from conftest import build_spec, groups_paths
@@ -34,25 +30,32 @@ class TestParseSpec:
         with pytest.raises(UnresolvableConsumer):
             parse_spec(build_spec(groups_paths(with_producer=False)))
 
+    def test_unresolvable_consumer_names_every_missing_type_sorted(self):
+        consumer = {"name": "id", "in": "path", "type": "integer", "x-consumes": "user"}
+        paths = {"/t/{id}/{oid}": {"GET": {"parameters": [
+            consumer, {**consumer, "name": "oid", "x-consumes": "org"},
+        ]}}}
+        with pytest.raises(UnresolvableConsumer,
+                           match=r"^GET /t/\{id\}/\{oid\}: consumes 'org', 'user' which"):
+            parse_spec(build_spec(paths))
+
     def test_empty_spec_compiles_to_empty_grammar(self):
         g = parse_spec(build_spec({}))
         assert g.templates == {}
         assert g.resource_types == frozenset()
-        assert g.dependency_edges == frozenset()
+        assert g.producers_of("group") == g.consumers_of("group") == ()
 
     def test_dependency_edge_derived_from_annotations(self, two_template_grammar):
-        assert two_template_grammar.dependency_edges == frozenset(
-            {("POST /groups", "group", "GET /groups/{id}")}
-        )
+        g = two_template_grammar
+        assert g.producers_of("group") == (g.templates["POST /groups"],)
+        assert g.consumers_of("group") == (g.templates["GET /groups/{id}"],)
+        assert g.producers_of("project") == g.consumers_of("project") == ()
 
     def test_identical_bytes_identical_grammar(self):
         raw = build_spec(groups_paths())
         first, second = parse_spec(raw), parse_spec(raw)
         assert first == second
         assert list(first.templates) == list(second.templates)
-
-    def test_round_trip(self, two_template_grammar):
-        assert parse_spec(serialize_spec(two_template_grammar)) == two_template_grammar
 
     def test_invalid_json_is_malformed(self):
         with pytest.raises(MalformedSpec):
@@ -108,45 +111,46 @@ class TestTemplateFacts:
         assert "consumed_types" not in repr(get)
 
 
+def scan(grammar, available):
+    """The satisfiable ids by definition: every consumed type is available, sorted."""
+    return tuple(sorted(
+        template_id for template_id, template in grammar.templates.items()
+        if all(rtype in available for rtype in template.consumed_types)
+    ))
+
+
+TYPES = st.frozensets(st.sampled_from(["group", "project", "user"]))
+
+
 class TestSatisfiableTemplates:
     def test_no_resources_yields_only_independent_templates(self, two_template_grammar):
-        assert satisfiable_templates(two_template_grammar, set()) == ["POST /groups"]
+        assert two_template_grammar.satisfiable_ids(frozenset()) == ("POST /groups",)
 
     def test_group_available_yields_both(self, two_template_grammar):
-        got = satisfiable_templates(two_template_grammar, {"group"})
-        assert set(got) == {"POST /groups", "GET /groups/{id}"}
-        # stable: repeated calls keep the grammar's template order
-        assert got == satisfiable_templates(two_template_grammar, {"group"})
-        assert got == [
-            t for t in two_template_grammar.template_ids if t in set(got)
-        ]
+        assert two_template_grammar.satisfiable_ids(frozenset({"group"})) == (
+            "GET /groups/{id}", "POST /groups",
+        )
 
     def test_unrelated_resource_yields_only_producer(self, two_template_grammar):
-        assert satisfiable_templates(two_template_grammar, {"project"}) == ["POST /groups"]
+        assert two_template_grammar.satisfiable_ids(frozenset({"project"})) == ("POST /groups",)
 
     def test_returned_iff_consumes_subset(self, two_template_grammar):
         g = two_template_grammar
         available = frozenset({"group"})
-        returned = set(satisfiable_templates(g, available))
+        returned = set(g.satisfiable_ids(available))
         for template_id, template in g.templates.items():
             if template_id in returned:
                 assert template.consumed_types <= available
             else:
                 assert not template.consumed_types <= available
 
-    @given(available=st.frozensets(st.sampled_from(["group", "project", "user"])))
+    @given(available=TYPES)
     @settings(max_examples=30, deadline=None)
     def test_satisfiable_ids_are_the_sorted_scan(self, mock_grammar, available):
-        ids = mock_grammar.satisfiable_ids(available)
-        assert ids == tuple(sorted(satisfiable_templates(mock_grammar, available)))
-        assert mock_grammar.satisfiable_ids(frozenset(available)) is ids  # computed once
+        assert mock_grammar.satisfiable_ids(available) == scan(mock_grammar, available)
 
-    @given(
-        a=st.frozensets(st.sampled_from(["group", "project", "user"]), max_size=3),
-        extra=st.frozensets(st.sampled_from(["group", "project", "user"]), max_size=3),
-    )
+    @given(a=TYPES, extra=TYPES)
     @settings(max_examples=50, deadline=None)
-    def test_monotonic_in_available_set(self, a, extra):
-        g = parse_spec(build_spec(groups_paths()))
+    def test_monotonic_in_available_set(self, mock_grammar, a, extra):
         b = a | extra
-        assert set(satisfiable_templates(g, a)) <= set(satisfiable_templates(g, b))
+        assert set(mock_grammar.satisfiable_ids(a)) <= set(mock_grammar.satisfiable_ids(b))

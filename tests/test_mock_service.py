@@ -245,9 +245,8 @@ def template_request(template, values):
 
 
 def random_request(grammar, rng):
-    template = grammar.templates[
-        grammar.template_ids[int(rng.integers(len(grammar.template_ids)))]
-    ]
+    templates = list(grammar.templates.values())
+    template = templates[int(rng.integers(len(templates)))]
     values = {}
     for spec in template.params:
         if spec.is_consumer:
@@ -468,9 +467,11 @@ class TestWire:
 
 class TestGrammarShipsWithService:
     def test_parses_with_producers_for_both_resources(self, mock_grammar):
-        edges = mock_grammar.dependency_edges
-        assert ("POST /groups", "group", "DELETE /groups/{id}") in edges
-        assert ("POST /projects", "project", "GET /projects/{id}") in edges
+        g = mock_grammar
+        assert g.templates["POST /groups"] in g.producers_of("group")
+        assert g.templates["DELETE /groups/{id}"] in g.consumers_of("group")
+        assert g.templates["POST /projects"] in g.producers_of("project")
+        assert g.templates["GET /projects/{id}"] in g.consumers_of("project")
 
     def test_every_template_is_an_endpoint(self, mock_grammar):
         actions = {(endpoint.template.template_id, endpoint.action, endpoint.resource)
