@@ -30,7 +30,6 @@ for mode in ("baseline", "miner"):
         mode=mode,
         max_requests=REQUESTS,
         seed=1,
-        train_interval=None,
         train_every_requests=800,
         enable_uaf_checker=True,
         enable_datadriven_checker=(mode == "miner"),

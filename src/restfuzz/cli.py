@@ -7,6 +7,7 @@ import json
 import logging
 import sys
 from contextlib import contextmanager, nullcontext
+from dataclasses import fields
 from pathlib import Path
 from typing import ContextManager, Iterator
 
@@ -35,9 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--max-requests", type=int, default=None, help="budget in requests")
     fuzz.add_argument("--seed", type=int, default=FuzzConfig.seed)
     fuzz.add_argument("--train-interval", type=float, default=FuzzConfig.train_interval,
-                      help="seconds between training rounds")
+                      help="seconds between training rounds, unless --train-every-requests")
     fuzz.add_argument("--train-every-requests", type=int, default=None,
-                      help="trigger training every N requests instead of by time")
+                      help="train every N requests instead of by time")
     fuzz.add_argument("--train-sync", action="store_true",
                       help="accepted and ignored: training always runs inline")
     fuzz.add_argument("--enable-uaf-checker", action="store_true")
@@ -100,21 +101,9 @@ def _stderr_log(verbose: bool) -> ContextManager[None]:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     try:
-        config = FuzzConfig(
-            target=args.target,
-            mode=args.mode,
-            max_requests=args.max_requests,
-            duration=args.duration,
-            seed=args.seed,
-            train_interval=args.train_interval,
-            train_every_requests=args.train_every_requests,
-            enable_uaf_checker=args.enable_uaf_checker,
-            enable_datadriven_checker=args.enable_datadriven_checker,
-            report_dir=args.report_dir,
-            max_sequence_length=args.max_sequence_length,
-            auth_token=args.auth_token,
-            dump_weights=args.dump_weights,
-        )
+        # Every FuzzConfig field is the flag of the same name.
+        config = FuzzConfig(**{field.name: getattr(args, field.name)
+                               for field in fields(FuzzConfig)})
         fuzzer = Fuzzer(config, parse_spec_file(args.spec))  # makes the report dir
     except _INPUT_ERRORS as exc:
         print(f"fuzz: {exc}", file=sys.stderr)

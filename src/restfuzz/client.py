@@ -36,6 +36,7 @@ _RECV_SIZE = 64 * 1024
 _BODY_METHODS = frozenset({"POST", "PUT", "PATCH"})  # sent with Content-Length: 0 when bodiless
 _BAD_TARGET = re.compile(r"[^\x21-\x7e]")  # controls, space, DEL, non-ASCII
 _CR_OR_LF = re.compile(r"[\r\n]")
+_NOT_LATIN1 = re.compile(r"[^\x00-\xff]")  # what a head encoded as latin-1 cannot carry
 _UNRESERVED = re.compile(r"[A-Za-z0-9_.~-]*")  # what urlencode leaves unquoted
 _BLANK_LINE = re.compile(rb"\n\r?\n")  # ends a head, with the \r before it if any
 
@@ -120,7 +121,8 @@ class HttpClient:
     character in the request target) is a transport outcome with nothing
     sent.  The target is ``http://host:port`` or a bare ``host:port``: every
     request path is sent as rendered, so a target URL with a path, a query
-    or a fragment is refused, as is an auth token with CR or LF in it.
+    or a fragment is refused, as is an auth token with CR or LF in it or
+    with a character latin-1 cannot encode.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0, auth_token: str | None = None):
@@ -136,6 +138,8 @@ class HttpClient:
             raise unsupported
         if auth_token and _CR_OR_LF.search(auth_token):
             raise ValueError("CR or LF in the auth token")
+        if auth_token and _NOT_LATIN1.search(auth_token):
+            raise ValueError("the auth token has a character latin-1 cannot encode")
         self._host = parts.hostname
         self._port = 80 if port is None else port
         host = f"[{self._host}]" if ":" in self._host else self._host

@@ -214,8 +214,8 @@ _ERROR_REPLY = _json_reply(500, {"message": "500 Internal Server Error"})
 
 
 def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
-             query: dict[str, str], body: dict[str, str]) -> _Reply:
-    eid = endpoint.template.template_id
+             query: dict[str, str], body: dict[str, str]) -> tuple[str, _Reply]:
+    """Run one request on ``endpoint``: the coverage branch it took, and the reply."""
     values: dict[str, str] = {}  # each defined parameter, read from its own location
 
     # Syntax/semantic checking of the defined parameters comes first; a
@@ -223,19 +223,16 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
     for name, location, required, value_ok in endpoint.checks:
         if location == "path":  # an object id, which the mock allocates as an integer
             if not _INT_RE.match(path_values.get(name, "")):
-                state.hit(eid, "invalid_param")
-                return _bad(f"path parameter {name!r} must be an integer")
+                return "invalid_param", _bad(f"path parameter {name!r} must be an integer")
             continue
         source = query if location == "query" else body
         if name not in source:
             if required:
-                state.hit(eid, "missing_required")
-                return _bad(f"missing required parameter {name!r}")
+                return "missing_required", _bad(f"missing required parameter {name!r}")
             continue
         value = source[name]
         if not value_ok(value):
-            state.hit(eid, "invalid_param")
-            return _bad(f"invalid value for parameter {name!r}")
+            return "invalid_param", _bad(f"invalid value for parameter {name!r}")
         values[name] = value
 
     bugs = state.bugs
@@ -247,13 +244,11 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
             and resource == "group"
             and values.get("parent_id") in _PARENT_ID_TRIGGERS
         ):
-            state.hit(eid, "bug_parentid")
-            return _ERROR_REPLY
+            return "bug_parentid", _ERROR_REPLY
         obj_id = state.allocate(resource)
         fields = {name: values.get(name, default) for name, default in endpoint.body}
         state.live[resource][obj_id] = fields
-        state.hit(eid, "created")
-        return _json_reply(201, {"id": obj_id, **fields})
+        return "created", _json_reply(201, {"id": obj_id, **fields})
 
     if endpoint.action == "list":
         if (
@@ -261,8 +256,7 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
             and resource == "group"
             and values.get("per_page") == "0"
         ):
-            state.hit(eid, "bug_perpage")
-            return _ERROR_REPLY
+            return "bug_perpage", _ERROR_REPLY
         # Ids are allocated in increasing order and live objects keep
         # insertion order, so the first per_page are the lowest ids.
         per_page = int(values.get("per_page", "20"))
@@ -270,8 +264,7 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
             {"id": obj_id, **fields}
             for obj_id, fields in islice(state.live[resource].items(), per_page)
         ]
-        state.hit(eid, "listed" if items else "empty_page")
-        return _json_reply(200, items)
+        return ("listed" if items else "empty_page"), _json_reply(200, items)
 
     # Item-scoped actions below.
     obj_id = int(path_values["id"])
@@ -279,20 +272,15 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
 
     if endpoint.action == "attributes":
         if obj_id in live:
-            state.hit(eid, "ok")
-            return _json_reply(200, {"id": obj_id, "custom_attributes": []})
+            return "ok", _json_reply(200, {"id": obj_id, "custom_attributes": []})
         if obj_id in state.tombstones[resource] and bugs.has(BUG_UAF) and resource == "group":
-            state.hit(eid, "bug_uaf")
-            return _ERROR_REPLY
-        state.hit(eid, "not_found")
-        return _NOT_FOUND
+            return "bug_uaf", _ERROR_REPLY
+        return "not_found", _NOT_FOUND
 
     if endpoint.action == "get":
         if obj_id in live:
-            state.hit(eid, "ok")
-            return _json_reply(200, {"id": obj_id, **live[obj_id]})
-        state.hit(eid, "not_found")
-        return _NOT_FOUND
+            return "ok", _json_reply(200, {"id": obj_id, **live[obj_id]})
+        return "not_found", _NOT_FOUND
 
     if endpoint.action == "update":
         if (
@@ -301,25 +289,20 @@ def _execute(state: _State, endpoint: MockEndpoint, path_values: dict[str, str],
             and (_UNDEF_TRIGGER_PARAM in query or _UNDEF_TRIGGER_PARAM in body)
             and _UNDEF_TRIGGER_PARAM not in endpoint.template.param_names
         ):
-            state.hit(eid, "bug_undef")
-            return _ERROR_REPLY
+            return "bug_undef", _ERROR_REPLY
         if obj_id not in live:
-            state.hit(eid, "not_found")
-            return _NOT_FOUND
+            return "not_found", _NOT_FOUND
         for name, _ in endpoint.body:
             if name in values:
                 live[obj_id][name] = values[name]
-        state.hit(eid, "updated")
-        return _json_reply(200, {"id": obj_id, **live[obj_id]})
+        return "updated", _json_reply(200, {"id": obj_id, **live[obj_id]})
 
     # The one action left (see _ACTIONS) is delete.
     if obj_id not in live:
-        state.hit(eid, "not_found")
-        return _NOT_FOUND
+        return "not_found", _NOT_FOUND
     del live[obj_id]
     state.tombstones[resource].add(obj_id)
-    state.hit(eid, "deleted")
-    return _NO_CONTENT
+    return "deleted", _NO_CONTENT
 
 
 class _Shape(NamedTuple):
@@ -527,22 +510,22 @@ class _Handler(socketserver.BaseRequestHandler):
             self._respond(_json_reply(200, dict(sorted(state.coverage.items()))))
             return
 
+        # Every other request counts exactly one coverage branch, here.
         endpoint, path_values, path_known = self.server.routes.match(method, segments)
         if endpoint is None:
-            if path_known:
-                state.hit("_router", "method_not_allowed")
-                self._respond(_METHOD_NOT_ALLOWED)
+            owner = "_router"
+            branch, reply = (("method_not_allowed", _METHOD_NOT_ALLOWED) if path_known
+                             else ("no_route", _NOT_FOUND))
+        else:
+            owner = endpoint.template.template_id
+            body = _json_object(self.body)
+            if body is None:
+                branch, reply = "malformed_body", _bad("body must be a JSON object")
             else:
-                state.hit("_router", "no_route")
-                self._respond(_NOT_FOUND)
-            return
-
-        body = _json_object(self.body)
-        if body is None:
-            state.hit(endpoint.template.template_id, "malformed_body")
-            self._respond(_bad("body must be a JSON object"))
-            return
-        self._respond(_execute(state, endpoint, path_values, _parse_query(self.query), body))
+                branch, reply = _execute(state, endpoint, path_values,
+                                         _parse_query(self.query), body)
+        state.hit(owner, branch)
+        self._respond(reply)
 
 
 class MockServer(socketserver.ThreadingTCPServer):

@@ -113,7 +113,7 @@ class Fuzzer:
 
         self._weights_dir = self._report_dir / "weights" if config.dump_weights else None
         self.recommender = (
-            Recommender(grammar, ModelConfig(), self._rng_trainer)
+            Recommender(ModelConfig(), self._rng_trainer)
             if self.render_mode is RenderMode.MODEL
             else None
         )
@@ -155,20 +155,12 @@ class Fuzzer:
     # -- training --------------------------------------------------------
 
     def _train_due(self) -> bool:
-        if self.config.train_every_requests is not None:
-            if (
-                self.metrics.requests_sent - self._last_train_requests
-                >= self.config.train_every_requests
-            ):
-                return True
-        if self.config.train_interval is not None:
-            if (
-                self._last_train_time is not None
-                and time.monotonic() - self._last_train_time
-                >= self.config.train_interval
-            ):
-                return True
-        return False
+        """Every ``train_every_requests`` requests if set, else every ``train_interval`` s."""
+        every = self.config.train_every_requests
+        if every is not None:
+            return self.metrics.requests_sent - self._last_train_requests >= every
+        interval = self.config.train_interval
+        return interval is not None and time.monotonic() - self._last_train_time >= interval
 
     def _maybe_train(self) -> None:
         if self.recommender is None or not self._train_due():
@@ -182,10 +174,11 @@ class Fuzzer:
             # round's events stay in the next round's corpus.
             self._trained_through_iteration = self.store.iteration - 1
             if result is not None:
+                self.metrics.train_rounds += 1
                 self.metrics.note_first_training()
                 if self._weights_dir is not None:
                     self._weights_dir.mkdir(exist_ok=True)
-                    path = self._weights_dir / f"round_{self.recommender.rounds:03d}.npz"
+                    path = self._weights_dir / f"round_{self.metrics.train_rounds:03d}.npz"
                     np.savez(path, **result.params.blocks())
         except Exception:
             # A bad round must not end the run: log it, count it, go on.
@@ -246,8 +239,6 @@ class Fuzzer:
             client.close()
             self.metrics.wall_time = time.monotonic() - self._started
             self.metrics.unique_errors = len(self.errors)
-            if self.recommender is not None:
-                self.metrics.train_rounds = self.recommender.rounds
             if self._persist is not None:
                 self._persist.close()
             self._write_reports()

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import model
 from .collection import PairList, ParamValuePair
-from .grammar import CompiledGrammar
 
 logger = logging.getLogger("restfuzz.training")
 
@@ -40,10 +39,6 @@ class RoundCut(Exception):
 
 class UnknownTemplate(Exception):
     """The vocabulary has no name token for the requested template."""
-
-
-class ForeignPair(Exception):
-    """A param-value list names a parameter the template does not define."""
 
 
 @dataclass(frozen=True)
@@ -336,12 +331,10 @@ def generate_lists(
 class Recommender:
     """Owns the published list snapshot and the train-generate cycle."""
 
-    def __init__(self, grammar: CompiledGrammar, config: ModelConfig, rng: np.random.Generator):
-        self._grammar = grammar
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self._config = config
         self._rng = rng
         self._snapshot: dict[str, tuple[PairList, ...]] = {}
-        self.rounds = 0
 
     def snapshot(self) -> dict[str, tuple[PairList, ...]]:
         """The current published mapping; ``publish`` replaces it, never edits it."""
@@ -350,18 +343,14 @@ class Recommender:
     def publish(self, lists: Mapping[str, Sequence[PairList]]) -> None:
         """Merge new lists, keyed by template, into a copy of the snapshot and replace it.
 
-        Lists are validated against the grammar (no foreign pairs), deduped
-        against what is already published, and capped per template with the
-        oldest entries evicted first.  A foreign pair anywhere raises
-        :class:`ForeignPair` and leaves the snapshot as it was.
+        Lists are deduped against what is already published and capped per
+        template with the oldest entries evicted first.  They are not checked
+        against the grammar: the store records only a template's own
+        non-consumer parameters, and :func:`generate_lists` draws only the
+        template's own pair tokens.
         """
         updated = dict(self._snapshot)
         for template_id, new_lists in lists.items():
-            defaults = self._grammar.templates[template_id].defaults()
-            foreign = {name for pairs in new_lists for name, _ in pairs} - defaults.keys()
-            if foreign:
-                raise ForeignPair(f"{template_id}: {sorted(foreign)} are not defined "
-                                  "non-consumer parameters")
             merged = list(updated.get(template_id, ()))
             known = set(merged)
             for pairs in new_lists:
@@ -397,6 +386,5 @@ class Recommender:
             )
             for template_id in result.vocab.template_ids()
         })
-        self.rounds += 1
         return result
 

@@ -110,9 +110,9 @@ def render_with_list(
 ) -> RenderedStep:
     """Defaults everywhere, overridden by ``pairs``.
 
-    ``pairs`` is checked where it is made: model output when it is
-    published, recorded pairs and lists by construction (the store keeps
-    only the template's own non-consumer parameters).
+    ``pairs`` names only the template's own non-consumer parameters by
+    construction, so nothing checks it: the store records no other
+    parameter, and model output draws only the template's own pair tokens.
     """
     overrides = dict(pairs)
     return _render(template, pool, lambda spec: overrides.get(spec.name, spec.default))

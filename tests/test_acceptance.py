@@ -247,7 +247,6 @@ def test_criterion_5_end_to_end_bug_discovery(bug_discovery):
             mode="miner",
             max_requests=20000,
             seed=0,
-            train_interval=None,
             train_every_requests=2000,
             enable_uaf_checker=True,
             enable_datadriven_checker=False,
@@ -280,7 +279,6 @@ def test_criterion_6_ablation_analogues():
                         mode=mode,
                         max_requests=10000,
                         seed=seed,
-                        train_interval=None,
                         train_every_requests=800,
                     )
                     metrics = Fuzzer(config, GRAMMAR).run()
@@ -326,7 +324,6 @@ def test_criterion_7_checker_precision():
                 mode="miner",
                 max_requests=50000,
                 seed=13,
-                train_interval=None,
                 train_every_requests=20000,
                 enable_uaf_checker=True,
                 enable_datadriven_checker=True,

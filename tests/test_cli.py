@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -12,6 +13,7 @@ import pytest
 from restfuzz import cli
 from restfuzz.client import HttpClient
 from restfuzz.mock_service import BugConfig, packaged_grammar_path, serve
+from restfuzz.orchestrator import FuzzConfig
 from restfuzz.rendering import ReadyRequest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -128,6 +130,28 @@ class TestFuzzArguments:
         assert not (tmp_path / "run").exists()
         with HttpClient(target.base_url) as client:
             assert json.loads(client.send(ReadyRequest("GET", "/__coverage")).body) == {}
+
+    def test_auth_token_latin_1_cannot_encode_exits_2_and_sends_nothing(
+        self, target, tmp_path, capsys
+    ):
+        argv = fuzz_argv(target.base_url, tmp_path / "run", "--auth-token", "\u20ac")
+        assert cli.main(argv) == 2
+        assert_one_line(capsys.readouterr().err, "fuzz: ", "latin-1 cannot encode")
+        assert not (tmp_path / "run").exists()
+        with HttpClient(target.base_url) as client:
+            assert json.loads(client.send(ReadyRequest("GET", "/__coverage")).body) == {}
+
+    def test_every_config_field_is_the_flag_of_the_same_name(self):
+        fuzz = cli._build_parser()._subparsers._group_actions[0].choices["fuzz"]
+        flags = {action.dest: action.option_strings for action in fuzz._actions}
+        for field in dataclasses.fields(FuzzConfig):
+            assert flags[field.name] == ["--" + field.name.replace("_", "-")]
+        # The flags' defaults are the config's defaults.
+        args = fuzz.parse_args(["--spec", "s.json", "--target", "http://x",
+                                "--max-requests", "1"])
+        assert FuzzConfig(**{field.name: getattr(args, field.name)
+                             for field in dataclasses.fields(FuzzConfig)}) == FuzzConfig(
+            target="http://x", max_requests=1)
 
     def test_dump_weights_without_report_dir_exits_2(self, capsys):
         argv = ["fuzz", "--spec", str(packaged_grammar_path()), "--target", "http://127.0.0.1:9",

@@ -218,6 +218,15 @@ class TestRequestBytes:
             HttpClient(target.url, timeout=TIMEOUT, auth_token="x\r\nX-Injected: 1")
         assert target.requests == []
 
+    def test_auth_token_latin_1_cannot_encode_is_refused_at_construction(self, target):
+        with pytest.raises(ValueError, match="latin-1 cannot encode"):
+            HttpClient(target.url, timeout=TIMEOUT, auth_token="s3cret\u20ac")
+        assert target.requests == []
+        target.script = [reply(ok())]
+        with HttpClient(target.url, timeout=TIMEOUT, auth_token="caf\xe9") as client:
+            assert client.send(ReadyRequest("GET", "/groups")).status == 200
+        assert b"Authorization: Bearer caf\xe9\r\n" in target.requests[-1]
+
 
 class TestTargetUrl:
     @pytest.mark.parametrize("url", [

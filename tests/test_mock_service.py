@@ -5,7 +5,7 @@ import json
 import socket
 import threading
 import time
-
+from collections import Counter
 from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
@@ -677,15 +677,69 @@ class TestListAction:
                 continue
             endpoint = by_key[op[1], op[0]]
             if op[0] == "create":
-                reply = mock_service._execute(
+                branch, reply = mock_service._execute(
                     state, endpoint, {}, {}, {"name": "web-app", "path": "eng"})
-                assert reply.status == 201
+                assert (branch, reply.status) == ("created", 201)
             elif op[0] == "list":
                 expected = [{"id": obj_id, **fields}
                             for obj_id, fields in sorted(state.live[op[1]].items())][:op[2]]
-                reply = mock_service._execute(
+                branch, reply = mock_service._execute(
                     state, endpoint, {}, {"per_page": str(op[2])}, {})
+                assert branch == ("listed" if expected else "empty_page")
                 assert (reply.status, reply.body) == (200, json.dumps(expected).encode())
             else:
                 body = {"name": "qa-team", "description": "beta"} if op[0] == "update" else {}
-                mock_service._execute(state, endpoint, {"id": str(op[2])}, {}, body)
+                live = op[2] in state.live[op[1]]
+                branch, _ = mock_service._execute(state, endpoint, {"id": str(op[2])}, {}, body)
+                assert branch == (f"{op[0]}d" if live else "not_found")  # updated, deleted
+
+
+class TestCoverageCounting:
+    """Every request the mock dispatches counts exactly one coverage branch."""
+
+    GROUP = {"name": "dev-team", "path": "eng"}
+    STREAM = [  # (method, path, query, body, the branch it takes)
+        ("GET", "/no/such/route", {}, None, "_router:no_route"),
+        ("PUT", "/groups", {}, None, "_router:method_not_allowed"),
+        ("GET", "/groups", {}, None, "GET /groups:empty_page"),
+        ("POST", "/groups", {}, {"path": "eng"}, "POST /groups:missing_required"),
+        ("POST", "/groups", {}, {**GROUP, "name": "Dev Team"}, "POST /groups:invalid_param"),
+        ("GET", "/groups/abc", {}, None, "GET /groups/{id}:invalid_param"),
+        ("POST", "/groups", {}, GROUP, "POST /groups:created"),
+        ("POST", "/groups", {}, {**GROUP, "parent_id": "2"}, "POST /groups:bug_parentid"),
+        ("GET", "/groups", {}, None, "GET /groups:listed"),
+        ("GET", "/groups", {"per_page": "0"}, None, "GET /groups:bug_perpage"),
+        ("GET", "/groups/1", {}, None, "GET /groups/{id}:ok"),
+        ("GET", "/groups/1/attributes", {}, None, "GET /groups/{id}/attributes:ok"),
+        ("PUT", "/groups/1", {}, {"name": "qa-team"}, "PUT /groups/{id}:updated"),
+        ("PUT", "/groups/1", {"initialize_with_readme": "true"}, {"name": "qa-team"},
+         "PUT /groups/{id}:bug_undef"),
+        ("DELETE", "/groups/1", {}, None, "DELETE /groups/{id}:deleted"),
+        ("GET", "/groups/1/attributes", {}, None, "GET /groups/{id}/attributes:bug_uaf"),
+        ("GET", "/groups/1", {}, None, "GET /groups/{id}:not_found"),
+        ("PUT", "/groups/1", {}, {"name": "qa-team"}, "PUT /groups/{id}:not_found"),
+        ("DELETE", "/groups/1", {}, None, "DELETE /groups/{id}:not_found"),
+        ("GET", "/groups/9/attributes", {}, None, "GET /groups/{id}/attributes:not_found"),
+    ]
+
+    def test_counters_sum_to_the_requests_sent(self, mock_grammar):
+        handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
+        try:
+            with HttpClient(handle.base_url) as client:
+                for method, path, query, body, _ in self.STREAM:
+                    client.send(ReadyRequest(method, path, query=query, body=body))
+                malformed = b"POST /groups HTTP/1.1\r\nContent-Length: 3\r\n\r\n[1]"
+                assert exchange(handle, malformed)[0] == 400
+                coverage = json.loads(client.send(ReadyRequest("GET", "/__coverage")).body)
+                expected = Counter(label for *_, label in self.STREAM)
+                expected["POST /groups:malformed_body"] += 1
+                assert coverage == expected
+
+                client.send(ReadyRequest("POST", "/__reset"))
+                rng = np.random.default_rng(5)
+                for _ in range(300):
+                    client.send(random_request(mock_grammar, rng))
+                coverage = json.loads(client.send(ReadyRequest("GET", "/__coverage")).body)
+                assert sum(coverage.values()) == 300
+        finally:
+            handle.stop()

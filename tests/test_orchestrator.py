@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +43,6 @@ def quick_config(base_url, mode="miner", requests=400, seed=3, **overrides):
         mode=mode,
         max_requests=requests,
         seed=seed,
-        train_interval=None,
         train_every_requests=150,
     )
     defaults.update(overrides)
@@ -214,6 +215,57 @@ class TestFuzzLoop:
         assert calls > 0, "no round started inside the budget"
         assert metrics.train_rounds == 0
         assert metrics.train_rounds_failed == 0
+
+
+def rounds_started_at(config, grammar, monkeypatch) -> list[int]:
+    """Requests sent when each round started, on a clock that reads an hour later each time."""
+    clock = itertools.count(0.0, 3600.0)
+    monkeypatch.setattr(orch, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    fuzzer = Fuzzer(config, grammar)
+    sent: list[int] = []
+    real = fuzzer.recommender.train_and_publish
+
+    def noting(*args, **kwargs):
+        sent.append(fuzzer.metrics.requests_sent)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fuzzer.recommender, "train_and_publish", noting)
+    fuzzer.run()
+    return sent
+
+
+class TestTrainingTrigger:
+    """``train_every_requests`` replaces the time trigger; it does not add to it."""
+
+    def test_with_both_set_rounds_follow_requests_only(self, mock_grammar, target, monkeypatch):
+        config = quick_config(target.base_url, requests=400, train_interval=1.0)
+        sent = rounds_started_at(config, mock_grammar, monkeypatch)
+        assert len(sent) == 2
+        assert sent[0] >= 150 and sent[1] - sent[0] >= 150
+
+    def test_without_a_request_trigger_rounds_follow_time(
+        self, mock_grammar, target, monkeypatch
+    ):
+        config = quick_config(target.base_url, requests=40, train_every_requests=None,
+                              train_interval=1800.0)
+        sent = rounds_started_at(config, mock_grammar, monkeypatch)
+        assert len(sent) >= 2
+        assert sent[0] < 10  # due at the first iteration: an hour has passed
+
+
+class TestPublishedLists:
+    def test_each_list_names_only_its_templates_non_consumer_parameters(
+        self, mock_grammar, target
+    ):
+        config = quick_config(target.base_url, requests=600,
+                              enable_uaf_checker=True, enable_datadriven_checker=True)
+        fuzzer = Fuzzer(config, mock_grammar)
+        assert fuzzer.run().train_rounds >= 1
+        snapshot = fuzzer.recommender.snapshot()
+        assert snapshot
+        for template_id, lists in snapshot.items():
+            own = mock_grammar.templates[template_id].defaults().keys()
+            assert lists and all(name in own for pairs in lists for name, _ in pairs)
 
 
 POST = "POST /groups"

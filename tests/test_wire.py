@@ -61,7 +61,7 @@ class TestWireStream:
         with TcpProxy(("127.0.0.1", service.port)) as proxy:
             config = FuzzConfig(
                 target=proxy.base_url, mode=mode, max_requests=1500, seed=0,
-                train_interval=None, train_every_requests=150,
+                train_every_requests=150,
                 enable_uaf_checker=True, enable_datadriven_checker=True,
             )
             metrics = fuzz_loop(config, mock_grammar)
