@@ -7,9 +7,8 @@ coverage comparisons in the acceptance suite.
 
 import json
 
-from restfuzz.client import HttpClient
+from restfuzz.client import HttpClient, ReadyRequest
 from restfuzz.mock_service import ALL_BUGS, BugConfig, serve
-from restfuzz.rendering import ReadyRequest
 
 handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
 client = HttpClient(handle.base_url)

@@ -10,11 +10,10 @@ undefined-parameter bug only on the data-driven side.
 
 import time
 
-from restfuzz.client import HttpClient
+from restfuzz.client import HttpClient, ReadyRequest
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import ALL_BUGS, BugConfig, packaged_grammar_path, serve
 from restfuzz.orchestrator import FuzzConfig, Fuzzer
-from restfuzz.rendering import ReadyRequest
 
 REQUESTS = 6000
 

@@ -3,7 +3,8 @@
 The data-driven checker replays the steps of a whole run, consumer ids rebound
 to the objects the replayed producers return, with one randomly chosen
 param-value pair the last template does not define added to the last
-request; a 5xx answer flags an incorrect-parameter-usage error.  The
+request; a 5xx answer flags an incorrect-parameter-usage error.  It sends
+each (template ids, pair) key once: a key drawn again sends nothing.  The
 use-after-free checker walks a plan fixed per grammar: for each resource
 type it issues create, delete, then access on the deleted object; a 2xx or
 5xx answer to the access flags a violation.  Both send through
@@ -20,15 +21,19 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .client import HttpClient
-from .collection import CollectionStore
+from .collection import CollectionStore, ParamValuePair
 from .execution import ExecutedStep, Observer, send_step
 from .grammar import CompiledGrammar, RequestTemplate
 from .rendering import note_produced_id, render_with_list
 from .reporting import replay_line, run_replay
 from .responses import ResponseClass
+from .sequences import SequenceTemplate
 
 KIND_INCORRECT_PARAM_USAGE = "incorrect_param_usage"
 KIND_USE_AFTER_FREE = "use_after_free"
+
+# A replay's memo key: the whole run's template ids and the injected pair.
+ReplayKey = tuple[SequenceTemplate, ParamValuePair]
 
 
 def datadriven_check(
@@ -37,11 +42,16 @@ def datadriven_check(
     store: CollectionStore,
     rng: np.random.Generator,
     client: HttpClient,
+    replayed: set[ReplayKey],
     observe: Observer | None = None,
 ) -> list[ExecutedStep] | None:
     """Replay a whole run's steps with one undefined pair added to the last request.
 
-    No-op when the store holds no pair the last template leaves undefined.
+    No-op when the store holds no pair the last template leaves undefined,
+    or when the drawn pair's key is already in ``replayed``; the pair is
+    drawn either way, and a new key is added before its replay goes out,
+    whatever the replay's outcome.  Rendered values are not in the key:
+    every run renders fresh ones, so such a key would almost never repeat.
     The sequence goes out through :func:`run_replay`, so consumer ids are
     rebound to the objects the replayed producers return; the pair goes
     into the query string for GET/DELETE and into the body for POST/PUT.
@@ -52,6 +62,10 @@ def datadriven_check(
     if not candidates:
         return None
     pair = candidates[int(rng.integers(len(candidates)))]
+    key = (tuple(step.template_id for step in steps), pair)
+    if key in replayed:
+        return None
+    replayed.add(key)
 
     lines = [replay_line(step, grammar) for step in steps]
     location = "query" if last.request.method in ("GET", "DELETE") else "body"

@@ -1,4 +1,8 @@
-"""Command line entry points: ``fuzz``, ``replay`` and ``serve``."""
+"""Command line entry points: ``fuzz``, ``replay`` and ``serve``.
+
+Each command imports what it runs when it runs, so ``serve`` loads only the
+standard library and the mock target, never numpy or the fuzzer.
+"""
 
 from __future__ import annotations
 
@@ -12,10 +16,8 @@ from pathlib import Path
 from typing import ContextManager, Iterator
 
 from .client import HttpClient, TargetUnreachable
+from .config import MODES, FuzzConfig
 from .grammar import GrammarError, parse_spec_file
-from .mock_service import BugConfig, serve
-from .orchestrator import MODES, FuzzConfig, Fuzzer
-from .reporting import load_replay, run_replay
 
 # A bad option value or input file ends the command with one line and exit 2.
 _INPUT_ERRORS = (OSError, GrammarError, ValueError)
@@ -100,6 +102,8 @@ def _stderr_log(verbose: bool) -> ContextManager[None]:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from .orchestrator import Fuzzer
+
     try:
         # Every FuzzConfig field is the flag of the same name.
         config = FuzzConfig(**{field.name: getattr(args, field.name)
@@ -120,6 +124,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from .reporting import load_replay, run_replay
+
     try:
         lines = load_replay(args.file)
         client = HttpClient(args.target)
@@ -143,6 +149,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .mock_service import BugConfig, serve
+
     try:
         bugs = BugConfig.parse(args.bugs)
         handle = serve(args.port, bugs)

@@ -24,10 +24,10 @@ import re
 import socket
 import time
 from collections.abc import Callable
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from urllib.parse import urlencode, urlsplit
 
-from .rendering import ReadyRequest
 from .responses import ResponseRecord, classify_status
 
 _MAX_HEAD = 64 * 1024  # longest message head (first line and fields) accepted
@@ -39,6 +39,16 @@ _CR_OR_LF = re.compile(r"[\r\n]")
 _NOT_LATIN1 = re.compile(r"[^\x00-\xff]")  # what a head encoded as latin-1 cannot carry
 _UNRESERVED = re.compile(r"[A-Za-z0-9_.~-]*")  # what urlencode leaves unquoted
 _BLANK_LINE = re.compile(rb"\n\r?\n")  # ends a head, with the \r before it if any
+
+
+@dataclass(frozen=True)
+class ReadyRequest:
+    """A complete request: resolved path and string-valued params."""
+
+    method: str
+    path: str
+    query: dict[str, str] = field(default_factory=dict)
+    body: dict[str, str] = field(default_factory=dict)
 
 
 class TargetUnreachable(Exception):

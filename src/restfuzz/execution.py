@@ -10,17 +10,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .client import HttpClient
+from .client import HttpClient, ReadyRequest
 from .collection import CollectionStore, PairList
+from .config import RenderMode
 from .grammar import CompiledGrammar
-from .rendering import (
-    MissingProducerId,
-    ReadyRequest,
-    RenderedStep,
-    RenderMode,
-    note_produced_id,
-    render_sequence,
-)
+from .rendering import MissingProducerId, RenderedStep, note_produced_id, render_sequence
 from .responses import ResponseRecord
 from .sequences import SequenceTemplate
 

@@ -5,9 +5,11 @@ frontier of successfully extended sequence templates, restarts from the
 empty template when the frontier dies out, and renders every request
 traditionally.  The data-driven one draws seeds from the collection store
 with log10(length+1) weighting and renders all but the last request from
-recommender output.  Ablation modes mix and match the two axes.
+recommender output.  Ablation modes (:data:`restfuzz.config.MODES`) mix
+and match the two axes.
 A candidate is a tuple of template ids; only a whole run of it (one step
-sent per id) can extend the frontier, become a seed or be replayed.
+sent per id) can extend the frontier, become a seed or be replayed, and
+the run keeps the set of (template ids, pair) keys already replayed.
 Every finding, a main-loop 5xx or a checker's, is filed by one call as the
 steps sent up to and including the offending reply.  With ``dump_weights``
 each training round that returns is written as ``weights/round_NNN.npz``.
@@ -19,69 +21,26 @@ import json
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .checkers import KIND_INCORRECT_PARAM_USAGE, KIND_USE_AFTER_FREE, datadriven_check
-from .checkers import uaf_plan, use_after_free_check
+from .checkers import ReplayKey, uaf_plan, use_after_free_check
 from .client import HttpClient
 from .collection import CollectionStore
+from .config import MODES, FuzzConfig, RenderMode
 from .execution import ExecutedStep, execute_candidate
 from .grammar import CompiledGrammar
 from .recommender import ModelConfig, Recommender
 from .recommender import logger as training_logger  # training.log shows failed rounds too
-from .rendering import RenderMode
 from .reporting import KIND_RESPONSE_5XX, ErrorReport, RunMetrics
 from .responses import ResponseClass
-from .sequences import DEFAULT_MAX_SEQUENCE_LENGTH, SequenceTemplate, extend, select_seed
+from .sequences import SequenceTemplate, extend, select_seed
 
 logger = logging.getLogger("restfuzz.fuzz")
 
-# mode name -> (weighted seed selection?, render mode); the model modes train.
-MODES: dict[str, tuple[bool, RenderMode]] = {
-    "miner": (True, RenderMode.MODEL),
-    "baseline": (False, RenderMode.BASELINE),
-    "seq-only": (True, RenderMode.BASELINE),
-    "model-only": (False, RenderMode.MODEL),
-    "rec1": (False, RenderMode.REC1),
-    "reclist": (False, RenderMode.RECLIST),
-}
-
 _FRONTIER_LIMIT = 4096  # memory guard for long BFS runs
-
-
-@dataclass
-class FuzzConfig:
-    target: str
-    mode: str = "miner"
-    max_requests: int | None = None
-    duration: float | None = None
-    seed: int = 0
-    train_interval: float | None = 7200.0
-    train_every_requests: int | None = None
-    enable_uaf_checker: bool = False
-    enable_datadriven_checker: bool = False
-    report_dir: Path | str | None = None
-    max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH
-    auth_token: str | None = None
-    dump_weights: bool = False
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; choose from {sorted(MODES)}")
-        if self.max_requests is None and self.duration is None:
-            raise ValueError("need a budget: max_requests and/or duration")
-        for name in ("max_requests", "duration", "train_every_requests",
-                     "train_interval", "max_sequence_length"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:  # NaN too
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        if self.dump_weights and not self.report_dir:
-            raise ValueError("dump_weights needs a report_dir to write the weights under")
-        # Refuses an unsupported target url or auth token; opens no socket.
-        HttpClient(self.target, auth_token=self.auth_token)
 
 
 class Fuzzer:
@@ -129,6 +88,7 @@ class Fuzzer:
         self._round_queue: deque[SequenceTemplate] = deque()
         self._frontier: list[SequenceTemplate] = []
         self._uaf_plan = uaf_plan(grammar)
+        self._replayed: set[ReplayKey] = set()  # the data-driven checker's memo
 
     # -- budget ----------------------------------------------------------
 
@@ -286,7 +246,8 @@ class Fuzzer:
             # The replay re-sends every executed step, so it runs only whole.
             if self.config.enable_datadriven_checker and whole and self._fits(len(steps)):
                 self._report(KIND_INCORRECT_PARAM_USAGE, datadriven_check(
-                    steps, self.grammar, self.store, self._rng_checker, client, observe,
+                    steps, self.grammar, self.store, self._rng_checker, client,
+                    self._replayed, observe,
                 ))
             if self.config.enable_uaf_checker and not self._exhausted():
                 self._report(KIND_USE_AFTER_FREE, use_after_free_check(

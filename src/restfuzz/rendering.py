@@ -14,37 +14,21 @@ probe all file a producer's id into it through :func:`note_produced_id`.
 
 from __future__ import annotations
 
-import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .client import ReadyRequest
 from .collection import CollectionStore, PairList
+from .config import RenderMode
 from .grammar import CompiledGrammar, ParamSpec, RequestTemplate
 from .responses import ResponseClass, ResponseRecord
 
 
 class MissingProducerId(Exception):
     """A consumer parameter found no id of its resource type in the pool."""
-
-
-class RenderMode(enum.Enum):
-    BASELINE = "baseline"
-    REC1 = "rec1"
-    RECLIST = "reclist"
-    MODEL = "model"
-
-
-@dataclass(frozen=True)
-class ReadyRequest:
-    """A complete request: resolved path and string-valued params."""
-
-    method: str
-    path: str
-    query: dict[str, str] = field(default_factory=dict)
-    body: dict[str, str] = field(default_factory=dict)
 
 
 def resolve_consumer(param: ParamSpec, pool: dict[str, str]) -> str:

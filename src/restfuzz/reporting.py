@@ -14,10 +14,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .client import HttpClient
+from .client import HttpClient, ReadyRequest
 from .execution import ExecutedStep, Observer, send_step
 from .grammar import CompiledGrammar
-from .rendering import ReadyRequest, RenderedStep, note_produced_id
+from .rendering import RenderedStep, note_produced_id
 from .responses import ResponseClass, ResponseRecord
 
 KIND_RESPONSE_5XX = "response5xx"

@@ -12,6 +12,11 @@ class ResponseClass(enum.Enum):
     ERROR_5XX = "5xx"
     TRANSPORT = "transport"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # a valid one; it runs in C, where ``Enum.__hash__`` runs in Python, and
+    # every request looks a class up in a Counter or a dict key.
+    __hash__ = object.__hash__
+
 
 def classify_status(status: int) -> ResponseClass:
     """Map a status code onto the 2xx/4xx/5xx taxonomy.

@@ -11,9 +11,8 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_MAX_SEQUENCE_LENGTH
 from .grammar import CompiledGrammar
-
-DEFAULT_MAX_SEQUENCE_LENGTH = 10
 
 
 class EmptySeedSet(Exception):

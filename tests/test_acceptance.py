@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 
 from restfuzz import cli, model
-from restfuzz.client import HttpClient
+from restfuzz.client import HttpClient, ReadyRequest
 from restfuzz.collection import ParamValuePair
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import ALL_BUGS, BugConfig, packaged_grammar_path, serve
 from restfuzz.orchestrator import FuzzConfig, Fuzzer
 from restfuzz.recommender import ModelConfig, generate_lists, train
-from restfuzz.rendering import ReadyRequest
 from restfuzz.reporting import load_replay, pass_rate, run_replay
 from restfuzz.responses import ResponseClass
 from restfuzz.sequences import SequenceTemplate, select_seed, selection_weights

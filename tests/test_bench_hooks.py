@@ -26,7 +26,7 @@ def test_traced_child_reports_layers(tmp_path):
             "trace": True,
             "argv": [
                 "fuzz", "--spec", str(packaged_grammar_path()), "--target", handle.base_url,
-                "--mode", "miner", "--max-requests", "300", "--seed", "0",
+                "--mode", "miner", "--max-requests", "300", "--seed", "1",  # seed 0 trains no batch
                 "--train-every-requests", "100",
                 "--enable-uaf-checker", "--enable-datadriven-checker",
                 "--report-dir", str(tmp_path),
@@ -44,5 +44,10 @@ def test_traced_child_reports_layers(tmp_path):
     assert result["exit_code"] == 0
     layers = result["layers"]
     assert layers["rendering.steps"] > 0
+    # One layer per patch site; an import that bypasses a patch reads 0.
+    for name in ("grammar.parse_s", "sequences.select_seed.calls", "execution.calls",
+                 "collection.record.calls", "checkers.uaf.requests", "recommender.rounds",
+                 "model.batch_loss_and_grads.calls"):
+        assert layers[name] > 0, name
     # every request of the run plus the reachability probe
     assert layers["client.requests"] == result["requests"] + 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from restfuzz import orchestrator
@@ -12,12 +13,12 @@ from restfuzz.checkers import (
     uaf_plan,
     use_after_free_check,
 )
-from restfuzz.client import HttpClient
+from restfuzz.client import HttpClient, ReadyRequest
 from restfuzz.collection import CollectionStore, ParamValuePair
 from restfuzz.execution import send_step
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import ALL_BUGS, BugConfig, packaged_grammar_path, serve
-from restfuzz.orchestrator import FuzzConfig, fuzz_loop
+from restfuzz.orchestrator import FuzzConfig, Fuzzer, fuzz_loop
 from restfuzz.rendering import note_produced_id, render_with_list
 from restfuzz.reporting import ErrorReport, load_replay
 from restfuzz.responses import ResponseClass, ResponseRecord
@@ -45,8 +46,6 @@ def disarmed():
 
 @pytest.fixture(autouse=True)
 def reset(request):
-    from restfuzz.rendering import ReadyRequest
-
     for name in ("armed", "disarmed"):
         if name in request.fixturenames:
             request.getfixturevalue(name).send(ReadyRequest("POST", "/__reset"))
@@ -106,7 +105,7 @@ class TestDataDrivenChecker:
         store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
         assert executed[-1].response.status == 200
-        violation = datadriven_check(executed, mock_grammar, store, rng, armed)
+        violation = datadriven_check(executed, mock_grammar, store, rng, armed, set())
         # a finding is the replayed steps, the offending reply last
         assert [step.template_id for step in violation] == ["POST /groups", "PUT /groups/{id}"]
         # the PUT defines no initialize_with_readme: the drawn pair, injected
@@ -116,13 +115,13 @@ class TestDataDrivenChecker:
     def test_disarmed_bug_is_ignored(self, mock_grammar, disarmed, rng):
         store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, disarmed)
-        assert datadriven_check(executed, mock_grammar, store, rng, disarmed) is None
+        assert datadriven_check(executed, mock_grammar, store, rng, disarmed, set()) is None
 
     def test_empty_pair_store_is_a_noop(self, mock_grammar, disarmed, rng):
         executed = execute_defaults(["POST /groups"], mock_grammar, disarmed)
         sent = []
         violation = datadriven_check(
-            executed, mock_grammar, CollectionStore(mock_grammar), rng, disarmed,
+            executed, mock_grammar, CollectionStore(mock_grammar), rng, disarmed, set(),
             observe=lambda tid, record: sent.append(tid),
         )
         assert violation is None
@@ -131,7 +130,7 @@ class TestDataDrivenChecker:
     def test_injection_changes_exactly_one_request(self, mock_grammar, armed, rng):
         store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
-        violation = datadriven_check(executed, mock_grammar, store, rng, armed)
+        violation = datadriven_check(executed, mock_grammar, store, rng, armed, set())
         assert violation is not None
         # every request before the last is byte-identical
         for original, replayed in zip(executed[:-1], violation[:-1]):
@@ -151,7 +150,7 @@ class TestDataDrivenChecker:
         store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
         original_id = json.loads(executed[0].response.body)["id"]
-        violation = datadriven_check(executed, mock_grammar, store, rng, armed)
+        violation = datadriven_check(executed, mock_grammar, store, rng, armed, set())
         assert violation is not None
         replayed_id = json.loads(violation[0].response.body)["id"]
         assert replayed_id != original_id
@@ -171,7 +170,7 @@ class TestDataDrivenChecker:
     def test_injected_param_is_never_defined_on_last_template(self, mock_grammar, armed, rng):
         store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
-        violation = datadriven_check(executed, mock_grammar, store, rng, armed)
+        violation = datadriven_check(executed, mock_grammar, store, rng, armed, set())
         defined = mock_grammar.templates["PUT /groups/{id}"].param_names
         (injected,) = set(violation[-1].request.body) - set(executed[-1].request.body)
         assert injected not in defined
@@ -181,7 +180,7 @@ class TestDataDrivenChecker:
         executed = execute_defaults(["GET /groups"], mock_grammar, disarmed)
         observed = []
         datadriven_check(
-            executed, mock_grammar, store, rng, disarmed,
+            executed, mock_grammar, store, rng, disarmed, set(),
             observe=lambda tid, record: observed.append(tid),
         )
         assert observed == ["GET /groups"]
@@ -195,7 +194,7 @@ class TestDataDrivenChecker:
         assert corpus and store.undefined_pairs_for("PUT /groups/{id}")
 
         sent = []
-        datadriven_check(executed, mock_grammar, store, rng, disarmed,
+        datadriven_check(executed, mock_grammar, store, rng, disarmed, set(),
                          observe=lambda tid, record: sent.append(tid))
         assert sent == ["POST /groups", "PUT /groups/{id}"]
         assert store.training_corpus(since=-1) == corpus
@@ -207,12 +206,120 @@ class TestDataDrivenChecker:
         original_id = json.loads(executed[0].response.body)["id"]
 
         client = RecordingClient(disarmed)
-        datadriven_check(executed, mock_grammar, store, rng, client)
+        datadriven_check(executed, mock_grammar, store, rng, client, set())
         (create, created), (injected, _) = client.sent
         replayed_id = json.loads(created.body)["id"]
         assert create.body == executed[0].request.body
         assert replayed_id != original_id
         assert injected.path == f"/groups/{replayed_id}"
+
+
+class AnsweringClient:
+    """Answers every request with one fixed record and counts what it was sent."""
+
+    def __init__(self, record):
+        self.record = record
+        self.sent = 0
+
+    def send(self, request):
+        self.sent += 1
+        return self.record
+
+
+GROUP_AND_PUT = ("POST /groups", "PUT /groups/{id}")
+README = ParamValuePair("initialize_with_readme", "true")
+
+
+class TestDataDrivenMemo:
+    """Each (template ids, pair) key is replayed once."""
+
+    @pytest.fixture
+    def executed(self, mock_grammar, disarmed):
+        return execute_defaults(list(GROUP_AND_PUT), mock_grammar, disarmed)
+
+    def test_a_repeated_key_sends_nothing(self, mock_grammar, disarmed, executed, rng):
+        store, replayed = store_with_undef_pair(mock_grammar), set()
+        client = RecordingClient(disarmed)
+        datadriven_check(executed, mock_grammar, store, rng, client, replayed)
+        assert len(client.sent) == 2 and replayed == {(GROUP_AND_PUT, README)}
+        assert datadriven_check(executed, mock_grammar, store, rng, client, replayed) is None
+        assert len(client.sent) == 2
+
+    @pytest.mark.parametrize("recorded", [
+        (GROUP_AND_PUT, ParamValuePair("initialize_with_readme", "false")),
+        (("POST /groups",) + GROUP_AND_PUT, README),
+    ], ids=["same-sequence-other-pair", "other-sequence-same-pair"])
+    def test_a_key_that_differs_in_either_part_is_replayed(
+        self, mock_grammar, disarmed, executed, rng, recorded
+    ):
+        replayed = {recorded}
+        client = RecordingClient(disarmed)
+        datadriven_check(executed, mock_grammar, store_with_undef_pair(mock_grammar), rng,
+                         client, replayed)
+        assert len(client.sent) == 2
+        assert replayed == {recorded, (GROUP_AND_PUT, README)}
+
+    @pytest.mark.parametrize("record", [
+        ResponseRecord.from_status(400, '{"message": "bad"}'),
+        ResponseRecord.transport("connection refused"),
+    ], ids=["4xx", "transport"])
+    def test_a_key_stays_recorded_whatever_its_replay_got(
+        self, mock_grammar, executed, rng, record
+    ):
+        store, replayed = store_with_undef_pair(mock_grammar), set()
+        client = AnsweringClient(record)
+        assert datadriven_check(executed, mock_grammar, store, rng, client, replayed) is None
+        assert client.sent == 2 and replayed == {(GROUP_AND_PUT, README)}
+        datadriven_check(executed, mock_grammar, store, rng, client, replayed)
+        assert client.sent == 2
+
+    def test_a_skipped_key_draws_from_the_rng_as_a_replay_does(
+        self, mock_grammar, disarmed, executed
+    ):
+        store = store_with_undef_pair(mock_grammar)
+        internal = ParamValuePair("visibility", "internal")
+        store.record_request_outcome("POST /groups", dict([internal]), ResponseClass.PASS_2XX)
+        assert len(store.undefined_pairs_for("PUT /groups/{id}")) == 2  # a draw takes bits
+        replaying, skipping = np.random.default_rng(7), np.random.default_rng(7)
+        datadriven_check(executed, mock_grammar, store, replaying, disarmed, set())
+        client = AnsweringClient(ResponseRecord.transport())
+        datadriven_check(executed, mock_grammar, store, skipping, client,
+                         {(GROUP_AND_PUT, README), (GROUP_AND_PUT, internal)})
+        assert client.sent == 0
+        assert skipping.bit_generator.state == replaying.bit_generator.state
+        assert skipping.random() == replaying.random()
+
+
+class TestUndefinedParameterPanel:
+    def test_miner_reaches_b_undef_on_most_of_five_seeds(self, mock_grammar):
+        """The paper's full pipeline on seeds 0-4, the mock reset between them.
+
+        ``b-undef`` answers an undefined ``initialize_with_readme`` on
+        ``PUT /groups/{id}`` with a 500, which only the data-driven checker
+        sends.  Seeds 0, 2 and 3 reach it; a checker that spends its rare
+        whole runs ending in that template on repeated keys reaches it on
+        seed 0 alone.
+        """
+        reached = {}
+        handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
+        try:
+            for seed in range(5):
+                with HttpClient(handle.base_url) as client:
+                    client.send(ReadyRequest("POST", "/__reset"))
+                fuzzer = Fuzzer(FuzzConfig(
+                    target=handle.base_url, mode="miner", max_requests=6000, seed=seed,
+                    train_every_requests=2000,
+                    enable_uaf_checker=True, enable_datadriven_checker=True,
+                ), mock_grammar)
+                fuzzer.run()
+                reached.update(
+                    (seed, record.first_seen_iteration) for record in fuzzer.errors.records()
+                    if (record.template_id, record.status, record.kind)
+                    == ("PUT /groups/{id}", 500, KIND_INCORRECT_PARAM_USAGE)
+                )
+        finally:
+            handle.stop()
+        assert len(reached) >= 3, f"seed -> iteration of first b-undef: {reached}"
 
 
 def grammar_with_bad_names():

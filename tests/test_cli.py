@@ -11,10 +11,9 @@ from pathlib import Path
 import pytest
 
 from restfuzz import cli
-from restfuzz.client import HttpClient
+from restfuzz.client import HttpClient, ReadyRequest
 from restfuzz.mock_service import BugConfig, packaged_grammar_path, serve
 from restfuzz.orchestrator import FuzzConfig
-from restfuzz.rendering import ReadyRequest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -82,6 +81,31 @@ class TestTrainingLog:
         assert proc.returncode == 0, proc.stderr
         assert "epoch=" in (tmp_path / "training.log").read_text()
         assert ("epoch=" in proc.stderr) is verbose
+
+
+def modules_after(statement):
+    """The ``restfuzz`` and ``numpy`` modules a fresh interpreter holds after ``statement``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
+    ))
+    code = (f"{statement}; import sys; print(' '.join(name for name in sys.modules "
+            "if name.startswith(('restfuzz', 'numpy'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestColdStart:
+    def test_serve_loads_neither_numpy_nor_the_fuzzer(self):
+        loaded = modules_after("import restfuzz.cli, restfuzz.mock_service")
+        assert "restfuzz.mock_service" in loaded
+        assert not loaded & {"numpy", "restfuzz.orchestrator"}
+
+    def test_the_fuzzer_does_not_load_the_mock_target(self):
+        loaded = modules_after("import restfuzz.orchestrator")
+        assert "numpy" in loaded
+        assert "restfuzz.mock_service" not in loaded
 
 
 class TestFuzzArguments:

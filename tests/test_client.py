@@ -22,8 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restfuzz import client as client_module
-from restfuzz.client import HttpClient
-from restfuzz.rendering import ReadyRequest
+from restfuzz.client import HttpClient, ReadyRequest
 from restfuzz.responses import ResponseClass, classify_status
 
 TIMEOUT = 0.2

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restfuzz import mock_service
-from restfuzz.client import HttpClient
+from restfuzz.client import HttpClient, ReadyRequest
 from restfuzz.grammar import RequestTemplate
 from restfuzz.mock_service import (
     ALL_BUGS,
@@ -25,7 +25,6 @@ from restfuzz.mock_service import (
     mock_endpoints,
     serve,
 )
-from restfuzz.rendering import ReadyRequest
 
 
 @pytest.fixture(scope="module")

@@ -13,11 +13,10 @@ import pytest
 from restfuzz import grammar as grammar_module
 from restfuzz import model, sequences
 from restfuzz import orchestrator as orch
-from restfuzz.client import HttpClient, TargetUnreachable
+from restfuzz.client import HttpClient, ReadyRequest, TargetUnreachable
 from restfuzz.execution import ExecutedStep
 from restfuzz.mock_service import ALL_BUGS, BugConfig, serve
 from restfuzz.orchestrator import MODES, FuzzConfig, Fuzzer, fuzz_loop
-from restfuzz.rendering import ReadyRequest
 from restfuzz.reporting import load_replay, run_replay
 from restfuzz.responses import ResponseRecord
 
@@ -432,12 +431,12 @@ class TestReplayFidelity:
 # seed-0, 1500-request run with both checkers against the fully armed mock.
 # Any change to which bytes go out, or in what order, changes the digest.
 GOLDEN_STREAMS = {
-    "miner": "2115a8c53ff08750dc029e8a88817295de7fbc7babc00894c3e9b443a59b6961",
-    "model-only": "a74f7f4314f49fc3deb35a256411f18eb8e399e6173951556afdb22a8230606a",
-    "baseline": "69ef32b18ff1c59fadad04ca5c6b99d9d6b2954cc653a73e4c9dd796652623f4",
-    "seq-only": "95695e694bd5f3e5c99f7939b246ab318ca588797ab301588fed91fb0440272e",
-    "rec1": "509ac44e568db86f32f2fde9764f97ef156a32bac1df19efd6b3f3e5185c19f1",
-    "reclist": "00298069da036cb6840b41f1705baf0d02d36948f81d9ee04ba0ef8a5888feef",
+    "miner": "6c328e83602d3c3ad7980f10db1a7b0d3cd5e3656ddf431d0c8ef8a6e4cbfe69",
+    "model-only": "4385b0367519917bce3e3e436c2b3b960ce3d8cf30d0cab0235b6627e5762d49",
+    "baseline": "951edb2aa5819eec25fba2fe2ce4d1032660696ffa51c8565fdd0b07852165ad",
+    "seq-only": "81388bf6f94c7761906876e96cc64351b0ca95c421c08dd529a878d5e09bb89e",
+    "rec1": "de50f8b008e2b246bcf4dc8fb2e013a4698ae0bb5df570176f7fa64fbe55a69b",
+    "reclist": "3cdf1617d95e72357d0970597cd5c283f59f0773d4c0bda866f0a1bd3fb8be79",
 }
 
 # The same digest for runs that leave the data-driven checker off: they pin

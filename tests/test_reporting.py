@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restfuzz.execution import ExecutedStep
-from restfuzz.rendering import ReadyRequest
+from restfuzz.client import ReadyRequest
 from restfuzz.reporting import (
     KIND_RESPONSE_5XX,
     ErrorReport,

@@ -6,10 +6,9 @@ import socket
 
 import pytest
 
-from restfuzz.client import HttpClient
+from restfuzz.client import HttpClient, ReadyRequest
 from restfuzz.mock_service import ALL_BUGS, BugConfig, serve
 from restfuzz.orchestrator import FuzzConfig, fuzz_loop
-from restfuzz.rendering import ReadyRequest
 from tcp_proxy import TcpProxy
 
 # sha256 (TcpProxy.digest) over the request bytes and reply bytes of a
@@ -18,8 +17,8 @@ from tcp_proxy import TcpProxy
 # by request fields.
 # Any change to the bytes the client writes or the mock answers changes it.
 WIRE_STREAMS = {
-    "baseline": "247e1831ad104fdb84154829fc00ccdb03bf9f69bf5a8c02afe83a69575c3ea4",
-    "seq-only": "42b0a83d23dd1ab085e649ff15d383e350361abe8fe0cad037c24c154211f948",
+    "baseline": "18043199d9145cb23d830516514041ff1d571c6354801c48fdd4d603f9e9b05a",
+    "seq-only": "e351257f06bb7bc4bee5490d27ec1cfdc746f85880aad4991547ddf5e4a973f7",
 }
 
 
