@@ -70,8 +70,8 @@ def datadriven_check(
     lines = [replay_line(step, grammar) for step in steps]
     location = "query" if last.request.method in ("GET", "DELETE") else "body"
     lines[-1][location][pair.param_name] = pair.value
-    replayed = run_replay(lines, client, observe)
-    return replayed if replayed[-1].response.klass is ResponseClass.ERROR_5XX else None
+    sent = run_replay(lines, client, observe)
+    return sent if sent[-1].response.klass is ResponseClass.ERROR_5XX else None
 
 
 class UafTarget(NamedTuple):

@@ -257,7 +257,9 @@ class Fuzzer:
     def _report(self, kind: str, steps: list[ExecutedStep] | None) -> None:
         """File a finding, the steps sent with the offending reply last; ``None`` is none."""
         if steps is not None:
-            self.errors.bucket_error(steps, kind, self.metrics.iterations)
+            self.errors.bucket_error(
+                steps, kind, self.metrics.iterations, self.metrics.requests_sent
+            )
 
     def _write_reports(self) -> None:
         if self._report_dir is None:

@@ -37,72 +37,38 @@ class RoundCut(Exception):
     """``should_stop`` answered true at an epoch boundary; the round is dropped."""
 
 
-class UnknownTemplate(Exception):
-    """The vocabulary has no name token for the requested template."""
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     """Token table: terminator, request-name tokens, template-scoped pairs.
 
-    Pair tokens are scoped to their template so generation can mask out
-    every pair belonging to a different template.  Id 0 is the terminator;
-    ordering is lexicographic for reproducibility.  ``pairs_by_template``
-    maps each template, in name-token order, to its pair tokens in token
-    order.
+    Id 0 is the terminator, then one name token per template in sorted
+    order, then one token per (template, pair) in sorted order.  ``names``
+    maps each template to its name token and ``pairs`` maps it to its own
+    pairs' tokens; both iterate in token order.  Pair tokens are scoped to
+    their template so generation can mask out every pair belonging to a
+    different template.
     """
 
-    keys: tuple[tuple, ...]
-    index: dict[tuple, int]
-    pairs_by_template: dict[str, list[int]]
+    names: dict[str, int]
+    pairs: dict[str, dict[ParamValuePair, int]]
 
     @property
     def size(self) -> int:
-        return len(self.keys)
-
-    def name_token(self, template_id: str) -> int | None:
-        return self.index.get(("name", template_id))
-
-    def template_ids(self) -> list[str]:
-        return list(self.pairs_by_template)
-
-    def pair_tokens_for(self, template_id: str) -> list[int]:
-        return list(self.pairs_by_template.get(template_id, ()))
-
-    def pair_at(self, token: int) -> ParamValuePair:
-        key = self.keys[token]
-        if key[0] != "pair":
-            raise ValueError(f"token {token} is not a pair token")
-        return ParamValuePair(key[2], key[3])
+        return 1 + len(self.names) + sum(len(own) for own in self.pairs.values())
 
     def encode(self, template_id: str, pairs: Sequence[ParamValuePair]) -> list[int]:
-        tokens = [self.index[("name", template_id)]]
-        tokens.extend(
-            self.index[("pair", template_id, pair.param_name, pair.value)]
-            for pair in pairs
-        )
-        tokens.append(TERMINATOR_ID)
-        return tokens
+        own = self.pairs[template_id]
+        return [self.names[template_id], *(own[pair] for pair in pairs), TERMINATOR_ID]
 
 
 def build_vocab(corpus: Corpus) -> Vocabulary:
-    names = sorted({template_id for template_id, _ in corpus})
-    pair_keys = sorted(
-        {
-            ("pair", template_id, pair.param_name, pair.value)
-            for template_id, pairs in corpus
-            for pair in pairs
-        }
-    )
-    keys: list[tuple] = [("end",)]
-    keys.extend(("name", name) for name in names)
-    keys.extend(pair_keys)
-    by_template: dict[str, list[int]] = {name: [] for name in names}
-    for token, key in enumerate(pair_keys, start=1 + len(names)):
-        by_template[key[1]].append(token)
-    return Vocabulary(
-        tuple(keys), {key: token for token, key in enumerate(keys)}, by_template
-    )
+    templates = sorted({template_id for template_id, _ in corpus})
+    names = {template_id: token for token, template_id in enumerate(templates, start=1)}
+    pairs: dict[str, dict[ParamValuePair, int]] = {template_id: {} for template_id in names}
+    scoped = sorted({(template_id, pair) for template_id, own in corpus for pair in own})
+    for token, (template_id, pair) in enumerate(scoped, start=1 + len(names)):
+        pairs[template_id][pair] = token
+    return Vocabulary(names, pairs)
 
 
 def split_corpus(
@@ -287,14 +253,11 @@ def generate_lists(
     used in the list under construction.  Generation stops at the
     terminator or at ``max_len`` pairs.  Duplicates are removed.  The
     allowed tokens and their distribution depend only on the prefix, so
-    each distinct prefix runs through the model once per call.
+    each distinct prefix runs through the model once per call.  A template
+    with no name token raises ``KeyError``.
     """
-    name_token = vocab.name_token(template_id)
-    if name_token is None:
-        raise UnknownTemplate(template_id)
-    own_pairs = [
-        (token, vocab.pair_at(token)) for token in vocab.pair_tokens_for(template_id)
-    ]
+    name_token = vocab.names[template_id]
+    own_pairs = {token: pair for pair, token in vocab.pairs[template_id].items()}
 
     # prefix -> (allowed tokens, cumulative sum of their renormalized probabilities)
     draws: dict[tuple[int, ...], tuple[list[int], np.ndarray]] = {}
@@ -308,7 +271,8 @@ def generate_lists(
             draw = draws.get(prefix)
             if draw is None:
                 allowed = [TERMINATOR_ID] + [
-                    token for token, pair in own_pairs if pair.param_name not in used_params
+                    token for token, pair in own_pairs.items()
+                    if pair.param_name not in used_params
                 ]
                 masked = model.forward(params, prefix)[allowed]
                 draw = draws[prefix] = (allowed, np.cumsum(masked / masked.sum()))
@@ -317,7 +281,7 @@ def generate_lists(
             token = allowed[min(index, len(allowed) - 1)]  # cumsum may end below 1
             if token == TERMINATOR_ID:
                 break
-            pair = vocab.pair_at(token)
+            pair = own_pairs[token]
             pairs.append(pair)
             used_params.add(pair.param_name)
             prefix += (token,)
@@ -384,7 +348,7 @@ class Recommender:
                 self._rng,
                 result.max_len,
             )
-            for template_id in result.vocab.template_ids()
+            for template_id in result.vocab.names
         })
         return result
 

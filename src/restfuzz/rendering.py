@@ -118,7 +118,7 @@ def read_produced_id(body: str, pointer: str) -> str | None:
     """The id at ``pointer`` in a JSON response body, as a string.
 
     Tolerant: an unparsable body, a missing field or a value that is not a
-    string or an integer yields ``None`` rather than an error.
+    string or an integer (a boolean is not) yields ``None`` rather than an error.
     """
     try:
         node = json.loads(body) if body else None
@@ -128,7 +128,7 @@ def read_produced_id(body: str, pointer: str) -> str | None:
         if not isinstance(node, dict) or key not in node:
             return None
         node = node[key]
-    return str(node) if isinstance(node, (str, int)) else None
+    return str(node) if type(node) in (str, int) else None  # bool is an int subclass
 
 
 def note_produced_id(

@@ -101,6 +101,7 @@ class ErrorRecord:
     signature: str
     replay_path: str | None
     first_seen_iteration: int
+    first_seen_requests: int  # requests sent when the bucket was first seen
     hits: int = 1
 
 
@@ -113,7 +114,7 @@ class ErrorReport:
         self._buckets: dict[tuple, ErrorRecord] = {}
 
     def bucket_error(
-        self, steps: Sequence[ExecutedStep], kind: str, iteration: int
+        self, steps: Sequence[ExecutedStep], kind: str, iteration: int, requests: int
     ) -> tuple[ErrorRecord, bool]:
         """Bucket ``steps[-1]``, the offending reply; return its record and whether
         it is new.  A new bucket's replay file holds exactly ``steps``."""
@@ -149,6 +150,7 @@ class ErrorReport:
             signature,
             replay_path,
             iteration,
+            requests,
         )
         self._buckets[key] = record
         return record, True

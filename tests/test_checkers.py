@@ -160,7 +160,7 @@ class TestDataDrivenChecker:
         assert injected.rendered_params["initialize_with_readme"] == "true"
 
         report = ErrorReport(mock_grammar, tmp_path)
-        record, is_new = report.bucket_error(violation, KIND_INCORRECT_PARAM_USAGE, 1)
+        record, is_new = report.bucket_error(violation, KIND_INCORRECT_PARAM_USAGE, 1, 2)
         assert is_new
         lines = load_replay(record.replay_path)
         assert lines[-1]["path_params"] == {"id": str(replayed_id)}
@@ -313,13 +313,13 @@ class TestUndefinedParameterPanel:
                 ), mock_grammar)
                 fuzzer.run()
                 reached.update(
-                    (seed, record.first_seen_iteration) for record in fuzzer.errors.records()
+                    (seed, record.first_seen_requests) for record in fuzzer.errors.records()
                     if (record.template_id, record.status, record.kind)
                     == ("PUT /groups/{id}", 500, KIND_INCORRECT_PARAM_USAGE)
                 )
         finally:
             handle.stop()
-        assert len(reached) >= 3, f"seed -> iteration of first b-undef: {reached}"
+        assert len(reached) >= 3, f"seed -> requests at first b-undef: {reached}"
 
 
 def grammar_with_bad_names():

@@ -4,14 +4,13 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from restfuzz import grammar as grammar_module
-from restfuzz import model, sequences
+from restfuzz import model, recommender, sequences
 from restfuzz import orchestrator as orch
 from restfuzz.client import HttpClient, ReadyRequest, TargetUnreachable
 from restfuzz.execution import ExecutedStep
@@ -195,23 +194,31 @@ class TestFuzzLoop:
         assert len(next_window) > len(failed_window)
 
     def test_a_round_stops_at_the_duration_budget(self, mock_grammar, target, monkeypatch):
-        calls = 0
-        real = model.batch_loss_and_grads
+        """A clock that passes the budget once the round's first minibatch has run."""
+        batches = accuracy_passes = 0
+        real_batch, real_accuracy = model.batch_loss_and_grads, recommender._accuracy
 
-        def slow(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            time.sleep(0.02)
-            return real(*args, **kwargs)
+        def counted_batch(*args, **kwargs):
+            nonlocal batches
+            batches += 1
+            return real_batch(*args, **kwargs)
 
-        monkeypatch.setattr(model, "batch_loss_and_grads", slow)
+        def counted_accuracy(*args, **kwargs):
+            nonlocal accuracy_passes
+            accuracy_passes += 1
+            return real_accuracy(*args, **kwargs)
+
+        monkeypatch.setattr(model, "batch_loss_and_grads", counted_batch)
+        monkeypatch.setattr(recommender, "_accuracy", counted_accuracy)
+        monkeypatch.setattr(orch, "time", SimpleNamespace(
+            monotonic=lambda: 3600.0 if batches else 0.0
+        ))
         config = quick_config(
             target.base_url, requests=None, duration=1.0, train_every_requests=500,
         )
-        started = time.monotonic()
         metrics = fuzz_loop(config, mock_grammar)
-        assert time.monotonic() - started < config.duration + 1.0
-        assert calls > 0, "no round started inside the budget"
+        assert batches > 0, "no round started inside the budget"
+        assert accuracy_passes == 1, "the round went on past the epoch the budget ran out in"
         assert metrics.train_rounds == 0
         assert metrics.train_rounds_failed == 0
 

@@ -18,7 +18,6 @@ from restfuzz.recommender import (
     TERMINATOR_ID,
     ModelConfig,
     Recommender,
-    UnknownTemplate,
     _accuracy,
     _length_weights,
     _pad,
@@ -70,25 +69,50 @@ class TestBuildVocab:
         vocab = build_vocab([("GET /a", [pair]), ("GET /b", [pair])])
         # terminator + 2 names + 2 scoped pair tokens
         assert vocab.size == 5
-        assert vocab.pair_tokens_for("GET /a") != vocab.pair_tokens_for("GET /b")
+        assert vocab.pairs["GET /a"][pair] != vocab.pairs["GET /b"][pair]
 
     def test_terminator_id_is_zero_and_encoding_round_trips(self):
         pairs = [ParamValuePair("a", "1"), ParamValuePair("b", "2")]
         vocab = build_vocab([(GET_ID, pairs)])
         tokens = vocab.encode(GET_ID, pairs)
-        assert tokens[0] == vocab.name_token(GET_ID)
+        assert tokens[0] == vocab.names[GET_ID]
         assert tokens[-1] == 0
-        assert [vocab.pair_at(t) for t in tokens[1:-1]] == pairs
+        assert tokens[1:-1] == [vocab.pairs[GET_ID][pair] for pair in pairs]
 
-    def test_template_index_equals_a_scan_in_token_order(self):
-        vocab = build_vocab(mixed_corpus(40) + [("GET /bare", [])])
-        assert vocab.template_ids() == [key[1] for key in vocab.keys if key[0] == "name"]
-        for template_id in [*vocab.template_ids(), "GET /nowhere"]:
-            assert vocab.pair_tokens_for(template_id) == [
-                token for token, key in enumerate(vocab.keys)
+    def test_tokens_equal_the_sorted_tagged_key_numbering(self):
+        shared = ParamValuePair("per_page", "0")
+        corpus = mixed_corpus(40) + [
+            ("GET /bare", []), ("GET /a", [shared]), ("GET /b", [shared]),
+        ]
+        vocab = build_vocab(corpus)
+        keys = tagged_keys(corpus)
+        assert vocab.size == len(keys)
+        assert list(vocab.names.items()) == [
+            (key[1], token) for token, key in enumerate(keys) if key[0] == "name"
+        ]
+        assert list(vocab.pairs) == list(vocab.names)
+        for template_id, own in vocab.pairs.items():
+            assert list(own.items()) == [
+                (ParamValuePair(key[2], key[3]), token)
+                for token, key in enumerate(keys)
                 if key[0] == "pair" and key[1] == template_id
             ]
-        assert vocab.pair_tokens_for("GET /bare") == []
+        assert vocab.pairs["GET /bare"] == {}
+
+
+def tagged_keys(corpus):
+    """The sorted tagged-key numbering ``build_vocab`` replaced: key ``i`` is
+    token ``i``, as ``("end",)``, ``("name", template)`` or ``("pair",
+    template, param, value)``."""
+    names = sorted({template_id for template_id, _ in corpus})
+    pair_keys = sorted(
+        {
+            ("pair", template_id, pair.param_name, pair.value)
+            for template_id, pairs in corpus
+            for pair in pairs
+        }
+    )
+    return [("end",), *(("name", name) for name in names), *pair_keys]
 
 
 class TestSplitCorpus:
@@ -209,7 +233,7 @@ class TestTrain:
             ("GET /fresh", [ParamValuePair("x", "1")])
         ]
         result = train(corpus, ModelConfig(epochs=1, max_examples=10), rng)
-        assert result.vocab.name_token("GET /fresh") is not None
+        assert "GET /fresh" in result.vocab.names
         assert result.n_train + result.n_val == 10
 
 
@@ -324,7 +348,7 @@ class TestGenerateLists:
         ) == []
 
     def test_unknown_template_raises(self, trained, rng):
-        with pytest.raises(UnknownTemplate):
+        with pytest.raises(KeyError):
             generate_lists(
                 trained.params, trained.vocab, "GET /nowhere", 5, rng, trained.max_len
             )
@@ -363,10 +387,8 @@ class TestGenerateLists:
 def reference_lists(params, vocab, template_id, k, rng, max_len):
     """The per-step loop ``generate_lists`` replaced: one ``model.forward``
     call for every token drawn, however often its prefix was seen."""
-    name_token = vocab.name_token(template_id)
-    own_pairs = [
-        (token, vocab.pair_at(token)) for token in vocab.pair_tokens_for(template_id)
-    ]
+    name_token = vocab.names[template_id]
+    own_pairs = {token: pair for pair, token in vocab.pairs[template_id].items()}
     results, seen = [], set()
     for _ in range(k):
         prefix = [name_token]
@@ -374,7 +396,8 @@ def reference_lists(params, vocab, template_id, k, rng, max_len):
         used_params = set()
         while len(pairs) < max_len:
             allowed = [TERMINATOR_ID] + [
-                token for token, pair in own_pairs if pair.param_name not in used_params
+                token for token, pair in own_pairs.items()
+                if pair.param_name not in used_params
             ]
             probs = model.forward(params, prefix)
             masked = probs[allowed]
@@ -383,7 +406,7 @@ def reference_lists(params, vocab, template_id, k, rng, max_len):
             token = allowed[min(index, len(allowed) - 1)]
             if token == TERMINATOR_ID:
                 break
-            pair = vocab.pair_at(token)
+            pair = own_pairs[token]
             pairs.append(pair)
             used_params.add(pair.param_name)
             prefix.append(token)
@@ -422,7 +445,7 @@ class TestGenerateListsMemo:
         prefixes = record_prefixes(monkeypatch)
         saved = 0
         for result in mixed_models:
-            for template_id in result.vocab.template_ids():
+            for template_id in result.vocab.names:
                 args = (result.params, result.vocab, template_id, 32)
                 reference_lists(*args, np.random.default_rng(1), result.max_len)
                 visited = list(prefixes)
@@ -436,7 +459,7 @@ class TestGenerateListsMemo:
 
     def test_lists_equal_the_per_step_loop(self, mixed_models):
         for seed, result in enumerate(mixed_models):
-            for template_id in result.vocab.template_ids():
+            for template_id in result.vocab.names:
                 rngs = np.random.default_rng(seed), np.random.default_rng(seed)
                 args = (result.params, result.vocab, template_id, 32)
                 assert generate_lists(*args, rngs[0], result.max_len) == reference_lists(
@@ -506,7 +529,7 @@ class TestMinerBugsRounds:
         assert result.val_accuracy == pytest.approx(val_accuracy, rel=1e-9)
         lists = [
             (template_id, pairs)
-            for template_id in result.vocab.template_ids()
+            for template_id in result.vocab.names
             for pairs in generate_lists(
                 result.params, result.vocab, template_id,
                 config.lists_per_template, rng, result.max_len,

@@ -114,6 +114,8 @@ class TestExtractProducerIds:
         assert read_produced_id("not json", "/id") is None
         assert read_produced_id("", "/id") is None
         assert read_produced_id('{"id": [42]}', "/id") is None
+        assert read_produced_id('{"id": true}', "/id") is None
+        assert read_produced_id('{"id": false}', "/id") is None
 
     def test_non_producer_yields_nothing(self, two_template_grammar, rng):
         # The GET answers with an id of its own; only the POST's id is bound.

@@ -101,25 +101,26 @@ class TestErrorBucketing:
     def test_id_differences_merge_into_one_bucket(self, report):
         first = make_step(body='{"msg": "cannot load group 17"}')
         second = make_step(body='{"msg": "cannot load group 23"}')
-        _, new1 = report.bucket_error([first], KIND_RESPONSE_5XX, iteration=1)
-        record, new2 = report.bucket_error([second], KIND_RESPONSE_5XX, iteration=2)
+        _, new1 = report.bucket_error([first], KIND_RESPONSE_5XX, iteration=1, requests=3)
+        record, new2 = report.bucket_error([second], KIND_RESPONSE_5XX, iteration=2, requests=9)
         assert new1 and not new2
         assert record.hits == 2
+        assert (record.first_seen_iteration, record.first_seen_requests) == (1, 3)
         assert len(report) == 1
 
     def test_status_code_distinguishes_buckets(self, report):
-        report.bucket_error([make_step(status=500)], KIND_RESPONSE_5XX, 1)
-        report.bucket_error([make_step(status=503)], KIND_RESPONSE_5XX, 1)
+        report.bucket_error([make_step(status=500)], KIND_RESPONSE_5XX, 1, 1)
+        report.bucket_error([make_step(status=503)], KIND_RESPONSE_5XX, 1, 2)
         assert len(report) == 2
 
     def test_kind_distinguishes_buckets(self, report):
-        report.bucket_error([make_step()], KIND_RESPONSE_5XX, 1)
-        report.bucket_error([make_step()], "incorrect_param_usage", 1)
+        report.bucket_error([make_step()], KIND_RESPONSE_5XX, 1, 1)
+        report.bucket_error([make_step()], "incorrect_param_usage", 1, 2)
         assert len(report) == 2
 
     def test_replay_file_written_once(self, report, tmp_path):
-        record, _ = report.bucket_error([make_step()], KIND_RESPONSE_5XX, 1)
-        report.bucket_error([make_step()], KIND_RESPONSE_5XX, 2)
+        record, _ = report.bucket_error([make_step()], KIND_RESPONSE_5XX, 1, 1)
+        report.bucket_error([make_step()], KIND_RESPONSE_5XX, 2, 4)
         replays = list((tmp_path / "replays").glob("*.jsonl"))
         assert [str(p) for p in replays] == [record.replay_path]
         (line,) = [json.loads(l) for l in open(record.replay_path)]
@@ -128,14 +129,16 @@ class TestErrorBucketing:
         assert "headers" not in line
 
     def test_errors_jsonl_round_trips(self, report, tmp_path):
-        report.bucket_error([make_step()], KIND_RESPONSE_5XX, 7)
+        report.bucket_error([make_step()], KIND_RESPONSE_5XX, 7, 52)
         out = tmp_path / "errors.jsonl"
         report.write_jsonl(out)
         (entry,) = [json.loads(l) for l in open(out)]
         assert entry["first_seen_iteration"] == 7
+        assert entry["first_seen_requests"] == 52
         assert entry["kind"] == KIND_RESPONSE_5XX
         assert list(entry) == ["bucket_id", "template_id", "status", "kind", "signature",
-                               "replay_path", "first_seen_iteration", "hits"]
+                               "replay_path", "first_seen_iteration", "first_seen_requests",
+                               "hits"]
 
 
 class TestRunMetrics:
