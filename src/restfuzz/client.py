@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from urllib.parse import urlencode, urlsplit
 
-from .responses import ResponseRecord, classify_status
+from .responses import STATUS_CLASSES, ResponseRecord
 
 _MAX_HEAD = 64 * 1024  # longest message head (first line and fields) accepted
 _MAX_BODY = 16 * 1024 * 1024  # longest reply body accepted
@@ -41,9 +41,9 @@ _UNRESERVED = re.compile(r"[A-Za-z0-9_.~-]*")  # what urlencode leaves unquoted
 _BLANK_LINE = re.compile(rb"\n\r?\n")  # ends a head, with the \r before it if any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReadyRequest:
-    """A complete request: resolved path and string-valued params."""
+    """A complete request: resolved path and string-valued params; never changed once built."""
 
     method: str
     path: str
@@ -193,7 +193,8 @@ class HttpClient:
             self._drop()
             return ResponseRecord.transport(f"read failed: {exc}")
         latency = time.perf_counter() - started
-        return ResponseRecord(status, classify_status(status),
+        # Both reply readers accept only a three-digit status.
+        return ResponseRecord(status, STATUS_CLASSES[status],
                               payload.decode("utf-8", errors="replace"), latency)
 
     def _encode(self, request: ReadyRequest) -> bytes:

@@ -1,6 +1,18 @@
 """Send and record one request, the path every sender takes; drive a rendered sequence.
 
 An executed sequence is the list of :class:`ExecutedStep` it sent.
+
+This is the per-request path, and the benchmark (``bench/``) times it by
+patching names from outside the package, so an edit here or in the modules
+it calls keeps them: :func:`render_sequence` is looked up in this module
+and stays a generator that yields one step per position (each ``next()``
+is timed as one rendering); ``HttpClient.send`` keeps its name;
+``RunMetrics.observe`` runs once per request (the benchmark counts requests
+with it); ``orchestrator`` looks up ``execute_candidate``, ``select_seed``
+and ``extend`` by name; and the ``CollectionStore`` methods
+``record_request_outcome``, ``undefined_pairs_for``, ``training_corpus``,
+``admit_sequence`` and ``seed_templates`` keep their names.
+``tests/test_bench_hooks.py`` runs those hooks on a short traced run.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from .sequences import SequenceTemplate
 Observer = Callable[[str, ResponseRecord], None]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExecutedStep:
     template_id: str
     request: ReadyRequest

@@ -4,8 +4,8 @@ The grammar format is a small Swagger-v2 subset with extension fields:
 ``x-dictionary`` (candidate literal values), ``x-default`` (the value used
 when nothing overrides it), ``x-consumes`` (this parameter is filled with a
 previously produced object id) and ``x-produces`` (where in a 2xx response
-body the created object id lives).  Each template records the type it
-produces and the types it consumes.
+body the created object id lives, as an RFC 6901 JSON pointer).  Each
+template records the type it produces and the types it consumes.
 """
 
 from __future__ import annotations
@@ -56,12 +56,23 @@ class ParamSpec:
         return self.consumes is not None
 
 
+def is_json_pointer(pointer: str) -> bool:
+    """Whether ``pointer`` has RFC 6901's form: empty, or starting with ``/``."""
+    return pointer[:1] in ("", "/")
+
+
+def split_path(path: str) -> tuple[str, ...]:
+    """``path`` cut at its ``{name}`` placeholders: text at even indices, names at odd ones."""
+    return tuple(_PLACEHOLDER_RE.split(path))
+
+
 @dataclass(frozen=True)
 class RequestTemplate:
     """A parameterized request type: method, path skeleton and parameters.
 
-    ``param_names``, ``consumed_types`` and the defaults are computed once,
-    at construction; the fuzz loop reads them on every request.
+    ``param_names``, ``consumed_types``, ``path_parts`` (the path as
+    :func:`split_path` cuts it) and the defaults are computed once, at
+    construction; the fuzz loop reads them on every request.
     """
 
     template_id: str
@@ -71,6 +82,7 @@ class RequestTemplate:
     produces: tuple[str, str] | None = None  # (resource type, response-field pointer)
     param_names: frozenset[str] = field(init=False, repr=False, compare=False)
     consumed_types: frozenset[str] = field(init=False, repr=False, compare=False)
+    path_parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _defaults: Mapping[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,6 +91,7 @@ class RequestTemplate:
         set_field(self, "param_names", frozenset(spec.name for spec in self.params))
         set_field(self, "consumed_types",
                   frozenset(spec.consumes for spec in self.params if spec.consumes))
+        set_field(self, "path_parts", split_path(self.path))
         set_field(self, "_defaults", MappingProxyType({
             spec.name: spec.default
             for spec in self.params
@@ -203,7 +216,13 @@ def _parse_template(path: str, method: str, raw: object) -> RequestTemplate:
             or not isinstance(decl.get("pointer"), str)
         ):
             raise MalformedSpec(f"{template_id}: x-produces needs 'type' and 'pointer' strings")
-        produces = (decl["type"], decl["pointer"])
+        pointer = decl["pointer"]
+        if not is_json_pointer(pointer):
+            raise MalformedSpec(
+                f"{template_id}: x-produces pointer {pointer!r} is not a JSON pointer "
+                "(empty, or starting with '/')"
+            )
+        produces = (decl["type"], pointer)
 
     return RequestTemplate(template_id, method, path, params, produces)
 

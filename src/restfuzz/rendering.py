@@ -10,11 +10,14 @@ while the sequence executes: the latest id per resource type, a plain
 ``dict[str, str]`` owned by whoever sends the sequence.  The main loop,
 replay (:func:`restfuzz.reporting.run_replay`) and the use-after-free
 probe all file a producer's id into it through :func:`note_produced_id`.
+Rendering and replay alike fill a path's placeholders in one pass, with
+:func:`fill_path`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -25,6 +28,8 @@ from .collection import CollectionStore, PairList
 from .config import RenderMode
 from .grammar import CompiledGrammar, ParamSpec, RequestTemplate
 from .responses import ResponseClass, ResponseRecord
+
+_ARRAY_INDEX = re.compile(r"0|[1-9][0-9]*")  # an RFC 6901 array index: no sign, no leading 0
 
 
 class MissingProducerId(Exception):
@@ -41,7 +46,7 @@ def resolve_consumer(param: ParamSpec, pool: dict[str, str]) -> str:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RenderedStep:
     """A rendered request plus the parameter values it was rendered from."""
 
@@ -50,43 +55,56 @@ class RenderedStep:
     rendered_params: dict[str, str]  # every value sent, by name; template order here
 
 
-def _render(
-    template: RequestTemplate,
-    pool: dict[str, str],
-    choose_value,
-) -> RenderedStep:
-    values: dict[str, str] = {}
-    path = template.path
+def fill_path(parts: Sequence[str], values: Mapping[str, str]) -> str:
+    """The path :func:`~restfuzz.grammar.split_path` cut into ``parts``, filled in one pass.
+
+    Each placeholder takes its value from ``values``, or stays as it is when
+    ``values`` has none.  A value is never searched for placeholders, so one
+    that holds ``{name}`` goes out as it is.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    filled = list(parts)
+    for index in range(1, len(parts), 2):
+        value = values.get(parts[index])
+        if value is not None:
+            filled[index] = value
+        else:
+            filled[index] = "{" + parts[index] + "}"
+    return "".join(filled)
+
+
+def _step(template: RequestTemplate, values: dict[str, str]) -> RenderedStep:
+    """The step that sends ``values``, one for each of the template's parameters."""
     query: dict[str, str] = {}
     body: dict[str, str] = {}
     for spec in template.params:
-        if spec.consumes is not None:
-            value = resolve_consumer(spec, pool)
-        else:
-            value = choose_value(spec)
-        values[spec.name] = value
-        if spec.location == "path":
-            path = path.replace("{" + spec.name + "}", value)
-        elif spec.location == "query":
-            query[spec.name] = value
-        else:
-            body[spec.name] = value
-    return RenderedStep(
-        template.template_id,
-        ReadyRequest(template.method, path, query, body),
-        values,
-    )
+        if spec.location == "query":
+            query[spec.name] = values[spec.name]
+        elif spec.location == "body":
+            body[spec.name] = values[spec.name]
+    request = ReadyRequest(template.method, fill_path(template.path_parts, values), query, body)
+    return RenderedStep(template.template_id, request, values)
 
 
 def render_traditional(
     template: RequestTemplate, pool: dict[str, str], rng: np.random.Generator
 ) -> RenderedStep:
-    """Uniform random dictionary value for every non-consumer parameter."""
-    return _render(
-        template,
-        pool,
-        lambda spec: spec.dictionary[int(rng.integers(len(spec.dictionary)))],
-    )
+    """Uniform random dictionary value for every non-consumer parameter.
+
+    One ``rng.integers`` draw per non-consumer parameter, in template order.
+    A consumer whose type has no id in ``pool`` raises
+    :class:`MissingProducerId` after the draws for the parameters ahead of it.
+    """
+    integers = rng.integers
+    values: dict[str, str] = {}
+    for spec in template.params:
+        if spec.consumes is None:
+            dictionary = spec.dictionary
+            values[spec.name] = dictionary[integers(len(dictionary))]
+        else:
+            values[spec.name] = resolve_consumer(spec, pool)
+    return _step(template, values)
 
 
 def render_with_list(
@@ -99,7 +117,13 @@ def render_with_list(
     parameter, and model output draws only the template's own pair tokens.
     """
     overrides = dict(pairs)
-    return _render(template, pool, lambda spec: overrides.get(spec.name, spec.default))
+    values: dict[str, str] = {}
+    for spec in template.params:
+        if spec.consumes is None:
+            values[spec.name] = overrides.get(spec.name, spec.default)
+        else:
+            values[spec.name] = resolve_consumer(spec, pool)
+    return _step(template, values)
 
 
 def choose_list(
@@ -115,19 +139,30 @@ def choose_list(
 
 
 def read_produced_id(body: str, pointer: str) -> str | None:
-    """The id at ``pointer`` in a JSON response body, as a string.
+    """The id at ``pointer``, an RFC 6901 JSON pointer, in a JSON response body, as a string.
 
-    Tolerant: an unparsable body, a missing field or a value that is not a
-    string or an integer (a boolean is not) yields ``None`` rather than an error.
+    ``""`` is the whole body; each ``/``-separated token, ``~1`` read as
+    ``/`` and ``~0`` as ``~``, names an object member or an array index.
+    Tolerant: an unparsable body, a missing member or index, or a value
+    that is not a string or an integer (a boolean is not) yields ``None``
+    rather than an error.  ``parse_spec`` and ``load_replay`` refuse a
+    pointer that is neither ``""`` nor starts with ``/``.
     """
     try:
         node = json.loads(body) if body else None
     except json.JSONDecodeError:
         return None
-    for key in pointer.lstrip("/").split("/"):
-        if not isinstance(node, dict) or key not in node:
+    for token in pointer.split("/")[1:]:
+        if "~" in token:
+            token = token.replace("~1", "/").replace("~0", "~")
+        if isinstance(node, dict):
+            if token not in node:
+                return None
+            node = node[token]
+        elif isinstance(node, list) and _ARRAY_INDEX.fullmatch(token) and int(token) < len(node):
+            node = node[int(token)]
+        else:
             return None
-        node = node[key]
     return str(node) if type(node) in (str, int) else None  # bool is an int subclass
 
 

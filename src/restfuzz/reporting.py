@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 
 from .client import HttpClient, ReadyRequest
 from .execution import ExecutedStep, Observer, send_step
-from .grammar import CompiledGrammar
-from .rendering import RenderedStep, note_produced_id
+from .grammar import CompiledGrammar, is_json_pointer, split_path
+from .rendering import RenderedStep, fill_path, note_produced_id
 from .responses import ResponseClass, ResponseRecord
 
 KIND_RESPONSE_5XX = "response5xx"
@@ -184,6 +184,8 @@ def _replay_record(text: str) -> dict:
     produces = line.get("produces")
     if produces is not None and not _has_strings(produces, ("type", "pointer")):
         raise ValueError("produces must be null or an object with string type and pointer")
+    if produces is not None and not is_json_pointer(produces["pointer"]):
+        raise ValueError("the produces pointer must be empty or start with '/'")
     return line
 
 
@@ -227,9 +229,7 @@ def run_replay(
     steps: list[ExecutedStep] = []
     for line in lines:
         path_params = resolve(line, "path_params")
-        path = line["path_template"]
-        for name, value in path_params.items():
-            path = path.replace("{" + name + "}", value)
+        path = fill_path(split_path(line["path_template"]), path_params)
         query, body = resolve(line, "query"), resolve(line, "body")
         request = ReadyRequest(line["method"], path, query, body)
         rendered = RenderedStep(line["template_id"], request, {**path_params, **query, **body})

@@ -32,9 +32,14 @@ def classify_status(status: int) -> ResponseClass:
     return ResponseClass.REJECT_4XX
 
 
-@dataclass(frozen=True)
+# The class of every three-digit status, indexed by the status: the client
+# looks a reply's class up here rather than calling ``classify_status``.
+STATUS_CLASSES = tuple(classify_status(status) for status in range(1000))
+
+
+@dataclass(slots=True)
 class ResponseRecord:
-    """One classified HTTP outcome."""
+    """One classified HTTP outcome; nothing hashes or changes one once built."""
 
     status: int | None
     klass: ResponseClass

@@ -232,6 +232,8 @@ REPLAY_FILES = {
     "body-not-an-object": (records_then(RECORD + ', "body": []}'), "line 3"),
     "produces-without-pointer": (
         records_then(RECORD + ', "produces": {"type": "group"}}'), "line 3"),
+    "produces-pointer-not-a-json-pointer": (
+        records_then(RECORD + ', "produces": {"type": "group", "pointer": "id"}}'), "line 3"),
 }
 
 

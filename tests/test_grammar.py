@@ -83,6 +83,20 @@ class TestParseSpec:
         with pytest.raises(MalformedSpec):
             parse_spec(build_spec(paths))
 
+    @pytest.mark.parametrize("pointer", ["id", "data/0/id", "~1id"])
+    def test_a_produces_pointer_that_is_not_a_json_pointer_is_refused(self, pointer):
+        paths = groups_paths()
+        paths["/groups"]["POST"]["x-produces"]["pointer"] = pointer
+        with pytest.raises(MalformedSpec, match=r"POST /groups: x-produces pointer"):
+            parse_spec(build_spec(paths))
+
+    @pytest.mark.parametrize("pointer", ["", "/", "/id", "//id", "/data/0/id"])
+    def test_a_produces_pointer_may_be_empty_or_start_with_a_slash(self, pointer):
+        paths = groups_paths()
+        paths["/groups"]["POST"]["x-produces"]["pointer"] = pointer
+        assert parse_spec(build_spec(paths)).templates["POST /groups"].produces == (
+            "group", pointer)
+
     def test_mock_target_grammar_ships_and_parses(self, mock_grammar):
         assert len(mock_grammar.templates) == 12
         assert mock_grammar.resource_types == frozenset({"group", "project"})

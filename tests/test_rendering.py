@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from restfuzz.collection import CollectionStore, ParamValuePair
+from restfuzz.grammar import parse_spec
 from restfuzz.rendering import (
     MissingProducerId,
     RenderMode,
@@ -19,8 +20,40 @@ from restfuzz.rendering import (
 )
 from restfuzz.responses import ResponseRecord
 
+from conftest import build_spec, groups_paths
+
 GET_ID = "GET /groups/{id}"
 POST = "POST /groups"
+
+
+def members_paths() -> dict:
+    """A template whose path consumes two types, and a producer of each."""
+    def producer(resource_type):
+        return {"POST": {"parameters": [], "x-produces": {"type": resource_type, "pointer": "/id"}}}
+
+    def member_id(name, resource_type):
+        return {"name": name, "in": "path", "type": "integer", "required": True,
+                "x-consumes": resource_type}
+
+    return {
+        "/groups": producer("group"),
+        "/users": producer("user"),
+        "/groups/{id}/members/{user}": {
+            "GET": {"parameters": [member_id("id", "group"), member_id("user", "user")]}
+        },
+    }
+
+
+class LoggingRng:
+    """An rng that logs the bound of each ``integers`` draw and passes it on."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bounds = []
+
+    def integers(self, bound):
+        self.bounds.append(bound)
+        return self._rng.integers(bound)
 
 
 @pytest.fixture
@@ -53,10 +86,55 @@ class TestRenderTraditional:
         with pytest.raises(MissingProducerId):
             render_traditional(get_template, {}, rng)
 
+    def test_a_path_value_that_holds_a_placeholder_is_sent_as_it_is(self):
+        grammar = parse_spec(build_spec(members_paths()))
+        template = grammar.templates["GET /groups/{id}/members/{user}"]
+        pool = {"group": "{user}", "user": "7"}
+        step = render_traditional(template, pool, np.random.default_rng(0))
+        assert step.request.path == "/groups/{user}/members/7"
+        assert step.rendered_params == {"id": "{user}", "user": "7"}
+        assert render_with_list(template, (), pool).request.path == "/groups/{user}/members/7"
+
     def test_replay_is_byte_identical_under_same_seed(self, get_template, pool_with_group):
         first = render_traditional(get_template, pool_with_group, np.random.default_rng(3))
         second = render_traditional(get_template, pool_with_group, np.random.default_rng(3))
         assert first.request == second.request
+
+
+class TestDrawOrder:
+    """Rendering's draws from the rng: which, how many and in what order."""
+
+    def test_one_draw_per_non_consumer_parameter_in_template_order(self, mock_grammar):
+        for template in mock_grammar.templates.values():
+            pool = {resource_type: "7" for resource_type in template.consumed_types}
+            rng = LoggingRng(0)
+            render_traditional(template, pool, rng)
+            assert rng.bounds == [
+                len(spec.dictionary) for spec in template.params if spec.consumes is None
+            ], template.template_id
+
+    def test_a_missing_id_raises_after_the_draws_ahead_of_its_consumer(self):
+        paths = groups_paths()
+        get = paths["/groups/{id}"]["GET"]
+        # The consumer between two queries: one draw before it, none after.
+        get["parameters"].insert(1, get["parameters"].pop(0))
+        template = parse_spec(build_spec(paths)).templates[GET_ID]
+        assert [spec.name for spec in template.params][1] == "id"
+        rng = LoggingRng(0)
+        with pytest.raises(MissingProducerId):
+            render_traditional(template, {}, rng)
+        assert rng.bounds == [2]  # with_custom_attributes' dictionary only
+
+    def test_a_list_draws_nothing(self, mock_grammar):
+        """A position rendered from a list draws once, to choose the list, and no more."""
+        lists = ((), (), ())
+        for template in mock_grammar.templates.values():
+            pool = {resource_type: "7" for resource_type in template.consumed_types}
+            rng = LoggingRng(0)
+            steps = render_sequence([template.template_id] * 2, mock_grammar,
+                                    {template.template_id: lists}, RenderMode.MODEL, rng, pool)
+            assert next(steps) == render_with_list(template, (), pool)
+            assert rng.bounds == [len(lists)], template.template_id
 
 
 class TestRenderWithList:
@@ -108,6 +186,28 @@ class TestExtractProducerIds:
     def test_pointer_read(self):
         assert read_produced_id('{"id": 42, "name": "x"}', "/id") == "42"
         assert read_produced_id('{"group": {"id": "g-1"}}', "/group/id") == "g-1"
+
+    @pytest.mark.parametrize(("body", "pointer", "expected"), [
+        ('{"data": [{"id": 7}]}', "/data/0/id", "7"),
+        ('{"a/b": 5}', "/a~1b", "5"),
+        ('{"m~n": 6}', "/m~0n", "6"),
+        ('{"~1": 8}', "/~01", "8"),  # ~0 then 1, not ~ then /
+        ("42", "", "42"),
+        ('{"": {"id": 3}}', "//id", "3"),
+    ], ids=["array-index", "escaped-slash", "escaped-tilde", "unescape-order",
+            "whole-body", "empty-member"])
+    def test_pointer_read_by_rfc_6901(self, body, pointer, expected):
+        assert read_produced_id(body, pointer) == expected
+
+    @pytest.mark.parametrize(("body", "pointer"), [
+        ('{"data": [{"id": 7}]}', "/data/1/id"),
+        ('{"data": [{"id": 7}]}', "/data/-/id"),
+        ('{"data": [{"id": 7}]}', "/data/00/id"),
+        ('{"data": [{"id": 7}]}', "/data/+0/id"),
+        ('{"id": 7}', ""),
+    ], ids=["past-the-end", "dash", "leading-zero", "sign", "whole-body-object"])
+    def test_pointer_that_names_no_id_reads_none(self, body, pointer):
+        assert read_produced_id(body, pointer) is None
 
     def test_missing_field_is_tolerated(self):
         assert read_produced_id('{"name": "x"}', "/id") is None

@@ -288,3 +288,16 @@ class TestRunReplay:
         steps = run_replay(lines, target)
         assert len(steps) == len(lines) == len(target.sent)
         assert [r.path for r in target.sent if r.method == "GET"] == expected
+
+    def test_a_path_value_that_holds_a_placeholder_is_sent_as_it_is(self):
+        # The id recorded for the group holds the text of the next placeholder.
+        line = {
+            "template_id": "GET /groups/{id}/members/{user}", "method": "GET",
+            "path_template": "/groups/{id}/members/{user}",
+            "path_params": {"id": "{user}", "user": "7"},
+            "query": {}, "body": {}, "rebind": {}, "produces": None,
+        }
+        target = EchoTarget()
+        steps = run_replay([line], target)
+        assert target.sent[0].path == "/groups/{user}/members/7"
+        assert steps[0].rendered_params == {"id": "{user}", "user": "7"}
