@@ -1,9 +1,9 @@
 """Security rule checkers run after each executed sequence.
 
 The data-driven checker replays the steps of a whole run, consumer ids rebound
-to the objects the replayed producers return, with one randomly chosen
-param-value pair the last template does not define added to the last
-request; a 5xx answer flags an incorrect-parameter-usage error.  It sends
+to the objects the replayed producers return, with one param-value pair
+the last template does not define, drawn from those the caller passes,
+added to the last request; a 5xx answer flags an incorrect-parameter-usage error.  It sends
 each (template ids, pair) key once: a key drawn again sends nothing.  The
 use-after-free checker walks a plan fixed per grammar: for each resource
 type it issues create, delete, then access on the deleted object; a 2xx or
@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .client import HttpClient
-from .collection import CollectionStore, ParamValuePair
+from .collection import ParamValuePair
 from .execution import ExecutedStep, Observer, send_step
 from .grammar import CompiledGrammar, RequestTemplate
 from .rendering import note_produced_id, render_with_list
@@ -38,27 +38,25 @@ ReplayKey = tuple[SequenceTemplate, ParamValuePair]
 
 def datadriven_check(
     steps: Sequence[ExecutedStep],
+    candidates: Sequence[ParamValuePair],
     grammar: CompiledGrammar,
-    store: CollectionStore,
     rng: np.random.Generator,
     client: HttpClient,
     replayed: set[ReplayKey],
     observe: Observer | None = None,
 ) -> list[ExecutedStep] | None:
-    """Replay a whole run's steps with one undefined pair added to the last request.
+    """Replay a whole run's steps with one of ``candidates`` added to the last request.
 
-    No-op when the store holds no pair the last template leaves undefined,
-    or when the drawn pair's key is already in ``replayed``; the pair is
-    drawn either way, and a new key is added before its replay goes out,
-    whatever the replay's outcome.  Rendered values are not in the key:
+    ``candidates`` are the recorded pairs the last template leaves undefined.
+    No-op when there are none, or when the drawn pair's key is already in
+    ``replayed``; the pair is drawn either way, and a new key is added
+    before its replay goes out, whatever the replay's outcome.  Rendered values are not in the key:
     every run renders fresh ones, so such a key would almost never repeat.
     The sequence goes out through :func:`run_replay`, so consumer ids are
     rebound to the objects the replayed producers return; the pair goes
     into the query string for GET/DELETE and into the body for POST/PUT.
     A finding is the replayed steps, ids and injected pair as sent.
     """
-    last = steps[-1]
-    candidates = store.undefined_pairs_for(last.template_id)
     if not candidates:
         return None
     pair = candidates[int(rng.integers(len(candidates)))]
@@ -68,7 +66,7 @@ def datadriven_check(
     replayed.add(key)
 
     lines = [replay_line(step, grammar) for step in steps]
-    location = "query" if last.request.method in ("GET", "DELETE") else "body"
+    location = "query" if steps[-1].request.method in ("GET", "DELETE") else "body"
     lines[-1][location][pair.param_name] = pair.value
     sent = run_replay(lines, client, observe)
     return sent if sent[-1].response.klass is ResponseClass.ERROR_5XX else None

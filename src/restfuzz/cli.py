@@ -127,8 +127,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from .reporting import load_replay, run_replay
 
     try:
-        lines = load_replay(args.file)
         client = HttpClient(args.target)
+        lines = load_replay(args.file)
     except _INPUT_ERRORS as exc:
         print(f"replay: {exc}", file=sys.stderr)
         return 2

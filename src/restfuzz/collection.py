@@ -9,8 +9,9 @@ outcomes are never recorded.
 
 A param-value list is a plain :data:`PairList`, a tuple of pairs in
 template parameter order; the same tuple goes from the store to the model,
-into the published snapshot and into rendering.  Queries return the stored
-sequences themselves, which callers must not mutate.
+into the recommender's published mapping and into rendering.  Queries return
+the stored sequences and mappings themselves, which grow as the store records
+and which callers must not mutate.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class CollectionStore:
         self._seed_keys: set[SequenceTemplate] = set()
         self._seeds = SeedPool()
         # Query indexes, kept at record time, each in first-seen order.
-        self._pairs_by_template: dict[str, list[ParamValuePair]] = {}
+        self._pairs_by_template: dict[str, list[PairList]] = {}  # one-pair lists
         self._lists_by_template: dict[str, list[PairList]] = {}
         self._distinct_pairs: set[ParamValuePair] = set()
         self._undefined_by_template: dict[str, list[ParamValuePair]] = {
@@ -105,7 +106,7 @@ class CollectionStore:
                 # it is new to the template unless the other class has it.
                 self._pairs[key] = None
                 if (template_id, pair, other_class) not in self._pairs:
-                    self._pairs_by_template.setdefault(template_id, []).append(pair)
+                    self._pairs_by_template.setdefault(template_id, []).append((pair,))
                 if pair not in self._distinct_pairs:
                     self._distinct_pairs.add(pair)
                     self._index_undefined(pair)
@@ -160,13 +161,13 @@ class CollectionStore:
         """Stored pairs whose parameter the given template does not define."""
         return self._undefined_by_template[template_id]
 
-    def recorded_pairs_for(self, template_id: str) -> Sequence[ParamValuePair]:
-        """Deduplicated pairs observed on one template (2xx and 5xx)."""
-        return self._pairs_by_template.get(template_id, ())
+    def recorded_pairs(self) -> Mapping[str, Sequence[PairList]]:
+        """Each template's distinct observed pairs (2xx and 5xx), each a one-pair list."""
+        return self._pairs_by_template
 
-    def recorded_lists_for(self, template_id: str) -> Sequence[PairList]:
-        """Whole per-request pair lists observed on one template (2xx and 5xx)."""
-        return self._lists_by_template.get(template_id, ())
+    def recorded_lists(self) -> Mapping[str, Sequence[PairList]]:
+        """Each template's whole per-request pair lists observed (2xx and 5xx)."""
+        return self._lists_by_template
 
     def pair_observations(self) -> list[PairObservation]:
         return [PairObservation(*key) for key in self._pairs]

@@ -63,7 +63,7 @@ def send_step(
 def execute_candidate(
     candidate: SequenceTemplate,
     grammar: CompiledGrammar,
-    list_snapshot: Mapping[str, Sequence[PairList]],
+    lists: Mapping[str, Sequence[PairList]],
     mode: RenderMode,
     rng: np.random.Generator,
     client: HttpClient,
@@ -80,7 +80,7 @@ def execute_candidate(
     """
     steps: list[ExecutedStep] = []
     pool: dict[str, str] = {}
-    rendered_steps = render_sequence(candidate, grammar, list_snapshot, mode, rng, pool, store)
+    rendered_steps = render_sequence(candidate, grammar, lists, mode, rng, pool)
     try:
         for rendered in rendered_steps:
             if should_stop is not None and should_stop():

@@ -22,13 +22,14 @@ import logging
 import time
 from collections import deque
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .checkers import KIND_INCORRECT_PARAM_USAGE, KIND_USE_AFTER_FREE, datadriven_check
 from .checkers import ReplayKey, uaf_plan, use_after_free_check
 from .client import HttpClient
-from .collection import CollectionStore
+from .collection import CollectionStore, PairList
 from .config import MODES, FuzzConfig, RenderMode
 from .execution import ExecutedStep, execute_candidate
 from .grammar import CompiledGrammar
@@ -76,6 +77,15 @@ class Fuzzer:
             if self.render_mode is RenderMode.MODEL
             else None
         )
+        # The one place a mode picks what rendering draws its param-value
+        # lists from; every source is a live mapping, so it is taken once.
+        self._lists: Mapping[str, Sequence[PairList]] = {}  # baseline: none
+        if self.recommender is not None:
+            self._lists = self.recommender.published
+        elif self.render_mode is RenderMode.REC1:
+            self._lists = self.store.recorded_pairs()
+        elif self.render_mode is RenderMode.RECLIST:
+            self._lists = self.store.recorded_lists()
         self._trained_through_iteration = 0
         self._train_attempts = 0  # numbers every round in the logs, failed ones too
         self._last_train_time: float | None = None
@@ -220,11 +230,10 @@ class Fuzzer:
                 logger.warning("nothing satisfiable to execute; stopping")
                 return
 
-            snapshot = self.recommender.snapshot() if self.recommender else {}
             steps = execute_candidate(
                 candidate,
                 self.grammar,
-                snapshot,
+                self._lists,
                 self.render_mode,
                 self._rng_render,
                 client,
@@ -245,8 +254,9 @@ class Fuzzer:
 
             # The replay re-sends every executed step, so it runs only whole.
             if self.config.enable_datadriven_checker and whole and self._fits(len(steps)):
+                undefined = self.store.undefined_pairs_for(steps[-1].template_id)
                 self._report(KIND_INCORRECT_PARAM_USAGE, datadriven_check(
-                    steps, self.grammar, self.store, self._rng_checker, client,
+                    steps, undefined, self.grammar, self._rng_checker, client,
                     self._replayed, observe,
                 ))
             if self.config.enable_uaf_checker and not self._exhausted():

@@ -4,9 +4,9 @@ Each training round rebuilds the vocabulary from the corpus window and
 trains fresh weights from scratch, then samples param-value lists per
 request template.  Rounds run inline on the fuzz loop's thread and write
 no file; a round's weights are its result's arrays.  Published
-lists accumulate across rounds in a snapshot, keyed by template, that each
-publish replaces, so a mapping the rendering side holds never changes
-under it.  A list is a plain :data:`~restfuzz.collection.PairList`.
+lists accumulate across rounds in one mapping, keyed by template, that each
+publish updates in place, so the rendering side holds it once and sees every
+round's lists.  A list is a plain :data:`~restfuzz.collection.PairList`.
 """
 
 from __future__ import annotations
@@ -293,19 +293,16 @@ def generate_lists(
 
 
 class Recommender:
-    """Owns the published list snapshot and the train-generate cycle."""
+    """Owns the published lists and the train-generate cycle."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self._config = config
         self._rng = rng
-        self._snapshot: dict[str, tuple[PairList, ...]] = {}
-
-    def snapshot(self) -> dict[str, tuple[PairList, ...]]:
-        """The current published mapping; ``publish`` replaces it, never edits it."""
-        return self._snapshot
+        # Template id -> published lists; ``publish`` updates it in place.
+        self.published: dict[str, tuple[PairList, ...]] = {}
 
     def publish(self, lists: Mapping[str, Sequence[PairList]]) -> None:
-        """Merge new lists, keyed by template, into a copy of the snapshot and replace it.
+        """Merge new lists, keyed by template, into the published mapping.
 
         Lists are deduped against what is already published and capped per
         template with the oldest entries evicted first.  They are not checked
@@ -313,9 +310,8 @@ class Recommender:
         non-consumer parameters, and :func:`generate_lists` draws only the
         template's own pair tokens.
         """
-        updated = dict(self._snapshot)
         for template_id, new_lists in lists.items():
-            merged = list(updated.get(template_id, ()))
+            merged = list(self.published.get(template_id, ()))
             known = set(merged)
             for pairs in new_lists:
                 if pairs not in known:
@@ -324,8 +320,7 @@ class Recommender:
             overflow = len(merged) - self._config.per_template_cap
             if overflow > 0:
                 merged = merged[overflow:]
-            updated[template_id] = tuple(merged)
-        self._snapshot = updated
+            self.published[template_id] = tuple(merged)
 
     def train_and_publish(
         self, corpus: Corpus, label: str = "", should_stop: StopCheck | None = None

@@ -4,7 +4,8 @@ Two rendering strategies: the traditional one draws a random dictionary
 value for every parameter; the list-backed one starts from defaults and
 overrides only the parameters named in a param-value list, a plain
 :data:`~restfuzz.collection.PairList` whether the model generated it or the
-store recorded it.
+store recorded it.  The caller hands :func:`render_sequence` the template to
+lists mapping a mode draws from; rendering reads no store.
 Consumer parameters are always resolved from the object-id pool built up
 while the sequence executes: the latest id per resource type, a plain
 ``dict[str, str]`` owned by whoever sends the sequence.  The main loop,
@@ -24,7 +25,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .client import ReadyRequest
-from .collection import CollectionStore, PairList
+from .collection import PairList
 from .config import RenderMode
 from .grammar import CompiledGrammar, ParamSpec, RequestTemplate
 from .responses import ResponseClass, ResponseRecord
@@ -126,18 +127,6 @@ def render_with_list(
     return _step(template, values)
 
 
-def choose_list(
-    lists: Sequence[PairList], rng: np.random.Generator
-) -> PairList | None:
-    """Uniform draw over available lists; ``None`` when there are none.
-
-    An all-defaults list ``()`` is falsy, so test the result with ``is None``.
-    """
-    if not lists:
-        return None
-    return lists[int(rng.integers(len(lists)))]
-
-
 def read_produced_id(body: str, pointer: str) -> str | None:
     """The id at ``pointer``, an RFC 6901 JSON pointer, in a JSON response body, as a string.
 
@@ -180,41 +169,33 @@ def note_produced_id(
 def render_sequence(
     candidate_ids: Sequence[str],
     grammar: CompiledGrammar,
-    list_snapshot: Mapping[str, Sequence[PairList]],
+    lists: Mapping[str, Sequence[PairList]],
     mode: RenderMode,
     rng: np.random.Generator,
     pool: dict[str, str],
-    store: CollectionStore | None = None,
 ) -> Iterator[RenderedStep]:
     """Render a candidate one request at a time from the caller's id pool.
 
     Each position is rendered only when the next step is asked for, so the
     caller sends a step and files its producer id into ``pool``
     (:func:`note_produced_id`) before a later consumer reads it; the rng
-    draws and store reads happen in that same order.
+    draws happen in that same order.
 
-    The last position is always rendered traditionally; positions before it
-    follow ``mode``: the model mode uses a chosen param-value list (falling
-    back to traditional when none exists yet), rec1/reclist replay one recorded
-    pair / one recorded pair list on top of defaults, baseline stays fully
-    random.
+    The last position, and every position in baseline mode, is rendered
+    traditionally.  Any other position whose template has lists in
+    ``lists`` renders one of them, drawn uniformly with one ``rng.integers``
+    draw; an all-defaults list ``()`` is a list all the same.  A template
+    with none renders traditionally in the model mode and with defaults in
+    rec1/reclist.
     """
     last = len(candidate_ids) - 1
     for position, template_id in enumerate(candidate_ids):
         template = grammar.templates[template_id]
         if position == last or mode is RenderMode.BASELINE:
             yield render_traditional(template, pool, rng)
+        elif choices := lists.get(template_id):
+            yield render_with_list(template, choices[int(rng.integers(len(choices)))], pool)
         elif mode is RenderMode.MODEL:
-            chosen = choose_list(list_snapshot.get(template_id, ()), rng)
-            if chosen is None:
-                yield render_traditional(template, pool, rng)
-            else:
-                yield render_with_list(template, chosen, pool)
-        elif mode is RenderMode.REC1:
-            pairs = store.recorded_pairs_for(template_id) if store else ()
-            chosen = (pairs[int(rng.integers(len(pairs)))],) if pairs else ()
-            yield render_with_list(template, chosen, pool)
-        else:  # RenderMode.RECLIST
-            lists = store.recorded_lists_for(template_id) if store else ()
-            chosen = lists[int(rng.integers(len(lists)))] if lists else ()
-            yield render_with_list(template, chosen, pool)
+            yield render_traditional(template, pool, rng)
+        else:
+            yield render_with_list(template, (), pool)

@@ -28,12 +28,8 @@ _WS_RE = re.compile(r"\s+")
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 
 
-class NoResponses(Exception):
-    """Pass rate is undefined without any HTTP responses."""
-
-
-def pass_rate(counts: Mapping[ResponseClass, int]) -> float:
-    """Fraction of HTTP responses in 2xx or 5xx.
+def pass_rate(counts: Mapping[ResponseClass, int]) -> float | None:
+    """Fraction of HTTP responses in 2xx or 5xx; ``None`` without any.
 
     Transport failures never produced an HTTP response and stay out of both
     numerator and denominator.
@@ -42,9 +38,7 @@ def pass_rate(counts: Mapping[ResponseClass, int]) -> float:
     n4 = counts.get(ResponseClass.REJECT_4XX, 0)
     n5 = counts.get(ResponseClass.ERROR_5XX, 0)
     total = n2 + n4 + n5
-    if total <= 0:
-        raise NoResponses("no HTTP responses recorded")
-    return (n2 + n5) / total
+    return (n2 + n5) / total if total > 0 else None
 
 
 def body_signature(body: str) -> str:
@@ -112,6 +106,7 @@ class ErrorReport:
         self._grammar = grammar
         self._replay_dir = Path(replay_dir) if replay_dir is not None else None
         self._buckets: dict[tuple, ErrorRecord] = {}
+        self._bucket_ids: set[str] = set()
 
     def bucket_error(
         self, steps: Sequence[ExecutedStep], kind: str, iteration: int, requests: int
@@ -126,7 +121,7 @@ class ErrorReport:
             record.hits += 1
             return record, False
 
-        bucket_id = "--".join(
+        bucket_id = base_id = "--".join(
             (
                 kind,
                 _slug(offending.template_id),
@@ -134,6 +129,13 @@ class ErrorReport:
                 signature[:8],
             )
         )
+        # Two keys can share a slug and a signature prefix: the later bucket
+        # takes the first free numbered id, so no replay file is overwritten.
+        clashes = 1
+        while bucket_id in self._bucket_ids:
+            clashes += 1
+            bucket_id = f"{base_id}-{clashes}"
+        self._bucket_ids.add(bucket_id)
         replay_path = None
         if self._replay_dir is not None:
             self._replay_dir.mkdir(parents=True, exist_ok=True)
@@ -192,7 +194,8 @@ def _replay_record(text: str) -> dict:
 def load_replay(path: Path | str) -> list[dict]:
     """The replay records of a file, one JSON object a line; blank lines are skipped.
 
-    A line that is not a replay record raises ``ValueError`` naming its number.
+    A line that is not a replay record raises ``ValueError`` naming its
+    number, and so does a file with no record, naming the file.
     """
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -202,6 +205,8 @@ def load_replay(path: Path | str) -> list[dict]:
                     records.append(_replay_record(text))
             except ValueError as exc:
                 raise ValueError(f"{path} line {number}: {exc}") from None
+    if not records:
+        raise ValueError(f"{path}: no replay records")
     return records
 
 
@@ -270,7 +275,7 @@ class RunMetrics:
         if self.counts_at_first_training is None:
             self.counts_at_first_training = Counter(self.counts)
 
-    def pass_rate(self) -> float:
+    def pass_rate(self) -> float | None:
         return pass_rate(self.counts)
 
     def pass_rate_after_first_training(self) -> float | None:
@@ -278,10 +283,7 @@ class RunMetrics:
             return None
         tail = Counter(self.counts)
         tail.subtract(self.counts_at_first_training)
-        try:
-            return pass_rate(tail)
-        except NoResponses:
-            return None
+        return pass_rate(tail)
 
     def median_executed_length(self) -> float | None:
         if not self.length_histogram:
@@ -294,14 +296,10 @@ class RunMetrics:
                 return None
             return {klass.value: counter.get(klass, 0) for klass in ResponseClass}
 
-        try:
-            rate = self.pass_rate()
-        except NoResponses:
-            rate = None
         return {
             "requests_sent": self.requests_sent,
             "responses": counter_json(self.counts),
-            "pass_rate": rate,
+            "pass_rate": self.pass_rate(),
             "pass_rate_after_first_training": self.pass_rate_after_first_training(),
             "responses_at_first_training": counter_json(self.counts_at_first_training),
             "unique_request_templates": len(self.per_template_2xx),

@@ -4,20 +4,37 @@ Put it between a client and a target to see the exact bytes of each
 connection, in each direction, whatever ``recv`` boundaries they crossed.
 Each byte is recorded before it is forwarded, so once a client has read a
 reply, the reply is in :attr:`TcpProxy.connections`.
+
+With ``cut_every=k`` it also cuts connections: it numbers the target's
+replies across all connections, from 1, and of every k-th reply forwards
+only the first 5 bytes, then shuts both sockets of that connection down.
+The client is waiting for that reply, so each cut is exactly one transport
+outcome; a cut between two replies would race the client's retry of a
+write on a stale connection, so no cut falls there.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 import socket
 import threading
+
+_CONTENT_LENGTH = re.compile(rb"\r\ncontent-length:[ \t]*([0-9]+)", re.IGNORECASE)
+_CUT_PREFIX = 5  # bytes of a cut reply that reach the client
 
 
 class TcpProxy:
     """Listens on a free local port and relays each connection to ``upstream``."""
 
-    def __init__(self, upstream: tuple[str, int]):
+    def __init__(self, upstream: tuple[str, int], cut_every: int | None = None):
+        if cut_every is not None and cut_every < 2:
+            raise ValueError("cut_every must be at least 2: the first reply is never cut")
         self.upstream = upstream
+        self.cut_every = cut_every
+        self.cuts = 0  # connections cut so far
+        self._replies = 0  # replies begun so far, over all connections
+        self._count_lock = threading.Lock()
         # One (client-to-target, target-to-client) byte log per connection,
         # in the order the connections were accepted.
         self.connections: list[tuple[bytearray, bytearray]] = []
@@ -46,10 +63,57 @@ class TcpProxy:
             sent, received = bytearray(), bytearray()
             self.connections.append((sent, received))
             self._sockets += (conn, upstream)
-            for source, sink, log in ((conn, upstream, sent), (upstream, conn, received)):
-                pump = threading.Thread(target=_pump, args=(source, sink, log), daemon=True)
+            relay = _pump if self.cut_every is None else self._relay_replies
+            for run, source, sink, log in ((_pump, conn, upstream, sent),
+                                           (relay, upstream, conn, received)):
+                pump = threading.Thread(target=run, args=(source, sink, log), daemon=True)
                 pump.start()
                 self._pumps.append(pump)
+
+    def _relay_replies(self, source: socket.socket, sink: socket.socket, log: bytearray) -> None:
+        """Copy the target's replies to the client, cutting the connection at every k-th.
+
+        A reply ends ``Content-Length`` bytes after its head; the target must
+        frame every reply that way.  A reply is held until its head is whole,
+        so its number is known before any of its bytes go out.
+        """
+        pending = bytearray()  # received, not yet forwarded
+        left = 0  # bytes of the current reply still to forward; 0 between replies
+        try:
+            while chunk := source.recv(65536):
+                log += chunk
+                pending += chunk
+                while pending:
+                    if left == 0:
+                        head_end = pending.find(b"\r\n\r\n")
+                        if head_end < 0:
+                            break  # wait for the rest of the head
+                        length = _CONTENT_LENGTH.search(pending, 0, head_end + 2)
+                        left = head_end + 4 + int(length.group(1))
+                        if self._cut_due():
+                            sink.sendall(pending[:_CUT_PREFIX])
+                            for sock in (source, sink):
+                                sock.shutdown(socket.SHUT_RDWR)
+                            return
+                    forward = pending[:left]
+                    sink.sendall(forward)
+                    del pending[:len(forward)]
+                    left -= len(forward)
+        except OSError:
+            pass
+        try:
+            sink.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+
+    def _cut_due(self) -> bool:
+        """Number one more reply; true, and counted as a cut, when it is a k-th."""
+        with self._count_lock:
+            self._replies += 1
+            if self._replies % self.cut_every:
+                return False
+            self.cuts += 1
+            return True
 
     def stop(self) -> None:
         """Stop accepting, cut every open connection and wait for the relays."""

@@ -88,24 +88,17 @@ NON_DEFAULT_GROUP = [
 ]
 
 
-def store_with_undef_pair(grammar):
-    """A store holding exactly one pair, undefined for the PUT template."""
-    store = CollectionStore(grammar)
-    store.record_request_outcome(
-        "POST /groups",
-        {"name": "dev-team", "path": "eng", "parent_id": "0",
-         "visibility": "private", "initialize_with_readme": "true"},
-        ResponseClass.PASS_2XX,
-    )
-    return store
+README = ParamValuePair("initialize_with_readme", "true")
+# The pairs the main loop hands the checker for a run that ends in PUT /groups/{id}
+# or GET /groups once a 2xx POST /groups sent README: neither template defines it.
+UNDEFINED = (README,)
 
 
 class TestDataDrivenChecker:
     def test_armed_bug_yields_violation(self, mock_grammar, armed, rng):
-        store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
         assert executed[-1].response.status == 200
-        violation = datadriven_check(executed, mock_grammar, store, rng, armed, set())
+        violation = datadriven_check(executed, UNDEFINED, mock_grammar, rng, armed, set())
         # a finding is the replayed steps, the offending reply last
         assert [step.template_id for step in violation] == ["POST /groups", "PUT /groups/{id}"]
         # the PUT defines no initialize_with_readme: the drawn pair, injected
@@ -113,24 +106,22 @@ class TestDataDrivenChecker:
         assert violation[-1].response.status == 500
 
     def test_disarmed_bug_is_ignored(self, mock_grammar, disarmed, rng):
-        store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, disarmed)
-        assert datadriven_check(executed, mock_grammar, store, rng, disarmed, set()) is None
+        assert datadriven_check(executed, UNDEFINED, mock_grammar, rng, disarmed, set()) is None
 
     def test_empty_pair_store_is_a_noop(self, mock_grammar, disarmed, rng):
         executed = execute_defaults(["POST /groups"], mock_grammar, disarmed)
         sent = []
         violation = datadriven_check(
-            executed, mock_grammar, CollectionStore(mock_grammar), rng, disarmed, set(),
+            executed, (), mock_grammar, rng, disarmed, set(),
             observe=lambda tid, record: sent.append(tid),
         )
         assert violation is None
         assert sent == []  # nothing was re-sent
 
     def test_injection_changes_exactly_one_request(self, mock_grammar, armed, rng):
-        store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
-        violation = datadriven_check(executed, mock_grammar, store, rng, armed, set())
+        violation = datadriven_check(executed, UNDEFINED, mock_grammar, rng, armed, set())
         assert violation is not None
         # every request before the last is byte-identical
         for original, replayed in zip(executed[:-1], violation[:-1]):
@@ -147,10 +138,9 @@ class TestDataDrivenChecker:
             assert injected_last.body[key] == original_last.body[key]
 
     def test_violation_holds_what_its_replay_sent(self, mock_grammar, armed, rng, tmp_path):
-        store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
         original_id = json.loads(executed[0].response.body)["id"]
-        violation = datadriven_check(executed, mock_grammar, store, rng, armed, set())
+        violation = datadriven_check(executed, UNDEFINED, mock_grammar, rng, armed, set())
         assert violation is not None
         replayed_id = json.loads(violation[0].response.body)["id"]
         assert replayed_id != original_id
@@ -168,19 +158,17 @@ class TestDataDrivenChecker:
         assert [line["expected_status"] for line in lines] == [201, 500]
 
     def test_injected_param_is_never_defined_on_last_template(self, mock_grammar, armed, rng):
-        store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["POST /groups", "PUT /groups/{id}"], mock_grammar, armed)
-        violation = datadriven_check(executed, mock_grammar, store, rng, armed, set())
+        violation = datadriven_check(executed, UNDEFINED, mock_grammar, rng, armed, set())
         defined = mock_grammar.templates["PUT /groups/{id}"].param_names
         (injected,) = set(violation[-1].request.body) - set(executed[-1].request.body)
         assert injected not in defined
 
     def test_get_request_gets_query_injection(self, mock_grammar, disarmed, rng):
-        store = store_with_undef_pair(mock_grammar)
         executed = execute_defaults(["GET /groups"], mock_grammar, disarmed)
         observed = []
         datadriven_check(
-            executed, mock_grammar, store, rng, disarmed, set(),
+            executed, UNDEFINED, mock_grammar, rng, disarmed, set(),
             observe=lambda tid, record: observed.append(tid),
         )
         assert observed == ["GET /groups"]
@@ -191,10 +179,11 @@ class TestDataDrivenChecker:
         assert [step.response.klass for step in executed] == [ResponseClass.PASS_2XX] * 2
         corpus = store.training_corpus(since=-1)
         pairs = store.pair_observations()
-        assert corpus and store.undefined_pairs_for("PUT /groups/{id}")
+        undefined = store.undefined_pairs_for("PUT /groups/{id}")
+        assert corpus and undefined
 
         sent = []
-        datadriven_check(executed, mock_grammar, store, rng, disarmed, set(),
+        datadriven_check(executed, undefined, mock_grammar, rng, disarmed, set(),
                          observe=lambda tid, record: sent.append(tid))
         assert sent == ["POST /groups", "PUT /groups/{id}"]
         assert store.training_corpus(since=-1) == corpus
@@ -206,7 +195,8 @@ class TestDataDrivenChecker:
         original_id = json.loads(executed[0].response.body)["id"]
 
         client = RecordingClient(disarmed)
-        datadriven_check(executed, mock_grammar, store, rng, client, set())
+        undefined = store.undefined_pairs_for("PUT /groups/{id}")
+        datadriven_check(executed, undefined, mock_grammar, rng, client, set())
         (create, created), (injected, _) = client.sent
         replayed_id = json.loads(created.body)["id"]
         assert create.body == executed[0].request.body
@@ -227,7 +217,6 @@ class AnsweringClient:
 
 
 GROUP_AND_PUT = ("POST /groups", "PUT /groups/{id}")
-README = ParamValuePair("initialize_with_readme", "true")
 
 
 class TestDataDrivenMemo:
@@ -238,11 +227,11 @@ class TestDataDrivenMemo:
         return execute_defaults(list(GROUP_AND_PUT), mock_grammar, disarmed)
 
     def test_a_repeated_key_sends_nothing(self, mock_grammar, disarmed, executed, rng):
-        store, replayed = store_with_undef_pair(mock_grammar), set()
+        replayed = set()
         client = RecordingClient(disarmed)
-        datadriven_check(executed, mock_grammar, store, rng, client, replayed)
+        datadriven_check(executed, UNDEFINED, mock_grammar, rng, client, replayed)
         assert len(client.sent) == 2 and replayed == {(GROUP_AND_PUT, README)}
-        assert datadriven_check(executed, mock_grammar, store, rng, client, replayed) is None
+        assert datadriven_check(executed, UNDEFINED, mock_grammar, rng, client, replayed) is None
         assert len(client.sent) == 2
 
     @pytest.mark.parametrize("recorded", [
@@ -254,8 +243,7 @@ class TestDataDrivenMemo:
     ):
         replayed = {recorded}
         client = RecordingClient(disarmed)
-        datadriven_check(executed, mock_grammar, store_with_undef_pair(mock_grammar), rng,
-                         client, replayed)
+        datadriven_check(executed, UNDEFINED, mock_grammar, rng, client, replayed)
         assert len(client.sent) == 2
         assert replayed == {recorded, (GROUP_AND_PUT, README)}
 
@@ -266,24 +254,22 @@ class TestDataDrivenMemo:
     def test_a_key_stays_recorded_whatever_its_replay_got(
         self, mock_grammar, executed, rng, record
     ):
-        store, replayed = store_with_undef_pair(mock_grammar), set()
+        replayed = set()
         client = AnsweringClient(record)
-        assert datadriven_check(executed, mock_grammar, store, rng, client, replayed) is None
+        assert datadriven_check(executed, UNDEFINED, mock_grammar, rng, client, replayed) is None
         assert client.sent == 2 and replayed == {(GROUP_AND_PUT, README)}
-        datadriven_check(executed, mock_grammar, store, rng, client, replayed)
+        datadriven_check(executed, UNDEFINED, mock_grammar, rng, client, replayed)
         assert client.sent == 2
 
     def test_a_skipped_key_draws_from_the_rng_as_a_replay_does(
         self, mock_grammar, disarmed, executed
     ):
-        store = store_with_undef_pair(mock_grammar)
         internal = ParamValuePair("visibility", "internal")
-        store.record_request_outcome("POST /groups", dict([internal]), ResponseClass.PASS_2XX)
-        assert len(store.undefined_pairs_for("PUT /groups/{id}")) == 2  # a draw takes bits
+        candidates = (README, internal)  # two: a draw takes bits
         replaying, skipping = np.random.default_rng(7), np.random.default_rng(7)
-        datadriven_check(executed, mock_grammar, store, replaying, disarmed, set())
+        datadriven_check(executed, candidates, mock_grammar, replaying, disarmed, set())
         client = AnsweringClient(ResponseRecord.transport())
-        datadriven_check(executed, mock_grammar, store, skipping, client,
+        datadriven_check(executed, candidates, mock_grammar, skipping, client,
                          {(GROUP_AND_PUT, README), (GROUP_AND_PUT, internal)})
         assert client.sent == 0
         assert skipping.bit_generator.state == replaying.bit_generator.state

@@ -222,6 +222,8 @@ def records_then(line):
 # id -> (file content, what the one line on stderr names)
 REPLAY_FILES = {
     "missing": (None, ""),
+    "empty": ("", "no replay records"),
+    "blank-lines-only": ("\n  \n\n", "no replay records"),
     "not-json": ("{not json", "line 1"),
     "bad-json-line": (records_then("{not json"), "line 3"),
     "empty-object": (records_then("{}"), "line 3"),

@@ -245,32 +245,35 @@ class TestIndexesMatchScans:
                 pair for _, pairs, _ in log for pair in pairs
                 if pair.param_name not in template.param_names
             )
-            assert list(store.recorded_pairs_for(template_id)) == _unique(
-                pair for logged_id, pairs, _ in log if logged_id == template_id
+            assert list(store.recorded_pairs().get(template_id, ())) == _unique(
+                (pair,) for logged_id, pairs, _ in log if logged_id == template_id
                 for pair in pairs
             )
-            assert list(store.recorded_lists_for(template_id)) == [
+            assert list(store.recorded_lists().get(template_id, ())) == [
                 pairs for logged_id, pairs, _ in log if logged_id == template_id
             ]
             # rec1/reclist render these without a check: valid by construction
             defaults = template.defaults()
-            for pairs in store.recorded_lists_for(template_id):
+            for pairs in store.recorded_lists().get(template_id, ()):
                 assert all(pair.param_name in defaults for pair in pairs)
 
     def test_pair_seen_as_5xx_then_2xx_is_recorded_once(self, store):
         record_get(store, wp="false", klass=ResponseClass.ERROR_5XX)
         record_get(store, wca="true")
         record_get(store, wca="true", wp="false")
-        assert list(store.recorded_pairs_for(GET_ID)) == [
-            ParamValuePair("with_projects", "false"),
-            ParamValuePair("with_custom_attributes", "true"),
+        assert store.recorded_pairs()[GET_ID] == [
+            (ParamValuePair("with_projects", "false"),),
+            (ParamValuePair("with_custom_attributes", "true"),),
         ]
 
     def test_queries_return_the_stored_sequence(self, store):
+        pairs, lists = store.recorded_pairs(), store.recorded_lists()
         record_get(store, wp="false")
         assert store.undefined_pairs_for(POST) is store.undefined_pairs_for(POST)
-        assert store.recorded_pairs_for(GET_ID) is store.recorded_pairs_for(GET_ID)
-        assert store.recorded_lists_for(GET_ID) is store.recorded_lists_for(GET_ID)
+        # the mappings are live: taken before a record, they hold it
+        assert pairs is store.recorded_pairs() and lists is store.recorded_lists()
+        assert pairs[GET_ID] == [(ParamValuePair("with_projects", "false"),)]
+        assert lists[GET_ID] == [(ParamValuePair("with_projects", "false"),)]
 
 
 class TestTrainingCorpusMatchesScan:

@@ -267,9 +267,9 @@ class TestPublishedLists:
                               enable_uaf_checker=True, enable_datadriven_checker=True)
         fuzzer = Fuzzer(config, mock_grammar)
         assert fuzzer.run().train_rounds >= 1
-        snapshot = fuzzer.recommender.snapshot()
-        assert snapshot
-        for template_id, lists in snapshot.items():
+        published = fuzzer.recommender.published
+        assert published
+        for template_id, lists in published.items():
             own = mock_grammar.templates[template_id].defaults().keys()
             assert lists and all(name in own for pairs in lists for name, _ in pairs)
 
@@ -356,8 +356,8 @@ class TestAblationIndependence:
     ):
         """Same seed, training off: miner degrades to exactly seq-only.
 
-        Selection draws from its own rng stream and never consults the list
-        snapshot; rendering falls back to the traditional path when no lists
+        Selection draws from its own rng stream and never consults the
+        published lists; rendering falls back to the traditional path when no lists
         exist.  The executed-template streams must therefore be identical.
         """
         streams: dict[str, list[tuple[str, ...]]] = {}

@@ -555,33 +555,35 @@ class TestRecommenderPublish:
 
     def test_first_publish(self, recommender):
         recommender.publish(self.lists(4))
-        assert len(recommender.snapshot()[GET_ID]) == 4
+        assert len(recommender.published[GET_ID]) == 4
 
     def test_union_semantics(self, recommender):
         recommender.publish(self.lists(4))
         recommender.publish(self.lists(3, start=2))  # 2 duplicates + 1 new
-        assert len(recommender.snapshot()[GET_ID]) == 5
+        assert len(recommender.published[GET_ID]) == 5
 
     def test_cap_evicts_oldest(self, rng):
         recommender = Recommender(ModelConfig(per_template_cap=4), rng)
         recommender.publish(self.lists(4))
         recommender.publish(self.lists(2, start=100))
-        published = recommender.snapshot()[GET_ID]
+        published = recommender.published[GET_ID]
         assert len(published) == 4
         values = [pairs[0].value for pairs in published]
         assert values == ["v2", "v3", "v100", "v101"]
 
-    def test_snapshot_swap_is_atomic_object_replacement(self, recommender):
-        before = recommender.snapshot()
+    def test_a_mapping_held_before_a_publish_shows_the_new_lists(self, recommender):
+        held = recommender.published
         recommender.publish(self.lists(1))
-        assert recommender.snapshot() is not before
+        assert held[GET_ID] == ((ParamValuePair("with_projects", "v0"),),)
+        recommender.publish(self.lists(1, start=1))
+        assert [pairs[0].value for pairs in held[GET_ID]] == ["v0", "v1"]
 
 
 class TestRound:
     def test_empty_corpus_round_is_skipped(self, rng):
         recommender = Recommender(ModelConfig(), rng)
         assert recommender.train_and_publish([]) is None
-        assert recommender.snapshot() == {}
+        assert recommender.published == {}
 
     def test_round_cut_at_an_epoch_boundary_publishes_nothing(
         self, rng, caplog
@@ -594,7 +596,7 @@ class TestRound:
             corpus, label="round=1", should_stop=lambda: next(answers)
         )
         assert result is None
-        assert recommender.snapshot() == {}
+        assert recommender.published == {}
         epoch_lines = [r for r in caplog.records if "epoch=" in r.getMessage()]
         assert sum(r.levelno == logging.INFO for r in epoch_lines) == 2
         cuts = [r for r in caplog.records if r.levelno == logging.WARNING]

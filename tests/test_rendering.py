@@ -10,7 +10,6 @@ from restfuzz.grammar import parse_spec
 from restfuzz.rendering import (
     MissingProducerId,
     RenderMode,
-    choose_list,
     note_produced_id,
     read_produced_id,
     render_sequence,
@@ -166,18 +165,33 @@ class TestRenderWithList:
 
 
 class TestChooseList:
-    def test_uniform_over_lists(self, rng):
-        lists = [(ParamValuePair("p", str(i)),) for i in range(4)]
-        counts = Counter(choose_list(lists, rng)[0].value for _ in range(100_000))
+    """How ``render_sequence`` chooses a list for a position before the last."""
+
+    def test_uniform_over_lists(self, two_template_grammar, rng):
+        lists = {POST: [(ParamValuePair("name", str(i)),) for i in range(4)]}
+        counts = Counter(
+            next(render_sequence([POST, POST], two_template_grammar, lists,
+                                 RenderMode.MODEL, rng, {})).request.body["name"]
+            for _ in range(100_000)
+        )
         for value in counts:
             assert counts[value] / 100_000 == pytest.approx(0.25, abs=0.01)
 
-    def test_single_list_always_chosen(self, rng):
-        lists = [()]
-        assert choose_list(lists, rng) is lists[0]
+    def test_single_list_always_chosen(self, two_template_grammar):
+        lists = {POST: [(ParamValuePair("name", "qa-team"),)]}
+        for mode in (RenderMode.MODEL, RenderMode.REC1, RenderMode.RECLIST):
+            for seed in range(20):
+                gen = render_sequence([POST, POST], two_template_grammar, lists, mode,
+                                      np.random.default_rng(seed), {})
+                assert next(gen).request.body == {"name": "qa-team"}, mode
 
-    def test_no_lists_yields_none(self, rng):
-        assert choose_list([], rng) is None
+    def test_no_lists_yields_none(self, two_template_grammar):
+        """No list renders defaults outside the model mode, and draws nothing."""
+        for mode in (RenderMode.REC1, RenderMode.RECLIST):
+            rng = LoggingRng(0)
+            gen = render_sequence([POST, POST], two_template_grammar, {POST: ()}, mode, rng, {})
+            assert next(gen).request.body == {"name": "dev-team"}, mode  # the default
+            assert rng.bounds == [], mode
 
 
 class TestExtractProducerIds:
@@ -253,7 +267,7 @@ class TestResolveConsumer:
             resolve_consumer(param, {})
 
 
-def drive(grammar, candidate_ids, mode, rng, responses, snapshot=None, store=None):
+def drive(grammar, candidate_ids, mode, rng, responses, lists=None):
     """Render a sequence as the main loop does, answered by canned responses.
 
     Each response's producer id goes into the pool before the next position
@@ -262,7 +276,7 @@ def drive(grammar, candidate_ids, mode, rng, responses, snapshot=None, store=Non
     pool: dict[str, str] = {}
     replies = iter(responses)
     steps = []
-    for step in render_sequence(candidate_ids, grammar, snapshot or {}, mode, rng, pool, store):
+    for step in render_sequence(candidate_ids, grammar, lists or {}, mode, rng, pool):
         steps.append(step)
         response = next(replies, None)
         if response is not None:
@@ -275,18 +289,17 @@ class TestRenderSequence:
         requests = {}
         for mode in RenderMode:
             gen = render_sequence(
-                [POST], two_template_grammar, {}, mode, np.random.default_rng(5), {},
-                CollectionStore(two_template_grammar),
+                [POST], two_template_grammar, {POST: ((),)}, mode, np.random.default_rng(5), {},
             )
             requests[mode] = next(gen).request
         baseline = requests[RenderMode.BASELINE]
         assert all(req == baseline for req in requests.values())
 
     def test_miner_uses_lists_before_last_position(self, two_template_grammar, rng):
-        snapshot = {POST: ((ParamValuePair("name", "qa-team"),),)}
+        lists = {POST: ((ParamValuePair("name", "qa-team"),),)}
         created = ResponseRecord.from_status(201, '{"id": 1}')
         steps = drive(two_template_grammar, [POST, POST, POST], RenderMode.MODEL, rng,
-                      [created, created, created], snapshot)
+                      [created, created, created], lists)
         assert steps[0].request.body == {"name": "qa-team"}
         assert steps[1].request.body == {"name": "qa-team"}
         # the final request ignores lists and draws from the dictionary
@@ -314,7 +327,7 @@ class TestRenderSequence:
         store = CollectionStore(two_template_grammar)
         created = ResponseRecord.from_status(201, '{"id": 1}')
         steps = drive(two_template_grammar, [POST, POST], RenderMode.REC1, rng,
-                      [created, created], store=store)
+                      [created, created], store.recorded_pairs())
         assert steps[0].request.body == {"name": "dev-team"}  # the default
 
     def test_rec1_overrides_one_recorded_pair(self, two_template_grammar, rng):
@@ -324,7 +337,7 @@ class TestRenderSequence:
         store.record_request_outcome(POST, {"name": "qa-team"}, ResponseClass.PASS_2XX)
         created = ResponseRecord.from_status(201, '{"id": 1}')
         steps = drive(two_template_grammar, [POST, POST], RenderMode.REC1, rng,
-                      [created, created], store=store)
+                      [created, created], store.recorded_pairs())
         assert steps[0].request.body == {"name": "qa-team"}
 
     def test_reclist_draws_over_2xx_and_5xx_lists(self, two_template_grammar):
@@ -344,7 +357,7 @@ class TestRenderSequence:
         for seed in range(50):
             steps = drive(two_template_grammar, [POST, GET_ID, GET_ID], RenderMode.RECLIST,
                           np.random.default_rng(seed), [created, created, created],
-                          store=store)
+                          store.recorded_lists())
             queries.add(tuple(sorted(steps[1].request.query.items())))
         assert queries == {
             (("with_custom_attributes", "true"), ("with_projects", "true")),

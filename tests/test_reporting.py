@@ -1,23 +1,27 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restfuzz.execution import ExecutedStep
+from restfuzz.grammar import parse_spec
 from restfuzz.client import ReadyRequest
 from restfuzz.reporting import (
     KIND_RESPONSE_5XX,
     ErrorReport,
-    NoResponses,
     RunMetrics,
     body_signature,
+    load_replay,
     pass_rate,
     run_replay,
 )
 from restfuzz.responses import ResponseClass, ResponseRecord
+
+from conftest import build_spec, groups_paths
 
 
 def counts(n2=0, n4=0, n5=0, transport=0):
@@ -42,9 +46,8 @@ class TestPassRate:
     def test_transport_excluded_from_both_sides(self):
         assert pass_rate(counts(n2=1, n4=1, transport=100)) == pytest.approx(0.5)
 
-    def test_no_responses_raises(self):
-        with pytest.raises(NoResponses):
-            pass_rate(counts(transport=3))
+    def test_no_responses_is_none(self):
+        assert pass_rate(counts(transport=3)) is None
 
     @given(
         n2=st.integers(0, 10_000),
@@ -56,8 +59,7 @@ class TestPassRate:
     def test_matches_independent_recomputation(self, n2, n4, n5, transport):
         total = n2 + n4 + n5
         if total == 0:
-            with pytest.raises(NoResponses):
-                pass_rate(counts(n2, n4, n5, transport))
+            assert pass_rate(counts(n2, n4, n5, transport)) is None
             return
         expected = (n2 + n5) / total
         got = pass_rate(counts(n2, n4, n5, transport))
@@ -123,7 +125,7 @@ class TestErrorBucketing:
         report.bucket_error([make_step()], KIND_RESPONSE_5XX, 2, 4)
         replays = list((tmp_path / "replays").glob("*.jsonl"))
         assert [str(p) for p in replays] == [record.replay_path]
-        (line,) = [json.loads(l) for l in open(record.replay_path)]
+        (line,) = [json.loads(l) for l in Path(record.replay_path).read_text().splitlines()]
         assert line["expected_class"] == "5xx"
         assert line["method"] == "POST"
         assert "headers" not in line
@@ -132,13 +134,35 @@ class TestErrorBucketing:
         report.bucket_error([make_step()], KIND_RESPONSE_5XX, 7, 52)
         out = tmp_path / "errors.jsonl"
         report.write_jsonl(out)
-        (entry,) = [json.loads(l) for l in open(out)]
+        (entry,) = [json.loads(l) for l in out.read_text().splitlines()]
         assert entry["first_seen_iteration"] == 7
         assert entry["first_seen_requests"] == 52
         assert entry["kind"] == KIND_RESPONSE_5XX
         assert list(entry) == ["bucket_id", "template_id", "status", "kind", "signature",
                                "replay_path", "first_seen_iteration", "first_seen_requests",
                                "hits"]
+
+
+    @pytest.mark.parametrize("templates", [("GET /groups/{id}", "GET /groups/id"),
+                                           ("GET /a_b", "GET /a-b")],
+                             ids=["placeholder", "punctuation"])
+    def test_buckets_whose_ids_would_clash_keep_their_own_replays(self, tmp_path, templates):
+        """Two templates with one slug and one body signature: two ids, two files."""
+        paths = groups_paths()
+        for path in ("/groups/id", "/a_b", "/a-b"):
+            paths[path] = {"GET": {"parameters": []}}
+        report = ErrorReport(parse_spec(build_spec(paths)), tmp_path)
+        records = []
+        for template_id in templates:
+            step = make_step(template_id)
+            step.rendered_params = {"id": "7"}
+            records.append(report.bucket_error([step], KIND_RESPONSE_5XX, 1, 1)[0])
+        first, second = records
+        assert second.bucket_id == first.bucket_id + "-2"
+        assert first.replay_path != second.replay_path
+        for record in records:
+            (line,) = load_replay(record.replay_path)
+            assert line["template_id"] == record.template_id
 
 
 class TestRunMetrics:

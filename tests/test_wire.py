@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import socket
 
 import pytest
@@ -10,6 +11,7 @@ from restfuzz.client import HttpClient, ReadyRequest
 from restfuzz.mock_service import ALL_BUGS, BugConfig, serve
 from restfuzz.orchestrator import FuzzConfig, fuzz_loop
 from tcp_proxy import TcpProxy
+from test_acceptance import BUG_SIGNATURES
 
 # sha256 (TcpProxy.digest) over the request bytes and reply bytes of a
 # seed-0, 1500-request run with both checkers against the fully armed mock:
@@ -67,3 +69,30 @@ class TestWireStream:
         assert metrics.requests_sent == 1500
         assert len(proxy.connections) == 1
         assert proxy.digest() == WIRE_STREAMS[mode]
+
+
+class TestCutConnections:
+    def test_a_run_through_a_target_that_cuts_connections_ends_cleanly(
+        self, service, mock_grammar, tmp_path
+    ):
+        """The paper's full pipeline while every 37th reply is cut after 5 bytes.
+
+        Each cut is one transport outcome the fuzzer counts and moves past:
+        the budget is met, the reports are written, and a cut reply never
+        becomes a finding.
+        """
+        with TcpProxy(("127.0.0.1", service.port), cut_every=37) as proxy:
+            config = FuzzConfig(
+                target=proxy.base_url, mode="miner", max_requests=1000, seed=0,
+                train_every_requests=500, report_dir=tmp_path,
+                enable_uaf_checker=True, enable_datadriven_checker=True,
+            )
+            metrics = fuzz_loop(config, mock_grammar)
+        assert metrics.requests_sent == 1000
+        assert proxy.cuts == (1 + 1000) // 37  # the reachability probe's reply is the first
+        assert len(proxy.connections) == 1 + proxy.cuts  # a new connection after each cut
+        written = json.loads((tmp_path / "metrics.json").read_text())
+        assert written["responses"]["transport"] == proxy.cuts
+        errors = [json.loads(line)
+                  for line in (tmp_path / "errors.jsonl").read_text().splitlines()]
+        assert {(e["template_id"], e["status"]) for e in errors} <= set(BUG_SIGNATURES.values())
