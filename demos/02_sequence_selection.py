@@ -7,8 +7,7 @@ states) without starving short ones completely.
 
 from collections import Counter
 
-import numpy as np
-
+from restfuzz.draws import Draws
 from restfuzz.sequences import select_seed, selection_weights
 
 # A sequence template is a plain tuple of request-template ids.
@@ -18,7 +17,7 @@ print("length   weight      probability")
 for seed, weight, prob in selection_weights(seeds):
     print(f"  {len(seed)}      {weight:.5f}     {prob:.4f}")
 
-rng = np.random.default_rng(0)
+rng = Draws(0)
 draws = 100_000
 counts = Counter(len(select_seed(seeds, rng)) for _ in range(draws))
 

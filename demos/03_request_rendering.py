@@ -11,10 +11,9 @@ every default.
 
 import json
 
-import numpy as np
-
 from restfuzz.client import HttpClient
 from restfuzz.collection import ParamValuePair
+from restfuzz.draws import Draws
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import BugConfig, packaged_grammar_path, serve
 from restfuzz.rendering import render_traditional, render_with_list
@@ -22,7 +21,7 @@ from restfuzz.rendering import render_traditional, render_with_list
 grammar = parse_spec(packaged_grammar_path().read_bytes())
 handle = serve(0, BugConfig())
 client = HttpClient(handle.base_url)
-rng = np.random.default_rng(4)
+rng = Draws(4)
 
 # A producer run first: its response id feeds the consumer's {id} slot.
 # The pool maps each resource type to the latest id produced for it.

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .client import HttpClient
 from .collection import ParamValuePair
+from .draws import Draws
 from .execution import ExecutedStep, Observer, send_step
 from .grammar import CompiledGrammar, RequestTemplate
 from .rendering import note_produced_id, render_with_list
@@ -40,7 +39,7 @@ def datadriven_check(
     steps: Sequence[ExecutedStep],
     candidates: Sequence[ParamValuePair],
     grammar: CompiledGrammar,
-    rng: np.random.Generator,
+    rng: Draws,
     client: HttpClient,
     replayed: set[ReplayKey],
     observe: Observer | None = None,
@@ -53,13 +52,14 @@ def datadriven_check(
     before its replay goes out, whatever the replay's outcome.  Rendered values are not in the key:
     every run renders fresh ones, so such a key would almost never repeat.
     The sequence goes out through :func:`run_replay`, so consumer ids are
-    rebound to the objects the replayed producers return; the pair goes
-    into the query string for GET/DELETE and into the body for POST/PUT.
+    rebound to the objects the replayed producers return, and a transport
+    outcome ends it with no verdict; the pair goes into the query string
+    for GET/DELETE and into the body for POST/PUT.
     A finding is the replayed steps, ids and injected pair as sent.
     """
     if not candidates:
         return None
-    pair = candidates[int(rng.integers(len(candidates)))]
+    pair = candidates[rng.integers(len(candidates))]
     key = (tuple(step.template_id for step in steps), pair)
     if key in replayed:
         return None

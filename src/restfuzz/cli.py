@@ -134,7 +134,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 2
     with client:
         steps = run_replay(lines, client)
-    all_match = True
+    all_match = len(steps) == len(lines)
     for index, (line, step) in enumerate(zip(lines, steps), start=1):
         expected, record = line.get("expected_class"), step.response
         actual = record.klass.value
@@ -145,6 +145,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             match = "match" if expected == actual else f"MISMATCH (expected {expected})"
             all_match = all_match and expected == actual
             print(f"{index}: {status} {actual} {match}")
+    for index in range(len(steps) + 1, len(lines) + 1):
+        print(f"{index}: not sent")
     return 0 if all_match else 2
 
 

@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .client import HttpClient, ReadyRequest
 from .collection import CollectionStore, PairList
 from .config import RenderMode
+from .draws import Draws
 from .grammar import CompiledGrammar
 from .rendering import MissingProducerId, RenderedStep, note_produced_id, render_sequence
 from .responses import ResponseRecord
@@ -65,7 +64,7 @@ def execute_candidate(
     grammar: CompiledGrammar,
     lists: Mapping[str, Sequence[PairList]],
     mode: RenderMode,
-    rng: np.random.Generator,
+    rng: Draws,
     client: HttpClient,
     store: CollectionStore | None = None,
     observe: Observer | None = None,

@@ -31,6 +31,7 @@ from .checkers import ReplayKey, uaf_plan, use_after_free_check
 from .client import HttpClient
 from .collection import CollectionStore, PairList
 from .config import MODES, FuzzConfig, RenderMode
+from .draws import Draws
 from .execution import ExecutedStep, execute_candidate
 from .grammar import CompiledGrammar
 from .recommender import ModelConfig, Recommender
@@ -52,10 +53,12 @@ class Fuzzer:
         self.grammar = grammar
         self.weighted_selection, self.render_mode = MODES[config.mode]
 
+        # The per-request streams draw from buffered words; the trainer's
+        # permutations and list generation keep numpy's Generator.
         seeds = np.random.SeedSequence(config.seed).spawn(4)
-        self._rng_select = np.random.default_rng(seeds[0])
-        self._rng_render = np.random.default_rng(seeds[1])
-        self._rng_checker = np.random.default_rng(seeds[2])
+        self._rng_select = Draws(seeds[0])
+        self._rng_render = Draws(seeds[1])
+        self._rng_checker = Draws(seeds[2])
         self._rng_trainer = np.random.default_rng(seeds[3])
 
         self.metrics = RunMetrics()
@@ -168,7 +171,7 @@ class Fuzzer:
                 seed, self.grammar, self.config.max_sequence_length
             )
         if candidates:
-            return candidates[int(self._rng_select.integers(len(candidates)))]
+            return candidates[self._rng_select.integers(len(candidates))]
         # Seed sits at the length cap: re-execute it with fresh values.
         return seed or None
 

@@ -22,11 +22,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .client import ReadyRequest
 from .collection import PairList
 from .config import RenderMode
+from .draws import Draws
 from .grammar import CompiledGrammar, ParamSpec, RequestTemplate
 from .responses import ResponseClass, ResponseRecord
 
@@ -89,7 +88,7 @@ def _step(template: RequestTemplate, values: dict[str, str]) -> RenderedStep:
 
 
 def render_traditional(
-    template: RequestTemplate, pool: dict[str, str], rng: np.random.Generator
+    template: RequestTemplate, pool: dict[str, str], rng: Draws
 ) -> RenderedStep:
     """Uniform random dictionary value for every non-consumer parameter.
 
@@ -171,7 +170,7 @@ def render_sequence(
     grammar: CompiledGrammar,
     lists: Mapping[str, Sequence[PairList]],
     mode: RenderMode,
-    rng: np.random.Generator,
+    rng: Draws,
     pool: dict[str, str],
 ) -> Iterator[RenderedStep]:
     """Render a candidate one request at a time from the caller's id pool.
@@ -194,7 +193,7 @@ def render_sequence(
         if position == last or mode is RenderMode.BASELINE:
             yield render_traditional(template, pool, rng)
         elif choices := lists.get(template_id):
-            yield render_with_list(template, choices[int(rng.integers(len(choices)))], pool)
+            yield render_with_list(template, choices[rng.integers(len(choices))], pool)
         elif mode is RenderMode.MODEL:
             yield render_traditional(template, pool, rng)
         else:

@@ -220,7 +220,9 @@ def run_replay(
     steps as sent: each step's ``rendered_params`` holds the path, query and
     body values that went out, consumer ids rebound.  When the target state
     matches the original run the rebound ids equal the recorded ones and the
-    requests go out byte-identical.  A ``headers`` key, written by older
+    requests go out byte-identical.  A transport outcome ends the replay
+    after its step: a later consumer would fall back to a recorded id and
+    reach the original run's object.  A ``headers`` key, written by older
     versions, is ignored.
     """
     pool: dict[str, str] = {}  # the latest id per resource type, as rendering keeps it
@@ -240,6 +242,8 @@ def run_replay(
         rendered = RenderedStep(line["template_id"], request, {**path_params, **query, **body})
         step = send_step(rendered, client, observe=observe)
         steps.append(step)
+        if step.response.klass is ResponseClass.TRANSPORT:
+            break
         produces = line.get("produces")
         if produces:
             note_produced_id(pool, (produces["type"], produces["pointer"]), step.response)

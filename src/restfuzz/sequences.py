@@ -7,11 +7,12 @@ tuple is the template every extension process starts from.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-
-import numpy as np
+from itertools import accumulate
 
 from .config import DEFAULT_MAX_SEQUENCE_LENGTH
+from .draws import Draws
 from .grammar import CompiledGrammar
 
 
@@ -56,7 +57,7 @@ class SeedPool(Sequence[SequenceTemplate]):
 
     def __init__(self, seeds: Iterable[SequenceTemplate] = ()):
         self._seeds: list[SequenceTemplate] = list(seeds)
-        self._cumulative: np.ndarray | None = None
+        self._cumulative: list[float] | None = None
 
     def __len__(self) -> int:
         return len(self._seeds)
@@ -71,17 +72,16 @@ class SeedPool(Sequence[SequenceTemplate]):
         self._seeds.append(seed)
         self._cumulative = None
 
-    def draw(self, rng: np.random.Generator) -> SequenceTemplate:
+    def draw(self, rng: Draws) -> SequenceTemplate:
         if self._cumulative is None:
-            self._cumulative = np.cumsum(
-                [prob for _, _, prob in selection_weights(self._seeds)]
+            self._cumulative = list(
+                accumulate(prob for _, _, prob in selection_weights(self._seeds))
             )
-        draw = rng.random()
-        index = int(self._cumulative.searchsorted(draw, side="right"))
+        index = bisect_right(self._cumulative, rng.random())
         return self._seeds[min(index, len(self._seeds) - 1)]
 
 
-def select_seed(seeds: Sequence[SequenceTemplate], rng: np.random.Generator) -> SequenceTemplate:
+def select_seed(seeds: Sequence[SequenceTemplate], rng: Draws) -> SequenceTemplate:
     """Draw one seed according to :func:`selection_weights`.
 
     A :class:`SeedPool` draws from its cached table; any other sequence

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
+from restfuzz.draws import Draws
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import packaged_grammar_path
 
@@ -56,4 +56,5 @@ def two_template_grammar():
 
 @pytest.fixture
 def rng():
-    return np.random.default_rng(12345)
+    """The fuzz loop's kind of rng; the model and trainer tests override it with numpy's."""
+    return Draws(12345)

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from restfuzz import orchestrator
@@ -15,6 +14,7 @@ from restfuzz.checkers import (
 )
 from restfuzz.client import HttpClient, ReadyRequest
 from restfuzz.collection import CollectionStore, ParamValuePair
+from restfuzz.draws import Draws
 from restfuzz.execution import send_step
 from restfuzz.grammar import parse_spec
 from restfuzz.mock_service import ALL_BUGS, BugConfig, packaged_grammar_path, serve
@@ -204,6 +204,32 @@ class TestDataDrivenChecker:
         assert injected.path == f"/groups/{replayed_id}"
 
 
+class ScriptedClient:
+    """Answers each request with the next of ``records`` and keeps what was sent."""
+
+    def __init__(self, *records):
+        self._records = iter(records)
+        self.sent = []
+
+    def send(self, request):
+        self.sent.append(request)
+        return next(self._records)
+
+
+class TestDataDrivenUnderATransportOutcome:
+    def test_a_replay_cut_at_its_producer_sends_no_injection_and_gives_no_verdict(
+        self, mock_grammar, disarmed, rng
+    ):
+        """The injected PUT would go to the first run's group, whose id is recorded."""
+        executed = execute_defaults(list(GROUP_AND_PUT), mock_grammar, disarmed)
+        client = ScriptedClient(ResponseRecord.transport("connection reset"),
+                                ResponseRecord.from_status(500, '{"message": "boom"}'))
+        replayed = set()
+        assert datadriven_check(executed, UNDEFINED, mock_grammar, rng, client, replayed) is None
+        assert [request.method for request in client.sent] == ["POST"]
+        assert replayed == {(GROUP_AND_PUT, README)}
+
+
 class AnsweringClient:
     """Answers every request with one fixed record and counts what it was sent."""
 
@@ -247,32 +273,34 @@ class TestDataDrivenMemo:
         assert len(client.sent) == 2
         assert replayed == {recorded, (GROUP_AND_PUT, README)}
 
-    @pytest.mark.parametrize("record", [
-        ResponseRecord.from_status(400, '{"message": "bad"}'),
-        ResponseRecord.transport("connection refused"),
+    @pytest.mark.parametrize("record, sent", [
+        (ResponseRecord.from_status(400, '{"message": "bad"}'), 2),
+        (ResponseRecord.transport("connection refused"), 1),  # a replay stops at a transport outcome
     ], ids=["4xx", "transport"])
     def test_a_key_stays_recorded_whatever_its_replay_got(
-        self, mock_grammar, executed, rng, record
+        self, mock_grammar, executed, rng, record, sent
     ):
         replayed = set()
         client = AnsweringClient(record)
         assert datadriven_check(executed, UNDEFINED, mock_grammar, rng, client, replayed) is None
-        assert client.sent == 2 and replayed == {(GROUP_AND_PUT, README)}
+        assert client.sent == sent and replayed == {(GROUP_AND_PUT, README)}
         datadriven_check(executed, UNDEFINED, mock_grammar, rng, client, replayed)
-        assert client.sent == 2
+        assert client.sent == sent
 
     def test_a_skipped_key_draws_from_the_rng_as_a_replay_does(
         self, mock_grammar, disarmed, executed
     ):
         internal = ParamValuePair("visibility", "internal")
         candidates = (README, internal)  # two: a draw takes bits
-        replaying, skipping = np.random.default_rng(7), np.random.default_rng(7)
+        replaying, skipping = Draws(7), Draws(7)
         datadriven_check(executed, candidates, mock_grammar, replaying, disarmed, set())
         client = AnsweringClient(ResponseRecord.transport())
         datadriven_check(executed, candidates, mock_grammar, skipping, client,
                          {(GROUP_AND_PUT, README), (GROUP_AND_PUT, internal)})
         assert client.sent == 0
-        assert skipping.bit_generator.state == replaying.bit_generator.state
+        # The spare half of the drawn word first, then whole words.
+        assert [skipping.integers(2**32) for _ in range(3)] == [
+            replaying.integers(2**32) for _ in range(3)]
         assert skipping.random() == replaying.random()
 
 

@@ -14,6 +14,7 @@ from restfuzz import cli
 from restfuzz.client import HttpClient, ReadyRequest
 from restfuzz.mock_service import BugConfig, packaged_grammar_path, serve
 from restfuzz.orchestrator import FuzzConfig
+from tcp_proxy import TcpProxy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -258,6 +259,24 @@ class TestInputFiles:
         argv = ["replay", "--file", str(replay), "--target", "http://127.0.0.1:9"]
         assert cli.main(argv) == 2
         assert_one_line(capsys.readouterr().err, "replay: ", reason)
+
+    def test_a_replay_cut_by_a_transport_outcome_prints_the_rest_not_sent(
+        self, target, tmp_path, capsys
+    ):
+        line = json.dumps({"template_id": "GET /groups", "method": "GET",
+                           "path_template": "/groups", "expected_class": "2xx"})
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text(f"{line}\n" * 4)
+        with TcpProxy(("127.0.0.1", target.port), cut_every=2) as proxy:
+            argv = ["replay", "--file", str(replay), "--target", proxy.base_url]
+            assert cli.main(argv) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "1: 200 2xx match",
+            "2: - transport MISMATCH (expected 2xx)",
+            "3: not sent",
+            "4: not sent",
+        ]
+        assert proxy.cuts == 1
 
     def test_unsupported_replay_target_exits_2(self, tmp_path, capsys):
         replay = tmp_path / "replay.jsonl"

@@ -6,6 +6,12 @@ import pytest
 from restfuzz import model
 
 
+@pytest.fixture
+def rng():
+    """The trainer keeps numpy's Generator: permutations and initial weights."""
+    return np.random.default_rng(12345)
+
+
 def tiny_params(rng, vocab=6, dim=4, hidden=5, scale=0.3):
     return model.init_params(vocab, dim, hidden, rng, scale=scale)
 

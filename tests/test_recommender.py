@@ -30,6 +30,13 @@ from restfuzz.recommender import EmptyCorpus, RoundCut
 
 from conftest import build_spec, groups_paths
 
+
+@pytest.fixture
+def rng():
+    """The trainer keeps numpy's Generator: permutations, initial weights and list generation."""
+    return np.random.default_rng(12345)
+
+
 GET_ID = "GET /groups/{id}"
 CORPORA = Path(__file__).parent / "data" / "miner_bugs_corpora.json"
 

@@ -2,10 +2,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from restfuzz.collection import CollectionStore, ParamValuePair
+from restfuzz.draws import Draws
 from restfuzz.grammar import parse_spec
 from restfuzz.rendering import (
     MissingProducerId,
@@ -47,7 +47,7 @@ class LoggingRng:
     """An rng that logs the bound of each ``integers`` draw and passes it on."""
 
     def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
+        self._rng = Draws(seed)
         self.bounds = []
 
     def integers(self, bound):
@@ -89,14 +89,14 @@ class TestRenderTraditional:
         grammar = parse_spec(build_spec(members_paths()))
         template = grammar.templates["GET /groups/{id}/members/{user}"]
         pool = {"group": "{user}", "user": "7"}
-        step = render_traditional(template, pool, np.random.default_rng(0))
+        step = render_traditional(template, pool, Draws(0))
         assert step.request.path == "/groups/{user}/members/7"
         assert step.rendered_params == {"id": "{user}", "user": "7"}
         assert render_with_list(template, (), pool).request.path == "/groups/{user}/members/7"
 
     def test_replay_is_byte_identical_under_same_seed(self, get_template, pool_with_group):
-        first = render_traditional(get_template, pool_with_group, np.random.default_rng(3))
-        second = render_traditional(get_template, pool_with_group, np.random.default_rng(3))
+        first = render_traditional(get_template, pool_with_group, Draws(3))
+        second = render_traditional(get_template, pool_with_group, Draws(3))
         assert first.request == second.request
 
 
@@ -182,7 +182,7 @@ class TestChooseList:
         for mode in (RenderMode.MODEL, RenderMode.REC1, RenderMode.RECLIST):
             for seed in range(20):
                 gen = render_sequence([POST, POST], two_template_grammar, lists, mode,
-                                      np.random.default_rng(seed), {})
+                                      Draws(seed), {})
                 assert next(gen).request.body == {"name": "qa-team"}, mode
 
     def test_no_lists_yields_none(self, two_template_grammar):
@@ -289,7 +289,7 @@ class TestRenderSequence:
         requests = {}
         for mode in RenderMode:
             gen = render_sequence(
-                [POST], two_template_grammar, {POST: ((),)}, mode, np.random.default_rng(5), {},
+                [POST], two_template_grammar, {POST: ((),)}, mode, Draws(5), {},
             )
             requests[mode] = next(gen).request
         baseline = requests[RenderMode.BASELINE]
@@ -310,7 +310,7 @@ class TestRenderSequence:
         for seed in range(20):
             gen = render_sequence(
                 [POST, POST], two_template_grammar, {POST: ((),)},
-                RenderMode.MODEL, np.random.default_rng(seed), {},
+                RenderMode.MODEL, Draws(seed), {},
             )
             assert next(gen).request.body == {"name": "dev-team"}
 
@@ -318,9 +318,9 @@ class TestRenderSequence:
         seed = 11
         created = ResponseRecord.from_status(201, '{"id": 1}')
         miner_steps = drive(two_template_grammar, [POST, POST], RenderMode.MODEL,
-                            np.random.default_rng(seed), [created, created])
+                            Draws(seed), [created, created])
         baseline_steps = drive(two_template_grammar, [POST, POST], RenderMode.BASELINE,
-                               np.random.default_rng(seed), [created, created])
+                               Draws(seed), [created, created])
         assert [s.request for s in miner_steps] == [s.request for s in baseline_steps]
 
     def test_rec1_with_empty_store_renders_defaults(self, two_template_grammar, rng):
@@ -356,7 +356,7 @@ class TestRenderSequence:
         queries = set()
         for seed in range(50):
             steps = drive(two_template_grammar, [POST, GET_ID, GET_ID], RenderMode.RECLIST,
-                          np.random.default_rng(seed), [created, created, created],
+                          Draws(seed), [created, created, created],
                           store.recorded_lists())
             queries.add(tuple(sorted(steps[1].request.query.items())))
         assert queries == {

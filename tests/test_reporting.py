@@ -274,6 +274,18 @@ class EchoTarget:
         return ResponseRecord.from_status(200, "{}")
 
 
+class ScriptedTarget:
+    """A fake client: answers each request with the next of ``records``."""
+
+    def __init__(self, *records):
+        self._records = iter(records)
+        self.sent = []
+
+    def send(self, request):
+        self.sent.append(request)
+        return next(self._records)
+
+
 class TestRunReplay:
     def test_consumers_rebind_to_live_producer_ids(self):
         target = EchoTarget()
@@ -312,6 +324,17 @@ class TestRunReplay:
         steps = run_replay(lines, target)
         assert len(steps) == len(lines) == len(target.sent)
         assert [r.path for r in target.sent if r.method == "GET"] == expected
+
+    def test_a_transport_outcome_ends_the_replay_after_its_step(self):
+        """A consumer after a cut producer would reach the recorded id's object."""
+        target = ScriptedTarget(ResponseRecord.from_status(201, '{"id": 40}'),
+                                ResponseRecord.transport("connection reset"),
+                                ResponseRecord.from_status(200, "{}"))
+        lines = [producer_line(40), producer_line(41), consumer_line(), consumer_line()]
+        steps = run_replay(lines, target)
+        assert [step.response.klass for step in steps] == [
+            ResponseClass.PASS_2XX, ResponseClass.TRANSPORT]
+        assert [step.request for step in steps] == target.sent
 
     def test_a_path_value_that_holds_a_placeholder_is_sent_as_it_is(self):
         # The id recorded for the group holds the text of the next placeholder.

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restfuzz.draws import Draws
 from restfuzz.sequences import (
     EmptySeedSet,
     SeedPool,
@@ -84,13 +86,19 @@ class TestSelectSeed:
 
     def test_deterministic_under_fixed_rng(self):
         seeds = seeds_of_lengths(1, 5, 9)
-        draws1 = [
-            len(select_seed(seeds, np.random.default_rng(7))) for _ in range(1)
-        ]
-        draws2 = [
-            len(select_seed(seeds, np.random.default_rng(7))) for _ in range(1)
-        ]
+        draws1 = [len(select_seed(seeds, Draws(7))) for _ in range(1)]
+        draws2 = [len(select_seed(seeds, Draws(7))) for _ in range(1)]
         assert draws1 == draws2
+
+
+class FixedDraw:
+    """An rng whose ``random()`` always answers ``value``."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
 
 
 class TestSeedPool:
@@ -104,17 +112,34 @@ class TestSeedPool:
     def test_pool_draws_equal_list_draws(self, ops, rng_seed):
         """Seeds admitted between draws: the cached table never goes stale."""
         pool = SeedPool()
-        rng = np.random.default_rng(rng_seed)
+        rng, twin = Draws(rng_seed), Draws(rng_seed)
         for op in ops:
             if op != "draw":
                 pool.append(("POST /groups",) * op)
                 continue
             if not pool:
                 continue
-            twin = np.random.default_rng()
-            twin.bit_generator.state = rng.bit_generator.state
             assert select_seed(pool, rng) is select_seed(list(pool), twin)
-            assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.integers(2**32) == twin.integers(2**32)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        lengths=st.lists(st.integers(0, 20), min_size=1, max_size=30),
+        data=st.data(),
+    )
+    def test_bisect_over_accumulate_picks_what_cumsum_and_searchsorted_pick(
+        self, lengths, data
+    ):
+        """The same float64 sums, so the same index, a draw on a sum included."""
+        seeds = [(f"t{i}",) * n for i, n in enumerate(lengths)]
+        probs = [prob for _, _, prob in selection_weights(seeds)]
+        sums = list(accumulate(probs))
+        assert sums == np.cumsum(probs).tolist()
+        draw = data.draw(st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(sums),
+        ))
+        index = int(np.cumsum(probs).searchsorted(draw, side="right"))
+        assert SeedPool(seeds).draw(FixedDraw(draw)) is seeds[min(index, len(seeds) - 1)]
 
     def test_empty_pool_raises(self, rng):
         with pytest.raises(EmptySeedSet):

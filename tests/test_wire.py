@@ -7,9 +7,11 @@ import socket
 
 import pytest
 
+from restfuzz import checkers
 from restfuzz.client import HttpClient, ReadyRequest
 from restfuzz.mock_service import ALL_BUGS, BugConfig, serve
 from restfuzz.orchestrator import FuzzConfig, fuzz_loop
+from restfuzz.responses import ResponseClass
 from tcp_proxy import TcpProxy
 from test_acceptance import BUG_SIGNATURES
 
@@ -96,3 +98,28 @@ class TestCutConnections:
         errors = [json.loads(line)
                   for line in (tmp_path / "errors.jsonl").read_text().splitlines()]
         assert {(e["template_id"], e["status"]) for e in errors} <= set(BUG_SIGNATURES.values())
+
+    def test_no_replayed_request_follows_a_transport_outcome(
+        self, service, mock_grammar, monkeypatch
+    ):
+        """A replay that goes on past a cut reaches the first run's objects."""
+        replays = []
+        real_run_replay = checkers.run_replay
+
+        def recording_run_replay(lines, client, observe=None):
+            steps = real_run_replay(lines, client, observe)
+            replays.append([step.response.klass for step in steps])
+            return steps
+
+        monkeypatch.setattr(checkers, "run_replay", recording_run_replay)
+        with TcpProxy(("127.0.0.1", service.port), cut_every=37) as proxy:
+            config = FuzzConfig(
+                target=proxy.base_url, mode="miner", max_requests=1000, seed=0,
+                train_every_requests=500,
+                enable_uaf_checker=True, enable_datadriven_checker=True,
+            )
+            fuzz_loop(config, mock_grammar)
+        cut = [classes for classes in replays if ResponseClass.TRANSPORT in classes]
+        assert cut  # some replays met a cut
+        assert all(classes.index(ResponseClass.TRANSPORT) == len(classes) - 1
+                   for classes in cut)
