@@ -10,11 +10,12 @@ reply, a whole ``Content-Length`` reply that arrives in one ``recv``, is
 parsed in one straight pass; any other is read by the general reader from
 the same bytes, with the same outcome.  A body over ``_MAX_BODY`` bytes is
 refused: the reply becomes a transport outcome and the connection is
-dropped, so a runaway target cannot fill the fuzzer's memory.  The
-message-head readers (:func:`split_head` for a whole CRLF head,
-:func:`read_head` for any other) and the keep-alive rule
-(:func:`closes_after`) are shared with the mock target, which parses
-requests the same way.
+dropped, so a runaway target cannot fill the fuzzer's memory.  Each
+framing field (header fields, status code, ``Content-Length``, chunk size)
+has one RFC 9112 rule that both readers apply; framing that breaks one is
+a transport outcome at once.  The head readers (:func:`split_head` for a
+whole CRLF head, :func:`read_head` for any other), the ``Content-Length``
+rule and the keep-alive rule are shared with the mock target.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ _CR_OR_LF = re.compile(r"[\r\n]")
 _NOT_LATIN1 = re.compile(r"[^\x00-\xff]")  # what a head encoded as latin-1 cannot carry
 _UNRESERVED = re.compile(r"[A-Za-z0-9_.~-]*")  # what urlencode leaves unquoted
 _BLANK_LINE = re.compile(rb"\n\r?\n")  # ends a head, with the \r before it if any
+_HEXDIG = re.compile(rb"[0-9A-Fa-f]+")
+_STATUS_CODES = {b"%d" % code: code for code in range(100, 1000)}  # three digits, 100 or above
 
 
 @dataclass(slots=True)
@@ -70,9 +73,9 @@ class BodyTooLarge(FramingError):
 def read_head(buf: bytearray, recv: Callable[[], bool]) -> tuple[bytes, dict[bytes, bytes]]:
     """Take one message head off the front of ``buf``.
 
-    Returns its first line and its fields, names lower-cased.  ``recv``
-    appends the peer's next bytes to ``buf`` and returns False at end of
-    stream.
+    Returns its first line, without its line end, and its fields.
+    ``recv`` appends the peer's next bytes to ``buf`` and returns False at
+    end of stream.
     """
     while (blank := _BLANK_LINE.search(buf)) is None and len(buf) <= _MAX_HEAD:
         if not recv():
@@ -80,24 +83,17 @@ def read_head(buf: bytearray, recv: Callable[[], bool]) -> tuple[bytes, dict[byt
     if blank is None or blank.end() > _MAX_HEAD:
         raise HeadTooLarge("head over 64 KiB")
     start, end = blank.span()
-    if start and buf[start - 1] == 13:  # the CR of the last line's CRLF
-        start -= 1
     first, *lines = bytes(buf[:start]).split(b"\n")
     del buf[:end]
-    fields = {}
-    for line in lines:
-        name, _, value = line.partition(b":")
-        fields[name.strip().lower()] = value.strip()
-    return first, fields
+    return first.removesuffix(b"\r"), _fields(lines)
 
 
 def split_head(data: bytes) -> tuple[bytes, dict[bytes, bytes], int] | None:
     """A whole head at the front of ``data``: its first line, fields and length.
 
     The common case in one pass: every line ends in CRLF and the head fits
-    in 64 KiB.  The fields are those :func:`read_head` would give, and the
-    first line lacks only its CR.  None for any other bytes, which
-    ``read_head`` reads.
+    in 64 KiB.  The first line and fields are those :func:`read_head` would
+    give.  None for any other bytes, which ``read_head`` reads.
     """
     end = data.find(b"\r\n\r\n")
     if not 0 < end <= _MAX_HEAD - 4:
@@ -105,11 +101,28 @@ def split_head(data: bytes) -> tuple[bytes, dict[bytes, bytes], int] | None:
     first, *lines = data[:end].split(b"\r\n")
     if data.count(b"\n", 0, end) != len(lines):  # a line ended by a bare LF
         return None
+    return first, _fields(lines), end + 4
+
+
+def _fields(lines: list[bytes]) -> dict[bytes, bytes]:
+    """A head's field lines as a dict, names lower-cased."""
     fields = {}
     for line in lines:
         name, _, value = line.partition(b":")
         fields[name.strip().lower()] = value.strip()
-    return first, fields, end + 4
+    return fields
+
+
+def content_length(fields: dict[bytes, bytes]) -> int | None:
+    """The declared body length, 1*DIGIT (RFC 9112 §6.3): None if absent, FramingError if not."""
+    value = fields.get(b"content-length")
+    if value is None:
+        return None
+    if not value.isdigit():
+        raise FramingError(f"invalid Content-Length {value[:80]!r}")
+    if len(value) > 18:  # int() refuses 4300 digits; 19 significant ones pass any cap
+        value = value.lstrip(b"0")[:19] or b"0"
+    return int(value)
 
 
 def closes_after(version: bytes, fields: dict[bytes, bytes]) -> bool:
@@ -229,12 +242,11 @@ class HttpClient:
         self._buf += chunk
         return bool(chunk)
 
-    def _fill(self, size: int) -> None:
+    def _take(self, size: int) -> bytes:
+        """The next ``size`` bytes of the reply, received as needed."""
         while len(self._buf) < size:
             if not self._recv():
                 raise FramingError("connection closed mid-reply")
-
-    def _take(self, size: int) -> bytes:
         taken = bytes(self._buf[:size])
         del self._buf[:size]
         return taken
@@ -246,15 +258,6 @@ class HttpClient:
             if not self._recv():
                 raise FramingError("connection closed mid-reply")
         return self._take(end + 1)
-
-    def _read_head(self) -> tuple[int, bytes, dict[bytes, bytes]]:
-        """Status, HTTP version and headers (names lower-cased) of one reply."""
-        status_line, fields = read_head(self._buf, self._recv)
-        parts = status_line.split(None, 2)
-        if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
-                or len(parts[1]) != 3 or not parts[1].isdigit() or int(parts[1]) < 100):
-            raise FramingError(f"bad status line {status_line[:80]!r}")
-        return int(parts[1]), parts[0], fields
 
     def _read_reply(self, method: str) -> tuple[int, bytes]:
         """Status and body of one reply; the buffer is empty between replies.
@@ -270,35 +273,29 @@ class HttpClient:
         head = split_head(data)
         if head is not None:
             status_line, fields, start = head
-            parts = status_line.split(None, 2)
-            if (len(parts) > 1 and parts[0] == b"HTTP/1.1"
-                    and len(parts[1]) == 3 and parts[1].isdigit()
-                    and (status := int(parts[1])) >= 200
+            status, version = _status_line(status_line)
+            if (version == b"HTTP/1.1" and status >= 200
                     and b"connection" not in fields and b"transfer-encoding" not in fields):
-                if method == "HEAD" or status in (204, 304):
-                    length = 0
-                else:
-                    declared = fields.get(b"content-length", b"")
-                    length = int(declared) if declared.isdigit() else -1
-                if 0 <= length <= _MAX_BODY and len(data) == start + length:
+                length = 0 if method == "HEAD" or status in (204, 304) else content_length(fields)
+                if length is not None and length <= _MAX_BODY and len(data) == start + length:
                     return status, data[start:]
         self._buf += data
         return self._read_general(method)
 
     def _read_general(self, method: str) -> tuple[int, bytes]:
         """Any reply: 1xx interims, chunked or close-delimited bodies, LF-only heads."""
-        status, version, fields = self._read_head()
+        status = 100
         while status < 200:  # interim replies carry no body
-            status, version, fields = self._read_head()
+            status_line, fields = read_head(self._buf, self._recv)
+            status, version = _status_line(status_line)
         close = closes_after(version, fields)
 
         if method == "HEAD" or status in (204, 304):
             body = b""
         elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
             body = self._read_chunked()
-        elif (length := _content_length(fields)) is not None:
+        elif (length := content_length(fields)) is not None:
             _check_body_size(length)  # refused before any of it is read
-            self._fill(length)
             body = self._take(length)
         else:
             _check_body_size(len(self._buf))
@@ -314,17 +311,14 @@ class HttpClient:
         body = bytearray()
         while True:
             line = self._line()
-            try:
-                size = int(line.split(b";", 1)[0], 16)
-            except ValueError:
-                size = -1
-            if size < 0:
+            size = line.split(b";", 1)[0].strip()  # 1*HEXDIG before any extension
+            if not _HEXDIG.fullmatch(size):
                 raise FramingError(f"bad chunk size line {line[:80]!r}")
+            size = int(size, 16)
             if size == 0:
                 break
             _check_body_size(len(body) + size)
-            self._fill(size + 2)  # the chunk and its CRLF
-            body += self._take(size + 2)[:size]
+            body += self._take(size + 2)[:size]  # the chunk and its CRLF
         while self._line().strip():  # trailer fields, up to the blank line
             pass
         return bytes(body)
@@ -364,10 +358,10 @@ def _check_body_size(size: int) -> None:
         raise BodyTooLarge(f"body over {_MAX_BODY} bytes")
 
 
-def _content_length(fields: dict[bytes, bytes]) -> int | None:
-    """The declared body length; None when absent or invalid (read to close)."""
-    try:
-        length = int(fields[b"content-length"])
-    except (KeyError, ValueError):
-        return None
-    return length if length >= 0 else None
+def _status_line(line: bytes) -> tuple[int, bytes]:
+    """A reply's three-digit status code, 100 or above (RFC 9112 §4), and HTTP version."""
+    parts = line.split(None, 2)
+    if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+            or (status := _STATUS_CODES.get(parts[1])) is None):
+        raise FramingError(f"bad status line {line[:80]!r}")
+    return status, parts[0]

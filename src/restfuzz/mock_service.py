@@ -3,14 +3,15 @@
 A groups/projects resource model served over HTTP/1.1 on a plain TCP
 server, one thread per connection.  Each connection reads its requests
 (request line, lower-cased header fields, a body framed by
-``Content-Length``) from its own byte buffer with the head readers it
-shares with :mod:`restfuzz.client`, and writes each reply with one
-``sendall``.  Connections are kept alive unless the client asks to close
-(HTTP/1.0 without keep-alive, or ``Connection: close``) and close after 30
-idle seconds.  A request the mock cannot serve (a malformed request line or
-target, a head over 64 KiB, a method other than GET/POST/PUT/DELETE, a
-``Transfer-Encoding``, a ``Content-Length`` that is not a number or is over
-16 MiB) gets a 400, 431, 501 or 413 and a close.
+``Content-Length``) from its own byte buffer with the head readers and
+``Content-Length`` rule it shares with :mod:`restfuzz.client`, and writes
+each reply with one ``sendall``.  Connections are kept alive unless the
+client asks to close (HTTP/1.0 without keep-alive, or ``Connection:
+close``) and close after 30 idle seconds.  A request the mock cannot
+serve (a malformed request line or target, a head over 64 KiB, a method
+other than GET/POST/PUT/DELETE, a ``Transfer-Encoding``, a
+``Content-Length`` that is not 1*DIGIT or is over 16 MiB) gets a 400,
+431, 501 or 413 and a close.
 
 The service's schema is the grammar shipped as package data
 (``mock_target.grammar.json``), the file the fuzzer reads.  Each template
@@ -47,7 +48,8 @@ from itertools import islice
 from typing import Callable, NamedTuple
 from urllib.parse import unquote, urlsplit
 
-from .client import _MAX_BODY, FramingError, HeadTooLarge, closes_after, read_head, split_head
+from .client import (_MAX_BODY, FramingError, HeadTooLarge, closes_after, content_length,
+                     read_head, split_head)
 from .grammar import GrammarError, ParamSpec, RequestTemplate, parse_spec
 
 BUG_UAF = "b-uaf"
@@ -466,10 +468,10 @@ class _Handler(socketserver.BaseRequestHandler):
             return _bad("invalid request target")
         if b"transfer-encoding" in fields:
             return _json_reply(501, {"message": "501 Not Implemented: Transfer-Encoding"})
-        declared = fields.get(b"content-length", b"0")
-        if not declared.isdigit():
+        try:
+            length = content_length(fields) or 0
+        except FramingError:
             return _bad("invalid Content-Length")
-        length = int(declared)
         if length > _MAX_BODY:  # refused before any of it is read
             return _json_reply(413, {"message": f"413 Request Entity Too Large: "
                                                 f"body over {_MAX_BODY} bytes"})

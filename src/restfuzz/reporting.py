@@ -8,7 +8,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import statistics
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -290,9 +289,11 @@ class RunMetrics:
         return pass_rate(tail)
 
     def median_executed_length(self) -> float | None:
-        if not self.length_histogram:
-            return None
-        return float(statistics.median_low(self.length_histogram.elements()))
+        rank = (self.length_histogram.total() - 1) // 2  # the lower median's, counted from 0
+        for length, count in sorted(self.length_histogram.items()):
+            if (rank := rank - count) < 0:
+                return float(length)
+        return None
 
     def to_json(self) -> dict:
         def counter_json(counter: Counter | None):

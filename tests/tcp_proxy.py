@@ -11,6 +11,13 @@ only the first 5 bytes, then shuts both sockets of that connection down.
 The client is waiting for that reply, so each cut is exactly one transport
 outcome; a cut between two replies would race the client's retry of a
 write on a stale connection, so no cut falls there.
+
+With ``garble_every=k`` it garbles replies, numbered the same way: of every
+k-th reply it overwrites the ``Content-Length`` value with as many
+non-digit bytes and forwards the whole reply, leaving the connection open.
+A k-th reply that frames no body (a 204 or 304) is forwarded as it is and
+not counted, since a client never reads its ``Content-Length``.  The logs
+keep the bytes as the target sent them.
 """
 
 from __future__ import annotations
@@ -27,12 +34,17 @@ _CUT_PREFIX = 5  # bytes of a cut reply that reach the client
 class TcpProxy:
     """Listens on a free local port and relays each connection to ``upstream``."""
 
-    def __init__(self, upstream: tuple[str, int], cut_every: int | None = None):
-        if cut_every is not None and cut_every < 2:
-            raise ValueError("cut_every must be at least 2: the first reply is never cut")
+    def __init__(self, upstream: tuple[str, int], cut_every: int | None = None,
+                 garble_every: int | None = None):
+        for every in (cut_every, garble_every):
+            if every is not None and every < 2:
+                raise ValueError("cut_every and garble_every must be at least 2: "
+                                 "the first reply is never cut or garbled")
         self.upstream = upstream
         self.cut_every = cut_every
+        self.garble_every = garble_every
         self.cuts = 0  # connections cut so far
+        self.garbles = 0  # replies garbled so far
         self._replies = 0  # replies begun so far, over all connections
         self._count_lock = threading.Lock()
         # One (client-to-target, target-to-client) byte log per connection,
@@ -63,7 +75,8 @@ class TcpProxy:
             sent, received = bytearray(), bytearray()
             self.connections.append((sent, received))
             self._sockets += (conn, upstream)
-            relay = _pump if self.cut_every is None else self._relay_replies
+            relay = (_pump if self.cut_every is None and self.garble_every is None
+                     else self._relay_replies)
             for run, source, sink, log in ((_pump, conn, upstream, sent),
                                            (relay, upstream, conn, received)):
                 pump = threading.Thread(target=run, args=(source, sink, log), daemon=True)
@@ -71,7 +84,7 @@ class TcpProxy:
                 self._pumps.append(pump)
 
     def _relay_replies(self, source: socket.socket, sink: socket.socket, log: bytearray) -> None:
-        """Copy the target's replies to the client, cutting the connection at every k-th.
+        """Copy the target's replies to the client, cutting or garbling every k-th.
 
         A reply ends ``Content-Length`` bytes after its head; the target must
         frame every reply that way.  A reply is held until its head is whole,
@@ -90,11 +103,16 @@ class TcpProxy:
                             break  # wait for the rest of the head
                         length = _CONTENT_LENGTH.search(pending, 0, head_end + 2)
                         left = head_end + 4 + int(length.group(1))
-                        if self._cut_due():
+                        status = pending[9:12]  # of "HTTP/1.1 204 ..."
+                        cut, garble = self._number_reply(status not in (b"204", b"304"))
+                        if cut:
                             sink.sendall(pending[:_CUT_PREFIX])
                             for sock in (source, sink):
                                 sock.shutdown(socket.SHUT_RDWR)
                             return
+                        if garble:
+                            start, end = length.span(1)
+                            pending[start:end] = b"x" * (end - start)
                     forward = pending[:left]
                     sink.sendall(forward)
                     del pending[:len(forward)]
@@ -106,14 +124,16 @@ class TcpProxy:
         except OSError:
             pass
 
-    def _cut_due(self) -> bool:
-        """Number one more reply; true, and counted as a cut, when it is a k-th."""
+    def _number_reply(self, has_body: bool) -> tuple[bool, bool]:
+        """Number one more reply; whether to cut it and whether to garble it, each counted."""
         with self._count_lock:
             self._replies += 1
-            if self._replies % self.cut_every:
-                return False
-            self.cuts += 1
-            return True
+            cut = self.cut_every is not None and self._replies % self.cut_every == 0
+            garble = (not cut and has_body and self.garble_every is not None
+                      and self._replies % self.garble_every == 0)
+            self.cuts += cut
+            self.garbles += garble
+            return cut, garble
 
     def stop(self) -> None:
         """Stop accepting, cut every open connection and wait for the relays."""

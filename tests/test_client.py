@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 
 from restfuzz import client as client_module
 from restfuzz.client import HttpClient, ReadyRequest
+from restfuzz.mock_service import BugConfig, serve
 from restfuzz.responses import ResponseClass, classify_status
+from test_mock_service import exchange
 
 TIMEOUT = 0.2
 
@@ -387,6 +389,84 @@ class TestFaults:
         assert client.send(ReadyRequest("GET", "/b")).body == "[]"
 
 
+def chunked(size_line: bytes, chunk: bytes) -> bytes:
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"%s\r\n%s\r\n0\r\n\r\n" % (size_line, chunk))
+
+
+class TestFramingRules:
+    """RFC 9112's rules: a Content-Length is 1*DIGIT, a chunk size 1*HEXDIG."""
+
+    @pytest.mark.parametrize("data", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\nok",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 1_0\r\n\r\n0123456789",
+        chunked(b"0x2", b"ok"),
+        chunked(b"1_a", b"a" * 26),
+        chunked(b"+1a", b"a" * 26),
+    ], ids=["length-plus-sign", "length-underscore", "chunk-0x", "chunk-underscore",
+            "chunk-plus-sign"])
+    def test_loose_number_is_transport_and_drops_the_connection(self, target, client, data):
+        target.script = [reply(data), reply(ok(b"[]"))]
+        record = client.send(ReadyRequest("GET", "/a"))
+        assert (record.status, record.klass) == (None, ResponseClass.TRANSPORT)
+        assert client.send(ReadyRequest("GET", "/b")).body == "[]"
+        assert target.connections == 2
+
+    def test_invalid_content_length_is_transport_without_waiting_for_the_timeout(self, target):
+        """The target keeps the connection open, so reading to its close would wait 2 s."""
+        target.script = [reply(b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\nok"),
+                         reply(ok(b"[]"))]
+        with HttpClient(target.url, timeout=2.0) as client:
+            started = time.perf_counter()
+            record = client.send(ReadyRequest("GET", "/a"))
+            elapsed = time.perf_counter() - started
+            assert record.body == "read failed: invalid Content-Length b'x'"
+            assert elapsed < 0.5
+            assert client.send(ReadyRequest("GET", "/b")).body == "[]"
+        assert target.connections == 2
+
+
+TWELVE = b"{}" + b" " * 10  # a twelve-byte JSON object
+
+
+@pytest.fixture(scope="module")
+def mock_target():
+    handle = serve(0, BugConfig())
+    yield handle
+    handle.stop()
+
+
+def client_reads(chunks: list[bytes]):
+    """What ``send`` makes of a reply handed over in the given ``recv`` chunks."""
+    client = HttpClient("http://127.0.0.1:9")
+    client._sock = ChunkedSocket(chunks)
+    record = client.send(ReadyRequest("GET", "/a"))
+    return record.status, record.body, client._sock is None
+
+
+class TestContentLengthTable:
+    """One table of values through the client's two readers and the mock's."""
+
+    @pytest.mark.parametrize("value, valid", [
+        (b"0", True), (b"12", True), (b" 12 ", True), (b"0" * 5000 + b"12", True),
+        (b"+1", False), (b"1_0", False), (b"-1", False), (b"x", False), (b"", False),
+    ], ids=["0", "12", "spaced-12", "5000-zeros-12", "plus-1", "1_0", "minus-1", "x", "empty"])
+    def test_client_accepts_what_the_mock_accepts(self, mock_target, value, valid):
+        body = b"" if value == b"0" else TWELVE
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n" % value
+        one_pass = client_reads([head + body])
+        general = client_reads([head[:20], head[20:] + body])  # the head over two recvs
+        request = b"GET /groups HTTP/1.1\r\nContent-Length: %s\r\n\r\n%s" % (value, body)
+        mock_status = exchange(mock_target, request)[0]
+        if valid:
+            assert one_pass == general == (200, body.decode(), False)
+            assert mock_status == 200
+        else:
+            message = f"read failed: invalid Content-Length {value.strip()[:80]!r}"
+            assert one_pass == general == (None, message, True)
+            assert mock_status == 400
+
+
 class TestBodyCap:
     def test_content_length_over_the_cap_is_refused_without_reading(self, target, client):
         head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (client_module._MAX_BODY + 1)
@@ -395,6 +475,14 @@ class TestBodyCap:
         record = client.send(ReadyRequest("GET", "/a"))
         assert time.perf_counter() - started < TIMEOUT  # no wait for the body
         assert record.klass is ResponseClass.TRANSPORT
+        assert record.body == f"read failed: body over {client_module._MAX_BODY} bytes"
+        assert client.send(ReadyRequest("GET", "/b")).body == "[]"
+        assert target.connections == 2
+
+    def test_content_length_past_the_int_digit_limit_is_over_the_cap(self, target, client):
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n" % (b"9" * 5000)
+        target.script = [reply(head + b"partial"), reply(ok(b"[]"))]
+        record = client.send(ReadyRequest("GET", "/a"))
         assert record.body == f"read failed: body over {client_module._MAX_BODY} bytes"
         assert client.send(ReadyRequest("GET", "/b")).body == "[]"
         assert target.connections == 2
@@ -431,10 +519,15 @@ class ReferenceReader:
     """The reply reader before the one-pass parse of the common reply.
 
     Kept as the reference for ``HttpClient``: the same bytes, cut at the
-    same ``recv`` boundaries, must give the same outcome.
+    same ``recv`` boundaries, must give the same outcome.  Its framing
+    rules are RFC 9112's, written out here on their own: a
+    ``Content-Length`` is 1*DIGIT and a chunk size 1*HEXDIG, and any other
+    value is a transport outcome.
     """
 
     head_end = re.compile(rb"\r?\n\r?\n")
+    digits = re.compile(rb"[0-9]+")
+    hex_digits = re.compile(rb"[0-9A-Fa-f]+")
 
     def __init__(self, chunks: list[bytes], max_head: int, max_body: int):
         self.chunks = list(chunks)
@@ -464,6 +557,7 @@ class ReferenceReader:
         if end is None or end.end() > self.max_head:
             raise client_module.HeadTooLarge("head over 64 KiB")
         first, *lines = bytes(self.buf[: end.start()]).split(b"\n")
+        first = first.removesuffix(b"\r")
         del self.buf[: end.end()]
         fields = {}
         for line in lines:
@@ -506,17 +600,14 @@ class ReferenceReader:
             close = b"keep-alive" not in connection and b"keep-alive" not in fields
         else:
             close = b"close" in connection
-        try:
-            length = int(fields[b"content-length"])
-        except (KeyError, ValueError):
-            length = None
-        if length is not None and length < 0:
-            length = None
         if method == "HEAD" or status in (204, 304):
             body = b""
         elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
             body = self.read_chunked()
-        elif length is not None:
+        elif (declared := fields.get(b"content-length")) is not None:
+            if not self.digits.fullmatch(declared):
+                raise client_module.FramingError(f"invalid Content-Length {declared[:80]!r}")
+            length = int(declared)
             self.check_body_size(length)
             self.fill(length)
             body = self.take(length)
@@ -534,12 +625,10 @@ class ReferenceReader:
         body = bytearray()
         while True:
             line = self.line()
-            try:
-                size = int(line.split(b";", 1)[0], 16)
-            except ValueError:
-                size = -1
-            if size < 0:
+            size = line.split(b";", 1)[0].strip()
+            if not self.hex_digits.fullmatch(size):
                 raise client_module.FramingError(f"bad chunk size line {line[:80]!r}")
+            size = int(size, 16)
             if size == 0:
                 break
             self.check_body_size(len(body) + size)
@@ -593,7 +682,7 @@ def replies(draw):
         kind = draw(st.sampled_from(["length", "chunked", "connection", "keep-alive"]))
         if kind == "length":
             value = draw(st.sampled_from([b"%d" % len(body), b"%d" % (len(body) + 3), b"0",
-                                          b"x", b"+1", b" %d " % len(body), b"-1"]))
+                                          b"x", b"+1", b"1_0", b" %d " % len(body), b"-1"]))
             field = (draw(_field_name("Content-Length")).encode(), value)
         elif kind == "chunked":
             field = (draw(_field_name("Transfer-Encoding")).encode(),
@@ -623,8 +712,9 @@ def replies(draw):
         rest = body
         while rest:
             size = draw(st.integers(1, len(rest)))
+            prefix = draw(st.sampled_from([b"", b"", b"", b"0x"]))
             extension = draw(st.sampled_from([b"", b";x=1"]))
-            payload += b"%x%s\r\n%s\r\n" % (size, extension, rest[:size])
+            payload += b"%s%x%s\r\n%s\r\n" % (prefix, size, extension, rest[:size])
             rest = rest[size:]
         payload += b"0\r\n" + draw(st.sampled_from([b"", b"X-Trailer: 1\r\n"])) + b"\r\n"
     data = head + payload

@@ -404,6 +404,13 @@ class TestWire:
         assert json.loads(body)["message"].startswith("413 ")
         assert still_serving(service)
 
+    def test_content_length_past_the_int_digit_limit_is_over_the_cap(self, capfd, service):
+        head = b"POST /groups HTTP/1.1\r\nContent-Length: %s\r\n\r\n" % (b"9" * 5000)
+        status, fields, _, closed = exchange(service, head)
+        assert (status, fields["connection"], closed) == (413, "close", True)
+        assert still_serving(service)
+        assert capfd.readouterr().err == ""
+
     def test_body_at_the_cap_is_read(self, service, monkeypatch):
         body = b'{"name": "dev-team", "path": "eng"}'
         monkeypatch.setattr(mock_service, "_MAX_BODY", len(body))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import statistics
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -191,6 +193,14 @@ class TestRunMetrics:
         for _ in range(10):
             metrics.note_executed_length(7)
         assert metrics.median_executed_length() == 7.0
+        assert RunMetrics().median_executed_length() is None
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(histogram=st.dictionaries(st.integers(1, 40), st.integers(1, 50), min_size=1))
+    def test_median_executed_length_is_median_low(self, histogram):
+        metrics = RunMetrics(length_histogram=Counter(histogram))
+        expected = statistics.median_low(Counter(histogram).elements())
+        assert metrics.median_executed_length() == float(expected)
 
     def test_pass_rate_after_first_training_uses_tail_counts(self):
         metrics = RunMetrics()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
+import time
 
 import pytest
 
@@ -123,3 +125,40 @@ class TestCutConnections:
         assert cut  # some replays met a cut
         assert all(classes.index(ResponseClass.TRANSPORT) == len(classes) - 1
                    for classes in cut)
+
+
+class TestGarbledReplies:
+    WALL_BOUND_S = 8.0  # one garbled reply read to the target's close would cost 10 s
+
+    def test_a_run_through_a_target_that_garbles_content_length_ends_cleanly(
+        self, service, mock_grammar, tmp_path
+    ):
+        """The paper's full pipeline while every 37th reply's Content-Length is garbled.
+
+        Each garbled reply is one transport outcome at once, with no wait
+        for the target to close the connection it keeps open.
+        """
+        results = []
+        with TcpProxy(("127.0.0.1", service.port), garble_every=37) as proxy:
+            config = FuzzConfig(
+                target=proxy.base_url, mode="miner", max_requests=1000, seed=0,
+                train_every_requests=500, report_dir=tmp_path,
+                enable_uaf_checker=True, enable_datadriven_checker=True,
+            )
+            run = threading.Thread(
+                target=lambda: results.append(fuzz_loop(config, mock_grammar)), daemon=True)
+            started = time.perf_counter()
+            run.start()
+            run.join(self.WALL_BOUND_S)
+            elapsed = time.perf_counter() - started
+            # Leaving the block stops the proxy, which ends a run still waiting on a reply.
+        assert elapsed < self.WALL_BOUND_S and results
+        [metrics] = results
+        assert metrics.requests_sent == 1000
+        # The reachability probe's reply is the first; a 204 is never garbled.
+        assert 20 <= proxy.garbles <= (1 + 1000) // 37
+        written = json.loads((tmp_path / "metrics.json").read_text())
+        assert written["responses"]["transport"] == proxy.garbles
+        errors = [json.loads(line)
+                  for line in (tmp_path / "errors.jsonl").read_text().splitlines()]
+        assert {(e["template_id"], e["status"]) for e in errors} <= set(BUG_SIGNATURES.values())
