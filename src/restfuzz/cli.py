@@ -10,10 +10,9 @@ import argparse
 import json
 import logging
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import fields
-from pathlib import Path
-from typing import ContextManager, Iterator
+from typing import Iterator
 
 from .client import HttpClient, TargetUnreachable
 from .config import MODES, FuzzConfig
@@ -64,41 +63,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _attached(logger: logging.Logger, handler: logging.Handler, level: int) -> Iterator[None]:
-    """Attach ``handler`` to ``logger`` at ``level`` for one run, then undo both."""
-    previous = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(level)
+def _stderr_log(verbose: bool) -> Iterator[None]:
+    """Log to stderr for one run: INFO and up with ``--verbose``, else WARNING."""
+    root = logging.getLogger()
+    previous = root.level
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    root.addHandler(handler)
+    root.setLevel(logging.INFO if verbose else logging.WARNING)
     try:
         yield
     finally:
-        logger.removeHandler(handler)
+        root.removeHandler(handler)
         handler.close()
-        logger.setLevel(previous)
-
-
-def _training_log(report_dir: str | None) -> ContextManager[None]:
-    """Write training-round lines to ``<report_dir>/training.log`` for one run.
-
-    The training logger is at INFO only while the file is open; the level
-    picks which lines are written, not what training computes.
-    """
-    if not report_dir:
-        return nullcontext()
-    handler = logging.FileHandler(Path(report_dir) / "training.log")
-    handler.setFormatter(logging.Formatter("%(asctime)s %(message)s"))
-    return _attached(logging.getLogger("restfuzz.training"), handler, logging.INFO)
-
-
-def _stderr_log(verbose: bool) -> ContextManager[None]:
-    """Log to stderr for one run: INFO and up with ``--verbose``, else WARNING."""
-    level = logging.INFO if verbose else logging.WARNING
-    handler = logging.StreamHandler()
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    # The level sits on the handler too: records propagated from the
-    # training logger skip the root logger's level and meet only this one.
-    handler.setLevel(level)
-    return _attached(logging.getLogger(), handler, level)
+        root.setLevel(previous)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -108,16 +86,19 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         # Every FuzzConfig field is the flag of the same name.
         config = FuzzConfig(**{field.name: getattr(args, field.name)
                                for field in fields(FuzzConfig)})
-        fuzzer = Fuzzer(config, parse_spec_file(args.spec))  # makes the report dir
+        fuzzer = Fuzzer(config, parse_spec_file(args.spec))
     except _INPUT_ERRORS as exc:
         print(f"fuzz: {exc}", file=sys.stderr)
         return 2
     try:
-        with _stderr_log(args.verbose), _training_log(args.report_dir):
+        with _stderr_log(args.verbose):
             metrics = fuzzer.run()
     except TargetUnreachable as exc:
         print(f"target unreachable: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a report dir or file that cannot be written
+        print(f"fuzz: {exc}", file=sys.stderr)
+        return 2
     json.dump(metrics.to_json(), sys.stdout, indent=2)
     print()
     return 0

@@ -290,11 +290,13 @@ class HttpClient:
             status, version = _status_line(status_line)
         close = closes_after(version, fields)
 
+        # RFC 9112 §6.3: Transfer-Encoding beats Content-Length; chunked only as the last coding.
+        coding = fields.get(b"transfer-encoding")
         if method == "HEAD" or status in (204, 304):
             body = b""
-        elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        elif coding is not None and coding.rsplit(b",", 1)[-1].strip().lower() == b"chunked":
             body = self._read_chunked()
-        elif (length := content_length(fields)) is not None:
+        elif coding is None and (length := content_length(fields)) is not None:
             _check_body_size(length)  # refused before any of it is read
             body = self._take(length)
         else:

@@ -16,11 +16,8 @@ and which callers must not mutate.
 
 from __future__ import annotations
 
-import json
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import IO, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .grammar import CompiledGrammar
 from .responses import ResponseClass
@@ -47,16 +44,19 @@ class PairObservation:
 
 
 class CollectionStore:
-    """Single-writer store owned by the fuzz loop."""
+    """Single-writer store owned by the fuzz loop.
 
-    def __init__(self, grammar: CompiledGrammar, persist: IO[str] | None = None):
+    The store keeps no clock: ``note`` is handed each new pair and each new
+    seed as a dict, for the owner to stamp and write.
+    """
+
+    def __init__(self, grammar: CompiledGrammar, note: Callable[[dict], None] = lambda _: None):
         self._grammar = grammar
-        self._persist = persist
-        self.iteration = 0  # set by the fuzz loop; never decreases
+        self._note = note
         # Insertion-ordered keys, one per distinct (template, pair, class) observation.
         self._pairs: dict[tuple[str, ParamValuePair, ResponseClass], None] = {}
-        # (iteration, template id, pairs) of every 2xx request with a pair.
-        self._events: list[tuple[int, str, PairList]] = []
+        # (template id, pairs) of every 2xx request with a pair.
+        self._events: list[tuple[str, PairList]] = []
         self._seed_keys: set[SequenceTemplate] = set()
         self._seeds = SeedPool()
         # Query indexes, kept at record time, each in first-seen order.
@@ -94,7 +94,7 @@ class CollectionStore:
         if not pairs:
             return
         if response_class is ResponseClass.PASS_2XX:
-            self._events.append((self.iteration, template_id, pairs))
+            self._events.append((template_id, pairs))
             other_class = ResponseClass.ERROR_5XX
         else:
             other_class = ResponseClass.PASS_2XX
@@ -110,14 +110,8 @@ class CollectionStore:
                 if pair not in self._distinct_pairs:
                     self._distinct_pairs.add(pair)
                     self._index_undefined(pair)
-                self._write_line(
-                    kind="pair",
-                    iteration=self.iteration,
-                    template=template_id,
-                    param=pair.param_name,
-                    value=pair.value,
-                    response_class=response_class.value,
-                )
+                self._note({"kind": "pair", "template": template_id, "param": pair.param_name,
+                            "value": pair.value, "response_class": response_class.value})
 
     def admit_sequence(
         self, seed: SequenceTemplate, response_classes: Sequence[ResponseClass]
@@ -137,7 +131,7 @@ class CollectionStore:
         if seed not in self._seed_keys:
             self._seed_keys.add(seed)
             self._seeds.append(seed)
-            self._write_line(kind="seed", iteration=self.iteration, templates=list(seed))
+            self._note({"kind": "seed", "templates": list(seed)})
         return True
 
     # -- queries -----------------------------------------------------------
@@ -147,15 +141,14 @@ class CollectionStore:
         return self._seeds
 
     def training_corpus(self, since: int) -> list[tuple[str, PairList]]:
-        """Pair lists of 2xx requests observed after iteration ``since``.
+        """Pair lists of 2xx requests, in order, after the one at index ``since``.
 
-        5xx observations are not kept as events: too rare to train on,
-        though the checker and ``reclist`` still use them.  Event iterations
-        never decrease, so the window starts at a bisection, not a scan of
-        the whole log.
+        ``since=-1`` is every event; a caller that keeps the index of the
+        last event it trained on gets only what came after.  5xx observations
+        are not kept as events: too rare to train on, though the checker and
+        ``reclist`` still use them.
         """
-        first = bisect_right(self._events, since, key=itemgetter(0))
-        return [(template_id, pairs) for _, template_id, pairs in self._events[first:]]
+        return self._events[since + 1 :]
 
     def undefined_pairs_for(self, template_id: str) -> Sequence[ParamValuePair]:
         """Stored pairs whose parameter the given template does not define."""
@@ -179,9 +172,3 @@ class CollectionStore:
         for template_id, undefined in self._undefined_by_template.items():
             if pair.param_name not in self._grammar.templates[template_id].param_names:
                 undefined.append(pair)
-
-    # -- persistence -------------------------------------------------------
-
-    def _write_line(self, **payload) -> None:
-        if self._persist is not None:
-            self._persist.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -142,19 +142,18 @@ def forward(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
     tokens = np.asarray(prefix, dtype=np.intp).reshape(1, -1)
     if tokens.size == 0:
         raise ValueError("prefix must be non-empty")
-    hs, _, _ = _run_gru(params, params.emb[tokens])
-    return _heads(params, hs)[2][0, -1]
+    return next_token_probs(params, tokens)[0, -1]
 
 
-def predict(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Most likely next token after every position of a same-length batch.
+def next_token_probs(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """Next-token distributions after every position of a same-length batch.
 
-    ``inputs`` is (B, T); the result is (B, T), entry ``[b, t]`` predicting
-    the token that follows ``inputs[b, : t + 1]``.
+    ``inputs`` is (B, T); the result is (B, T, V), row ``[b, t]`` the
+    distribution of the token that follows ``inputs[b, : t + 1]``.
     """
     inputs = np.asarray(inputs, dtype=np.intp)
     hs, _, _ = _run_gru(params, params.emb[inputs])
-    return np.argmax(_heads(params, hs)[2], axis=2)
+    return _heads(params, hs)[2]
 
 
 def batch_loss_and_grads(

@@ -11,16 +11,21 @@ A candidate is a tuple of template ids; only a whole run of it (one step
 sent per id) can extend the frontier, become a seed or be replayed, and
 the run keeps the set of (template ids, pair) keys already replayed.
 Every finding, a main-loop 5xx or a checker's, is filed by one call as the
-steps sent up to and including the offending reply.  With ``dump_weights``
-each training round that returns is written as ``weights/round_NNN.npz``.
+steps sent up to and including the offending reply.  The Fuzzer keeps the
+run's clock and alone writes the report files, all opened before the first
+request; ``training.log`` lines are echoed to the ``restfuzz.training``
+logger.  With ``dump_weights`` each training round that returns is written
+as ``weights/round_NNN.npz``.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import sys
 import time
 from collections import deque
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -35,14 +40,16 @@ from .draws import Draws
 from .execution import ExecutedStep, execute_candidate
 from .grammar import CompiledGrammar
 from .recommender import ModelConfig, Recommender
-from .recommender import logger as training_logger  # training.log shows failed rounds too
 from .reporting import KIND_RESPONSE_5XX, ErrorReport, RunMetrics
 from .responses import ResponseClass
 from .sequences import SequenceTemplate, extend, select_seed
 
 logger = logging.getLogger("restfuzz.fuzz")
+training_logger = logging.getLogger("restfuzz.training")
+_TRAINING_LINE = logging.Formatter("%(asctime)s %(message)s")
 
 _FRONTIER_LIMIT = 4096  # memory guard for long BFS runs
+_REPORT_FILES = ("collection.jsonl", "training.log", "metrics.json", "errors.jsonl")
 
 
 class Fuzzer:
@@ -65,14 +72,9 @@ class Fuzzer:
         self._report_dir = Path(config.report_dir) if config.report_dir else None
         replay_dir = self._report_dir / "replays" if self._report_dir else None
         self.errors = ErrorReport(grammar, replay_dir)
-
-        self._persist = None
-        if self._report_dir is not None:
-            self._report_dir.mkdir(parents=True, exist_ok=True)
-            self._persist = open(
-                self._report_dir / "collection.jsonl", "w", encoding="utf-8"
-            )
-        self.store = CollectionStore(grammar, persist=self._persist)
+        # The report files, open (line-buffered) only while ``run`` runs.
+        self._collection_log = self._training_log = self._metrics_file = self._errors_file = None
+        self.store = CollectionStore(grammar, note=self._note_collection)
 
         self._weights_dir = self._report_dir / "weights" if config.dump_weights else None
         self.recommender = (
@@ -89,7 +91,7 @@ class Fuzzer:
             self._lists = self.store.recorded_pairs()
         elif self.render_mode is RenderMode.RECLIST:
             self._lists = self.store.recorded_lists()
-        self._trained_through_iteration = 0
+        self._trained_through = -1  # index of the last event a returned round saw
         self._train_attempts = 0  # numbers every round in the logs, failed ones too
         self._last_train_time: float | None = None
         self._last_train_requests = 0
@@ -138,14 +140,16 @@ class Fuzzer:
     def _maybe_train(self) -> None:
         if self.recommender is None or not self._train_due():
             return
-        corpus = self.store.training_corpus(since=self._trained_through_iteration)
+        corpus = self.store.training_corpus(since=self._trained_through)
         self._train_attempts += 1
         label = f"round={self._train_attempts}"
         try:
-            result = self.recommender.train_and_publish(corpus, label, self._exhausted)
+            result = self.recommender.train_and_publish(
+                corpus, label, self._exhausted, self._training_line
+            )
             # Only a round that returned has seen its window; a failed
             # round's events stay in the next round's corpus.
-            self._trained_through_iteration = self.store.iteration - 1
+            self._trained_through += len(corpus)
             if result is not None:
                 self.metrics.train_rounds += 1
                 self.metrics.note_first_training()
@@ -156,7 +160,7 @@ class Fuzzer:
         except Exception:
             # A bad round must not end the run: log it, count it, go on.
             self.metrics.train_rounds_failed += 1
-            training_logger.exception("training round %s failed", label)
+            self._training_line(logging.ERROR, f"training round {label} failed", sys.exc_info())
         self._last_train_time = time.monotonic()
         self._last_train_requests = self.metrics.requests_sent
 
@@ -202,26 +206,32 @@ class Fuzzer:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> RunMetrics:
-        self._started = time.monotonic()
-        client = HttpClient(self.config.target, auth_token=self.config.auth_token)
-        try:
-            client.check_reachable()
-            self._last_train_time = time.monotonic()
-            self._loop(client)
-        finally:
-            client.close()
-            self.metrics.wall_time = time.monotonic() - self._started
-            self.metrics.unique_errors = len(self.errors)
-            if self._persist is not None:
-                self._persist.close()
-            self._write_reports()
+        with ExitStack() as files:
+            if self._report_dir is not None:
+                self._report_dir.mkdir(parents=True, exist_ok=True)
+                (self._collection_log, self._training_log,
+                 self._metrics_file, self._errors_file) = (
+                    files.enter_context(open(self._report_dir / name, "w",
+                                             encoding="utf-8", buffering=1))
+                    for name in _REPORT_FILES
+                )
+            self._started = time.monotonic()
+            client = HttpClient(self.config.target, auth_token=self.config.auth_token)
+            try:
+                client.check_reachable()
+                self._last_train_time = time.monotonic()
+                self._loop(client)
+            finally:
+                client.close()
+                self.metrics.wall_time = time.monotonic() - self._started
+                self.metrics.unique_errors = len(self.errors)
+                self._write_reports()
         return self.metrics
 
     def _loop(self, client: HttpClient) -> None:
         observe = self.metrics.observe
         while not self._exhausted():
             self.metrics.iterations += 1
-            self.store.iteration = self.metrics.iterations
             self._maybe_train()
 
             candidate = (
@@ -274,12 +284,26 @@ class Fuzzer:
                 steps, kind, self.metrics.iterations, self.metrics.requests_sent
             )
 
+    def _note_collection(self, event: dict) -> None:
+        """Write a new pair or seed the store reports, stamped with the iteration."""
+        if self._collection_log is not None:
+            event["iteration"] = self.metrics.iterations
+            self._collection_log.write(json.dumps(event, sort_keys=True) + "\n")
+
+    def _training_line(self, level: int, line: str, exc_info=None) -> None:
+        """Write a training line to ``training.log`` and echo it to the training logger."""
+        record = training_logger.makeRecord(training_logger.name, level, __file__, 0, line,
+                                            None, exc_info)
+        if self._training_log is not None:
+            self._training_log.write(_TRAINING_LINE.format(record) + "\n")
+        if training_logger.isEnabledFor(level):
+            training_logger.handle(record)
+
     def _write_reports(self) -> None:
         if self._report_dir is None:
             return
-        with open(self._report_dir / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump(self.metrics.to_json(), fh, indent=2)
-        self.errors.write_jsonl(self._report_dir / "errors.jsonl")
+        json.dump(self.metrics.to_json(), self._metrics_file, indent=2)
+        self.errors.write_jsonl(self._errors_file)
 
 
 def fuzz_loop(config: FuzzConfig, grammar: CompiledGrammar) -> RunMetrics:

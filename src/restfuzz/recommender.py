@@ -3,7 +3,8 @@
 Each training round rebuilds the vocabulary from the corpus window and
 trains fresh weights from scratch, then samples param-value lists per
 request template.  Rounds run inline on the fuzz loop's thread and write
-no file; a round's weights are its result's arrays.  Published
+no file: a round's weights are its result's arrays, and its progress lines
+go to the caller's ``log``.  Published
 lists accumulate across rounds in one mapping, keyed by template, that each
 publish updates in place, so the rendering side holds it once and sees every
 round's lists.  A list is a plain :data:`~restfuzz.collection.PairList`.
@@ -11,9 +12,9 @@ round's lists.  A list is a plain :data:`~restfuzz.collection.PairList`.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
+from logging import INFO, WARNING
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -21,12 +22,11 @@ import numpy as np
 from . import model
 from .collection import PairList, ParamValuePair
 
-logger = logging.getLogger("restfuzz.training")
-
 TERMINATOR_ID = 0
 
 Corpus = Sequence[tuple[str, Sequence[ParamValuePair]]]
 StopCheck = Callable[[], bool]
+TrainLog = Callable[[int, str], None]  # (logging level, line)
 
 
 class EmptyCorpus(Exception):
@@ -105,6 +105,7 @@ class TrainResult:
     params: model.ModelParams
     vocab: Vocabulary
     val_accuracy: float | None
+    val_loss: float | None
     epoch_losses: list[float]
     max_len: int
     n_train: int
@@ -138,18 +139,22 @@ def _length_weights(lengths: np.ndarray) -> np.ndarray:
 
 def _accuracy(
     params: model.ModelParams, padded: tuple[np.ndarray, np.ndarray] | None
-) -> float | None:
-    """Top-1 next-token accuracy over every position of ``_pad``'s output, one pass.
+) -> tuple[float, float] | tuple[None, None]:
+    """Top-1 next-token accuracy and mean cross-entropy per prediction over
+    every position of ``_pad``'s output, from one model pass.
 
-    ``None`` stands for an empty validation set.
+    ``(None, None)`` stands for an empty validation set.
     """
     if padded is None:
-        return None
+        return None, None
     tokens, lengths = padded
-    predicted = model.predict(params, tokens[:, :-1])
-    valid = np.arange(predicted.shape[1]) < (lengths - 1)[:, None]
-    hits = np.count_nonzero((predicted == tokens[:, 1:]) & valid)
-    return int(hits) / int(np.count_nonzero(valid))
+    targets = tokens[:, 1:]
+    probs = model.next_token_probs(params, tokens[:, :-1])
+    valid = np.arange(targets.shape[1]) < (lengths - 1)[:, None]
+    picked = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
+    n_valid = int(np.count_nonzero(valid))
+    hits = int(np.count_nonzero((np.argmax(probs, axis=2) == targets) & valid))
+    return hits / n_valid, -float(np.log(picked[valid] + 1e-300).sum()) / n_valid
 
 
 def train(
@@ -158,20 +163,24 @@ def train(
     rng: np.random.Generator,
     label: str = "",
     should_stop: StopCheck | None = None,
+    log: TrainLog | None = None,
 ) -> TrainResult:
     """Train fresh weights on the corpus; returns weights plus statistics.
 
     Mini-batch gradient descent on next-token cross-entropy: one padded,
     length-weighted kernel call per minibatch (see :func:`_length_weights`).
-    The validation accuracy is measured after every epoch and logged at INFO
-    with the epoch's mean cross-entropy per prediction.
+    The validation accuracy and cross-entropy are measured after every
+    epoch; ``log`` gets the round's size, then one INFO line per epoch with
+    them and the epoch's mean training cross-entropy per prediction.
     Every call re-initializes from scratch: no weight reuse between rounds.
     ``should_stop`` is asked before each epoch; once it answers true the
-    round raises :class:`RoundCut`.
+    round logs a WARNING line and raises :class:`RoundCut`.
     """
     if not corpus:
         raise EmptyCorpus("no training examples")
     started = time.perf_counter()
+    log = log or (lambda level, line: None)
+    name = label or "train"
 
     window = corpus
     if config.max_examples is not None and len(window) > config.max_examples:
@@ -190,18 +199,14 @@ def train(
         vocab.size, config.embed_dim, config.hidden_dim, rng, config.init_scale
     )
     epoch_losses: list[float] = []
-    val_accuracy: float | None = None
+    val_accuracy = val_loss = None
     padded, lengths = _pad(train_set)
     val_padded = _pad(val_set) if val_set else None
-    logger.info(
-        "%s n_train=%d n_val=%d vocab=%d val_predictions=%d",
-        label or "train", len(train_set), len(val_set), vocab.size,
-        sum(len(example) - 1 for example in val_set),
-    )
+    log(INFO, f"{name} n_train={len(train_set)} n_val={len(val_set)} vocab={vocab.size} "
+              f"val_predictions={sum(len(example) - 1 for example in val_set)}")
     for epoch in range(config.epochs):
         if should_stop is not None and should_stop():
-            logger.warning("%s cut before epoch=%d of %d", label or "train",
-                           epoch + 1, config.epochs)
+            log(WARNING, f"{name} cut before epoch={epoch + 1} of {config.epochs}")
             raise RoundCut(label)
         order = rng.permutation(len(train_set))
         total_loss = 0.0
@@ -219,18 +224,17 @@ def train(
             total_predictions += n_predictions
         mean_loss = total_loss / max(total_predictions, 1)
         epoch_losses.append(mean_loss)
-        val_accuracy = _accuracy(params, val_padded)
-        logger.info(
-            "%s epoch=%d loss=%.4f val_acc=%s wall=%.2fs",
-            label or "train", epoch + 1, mean_loss,
-            "n/a" if val_accuracy is None else f"{val_accuracy:.3f}",
-            time.perf_counter() - started,
-        )
+        val_accuracy, val_loss = _accuracy(params, val_padded)
+        accuracy_text = "n/a" if val_accuracy is None else f"{val_accuracy:.3f}"
+        loss_text = "n/a" if val_loss is None else f"{val_loss:.4f}"
+        log(INFO, f"{name} epoch={epoch + 1} loss={mean_loss:.4f} val_acc={accuracy_text} "
+                  f"val_loss={loss_text} wall={time.perf_counter() - started:.2f}s")
 
     return TrainResult(
         params=params,
         vocab=vocab,
         val_accuracy=val_accuracy,
+        val_loss=val_loss,
         epoch_losses=epoch_losses,
         max_len=max_len,
         n_train=len(train_set),
@@ -323,15 +327,16 @@ class Recommender:
             self.published[template_id] = tuple(merged)
 
     def train_and_publish(
-        self, corpus: Corpus, label: str = "", should_stop: StopCheck | None = None
+        self, corpus: Corpus, label: str = "", should_stop: StopCheck | None = None,
+        log: TrainLog | None = None,
     ) -> TrainResult | None:
         """One full round: train, sample lists per template, publish.
 
         Returns ``None`` and publishes nothing on an empty corpus or when
-        ``should_stop`` cuts the round.
+        ``should_stop`` cuts the round.  ``log`` gets :func:`train`'s lines.
         """
         try:
-            result = train(corpus, self._config, self._rng, label, should_stop)
+            result = train(corpus, self._config, self._rng, label, should_stop, log)
         except (EmptyCorpus, RoundCut):
             return None
         self.publish({

@@ -11,7 +11,7 @@ import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 from .client import HttpClient, ReadyRequest
 from .execution import ExecutedStep, Observer, send_step
@@ -162,10 +162,9 @@ class ErrorReport:
     def __len__(self) -> int:
         return len(self._buckets)
 
-    def write_jsonl(self, path: Path | str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records():
-                fh.write(json.dumps(asdict(record)) + "\n")
+    def write_jsonl(self, fh: IO[str]) -> None:
+        for record in self.records():
+            fh.write(json.dumps(asdict(record)) + "\n")
 
 
 def _has_strings(value, keys) -> bool:

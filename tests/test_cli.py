@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 
 from restfuzz import cli
 from restfuzz.client import HttpClient, ReadyRequest
-from restfuzz.mock_service import BugConfig, packaged_grammar_path, serve
+from restfuzz.mock_service import ALL_BUGS, BugConfig, packaged_grammar_path, serve
 from restfuzz.orchestrator import FuzzConfig
 from tcp_proxy import TcpProxy
 
@@ -84,6 +86,43 @@ class TestTrainingLog:
         assert ("epoch=" in proc.stderr) is verbose
 
 
+def masked_training_log(text):
+    """``training.log`` without what differs run to run: each line's
+    timestamp and ``wall=`` value.  ``val_loss=`` fields are dropped too,
+    so one digest pins the lines the log held before it gained them."""
+    text = re.sub(r"^\d{4}-\d\d-\d\d \d\d:\d\d:\d\d,\d{3} ", "<time> ", text, flags=re.M)
+    text = re.sub(r"wall=\d+\.\d\ds", "wall=<s>", text)
+    return re.sub(r" val_loss=\S+", "", text)
+
+
+# sha256 of the report files of a seed-0 miner run of 1500 requests with
+# both checkers and training every 500 requests, against the fully armed mock.
+REPORT_FILE_DIGESTS = {
+    "collection.jsonl": "f82f62fb9a62da3d2b65ec98b5043eca05e71ffb1c3cf7836025105ec59ba0ed",
+    "training.log": "b70352e21d6c06e3e3597c7b31ee729f79a453d23e1f2926e4450b1836626900",
+}
+
+
+class TestReportFiles:
+    def test_collection_and_training_logs_match_pinned_digests(self, tmp_path, capsys):
+        handle = serve(0, BugConfig(frozenset(ALL_BUGS)))
+        try:
+            argv = ["fuzz", "--spec", str(packaged_grammar_path()), "--target", handle.base_url,
+                    "--mode", "miner", "--seed", "0", "--max-requests", "1500",
+                    "--train-every-requests", "500", "--enable-uaf-checker",
+                    "--enable-datadriven-checker", "--report-dir", str(tmp_path)]
+            assert cli.main(argv) == 0
+        finally:
+            handle.stop()
+        collection = (tmp_path / "collection.jsonl").read_bytes()
+        training = masked_training_log((tmp_path / "training.log").read_text())
+        assert training.count(" epoch=") == 2 * 27
+        assert {
+            "collection.jsonl": hashlib.sha256(collection).hexdigest(),
+            "training.log": hashlib.sha256(training.encode()).hexdigest(),
+        } == REPORT_FILE_DIGESTS
+
+
 def modules_after(statement):
     """The ``restfuzz`` and ``numpy`` modules a fresh interpreter holds after ``statement``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -145,6 +184,18 @@ class TestFuzzArguments:
         assert cli.main(fuzz_argv(target.base_url, plain)) == 2
         assert_one_line(capsys.readouterr().err, "fuzz: ")
         assert plain.read_text() == ""
+        with HttpClient(target.base_url) as client:
+            assert json.loads(client.send(ReadyRequest("GET", "/__coverage")).body) == {}
+
+    @pytest.mark.parametrize(
+        "name", ["collection.jsonl", "training.log", "metrics.json", "errors.jsonl"]
+    )
+    def test_a_report_file_that_cannot_be_written_exits_2_and_sends_nothing(
+        self, name, target, tmp_path, capsys
+    ):
+        (tmp_path / "run" / name).mkdir(parents=True)
+        assert cli.main(fuzz_argv(target.base_url, tmp_path / "run")) == 2
+        assert_one_line(capsys.readouterr().err, "fuzz: ", name)
         with HttpClient(target.base_url) as client:
             assert json.loads(client.send(ReadyRequest("GET", "/__coverage")).body) == {}
 

@@ -395,7 +395,8 @@ def chunked(size_line: bytes, chunk: bytes) -> bytes:
 
 
 class TestFramingRules:
-    """RFC 9112's rules: a Content-Length is 1*DIGIT, a chunk size 1*HEXDIG."""
+    """RFC 9112's rules: a Content-Length is 1*DIGIT, a chunk size 1*HEXDIG, and a
+    Transfer-Encoding's final coding frames the body as chunked or read to the close."""
 
     @pytest.mark.parametrize("data", [
         b"HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\nok",
@@ -423,6 +424,35 @@ class TestFramingRules:
             assert record.body == "read failed: invalid Content-Length b'x'"
             assert elapsed < 0.5
             assert client.send(ReadyRequest("GET", "/b")).body == "[]"
+        assert target.connections == 2
+
+    def test_chunked_as_the_final_coding_is_read_without_waiting_for_the_timeout(self, target):
+        """The target keeps the connection open, so reading to its close would wait 2 s."""
+        target.script = [
+            reply(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n"
+                  b"5\r\nhello\r\n0\r\n\r\n"),
+            reply(ok(b"[]")),
+        ]
+        with HttpClient(target.url, timeout=2.0) as client:
+            started = time.perf_counter()
+            record = client.send(ReadyRequest("GET", "/a"))
+            elapsed = time.perf_counter() - started
+            assert (record.status, record.body) == (200, "hello")  # de-chunked, not decompressed
+            assert elapsed < 0.5
+            assert client.send(ReadyRequest("GET", "/b")).body == "[]"
+        assert target.connections == 1
+
+    @pytest.mark.parametrize("codings", [b"gzip", b"chunked, gzip"])
+    def test_another_final_coding_is_read_to_the_close_whatever_the_length(
+        self, target, client, codings
+    ):
+        target.script = [
+            reply(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: %s\r\nContent-Length: 2\r\n\r\n"
+                  b"until close" % codings, close=True),
+            reply(ok(b"[]")),
+        ]
+        assert client.send(ReadyRequest("GET", "/a")).body == "until close"
+        assert client.send(ReadyRequest("GET", "/b")).body == "[]"
         assert target.connections == 2
 
 
@@ -522,7 +552,9 @@ class ReferenceReader:
     same ``recv`` boundaries, must give the same outcome.  Its framing
     rules are RFC 9112's, written out here on their own: a
     ``Content-Length`` is 1*DIGIT and a chunk size 1*HEXDIG, and any other
-    value is a transport outcome.
+    value is a transport outcome.  A ``Transfer-Encoding`` overrides the
+    ``Content-Length``: chunked as its last coding is de-chunked, and any
+    other last coding is read to the close.
     """
 
     head_end = re.compile(rb"\r?\n\r?\n")
@@ -600,11 +632,12 @@ class ReferenceReader:
             close = b"keep-alive" not in connection and b"keep-alive" not in fields
         else:
             close = b"close" in connection
+        codings = fields.get(b"transfer-encoding")
         if method == "HEAD" or status in (204, 304):
             body = b""
-        elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        elif codings is not None and codings.split(b",")[-1].strip().lower() == b"chunked":
             body = self.read_chunked()
-        elif (declared := fields.get(b"content-length")) is not None:
+        elif codings is None and (declared := fields.get(b"content-length")) is not None:
             if not self.digits.fullmatch(declared):
                 raise client_module.FramingError(f"invalid Content-Length {declared[:80]!r}")
             length = int(declared)
@@ -686,7 +719,8 @@ def replies(draw):
             field = (draw(_field_name("Content-Length")).encode(), value)
         elif kind == "chunked":
             field = (draw(_field_name("Transfer-Encoding")).encode(),
-                     draw(st.sampled_from([b"chunked", b"Chunked", b"gzip"])))
+                     draw(st.sampled_from([b"chunked", b"Chunked", b"gzip", b"gzip, chunked",
+                                           b"gzip,CHUNKED", b"chunked, gzip"])))
         elif kind == "connection":
             field = (draw(_field_name("Connection")).encode(),
                      draw(st.sampled_from([b"close", b"keep-alive", b"Upgrade"])))

@@ -37,7 +37,7 @@ class TestRecordRequestOutcome:
     def test_rejection_records_nothing(self, store):
         record_get(store, wp="false", klass=ResponseClass.REJECT_4XX)
         assert store.pair_observations() == []
-        assert store.training_corpus(since=0) == []
+        assert store.training_corpus(since=-1) == []
 
     def test_error_response_records_tagged_pairs(self, store):
         record_get(store, wp="false", wca="true", klass=ResponseClass.ERROR_5XX)
@@ -84,25 +84,21 @@ class TestAdmitSequence:
 
 class TestTrainingCorpus:
     def test_one_pass_observation_yields_one_example(self, store):
-        store.iteration = 1
         record_get(store, wp="false")
-        assert store.training_corpus(since=0) == [
+        assert store.training_corpus(since=-1) == [
             (GET_ID, (ParamValuePair("with_projects", "false"),))
         ]
 
-    def test_since_latest_iteration_is_empty(self, store):
-        store.iteration = 1
+    def test_since_the_latest_event_is_empty(self, store):
         record_get(store, wp="false")
-        assert store.training_corpus(since=1) == []
-
-    def test_error_only_store_trains_nothing(self, store):
-        store.iteration = 1
-        record_get(store, wp="false", klass=ResponseClass.ERROR_5XX)
         assert store.training_corpus(since=0) == []
 
+    def test_error_only_store_trains_nothing(self, store):
+        record_get(store, wp="false", klass=ResponseClass.ERROR_5XX)
+        assert store.training_corpus(since=-1) == []
+
     def test_corpus_monotone_in_since(self, store):
-        for iteration in range(1, 6):
-            store.iteration = iteration
+        for _ in range(5):
             record_get(store, wp="false")
         newer = store.training_corpus(since=3)
         older = store.training_corpus(since=1)
@@ -111,9 +107,8 @@ class TestTrainingCorpus:
             assert example in older
 
     def test_pair_order_follows_template_order(self, store):
-        store.iteration = 1
         record_get(store, wca="true", wp="false")
-        ((_, pairs),) = store.training_corpus(since=0)
+        ((_, pairs),) = store.training_corpus(since=-1)
         assert [p.param_name for p in pairs] == [
             "with_custom_attributes", "with_projects",
         ]
@@ -145,22 +140,21 @@ class TestUndefinedPairsFor:
         assert store.undefined_pairs_for(POST) == []
 
 
-class TestPersistence:
-    def test_jsonl_stream_has_pair_and_seed_lines(self, two_template_grammar, tmp_path):
-        import json
-
-        path = tmp_path / "collection.jsonl"
-        with open(path, "w") as fh:
-            store = CollectionStore(two_template_grammar, persist=fh)
-            store.iteration = 3
+class TestNote:
+    def test_each_new_pair_and_seed_is_noted_once(self, two_template_grammar):
+        noted = []
+        store = CollectionStore(two_template_grammar, note=noted.append)
+        for _ in range(2):
             record_get(store, wp="false")
             store.admit_sequence((POST,), [ResponseClass.PASS_2XX])
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        kinds = {line["kind"] for line in lines}
-        assert kinds == {"pair", "seed"}
-        pair_line = next(line for line in lines if line["kind"] == "pair")
-        assert pair_line["param"] == "with_projects"
-        assert pair_line["iteration"] == 3
+        record_get(store, wp="false", klass=ResponseClass.ERROR_5XX)
+        assert noted == [
+            {"kind": "pair", "template": GET_ID, "param": "with_projects",
+             "value": "false", "response_class": "2xx"},
+            {"kind": "seed", "templates": [POST]},
+            {"kind": "pair", "template": GET_ID, "param": "with_projects",
+             "value": "false", "response_class": "5xx"},
+        ]
 
 
 def _record(template_ids):
@@ -216,8 +210,7 @@ class TestIndexesMatchScans:
         store = CollectionStore(mock_grammar)
         admitted = []
         log = []  # (template id, pairs, class) of every op the store keeps
-        for iteration, op in enumerate(ops, start=1):
-            store.iteration = iteration
+        for op in ops:
             if op[0] == "record":
                 _, template_id, picks, klass = op
                 template = mock_grammar.templates[template_id]
@@ -277,27 +270,30 @@ class TestIndexesMatchScans:
 
 
 class TestTrainingCorpusMatchesScan:
-    """Random records at non-decreasing iterations: the bisected window
-    equals a scan of the recorded ops, in the same order."""
+    """Random records with window reads between them, each read from a
+    cursor advanced by the length of the window before, as the fuzz loop
+    reads them: every window equals a scan of the recorded ops, and the
+    windows hold the 2xx events in order, each once."""
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), sinces=st.lists(st.integers(-2, 70), min_size=1, max_size=5))
-    def test_equals_naive_scan(self, mock_grammar, data, sinces):
+    @given(data=st.data())
+    def test_equals_naive_scan(self, mock_grammar, data):
         record = _record(sorted(mock_grammar.templates))
-        records = data.draw(st.lists(st.tuples(st.integers(0, 2), record), max_size=60))
+        records = data.draw(st.lists(st.tuples(st.booleans(), record), max_size=60))
         store = CollectionStore(mock_grammar)
-        log = []  # (iteration, template id, pairs) of every 2xx op with a pair
-        for step, (_, template_id, picks, klass) in records:
-            store.iteration += step
+        log = []  # (template id, pairs) of every 2xx op with a pair
+        windows, cursor = [], -1
+        for read_first, (_, template_id, picks, klass) in records:
+            if read_first:
+                windows.append(store.training_corpus(since=cursor))
+                cursor += len(windows[-1])
             template = mock_grammar.templates[template_id]
             rendered = _rendered(template, picks)
             store.record_request_outcome(template_id, rendered, klass)
             pairs = _logged(template, rendered, klass)
             if pairs is not None and klass is ResponseClass.PASS_2XX:
-                log.append((store.iteration, template_id, pairs))
-        for since in sinces + [-1, store.iteration]:
-            assert store.training_corpus(since) == [
-                (template_id, pairs)
-                for iteration, template_id, pairs in log
-                if iteration > since
-            ]
+                log.append((template_id, pairs))
+        windows.append(store.training_corpus(since=cursor))
+        assert [event for window in windows for event in window] == log
+        for since in range(-1, len(log)):
+            assert store.training_corpus(since) == log[since + 1 :]

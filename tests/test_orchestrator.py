@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -106,6 +107,14 @@ class TestFuzzLoop:
         assert (report_dir / "errors.jsonl").exists()
         assert (report_dir / "collection.jsonl").stat().st_size > 0
 
+    def test_a_fuzzer_dropped_unrun_leaves_no_file_open(self, mock_grammar, tmp_path):
+        # The suite runs under error::ResourceWarning: an unclosed file fails it.
+        config = quick_config("http://127.0.0.1:9", report_dir=tmp_path / "run")
+        fuzzer = Fuzzer(config, mock_grammar)
+        del fuzzer
+        gc.collect()
+        assert not (tmp_path / "run").exists()
+
     def test_each_returned_round_dumps_its_arrays(
         self, mock_grammar, target, tmp_path, monkeypatch
     ):
@@ -153,7 +162,7 @@ class TestFuzzLoop:
     def test_failed_rounds_are_counted_and_the_run_goes_on(
         self, mock_grammar, target, tmp_path, monkeypatch, caplog
     ):
-        def failing_round(self, corpus, label="", should_stop=None):
+        def failing_round(self, corpus, label="", should_stop=None, log=None):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(orch.Recommender, "train_and_publish", failing_round)
@@ -171,6 +180,9 @@ class TestFuzzLoop:
             for attempt in range(1, metrics.train_rounds_failed + 1)
         ]
         assert all(r.exc_info is not None for r in failures)
+        # training.log holds each failure line with its traceback.
+        training_log = (tmp_path / "run" / "training.log").read_text()
+        assert training_log.count("RuntimeError: boom") == metrics.train_rounds_failed
 
     def test_a_failed_rounds_window_is_trained_on_by_the_next_round(
         self, mock_grammar, target, monkeypatch
@@ -178,11 +190,11 @@ class TestFuzzLoop:
         corpora = []
         real = orch.Recommender.train_and_publish
 
-        def fails_once(self, corpus, label="", should_stop=None):
+        def fails_once(self, corpus, label="", should_stop=None, log=None):
             corpora.append(list(corpus))
             if len(corpora) == 1:
                 raise RuntimeError("boom")
-            return real(self, corpus, label, should_stop)
+            return real(self, corpus, label, should_stop, log)
 
         monkeypatch.setattr(orch.Recommender, "train_and_publish", fails_once)
         metrics = fuzz_loop(quick_config(target.base_url, requests=400), mock_grammar)

@@ -270,39 +270,60 @@ class TestAccuracy:
             [int(token) for token in rng.integers(0, 9, size=length)]
             for length in rng.integers(2, 8, size=60)
         ]
-        # the one-row-at-a-time pass over forward that predict replaced
+        # a one-row-at-a-time pass over forward
         hits = total = 0
+        cross_entropy = 0.0
         for example in examples:
             for t in range(len(example) - 1):
                 probs = model.forward(params, example[: t + 1])
                 hits += int(np.argmax(probs) == example[t + 1])
+                cross_entropy -= np.log(probs[example[t + 1]])
                 total += 1
-        assert _accuracy(params, _pad(examples)) == hits / total
+        accuracy, loss = _accuracy(params, _pad(examples))
+        assert accuracy == hits / total
+        assert loss == pytest.approx(cross_entropy / total, rel=1e-12)
+
+    def test_an_empty_validation_set_has_neither(self, rng):
+        assert _accuracy(model.init_params(9, 4, 5, rng), None) == (None, None)
 
 
 class TestTrainLogging:
-    def run(self, caplog, level):
-        caplog.clear()
-        caplog.set_level(level, logger="restfuzz.training")
-        return train(chain_corpus(60), ModelConfig(epochs=4), np.random.default_rng(3))
+    def run(self, lines=None, corpus=None):
+        """Train a small round; ``lines`` collects its (level, line) pairs."""
+        return train(
+            chain_corpus(60) if corpus is None else corpus, ModelConfig(epochs=4),
+            np.random.default_rng(3),
+            log=None if lines is None else lambda level, line: lines.append((level, line)),
+        )
 
-    def test_log_level_changes_no_result(self, caplog):
-        quiet = self.run(caplog, logging.WARNING)
-        assert not caplog.records
-        loud = self.run(caplog, logging.INFO)
+    def test_log_level_changes_no_result(self):
+        quiet = self.run()
+        lines = []
+        loud = self.run(lines)
+        assert lines
         assert loud.epoch_losses == quiet.epoch_losses
         assert loud.val_accuracy == quiet.val_accuracy
+        assert loud.val_loss == quiet.val_loss
 
-    def test_one_line_per_epoch_ending_with_the_final_accuracy(self, caplog):
-        result = self.run(caplog, logging.INFO)
-        lines = [r.getMessage() for r in caplog.records if "epoch=" in r.getMessage()]
-        assert len(lines) == 4
-        last = re.search(r"val_acc=(\S+)", lines[-1]).group(1)
-        assert last == f"{result.val_accuracy:.3f}"
+    def test_one_line_per_epoch_ending_with_the_final_accuracy(self):
+        lines = []
+        result = self.run(lines)
+        epochs = [(level, line) for level, line in lines if "epoch=" in line]
+        assert [level for level, _ in epochs] == [logging.INFO] * 4
+        last = epochs[-1][1]
+        assert re.search(r"val_acc=(\S+)", last).group(1) == f"{result.val_accuracy:.3f}"
+        assert re.search(r"val_loss=(\S+)", last).group(1) == f"{result.val_loss:.4f}"
 
-    def test_the_round_size_is_logged_before_the_first_epoch(self, caplog):
-        result = self.run(caplog, logging.INFO)
-        first, second = [r.getMessage() for r in caplog.records][:2]
+    def test_without_a_validation_set_both_read_n_a(self):
+        lines = []
+        result = self.run(lines, corpus=chain_corpus(1))
+        assert result.n_val == 0 and result.val_loss is None
+        assert all(" val_acc=n/a val_loss=n/a " in line for _, line in lines if "epoch=" in line)
+
+    def test_the_round_size_is_logged_before_the_first_epoch(self):
+        lines = []
+        result = self.run(lines)
+        first, second = [line for _, line in lines][:2]
         # every chain example has 6 tokens, so 5 predictions
         assert first == (
             f"train n_train={result.n_train} n_val={result.n_val} "
@@ -592,21 +613,17 @@ class TestRound:
         assert recommender.train_and_publish([]) is None
         assert recommender.published == {}
 
-    def test_round_cut_at_an_epoch_boundary_publishes_nothing(
-        self, rng, caplog
-    ):
+    def test_round_cut_at_an_epoch_boundary_publishes_nothing(self, rng):
         answers = iter([False, False, True])
         recommender = Recommender(ModelConfig(epochs=5), rng)
         corpus = [(GET_ID, [ParamValuePair("with_projects", "false")])] * 20
-        caplog.set_level(logging.INFO, logger="restfuzz.training")
+        lines = []
         result = recommender.train_and_publish(
-            corpus, label="round=1", should_stop=lambda: next(answers)
+            corpus, label="round=1", should_stop=lambda: next(answers),
+            log=lambda level, line: lines.append((level, line)),
         )
         assert result is None
         assert recommender.published == {}
-        epoch_lines = [r for r in caplog.records if "epoch=" in r.getMessage()]
-        assert sum(r.levelno == logging.INFO for r in epoch_lines) == 2
-        cuts = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert [r.getMessage() for r in cuts] == [
-            "round=1 cut before epoch=3 of 5"
-        ]
+        assert sum(level == logging.INFO for level, line in lines if "epoch=" in line) == 2
+        cuts = [line for level, line in lines if level == logging.WARNING]
+        assert cuts == ["round=1 cut before epoch=3 of 5"]

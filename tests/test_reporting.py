@@ -135,7 +135,8 @@ class TestErrorBucketing:
     def test_errors_jsonl_round_trips(self, report, tmp_path):
         report.bucket_error([make_step()], KIND_RESPONSE_5XX, 7, 52)
         out = tmp_path / "errors.jsonl"
-        report.write_jsonl(out)
+        with open(out, "w", encoding="utf-8") as fh:
+            report.write_jsonl(fh)
         (entry,) = [json.loads(l) for l in out.read_text().splitlines()]
         assert entry["first_seen_iteration"] == 7
         assert entry["first_seen_requests"] == 52
